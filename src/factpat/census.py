@@ -25,9 +25,18 @@ A run is described by an INI config:
 
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
-no floats or timestamps appear.  Worker parallelism partitions the member
-stream by the leading free coefficient; tallies merge by addition, so
-1-worker and N-worker runs emit identical bytes.
+no floats or timestamps appear.
+
+Counts come from one of two exact paths.  The pattern table (see
+tables.py) multiplies irreducibles and bins the products by their top
+window; run_global reads it at depth 0, run_verify at depth n for its
+per-polynomial lookups (depth 0 when only the variety section runs), and
+census_tally at depth n - r for families of small codimension (see
+census_tally).  Other families run the census kernel
+(poly.pattern_of_coeffs) member by member.  workers applies only
+to that kernel path: it partitions the member stream by the leading free
+coefficient, and tallies merge by addition, so every path and worker
+count emits identical bytes.
 """
 
 from __future__ import annotations
@@ -41,12 +50,12 @@ from itertools import product
 
 from .correspondence import build_G, is_type_lambda, verify_membership_equivalence
 from .errors import BudgetError, CountingIdentityError
-from .family import (LinearFamily, MEMBER_BUDGET, bound_fp1, bound_fp2,
-                     bound_nonsquarefree, bound_reference_ci, new_family,
-                     pattern_tally, prescribed_family)
+from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
+                     bound_fp2, bound_nonsquarefree, bound_reference_ci,
+                     new_family, pattern_tally, prescribed_family)
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
-from .poly import pattern_of_coeffs
+from .tables import family_tally, pattern_table, tally_windows, window_index
 from .variety import SCAN_BUDGET, count_points, jacobian_probe, sym_system
 
 ENGINE_TAG = "factpat 0.1.0"
@@ -129,11 +138,6 @@ def build_family(cfg: RunConfig, field: FieldParams) -> LinearFamily:
     raise ValueError(f"mode {cfg.mode!r} does not define a family")
 
 
-def _frac_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def family_descriptor(fam: LinearFamily, bank=None) -> dict:
     if bank is None:
         bank = ContextBank.shared(fam.ctx)
@@ -168,7 +172,16 @@ def family_descriptor(fam: LinearFamily, bank=None) -> dict:
     }
 
 
-# -- parallel member tally --------------------------------------------------
+# -- member tally -----------------------------------------------------------
+
+# The census kernel takes 67-235 us per member and the pattern table
+# 0.6-4.4 us per monic of degree n (ten families with q <= 13, n <= 8 on
+# Python 3.11), so the break-even codimension q^m ran from 36 to 332,
+# median about 120.  census_tally reads the table when
+# q^n <= TABLE_RATIO * |A|, that is q^m <= TABLE_RATIO, and the table's
+# q^(n-r) windows are no more than the members, so that its memory stays
+# within a constant per member.
+TABLE_RATIO = 128
 
 
 def _chunk_task(args):
@@ -178,11 +191,18 @@ def _chunk_task(args):
 
 def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
                  workers: int = 1) -> dict:
-    """Pattern tally over the members, chunked by the leading free
-    coefficient when workers > 1.  Merge order is fixed, so the result is
-    independent of the worker count."""
+    """Pattern tally over the members: counts tuple -> [total, squarefree].
+
+    Families of small codimension (q^n <= TABLE_RATIO * |A|) with no more
+    windows than members (q^(n-r) <= |A|) are read off the pattern table;
+    the others run the kernel member by member, chunked by the leading
+    free coefficient when workers > 1.  Merge order is fixed, so the
+    result is independent of the path and of the worker count."""
     if fam.size > budget:
         raise BudgetError(f"family size {fam.size} exceeds budget {budget}")
+    q, size = fam.q, fam.size
+    if q ** fam.n <= TABLE_RATIO * size and q ** (fam.n - fam.r) <= size:
+        return family_tally(fam)
     if workers <= 1 or fam.n - fam.m == 0:
         return pattern_tally(fam, budget=budget)
     chunks = list(range(fam.q))
@@ -204,6 +224,9 @@ def run_census(cfg: RunConfig) -> dict:
     """Pattern census of a family with bound verdicts per pattern."""
     field = build_field(cfg)
     fam = build_family(cfg, field)
+    # the descriptor builds the extension layers, which can exceed the
+    # order limit: fail before the tally scans anything
+    descriptor = family_descriptor(fam)
     tally = census_tally(fam, cfg.budget_members, cfg.workers)
     rows = []
     bounds_pass = True
@@ -243,7 +266,7 @@ def run_census(cfg: RunConfig) -> dict:
     return {
         "mode": "census",
         "engine": ENGINE_TAG,
-        "family": family_descriptor(fam),
+        "family": descriptor,
         "rows": rows,
         "totals": {
             "count": total,
@@ -262,16 +285,12 @@ def run_census(cfg: RunConfig) -> dict:
     }
 
 
-def _global_poly_table(field: FieldParams, n: int, budget: int) -> dict:
-    """coeffs tuple -> (pattern counts, squarefree) for every monic of
-    degree n; the unconstrained reference census."""
+def _global_table(field: FieldParams, n: int, k: int, budget: int):
+    """The pattern table of all q^n monics of degree n at depth k."""
     size = field.q ** n
     if size > budget:
         raise BudgetError(f"global census size {size} exceeds budget {budget}")
-    table = {}
-    for coeffs in product(range(field.q), repeat=n):
-        table[coeffs] = pattern_of_coeffs(field, list(coeffs) + [1])
-    return table
+    return pattern_table(field, n, k)
 
 
 def run_global(cfg: RunConfig) -> dict:
@@ -288,13 +307,7 @@ def run_global(cfg: RunConfig) -> dict:
         raise ValueError("global census needs n >= 1")
     q = field.q
     size = q ** n
-    table = _global_poly_table(field, n, cfg.budget_members)
-    tally: dict[tuple, list] = {}
-    for counts, sqf in table.values():
-        slot = tally.setdefault(counts, [0, 0])
-        slot[0] += 1
-        if sqf:
-            slot[1] += 1
+    tally = tally_windows(n, _global_table(field, n, 0, cfg.budget_members), [0])
     rows = []
     total = sq_total = 0
     irr_count = 0
@@ -376,34 +389,38 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     bank = ContextBank.shared(field)
     n = fam.n
     q = field.q
-    member_tally = pattern_tally(fam, cfg.budget_members)
-    table = _global_poly_table(field, n, cfg.budget_scan)
-    gtally: dict[tuple, list] = {}
-    for counts, sqf in table.values():
-        slot = gtally.setdefault(counts, [0, 0])
-        slot[0] += 1
-        if sqf:
-            slot[1] += 1
     report: dict = {
         "mode": "verify",
         "engine": ENGINE_TAG,
         "family": family_descriptor(fam, bank),
         "sections": sorted(sections),
     }
+    member_tally = census_tally(fam, cfg.budget_members)
+    # one entry per polynomial where the correspondence looks them up,
+    # else only the pattern totals
+    depth = n if "correspondence" in sections else 0
+    table = _global_table(field, n, depth, cfg.budget_scan)
+    gtally = tally_windows(n, table, range(q ** depth))
     ok_flags = []
     sq_grouped = Fraction(0)
     if "correspondence" in sections:
+        # slot[w] = 2 * (pattern index) + (square-free) of the polynomial
+        # with index w: the one nonzero entry of its row
+        width = 2 * len(enumerate_patterns(n))
+        slot = [table[w * width:(w + 1) * width].index(1)
+                for w in range(q ** n)]
         rows = []
-        for pat in enumerate_patterns(n):
+        for i, pat in enumerate(enumerate_patterns(n)):
             stats = pattern_stats(pat)
             type_pattern_ok = True
             type_pattern_bad = None
-            fibers: dict[tuple, int] = {}
+            fibers: dict[int, int] = {}
             typed = untyped = 0
             for coeffs_x in product(range(q), repeat=n):
                 t = is_type_lambda(coeffs_x, pat)
-                g = build_G(pat, coeffs_x, bank)
-                matches = table[g.coeffs][0] == pat.counts
+                # G(x), by its index in the table
+                g = window_index(q, build_G(pat, coeffs_x, bank).full(), n)
+                matches = slot[g] >> 1 == i
                 if t != matches:
                     type_pattern_ok = False
                     if type_pattern_bad is None:
@@ -411,16 +428,15 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                                      "pattern_matches": matches}
                 if t:
                     typed += 1
-                    fibers[g.coeffs] = fibers.get(g.coeffs, 0) + 1
+                    fibers[g] = fibers.get(g, 0) + 1
                 else:
                     untyped += 1
-            sq_polys = [c for c, (cts, sqf) in table.items()
-                        if cts == pat.counts and sqf]
+            sq_polys = [w for w, s in enumerate(slot) if s == 2 * i + 1]
             fiber_ok = (len(fibers) >= len(sq_polys)
                         and all(fibers.get(c, 0) == stats.weight for c in sq_polys))
             nsq_sizes: dict[int, int] = {}
             for c, cnt in fibers.items():
-                if not table[c][1]:
+                if not slot[c] & 1:
                     nsq_sizes[cnt] = nsq_sizes.get(cnt, 0) + 1
             mem_ok, mem_bad = verify_membership_equivalence(fam, pat, bank, cfg.budget_scan)
             typed_sqfree = sum(fibers.get(c, 0) for c in sq_polys)

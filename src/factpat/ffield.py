@@ -566,14 +566,41 @@ class ExtCtx:
 
     def _init_normal_basis(self):
         i = self.i
+        base = self.base
+        add, sub, mul = base.add, base.sub, base.mul
+        # x -> x^q is F_q-linear; frob[r] is row r of its matrix, whose
+        # column j holds the digits of (v^j)^q
+        cols = [self.to_vec(self.frobenius(self.q ** j, 1)) for j in range(i)]
+        frob = [[col[r] for col in cols] for r in range(i)]
         for cand in range(self.order):
-            conj = [cand]
-            for _ in range(i - 1):
-                conj.append(self.frobenius(conj[-1], 1))
-            rows = [self.to_vec(c) for c in conj]
-            if mat_rank(self.base, rows) == i:
+            # conjugates by matrix-vector products, each reduced against
+            # the echelon rows of the earlier ones; stop at a dependent one
+            x = self.to_vec(cand)
+            conj = [x]
+            echelon = []
+            while True:
+                v = list(x)
+                for col, row in echelon:
+                    c = v[col]
+                    if c:
+                        v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
+                piv = next((j for j, c in enumerate(v) if c), None)
+                if piv is None or len(conj) == i:
+                    break
+                inv = base.inv(v[piv])
+                echelon.append((piv, [mul(inv, c) for c in v]))
+                nxt = []
+                for row in frob:
+                    acc = 0
+                    for f, c in zip(row, x):
+                        if f and c:
+                            acc = add(acc, mul(f, c))
+                    nxt.append(acc)
+                x = tuple(nxt)
+                conj.append(x)
+            if piv is not None:         # all i conjugates independent
                 self.theta = cand
-                self.conj = tuple(conj)
+                self.conj = tuple(self.from_vec(r) for r in conj)
                 break
         else:  # pragma: no cover - a normal basis always exists
             raise RuntimeError("no normal element found")

@@ -181,9 +181,12 @@ def _sub_x(K, w):
 def pattern_of_coeffs(K, full):
     """(counts, squarefree) for a monic dense coefficient list over K.
 
-    This is the census kernel: one gcd decides square-freeness, then the
-    square-free decomposition and degree counts are combined without ever
-    splitting equal-degree factors.
+    This is the census kernel, which factors one polynomial at a time:
+    one gcd decides square-freeness, then the square-free decomposition
+    and degree counts are combined without ever splitting equal-degree
+    factors.  Censuses of large-codimension families run it per member;
+    elsewhere the pattern table (tables.py) counts by multiplying
+    irreducibles instead, and the tests hold that table to this kernel.
     """
     n = len(full) - 1
     if n < 1:

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
+from .correspondence import SCAN_BUDGET, layout
 from .errors import BudgetError, CountingIdentityError, GaloisDescentError
 from .family import LinearFamily, pattern_tally
 from .ffield import mat_rank
 from .patterns import Pattern, pattern_stats
-
-SCAN_BUDGET = 10 ** 7
 
 
 def elementary_symmetric(K, k: int, ys) -> int:
@@ -71,7 +70,6 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
     n_common = lcm(*active)
     common = bank.get(n_common)
     common.ensure_fast()
-    from .correspondence import layout
     windows = []
     for size, start in layout(pattern).windows:
         ctx = bank.get(size)

@@ -269,6 +269,21 @@ def test_theta_is_first_normal_element_in_code_order():
         assert dependent, f"earlier normal element {cand} was skipped"
 
 
+def test_normal_element_search_matches_power_conjugates():
+    # the reference takes every conjugate with pow_ and the rank of all of
+    # them at once; the search must pick the same theta and conjugates
+    for p, s, i in ((5, 1, 4), (3, 1, 4), (7, 1, 3), (2, 2, 3), (2, 3, 3),
+                    (3, 2, 2)):
+        base = make_field(p, s)
+        ctx = ExtCtx(base, i)
+        q = base.q
+        for cand in range(ctx.order):
+            conj = [ctx.pow_(cand, q ** t) for t in range(i)]
+            if mat_rank(base, [ctx.to_vec(c) for c in conj]) == i:
+                break
+        assert (ctx.theta, ctx.conj) == (cand, tuple(conj)), (p, s, i)
+
+
 def test_conjugate_matrix_inverse_is_exact():
     base = make_field(5)
     bank = ContextBank.shared(base)

@@ -1,0 +1,128 @@
+"""Pattern tables built by multiplying irreducibles, checked against the
+census kernel that factors every polynomial on its own.
+
+Oracles: pattern_of_coeffs over all q^n monics (binned by window at
+every depth), pattern_tally over random linear and prescribed families,
+and the kernel path of census_tally with and without workers.
+"""
+
+from __future__ import annotations
+
+import warnings
+from itertools import product
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from factpat import census, cli
+from factpat.census import RunConfig, census_tally, run_census
+from factpat.family import new_family, pattern_tally, prescribed_family
+from factpat.ffield import make_field
+from factpat.patterns import enumerate_patterns
+from factpat.poly import pattern_of_coeffs
+from factpat.tables import (family_tally, pattern_table, window_coeffs,
+                            window_index)
+
+# (p, s) for q in {2, 3, 4, 5, 7, 8, 9}: prime fields, extensions, char 2
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+
+
+def _kernel_table(K, n, k):
+    """The pattern table at depth k, filled by factoring every monic."""
+    pats = {p.counts: i for i, p in enumerate(enumerate_patterns(n))}
+    width = 2 * len(pats)
+    out = [0] * (K.q ** k * width)
+    for tail in product(range(K.q), repeat=n):
+        full = list(tail) + [1]
+        counts, sqf = pattern_of_coeffs(K, full)
+        out[window_index(K.q, full, k) * width + 2 * pats[counts] + sqf] += 1
+    return out
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(FIELDS), st.integers(1, 6))
+def test_table_matches_kernel_at_every_depth(ps, n):
+    K = make_field(*ps)
+    assume(K.q ** n <= 3000)
+    for k in range(n + 1):      # k = 0 is the global census, k = n per poly
+        assert list(pattern_table(K, n, k)) == _kernel_table(K, n, k), k
+
+
+def _draw_family(K, n, data):
+    """A random linear or prescribed family of at most 2500 members."""
+    q = K.q
+    if data.draw(st.booleans(), label="prescribed"):
+        idx = sorted(data.draw(st.sets(st.integers(1, n), min_size=1,
+                                       max_size=n - 1), label="indices"))
+        assume(q ** (n - len(idx)) <= 2500)
+        vals = [data.draw(st.integers(0, q - 1)) for _ in idx]
+        return prescribed_family(K, n, idx, vals)
+    r = data.draw(st.integers(1, n - 1), label="r")
+    m = data.draw(st.integers(1, n - r), label="m")
+    assume(q ** (n - m) <= 2500)
+    rows = [[data.draw(st.integers(0, q - 1)) for _ in range(n - r)]
+            for _ in range(m)]
+    alpha = [data.draw(st.integers(0, q - 1)) for _ in range(m)]
+    try:
+        return new_family(K, n, r, rows, alpha)
+    except ValueError:                  # dependent rows
+        assume(False)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(FIELDS), st.integers(2, 5), st.data())
+def test_family_tally_matches_kernel(ps, n, data):
+    K = make_field(*ps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        fam = _draw_family(K, n, data)
+    assert family_tally(fam) == pattern_tally(fam)
+
+
+def test_window_coeffs_inverts_window_index():
+    for k in range(4):
+        for w in range(5 ** k):
+            assert window_index(5, window_coeffs(5, 4, k, w), k) == w
+
+
+def _family(q, n, r, m):
+    rows = [[1 if c == j else 0 for c in range(n - r)] for j in range(m)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return new_family(make_field(q), n, r, rows, [1] * m)
+
+
+def _refuse(*args, **kw):
+    raise AssertionError("this path must not run")
+
+
+def test_census_tally_kernel_path_for_large_codimension_or_table(monkeypatch):
+    large_codim = _family(5, 6, 2, 4)
+    assert large_codim.q ** large_codim.m > census.TABLE_RATIO
+    constant_term = prescribed_family(make_field(7), 4, (4,), (3,))
+    assert constant_term.q ** (4 - constant_term.r) > constant_term.size
+    wants = [pattern_tally(fam) for fam in (large_codim, constant_term)]
+    monkeypatch.setattr(census, "family_tally", _refuse)
+    for fam, want in zip((large_codim, constant_term), wants):
+        assert census_tally(fam, workers=1) == want
+        assert census_tally(fam, workers=2) == want
+
+
+def test_census_tally_table_path_when_codimension_is_small(monkeypatch):
+    fam = _family(7, 5, 3, 1)
+    assert fam.q ** fam.m <= census.TABLE_RATIO
+    want = pattern_tally(fam)
+    monkeypatch.setattr(census, "pattern_tally", _refuse)
+    assert census_tally(fam, workers=2) == want
+
+
+def test_tower_limit_fails_before_the_tally(monkeypatch, tmp_path):
+    monkeypatch.setattr(census, "census_tally", _refuse)
+    cfg = RunConfig(p=11, n=6, r=3, rows=((1, 0, 0),), alpha=(0,))
+    with pytest.raises(ValueError, match="exceeds the 1048576 limit"):
+        run_census(cfg)
+    ini = tmp_path / "big.ini"
+    ini.write_text("[field]\np = 11\n\n[family]\nn = 6\nr = 3\n"
+                   "rows = 1 0 0\nalpha = 0\n")
+    assert cli.main(["census", "--config", str(ini)]) == 2
