@@ -11,8 +11,9 @@ from .census import (RunConfig, census_tally, emit_report, family_descriptor,
                      parse_config, run_bounds, run_census, run_global,
                      run_verify)
 from .correspondence import (PatternLayout, RootVector, build_G, fiber_count,
-                             fiber_map, is_type_lambda, layout,
-                             verify_membership_equivalence, window_start)
+                             fiber_map, fibers, is_type_lambda, layout,
+                             scan_G, verify_membership_equivalence,
+                             window_start)
 from .errors import BudgetError, CountingIdentityError, GaloisDescentError
 from .family import (BoundReport, LinearFamily, ReferenceBound, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
@@ -27,4 +28,4 @@ from .poly import (MonicPoly, factor_pattern, is_squarefree,
                    pattern_of_coeffs, squarefree_decompose)
 from .variety import (PointCounts, ProbeReport, SymSystem, count_points,
                       elementary_symmetric, eval_R, g_coeffs, jacobian_probe,
-                      sym_system)
+                      rational_zeros, sym_system, variety_pass)

@@ -37,6 +37,14 @@ census_tally).  Other families run the census kernel
 to that kernel path: it partitions the member stream by the leading free
 coefficient, and tallies merge by addition, so every path and worker
 count emits identical bytes.
+
+run_verify's scans over F_q^n read per-window tables built once per call
+(correspondence.scan_G for the images G(x), variety.rational_zeros for
+the zeros of the reduced system), walked in itertools.product order, so
+reports are those of a per-point scan; one variety pass per pattern gives
+both the counting identity and the Jacobian probe.  With the variety
+section, every pattern's common layer is checked against the order
+limit before anything is scanned.
 """
 
 from __future__ import annotations
@@ -48,15 +56,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .correspondence import build_G, is_type_lambda, verify_membership_equivalence
-from .errors import BudgetError, CountingIdentityError
+from .correspondence import fibers, scan_G, verify_membership_equivalence
+from .errors import BudgetError
 from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
                      new_family, pattern_tally, prescribed_family)
-from .ffield import ContextBank, FieldParams, make_field
+from .ffield import ContextBank, FieldParams, check_order, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
 from .tables import family_tally, pattern_table, tally_windows, window_index
-from .variety import SCAN_BUDGET, count_points, jacobian_probe, sym_system
+from .variety import (SCAN_BUDGET, common_degree, identity_failure, sym_system,
+                      variety_pass)
 
 ENGINE_TAG = "factpat 0.1.0"
 
@@ -395,6 +404,12 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         "family": family_descriptor(fam, bank),
         "sections": sorted(sections),
     }
+    patterns = enumerate_patterns(n)
+    if "variety" in sections:
+        # every pattern's common layer must be constructible: fail
+        # before anything is scanned
+        for pat in patterns:
+            check_order(q, common_degree(pat))
     member_tally = census_tally(fam, cfg.budget_members)
     # one entry per polynomial where the correspondence looks them up,
     # else only the pattern totals
@@ -406,45 +421,40 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     if "correspondence" in sections:
         # slot[w] = 2 * (pattern index) + (square-free) of the polynomial
         # with index w: the one nonzero entry of its row
-        width = 2 * len(enumerate_patterns(n))
+        width = 2 * len(patterns)
         slot = [table[w * width:(w + 1) * width].index(1)
                 for w in range(q ** n)]
         rows = []
-        for i, pat in enumerate(enumerate_patterns(n)):
+        for i, pat in enumerate(patterns):
             stats = pattern_stats(pat)
-            type_pattern_ok = True
+            # the images G(x), by their index in the table
+            fib, untyped_fib = fibers(pat, bank, cfg.budget_scan)
+            type_pattern_ok = (all(slot[g] >> 1 == i for g in fib)
+                               and not any(slot[g] >> 1 == i for g in untyped_fib))
             type_pattern_bad = None
-            fibers: dict[int, int] = {}
-            typed = untyped = 0
-            for coeffs_x in product(range(q), repeat=n):
-                t = is_type_lambda(coeffs_x, pat)
-                # G(x), by its index in the table
-                g = window_index(q, build_G(pat, coeffs_x, bank).full(), n)
-                matches = slot[g] >> 1 == i
-                if t != matches:
-                    type_pattern_ok = False
-                    if type_pattern_bad is None:
-                        type_pattern_bad = {"x": list(coeffs_x), "typed": t,
-                                     "pattern_matches": matches}
-                if t:
-                    typed += 1
-                    fibers[g] = fibers.get(g, 0) + 1
-                else:
-                    untyped += 1
+            if not type_pattern_ok:
+                # the first x, in scan order, whose type and image disagree
+                for x, (t, g) in zip(product(range(q), repeat=n),
+                                     scan_G(pat, bank, cfg.budget_scan)):
+                    matches = slot[window_index(q, g, n)] >> 1 == i
+                    if t != matches:
+                        type_pattern_bad = {"x": list(x), "typed": t,
+                                            "pattern_matches": matches}
+                        break
             sq_polys = [w for w, s in enumerate(slot) if s == 2 * i + 1]
-            fiber_ok = (len(fibers) >= len(sq_polys)
-                        and all(fibers.get(c, 0) == stats.weight for c in sq_polys))
+            fiber_ok = (len(fib) >= len(sq_polys)
+                        and all(fib.get(c, 0) == stats.weight for c in sq_polys))
             nsq_sizes: dict[int, int] = {}
-            for c, cnt in fibers.items():
+            for c, cnt in fib.items():
                 if not slot[c] & 1:
                     nsq_sizes[cnt] = nsq_sizes.get(cnt, 0) + 1
             mem_ok, mem_bad = verify_membership_equivalence(fam, pat, bank, cfg.budget_scan)
-            typed_sqfree = sum(fibers.get(c, 0) for c in sq_polys)
+            typed_sqfree = sum(fib.get(c, 0) for c in sq_polys)
             sq_grouped += Fraction(typed_sqfree, stats.weight)
             rows.append({
                 "lambda": pat.label(),
-                "typed": typed,
-                "untyped": untyped,
+                "typed": sum(fib.values()),
+                "untyped": sum(untyped_fib.values()),
                 "type_pattern_ok": type_pattern_ok,
                 "type_pattern_counterexample": type_pattern_bad,
                 "squarefree_polys": len(sq_polys),
@@ -462,20 +472,14 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         report["correspondence"] = rows
     if "variety" in sections:
         rows = []
-        for pat in enumerate_patterns(n):
+        for pat in patterns:
             sys_ = sym_system(fam, pat, bank)
-            identity_ok = True
-            detail = None
-            try:
-                pc = count_points(sys_, cfg.budget_scan, member_tally)
-            except CountingIdentityError as exc:
-                identity_ok = False
-                detail = str(exc)
-                pc = None
-            probe = jacobian_probe(sys_, cfg.budget_scan)
+            # counts and probe from one scan of the rational zeros
+            pc, probe = variety_pass(sys_, cfg.budget_scan, member_tally)
+            detail = identity_failure(pc, pat)
             row = {
                 "lambda": pat.label(),
-                "identity_ok": identity_ok,
+                "identity_ok": detail is None,
                 "identity_detail": detail,
                 "probe": {
                     "scope": probe.scope,
@@ -486,18 +490,18 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                     "counterexamples": [list(c) for c in probe.counterexamples],
                 },
             }
-            if pc is not None:
+            if detail is None:
                 row.update({"v_total": pc.v_total, "v_eq": pc.v_eq,
                             "v_neq": pc.v_neq, "a_sq": pc.a_sq,
                             "a_nsq": pc.a_nsq})
             rows.append(row)
-            ok_flags.append(identity_ok)
+            ok_flags.append(detail is None)
             if fam.ctx.p > 2:
                 ok_flags.append(probe.ok)
         report["variety"] = rows
     # Exact cross identities from the unconstrained table and the member tally.
     partition_total = sum(gtally.get(pat.counts, (0, 0))[0]
-                          for pat in enumerate_patterns(n))
+                          for pat in patterns)
     sq_polys_total = sum(sq for _, sq in gtally.values())
     member_total = sum(cnt for cnt, _ in member_tally.values())
     cross = {

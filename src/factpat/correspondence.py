@@ -14,17 +14,30 @@ is a monic degree-n polynomial with coefficients in F_q.  A vector is
 has a full Galois orbit; typed vectors are exactly those whose G realizes
 the pattern, and each square-free polynomial with the pattern is hit by
 exactly w (the pattern weight) typed vectors.
+
+Scans over F_q^n (scan_G, read by fibers, fiber_map, fiber_count, the
+membership check and run_verify) never recompute a window per vector:
+each window's polynomial depends only on its own q^i coordinates, so
+for each window size i below n a flat table of the q^i window
+polynomials and typed flags is built once per call, after ensure_fast
+on layer i; a window of size n is streamed.  The scan walks the windows
+as nested loops in layout order, which is itertools.product order, so
+every first counterexample is the same x as in a per-point scan.
+build_G and is_type_lambda stay as the per-point oracles.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
 from .patterns import Pattern
 from .poly import MonicPoly
+from .tables import window_coeffs, window_index
 
 SCAN_BUDGET = 10 ** 7
 
@@ -63,17 +76,19 @@ def window_start(pattern: Pattern, i: int, j: int) -> int:
     return below + (j - 1) * i
 
 
+def _full_shifts(win) -> bool:
+    """True iff the cyclic shifts of one window's coordinates are
+    pairwise distinct."""
+    return len({win[k:] + win[:k] for k in range(len(win))}) == len(win)
+
+
 def is_type_lambda(x, pattern: Pattern) -> bool:
     """True iff every window's cyclic shifts are pairwise distinct."""
     x = tuple(x)
     if len(x) != pattern.n:
         raise ValueError("vector length must equal the pattern degree")
-    for size, start in layout(pattern).windows:
-        win = x[start:start + size]
-        shifts = {win[k:] + win[:k] for k in range(size)}
-        if len(shifts) != size:
-            return False
-    return True
+    return all(_full_shifts(x[start:start + size])
+               for size, start in layout(pattern).windows)
 
 
 class RootVector:
@@ -90,19 +105,21 @@ class RootVector:
         ys = []
         for size, start in self.layout.windows:
             ctx = bank.get(size)
-            ys.append(tuple(_window_orbit(ctx, self.x[start:start + size])))
+            ys.append(tuple(_orbit(ctx, ctx.A, self.x[start:start + size])))
         self.y = tuple(ys)
 
     def typed(self) -> bool:
         return all(len(set(win)) == len(win) for win in self.y)
 
 
-def _window_orbit(ctx, coords):
-    """Galois orbit of alpha = sum coords[h] * theta^(q^h), via the
-    circulant conjugate matrix: row k is sigma^k applied to alpha."""
-    add, mul = ctx.add, ctx.mul
+def _orbit(K, rows, coords):
+    """The values sum_h coords[h] * row[h] in K, one per row.  With rows
+    the circulant conjugate matrix A of a layer (or its image in a larger
+    layer) this is the Galois orbit of alpha = sum coords[h] theta^(q^h):
+    row k gives sigma^k(alpha)."""
+    add, mul = K.add, K.mul
     orbit = []
-    for row in ctx.A:
+    for row in rows:
         acc = 0
         for c, a in zip(coords, row):
             if c:
@@ -111,13 +128,30 @@ def _window_orbit(ctx, coords):
     return orbit
 
 
+def _window_poly(ctx, coords):
+    """The monic conjugate product prod_k (T - sigma^k(alpha)) of one
+    window element, as a full coefficient list of F_q codes.
+
+    The product is computed inside the window's layer F_(q^i); its
+    coefficients must be Frobenius-fixed, and any failure to land in F_q
+    raises GaloisDescentError (a corrupted-tables trap).
+    """
+    win_poly = [1]
+    for root in _orbit(ctx, ctx.A, coords):
+        win_poly = pmul(ctx, win_poly, [ctx.neg(root), 1])
+    for c in win_poly:
+        if not ctx.in_base(c):
+            raise GaloisDescentError(
+                f"window product coefficient {c} is not in F_q")
+    return win_poly
+
+
 def build_G(pattern: Pattern, x, bank) -> MonicPoly:
     """The monic degree-n image of x: product over windows of the full
     conjugate product of the window element.
 
-    Each window product is computed inside its own layer F_(q^i); its
-    coefficients must be Frobenius-fixed, and any failure to land in F_q
-    raises GaloisDescentError (a corrupted-tables trap).
+    The per-point oracle for scan_G: each window product is computed
+    inside its own layer F_(q^i) and descent-checked (see _window_poly).
     """
     x = tuple(x)
     if len(x) != pattern.n:
@@ -125,19 +159,93 @@ def build_G(pattern: Pattern, x, bank) -> MonicPoly:
     base = bank.base
     out = [1]
     for size, start in layout(pattern).windows:
-        ctx = bank.get(size)
-        orbit = _window_orbit(ctx, x[start:start + size])
-        win_poly = [1]
-        for root in orbit:
-            win_poly = pmul(ctx, win_poly, [ctx.neg(root), 1])
-        down = []
-        for c in win_poly:
-            if not ctx.in_base(c):
-                raise GaloisDescentError(
-                    f"window product coefficient {c} is not in F_q")
-            down.append(c)
-        out = pmul(base, out, down)
+        out = pmul(base, out, _window_poly(bank.get(size), x[start:start + size]))
     return MonicPoly.from_full(base, out)
+
+
+def _check_budget(total, budget):
+    if total > budget:
+        raise BudgetError(f"scan size {total} exceeds budget {budget}")
+
+
+def _window_entries(ctx):
+    """(typed, window polynomial) for every coordinate vector of the
+    layer F_(q^i), in product order."""
+    ctx.ensure_fast()
+    for coords in product(range(ctx.q), repeat=ctx.i):
+        yield _full_shifts(coords), _window_poly(ctx, coords)
+
+
+def _window_table(ctx):
+    """All window entries of a layer, stored flat: entry t has the full
+    coefficient list polys[t*(i+1):(t+1)*(i+1)] and the flag typed[t]."""
+    polys, typed = array("q"), bytearray()
+    for t, poly in _window_entries(ctx):
+        typed.append(t)
+        polys.extend(poly)
+    return polys, typed
+
+
+def _stored_entries(table, size):
+    polys, typed = table
+    step = size + 1
+    for t, flag in enumerate(typed):
+        yield flag, polys[t * step:(t + 1) * step]
+
+
+def _walk_G(base, levels, w, prefix, typed):
+    """The scan below window w: levels[w]() yields that window's
+    entries, prefix is the product of the outer windows' polynomials."""
+    last = w == len(levels) - 1
+    for flag, poly in levels[w]():
+        out = pmul(base, prefix, poly)
+        if last:
+            yield bool(typed and flag), out
+        else:
+            yield from _walk_G(base, levels, w + 1, out, typed and flag)
+
+
+def scan_G(pattern: Pattern, bank, budget: int = SCAN_BUDGET):
+    """Every x in F_q^n in product order, as (typed, full coefficient
+    list of G(x)): the scan that fiber_map, fiber_count and the
+    membership check read.
+
+    G(x) is the product of its windows' polynomials, and each window's
+    depends only on its own coordinates.  So for each window size below n
+    the polynomials of all q^i window vectors are computed once per call
+    (after ensure_fast on that layer) into a flat table, exactly as
+    build_G computes and descent-checks them; a window of size n (the
+    pattern n) is streamed, since none of its entries is reused.  The
+    walk nests one loop per window in layout order, which is product
+    order, and multiplies each outer prefix once, so the innermost window
+    costs one base-field pmul per x.
+    """
+    n = pattern.n
+    _check_budget(bank.base.q ** n, budget)
+    tables = {}
+    levels = []
+    for size, _ in layout(pattern).windows:
+        if size == n:
+            levels.append(partial(_window_entries, bank.get(size)))
+            continue
+        if size not in tables:
+            tables[size] = _window_table(bank.get(size))
+        levels.append(partial(_stored_entries, tables[size], size))
+    return _walk_G(bank.base, levels, 0, [1], True)
+
+
+def fibers(pattern: Pattern, bank, budget: int = SCAN_BUDGET):
+    """One scan over F_q^n returning (typed, untyped): each maps the
+    index of G(x) (tables.window_index at depth n) to the number of
+    typed, resp. untyped, x."""
+    q, n = bank.base.q, pattern.n
+    typed: dict[int, int] = {}
+    untyped: dict[int, int] = {}
+    for t, g in scan_G(pattern, bank, budget):
+        side = typed if t else untyped
+        key = window_index(q, g, n)
+        side[key] = side.get(key, 0) + 1
+    return typed, untyped
 
 
 def fiber_count(f: MonicPoly, pattern: Pattern, bank,
@@ -145,37 +253,17 @@ def fiber_count(f: MonicPoly, pattern: Pattern, bank,
     """Number of vectors x with G(x, T) = f, by exhaustive scan."""
     if f.degree != pattern.n:
         raise ValueError("degree mismatch between f and the pattern")
-    total = bank.base.q ** pattern.n
-    if total > budget:
-        raise BudgetError(f"scan size {total} exceeds budget {budget}")
-    target = f.coeffs
-    count = 0
-    for x in _all_vectors(bank.base.q, pattern.n):
-        if build_G(pattern, x, bank).coeffs == target:
-            count += 1
-    return count
+    target = f.full()
+    return sum(1 for _, g in scan_G(pattern, bank, budget) if g == target)
 
 
 def fiber_map(pattern: Pattern, bank, budget: int = SCAN_BUDGET):
     """One scan over F_q^n returning (typed_fibers, untyped_count), where
     typed_fibers maps the coeff tuple of G(x) to the number of typed x."""
-    q = bank.base.q
-    total = q ** pattern.n
-    if total > budget:
-        raise BudgetError(f"scan size {total} exceeds budget {budget}")
-    fibers: dict[tuple, int] = {}
-    untyped = 0
-    for x in _all_vectors(q, pattern.n):
-        if not is_type_lambda(x, pattern):
-            untyped += 1
-            continue
-        key = build_G(pattern, x, bank).coeffs
-        fibers[key] = fibers.get(key, 0) + 1
-    return fibers, untyped
-
-
-def _all_vectors(q, n):
-    return product(range(q), repeat=n)
+    typed, untyped = fibers(pattern, bank, budget)
+    q, n = bank.base.q, pattern.n
+    return ({tuple(window_coeffs(q, n, n, w)[:-1]): cnt
+             for w, cnt in typed.items()}, sum(untyped.values()))
 
 
 def verify_membership_equivalence(fam, pattern: Pattern, bank,
@@ -183,20 +271,18 @@ def verify_membership_equivalence(fam, pattern: Pattern, bank,
     """Check, over every typed vector, that G(x) lies in the family iff
     the reduced symmetric system vanishes at x.
 
-    Returns (ok, counterexample) where the counterexample is None or a
-    dict with the offending vector and both verdicts.
+    G(x) comes from scan_G and the system from the per-point oracle
+    eval_R, so each typed x checks the scan against the oracle.  Returns
+    (ok, counterexample) where the counterexample is None or a dict with
+    the offending vector and both verdicts.
     """
-    q = bank.base.q
-    total = q ** pattern.n
-    if total > budget:
-        raise BudgetError(f"scan size {total} exceeds budget {budget}")
+    scan = scan_G(pattern, bank, budget)
     from .variety import eval_R, sym_system
     sys_ = sym_system(fam, pattern, bank)
-    for x in _all_vectors(q, pattern.n):
-        if not is_type_lambda(x, pattern):
+    for x, (typed, g) in zip(product(range(bank.base.q), repeat=pattern.n), scan):
+        if not typed:
             continue
-        g = build_G(pattern, x, bank)
-        in_family = fam.contains_coeffs(g.full())
+        in_family = fam.contains_coeffs(g)
         on_variety = all(v == 0 for v in eval_R(sys_, x))
         if in_family != on_variety:
             return False, {"x": tuple(x), "in_family": in_family,

@@ -379,6 +379,12 @@ def mat_nullspace(K, rows):
     return basis
 
 
+def check_order(q: int, i: int) -> None:
+    """Raise ValueError if the layer F_(q^i) is over ORDER_LIMIT."""
+    if q ** i > ORDER_LIMIT:
+        raise ValueError(f"extension order {q}^{i} exceeds the {ORDER_LIMIT} limit")
+
+
 class ExtCtx:
     """Extension layer F_(q^i) = F_q[v]/(h) with normal-basis data.
 
@@ -392,8 +398,7 @@ class ExtCtx:
     def __init__(self, base: FieldParams, i: int, modulus=None):
         if i < 1:
             raise ValueError("extension degree must be >= 1")
-        if base.q ** i > ORDER_LIMIT:
-            raise ValueError(f"extension order {base.q}^{i} exceeds the {ORDER_LIMIT} limit")
+        check_order(base.q, i)
         self.base = base
         self.i = i
         self.q = base.q
@@ -617,7 +622,8 @@ class ExtCtx:
         M = self.order - 1
         fac = _prime_factors(M)
         gen = None
-        for cand in range(2, self.order):
+        # from 1, so that F_2, whose unit group is {1}, gets its tables
+        for cand in range(1, self.order):
             if all(self.pow_(cand, M // f) != 1 for f in fac):
                 gen = cand
                 break

@@ -15,39 +15,51 @@ Two exact facts drive the verification:
 * smoothness probe: wherever the Jacobian of R drops rank at a rational
   zero, the root values must collide doubly (one value four times over,
   or two values each repeated).  For p = 2 the probe is informational.
+
+Both are read from one scan, rational_zeros: the root values of a window
+depend only on its own coordinates, so for each window size below n the
+embedded root values of all q^i window vectors are tabled once per call
+(a window of size n is streamed), and the walk over F_q^n, window by
+window in product order, carries E_1..E_(n-r) of the outer windows'
+roots as a prefix.  run_verify takes the counts and the probe from a
+single pass (variety_pass); count_points and jacobian_probe read the
+same scan.  eval_R, g_coeffs and _root_values stay as the per-point
+oracles.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import lcm
 
-from .correspondence import SCAN_BUDGET, layout
-from .errors import BudgetError, CountingIdentityError, GaloisDescentError
+from .correspondence import SCAN_BUDGET, _check_budget, _orbit, layout
+from .errors import CountingIdentityError, GaloisDescentError
 from .family import LinearFamily, pattern_tally
 from .ffield import mat_rank
 from .patterns import Pattern, pattern_stats
 
 
-def elementary_symmetric(K, k: int, ys) -> int:
-    """E_k of the given values over the scalar context K, exactly.
+def _absorb(K, e, ys):
+    """Absorb the values ys into e in place and return it: if e[t] held
+    E_t of some values (t = 0 .. len(e) - 1, e[0] = 1), it then holds E_t
+    of those values and ys.  The one E_k recurrence of the package."""
+    add, mul = K.add, K.mul
+    top = len(e) - 1
+    for y in ys:
+        for t in range(top, 0, -1):
+            e[t] = add(e[t], mul(y, e[t - 1]))
+    return e
 
-    Truncated product recurrence: after absorbing each value y the slot
-    e[t] holds E_t of the values seen so far.
-    """
+
+def elementary_symmetric(K, k: int, ys) -> int:
+    """E_k of the given values over the scalar context K, exactly."""
     ys = list(ys)
     if k < 0 or k > len(ys):
         raise ValueError("k must be in 0..len(ys)")
-    add, mul = K.add, K.mul
-    e = [1] + [0] * k
-    cnt = 0
-    for y in ys:
-        cnt += 1
-        top = k if k < cnt else cnt
-        for t in range(top, 0, -1):
-            e[t] = add(e[t], mul(y, e[t - 1]))
-    return e[k]
+    return _absorb(K, [1] + [0] * k, ys)[k]
 
 
 @dataclass
@@ -62,12 +74,16 @@ class SymSystem:
     weight: int               # pattern weight w
 
 
+def common_degree(pattern: Pattern) -> int:
+    """N = lcm of the window sizes: the common layer F_(q^N)."""
+    return lcm(*(i for i, c in enumerate(pattern.counts, start=1) if c))
+
+
 def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
     """Precompute the embedded window matrices and the reduced row data."""
     if pattern.n != fam.n:
         raise ValueError("pattern degree must match the family degree")
-    active = [i for i, c in enumerate(pattern.counts, start=1) if c]
-    n_common = lcm(*active)
+    n_common = common_degree(pattern)
     common = bank.get(n_common)
     common.ensure_fast()
     windows = []
@@ -84,47 +100,28 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
 
 def _root_values(sys_: SymSystem, x):
     """All n root values of x in the common layer, window by window."""
-    cadd, cmul = sys_.common.add, sys_.common.mul
     y = []
     for start, size, rows in sys_.windows:
-        seg = x[start:start + size]
-        for row in rows:
-            acc = 0
-            for c, a in zip(seg, row):
-                if c:
-                    acc = cadd(acc, cmul(c, a))
-            y.append(acc)
+        y += _orbit(sys_.common, rows, x[start:start + size])
     return y
+
+
+def _check_descent(e, q):
+    for t in range(1, len(e)):
+        if e[t] >= q:
+            raise GaloisDescentError(
+                f"symmetric value E_{t} = {e[t]} did not descend to F_q")
 
 
 def _esym_prefix(sys_: SymSystem, y, upto):
     """E_1..E_upto of y in the common layer, with descent check."""
-    common = sys_.common
-    cadd, cmul = common.add, common.mul
-    e = [1] + [0] * upto
-    cnt = 0
-    for yv in y:
-        cnt += 1
-        top = upto if upto < cnt else cnt
-        for t in range(top, 0, -1):
-            e[t] = cadd(e[t], cmul(yv, e[t - 1]))
-    q = common.q
-    for t in range(1, upto + 1):
-        if e[t] >= q:
-            raise GaloisDescentError(
-                f"symmetric value E_{t} = {e[t]} did not descend to F_q")
+    e = _absorb(sys_.common, [1] + [0] * upto, y)
+    _check_descent(e, sys_.common.q)
     return e
 
 
-def eval_R(sys_: SymSystem, x):
-    """The m reduced constraint values at x, as base-field codes.
-
-    Zero everywhere iff the polynomial built from x lies in the family.
-    Raises GaloisDescentError if a symmetric value fails to be
-    Frobenius-fixed (corrupted normal-basis data).
-    """
-    y = _root_values(sys_, x)
-    e = _esym_prefix(sys_, y, sys_.nr)
+def _residues(sys_: SymSystem, e):
+    """R_j = alpha'_j + sum_k c'_(j,k) E_k for each reduced row j."""
     K = sys_.fam.ctx
     badd, bmul = K.add, K.mul
     out = []
@@ -138,6 +135,17 @@ def eval_R(sys_: SymSystem, x):
     return tuple(out)
 
 
+def eval_R(sys_: SymSystem, x):
+    """The m reduced constraint values at x, as base-field codes.
+
+    Zero everywhere iff the polynomial built from x lies in the family.
+    Raises GaloisDescentError if a symmetric value fails to be
+    Frobenius-fixed (corrupted normal-basis data).  The per-point oracle
+    for rational_zeros.
+    """
+    return _residues(sys_, _esym_prefix(sys_, _root_values(sys_, x), sys_.nr))
+
+
 def g_coeffs(sys_: SymSystem, x):
     """Full coefficient list of the degree-n image of x, via the
     symmetric route: c_(n-k) = (-1)^k E_k.  Cross-checks build_G."""
@@ -149,6 +157,61 @@ def g_coeffs(sys_: SymSystem, x):
     for k in range(1, n + 1):
         full[n - k] = K.neg(e[k]) if k % 2 else e[k]
     return full
+
+
+def _root_entries(K, rows, q, size, table):
+    """(coordinates, embedded root values) of every window vector of this
+    size in product order, read from the flat table or, when it is None,
+    computed as _root_values does."""
+    vectors = product(range(q), repeat=size)
+    if table is None:
+        return ((c, _orbit(K, rows, c)) for c in vectors)
+    return ((c, table[t * size:(t + 1) * size]) for t, c in enumerate(vectors))
+
+
+def _walk_zeros(sys_, levels, w, xs, ys, prefix):
+    """The zeros below window w: levels[w]() yields that window's
+    entries; xs, ys and prefix = E_0..E_nr belong to the outer windows."""
+    common = sys_.common
+    last = w == len(levels) - 1
+    for coords, roots in levels[w]():
+        e = _absorb(common, list(prefix), roots)
+        if not last:
+            yield from _walk_zeros(sys_, levels, w + 1, xs + coords,
+                                   ys + list(roots), e)
+            continue
+        _check_descent(e, common.q)
+        if not any(_residues(sys_, e)):
+            yield xs + coords, ys + list(roots), e
+
+
+def rational_zeros(sys_: SymSystem, budget: int = SCAN_BUDGET):
+    """Every rational zero x of R, in product order, as (x, y, e): the
+    root values y (as _root_values gives them) and e = E_0..E_(n-r) of y.
+
+    The root values of a window depend only on its own coordinates.  So
+    for each window size below n the embedded root values of all q^i
+    window vectors are computed once per call into a flat table; a window
+    of size n (the pattern n) is streamed.  The walk nests one loop per
+    window in layout order, which is product order, and carries E_0..E_nr
+    of the outer windows' roots as a prefix, so each window's roots are
+    absorbed once per prefix.  At every x the E values are checked to
+    descend to F_q (GaloisDescentError otherwise) and R is evaluated once.
+    """
+    q, n = sys_.fam.q, sys_.fam.n
+    _check_budget(q ** n, budget)
+    common = sys_.common
+    tables = {}
+    levels = []
+    for _, size, rows in sys_.windows:
+        if size < n and size not in tables:
+            tab = array("q")
+            for coords in product(range(q), repeat=size):
+                tab.extend(_orbit(common, rows, coords))
+            tables[size] = tab
+        levels.append(partial(_root_entries, common, rows, q, size,
+                              tables.get(size)))
+    return _walk_zeros(sys_, levels, 0, (), [], [1] + [0] * sys_.nr)
 
 
 @dataclass(frozen=True)
@@ -165,6 +228,21 @@ class PointCounts:
         return self.a_sq * self.weight == self.v_neq
 
 
+def _point_counts(sys_, v_total, v_eq, member_tally) -> PointCounts:
+    if member_tally is None:
+        member_tally = pattern_tally(sys_.fam)
+    cnt, sq = member_tally.get(sys_.pattern.counts, (0, 0))
+    return PointCounts(v_total, v_eq, v_total - v_eq, sq, cnt - sq, sys_.weight)
+
+
+def identity_failure(counts: PointCounts, pattern: Pattern):
+    """None if w * a_sq == v_neq, else what CountingIdentityError says."""
+    if counts.identity_holds:
+        return None
+    return (f"w*a_sq = {counts.weight * counts.a_sq} != v_neq = {counts.v_neq} "
+            f"for pattern {pattern.label()}")
+
+
 def count_points(sys_: SymSystem, budget: int = SCAN_BUDGET,
                  member_tally=None) -> PointCounts:
     """Exhaustive point count of the variety, split by root coincidence,
@@ -173,40 +251,14 @@ def count_points(sys_: SymSystem, budget: int = SCAN_BUDGET,
     Raises CountingIdentityError if w * a_sq != v_neq; that identity has
     no tolerance.
     """
-    fam = sys_.fam
-    n = fam.n
-    q = fam.q
-    total = q ** n
-    if total > budget:
-        raise BudgetError(f"scan size {total} exceeds budget {budget}")
     v_total = v_eq = 0
-    for x in product(range(q), repeat=n):
-        y = _root_values(sys_, x)
-        e = _esym_prefix(sys_, y, sys_.nr)
-        on = True
-        for a, tm in zip(sys_.salpha, sys_.terms):
-            acc = a
-            for k, c in tm:
-                ek = e[k]
-                if ek:
-                    acc = fam.ctx.add(acc, fam.ctx.mul(c, ek))
-            if acc != 0:
-                on = False
-                break
-        if not on:
-            continue
+    for _, y, _ in rational_zeros(sys_, budget):
         v_total += 1
-        if len(set(y)) != n:
-            v_eq += 1
-    v_neq = v_total - v_eq
-    if member_tally is None:
-        member_tally = pattern_tally(fam)
-    cnt, sq = member_tally.get(sys_.pattern.counts, (0, 0))
-    counts = PointCounts(v_total, v_eq, v_neq, sq, cnt - sq, sys_.weight)
-    if not counts.identity_holds:
-        raise CountingIdentityError(
-            f"w*a_sq = {counts.weight * counts.a_sq} != v_neq = {counts.v_neq} "
-            f"for pattern {sys_.pattern.label()}")
+        v_eq += len(set(y)) != len(y)
+    counts = _point_counts(sys_, v_total, v_eq, member_tally)
+    failure = identity_failure(counts, sys_.pattern)
+    if failure is not None:
+        raise CountingIdentityError(failure)
     return counts
 
 
@@ -233,70 +285,82 @@ def _double_collision(y) -> bool:
     return any(c >= 4 for c in repeated) or len(repeated) >= 2
 
 
+def _rank_deficient(sys_: SymSystem, y, e) -> bool:
+    """True iff the Jacobian of R in the root coordinates has rank below
+    m at a zero with root values y and symmetric values e."""
+    common = sys_.common
+    csub, cmul, cadd = common.sub, common.mul, common.add
+    # Jacobian column for coordinate l: entries sum_k c_(j,k) E_(k-1)
+    # of the values with y_l omitted; the omitted-value prefix comes
+    # from the downward recurrence E~_t = E_t - y_l E~_(t-1).
+    jac_cols = []
+    for yl in y:
+        omit = [1]
+        prev = 1
+        for t in range(1, sys_.nr):
+            prev = csub(e[t], cmul(yl, prev))
+            omit.append(prev)
+        col = []
+        for tm in sys_.terms:
+            acc = 0
+            for k, c in tm:
+                ot = omit[k - 1]
+                if ot:
+                    acc = cadd(acc, cmul(c, ot))
+            col.append(acc)
+        jac_cols.append(col)
+    m = sys_.fam.m
+    jac_rows = [[col[j] for col in jac_cols] for j in range(m)]
+    return mat_rank(common, jac_rows) < m
+
+
+class _Probe:
+    """The Jacobian probe's tallies, fed one rational zero at a time."""
+
+    def __init__(self, sys_: SymSystem, max_recorded: int):
+        self.sys_ = sys_
+        self.max_recorded = max_recorded
+        self.points = self.deficient = self.confirmed = self.violations = 0
+        self.bad = []
+
+    def add(self, x, y, e):
+        self.points += 1
+        if not _rank_deficient(self.sys_, y, e):
+            return
+        self.deficient += 1
+        if _double_collision(y):
+            self.confirmed += 1
+        else:
+            self.violations += 1
+            if len(self.bad) < self.max_recorded:
+                self.bad.append(tuple(x))
+
+    def report(self) -> ProbeReport:
+        scope = "p>2" if self.sys_.fam.ctx.p > 2 else "informational (p=2)"
+        return ProbeReport(scope, self.points, self.deficient, self.confirmed,
+                           self.violations, tuple(self.bad))
+
+
 def jacobian_probe(sys_: SymSystem, budget: int = SCAN_BUDGET,
                    max_recorded: int = 10) -> ProbeReport:
     """Scan the rational zeros of R; wherever the Jacobian in the root
     coordinates drops below full rank, check the double-collision
     condition on the root values.  Points violating it are recorded as
     counterexamples (none are expected for p > 2)."""
-    fam = sys_.fam
-    n = fam.n
-    q = fam.q
-    total = q ** n
-    if total > budget:
-        raise BudgetError(f"scan size {total} exceeds budget {budget}")
-    common = sys_.common
-    csub, cmul = common.sub, common.mul
-    cadd = common.add
-    m = fam.m
-    nr = sys_.nr
-    points = deficient = confirmed = violations = 0
-    bad = []
-    for x in product(range(q), repeat=n):
-        y = _root_values(sys_, x)
-        e = _esym_prefix(sys_, y, nr)
-        on = True
-        for a, tm in zip(sys_.salpha, sys_.terms):
-            acc = a
-            for k, c in tm:
-                ek = e[k]
-                if ek:
-                    acc = fam.ctx.add(acc, fam.ctx.mul(c, ek))
-            if acc != 0:
-                on = False
-                break
-        if not on:
-            continue
-        points += 1
-        # Jacobian column for coordinate l: entries sum_k c_(j,k) E_(k-1)
-        # of the values with y_l omitted; the omitted-value prefix comes
-        # from the downward recurrence E~_t = E_t - y_l E~_(t-1).
-        jac_cols = []
-        for l in range(n):
-            yl = y[l]
-            omit = [1]
-            prev = 1
-            for t in range(1, nr):
-                prev = csub(e[t], cmul(yl, prev))
-                omit.append(prev)
-            col = []
-            for tm in sys_.terms:
-                acc = 0
-                for k, c in tm:
-                    ot = omit[k - 1]
-                    if ot:
-                        acc = cadd(acc, cmul(c, ot))
-                col.append(acc)
-            jac_cols.append(col)
-        jac_rows = [[jac_cols[l][j] for l in range(n)] for j in range(m)]
-        if mat_rank(common, jac_rows) >= m:
-            continue
-        deficient += 1
-        if _double_collision(y):
-            confirmed += 1
-        else:
-            violations += 1
-            if len(bad) < max_recorded:
-                bad.append(tuple(x))
-    scope = "p>2" if fam.ctx.p > 2 else "informational (p=2)"
-    return ProbeReport(scope, points, deficient, confirmed, violations, tuple(bad))
+    probe = _Probe(sys_, max_recorded)
+    for x, y, e in rational_zeros(sys_, budget):
+        probe.add(x, y, e)
+    return probe.report()
+
+
+def variety_pass(sys_: SymSystem, budget: int = SCAN_BUDGET,
+                 member_tally=None, max_recorded: int = 10):
+    """count_points and jacobian_probe from one scan of the rational
+    zeros: (PointCounts, ProbeReport).  The counting identity is not
+    enforced here; see identity_failure."""
+    probe = _Probe(sys_, max_recorded)
+    v_eq = 0
+    for x, y, e in rational_zeros(sys_, budget):
+        probe.add(x, y, e)
+        v_eq += len(set(y)) != len(y)
+    return _point_counts(sys_, probe.points, v_eq, member_tally), probe.report()

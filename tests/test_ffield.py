@@ -338,6 +338,19 @@ def test_fast_tables_agree_with_vector_arithmetic():
         assert slow.frobenius(a, 1) == fast.frobenius(a, 1)
 
 
+def test_fast_tables_on_the_two_element_layer():
+    # F_2 as a degree-1 layer: its unit group is {1}, so 1 is the generator
+    slow = ExtCtx(make_field(2), 1)
+    fast = ExtCtx(make_field(2), 1)
+    fast.ensure_fast()
+    assert fast._exp == [1]
+    for a in range(2):
+        for b in range(2):
+            assert slow.add(a, b) == fast.add(a, b)
+            assert slow.mul(a, b) == fast.mul(a, b)
+    assert fast.inv(1) == 1 and fast.frobenius(1) == 1
+
+
 def test_extension_axioms_sampled_char2():
     base = make_field(2, 3)  # tower: F_2 < F_8 < F_8^2
     ctx = ExtCtx(base, 2)
