@@ -11,7 +11,7 @@ from .census import (RunConfig, census_tally, emit_report, family_descriptor,
                      parse_config, run_bounds, run_census, run_global,
                      run_verify)
 from .correspondence import (PatternLayout, RootVector, build_G, fiber_count,
-                             fiber_map, fibers, is_type_lambda, layout,
+                             fiber_map, is_type_lambda, layout,
                              scan_G, verify_membership_equivalence,
                              window_start)
 from .errors import BudgetError, CountingIdentityError, GaloisDescentError

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .correspondence import fibers, scan_G, verify_membership_equivalence
+from .correspondence import scan_G, verify_membership_equivalence
 from .errors import BudgetError
 from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
@@ -427,20 +427,23 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         rows = []
         for i, pat in enumerate(patterns):
             stats = pattern_stats(pat)
-            # the images G(x), by their index in the table
-            fib, untyped_fib = fibers(pat, bank, cfg.budget_scan)
-            type_pattern_ok = (all(slot[g] >> 1 == i for g in fib)
-                               and not any(slot[g] >> 1 == i for g in untyped_fib))
+            type_pattern_ok = True
             type_pattern_bad = None
-            if not type_pattern_ok:
-                # the first x, in scan order, whose type and image disagree
-                for x, (t, g) in zip(product(range(q), repeat=n),
-                                     scan_G(pat, bank, cfg.budget_scan)):
-                    matches = slot[window_index(q, g, n)] >> 1 == i
-                    if t != matches:
-                        type_pattern_bad = {"x": list(x), "typed": t,
-                                            "pattern_matches": matches}
-                        break
+            fib: dict[int, int] = {}
+            untyped = 0
+            for x, (t, g) in zip(product(range(q), repeat=n),
+                                 scan_G(pat, bank, cfg.budget_scan)):
+                # G(x), by its index in the table
+                g = window_index(q, g, n)
+                matches = slot[g] >> 1 == i
+                if t != matches and type_pattern_ok:
+                    type_pattern_ok = False
+                    type_pattern_bad = {"x": list(x), "typed": t,
+                                        "pattern_matches": matches}
+                if t:
+                    fib[g] = fib.get(g, 0) + 1
+                else:
+                    untyped += 1
             sq_polys = [w for w, s in enumerate(slot) if s == 2 * i + 1]
             fiber_ok = (len(fib) >= len(sq_polys)
                         and all(fib.get(c, 0) == stats.weight for c in sq_polys))
@@ -454,7 +457,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             rows.append({
                 "lambda": pat.label(),
                 "typed": sum(fib.values()),
-                "untyped": sum(untyped_fib.values()),
+                "untyped": untyped,
                 "type_pattern_ok": type_pattern_ok,
                 "type_pattern_counterexample": type_pattern_bad,
                 "squarefree_polys": len(sq_polys),

@@ -15,7 +15,7 @@ has a full Galois orbit; typed vectors are exactly those whose G realizes
 the pattern, and each square-free polynomial with the pattern is hit by
 exactly w (the pattern weight) typed vectors.
 
-Scans over F_q^n (scan_G, read by fibers, fiber_map, fiber_count, the
+Scans over F_q^n (scan_G, read by fiber_map, fiber_count, the
 membership check and run_verify) never recompute a window per vector:
 each window's polynomial depends only on its own q^i coordinates, so
 for each window size i below n a flat table of the q^i window
@@ -37,7 +37,6 @@ from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
 from .patterns import Pattern
 from .poly import MonicPoly
-from .tables import window_coeffs, window_index
 
 SCAN_BUDGET = 10 ** 7
 
@@ -234,20 +233,6 @@ def scan_G(pattern: Pattern, bank, budget: int = SCAN_BUDGET):
     return _walk_G(bank.base, levels, 0, [1], True)
 
 
-def fibers(pattern: Pattern, bank, budget: int = SCAN_BUDGET):
-    """One scan over F_q^n returning (typed, untyped): each maps the
-    index of G(x) (tables.window_index at depth n) to the number of
-    typed, resp. untyped, x."""
-    q, n = bank.base.q, pattern.n
-    typed: dict[int, int] = {}
-    untyped: dict[int, int] = {}
-    for t, g in scan_G(pattern, bank, budget):
-        side = typed if t else untyped
-        key = window_index(q, g, n)
-        side[key] = side.get(key, 0) + 1
-    return typed, untyped
-
-
 def fiber_count(f: MonicPoly, pattern: Pattern, bank,
                 budget: int = SCAN_BUDGET) -> int:
     """Number of vectors x with G(x, T) = f, by exhaustive scan."""
@@ -260,10 +245,15 @@ def fiber_count(f: MonicPoly, pattern: Pattern, bank,
 def fiber_map(pattern: Pattern, bank, budget: int = SCAN_BUDGET):
     """One scan over F_q^n returning (typed_fibers, untyped_count), where
     typed_fibers maps the coeff tuple of G(x) to the number of typed x."""
-    typed, untyped = fibers(pattern, bank, budget)
-    q, n = bank.base.q, pattern.n
-    return ({tuple(window_coeffs(q, n, n, w)[:-1]): cnt
-             for w, cnt in typed.items()}, sum(untyped.values()))
+    typed: dict[tuple, int] = {}
+    untyped = 0
+    for t, g in scan_G(pattern, bank, budget):
+        if t:
+            key = tuple(g[:-1])
+            typed[key] = typed.get(key, 0) + 1
+        else:
+            untyped += 1
+    return typed, untyped
 
 
 def verify_membership_equivalence(fam, pattern: Pattern, bank,

@@ -41,6 +41,9 @@ from .family import LinearFamily, pattern_tally
 from .ffield import mat_rank
 from .patterns import Pattern, pattern_stats
 
+# how many violating vectors the Jacobian probe records by default
+MAX_RECORDED = 10
+
 
 def _absorb(K, e, ys):
     """Absorb the values ys into e in place and return it: if e[t] held
@@ -342,7 +345,7 @@ class _Probe:
 
 
 def jacobian_probe(sys_: SymSystem, budget: int = SCAN_BUDGET,
-                   max_recorded: int = 10) -> ProbeReport:
+                   max_recorded: int = MAX_RECORDED) -> ProbeReport:
     """Scan the rational zeros of R; wherever the Jacobian in the root
     coordinates drops below full rank, check the double-collision
     condition on the root values.  Points violating it are recorded as
@@ -354,11 +357,11 @@ def jacobian_probe(sys_: SymSystem, budget: int = SCAN_BUDGET,
 
 
 def variety_pass(sys_: SymSystem, budget: int = SCAN_BUDGET,
-                 member_tally=None, max_recorded: int = 10):
+                 member_tally=None):
     """count_points and jacobian_probe from one scan of the rational
     zeros: (PointCounts, ProbeReport).  The counting identity is not
     enforced here; see identity_failure."""
-    probe = _Probe(sys_, max_recorded)
+    probe = _Probe(sys_, MAX_RECORDED)
     v_eq = 0
     for x, y, e in rational_zeros(sys_, budget):
         probe.add(x, y, e)

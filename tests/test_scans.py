@@ -203,7 +203,7 @@ def _refuse(*args, **kwargs):
 
 def test_common_layer_limit_fails_before_any_scan(monkeypatch, tmp_path):
     # pattern 3 4 at n = 7 needs F_(5^12), over the order limit
-    for name in ("census_tally", "fibers", "sym_system", "variety_pass"):
+    for name in ("census_tally", "scan_G", "sym_system", "variety_pass"):
         monkeypatch.setattr(census, name, _refuse)
     cfg = RunConfig(p=5, n=7, r=6, rows=((1,),), alpha=(0,))
     ini = tmp_path / "n7.ini"
