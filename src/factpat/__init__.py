@@ -19,7 +19,7 @@ from .family import (BoundReport, LinearFamily, ReferenceBound, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
                      enumerate_members, new_family, pattern_tally,
                      prescribed_family)
-from .ffield import (ContextBank, Embedding, ExtCtx, FieldElem, FieldParams,
+from .ffield import (ContextBank, Embedding, ExtCtx, FieldParams,
                      find_irreducible, make_field)
 from .patterns import (Pattern, PatternStats, cycle_pattern,
                        enumerate_patterns, irreducible_count, pattern_stats,

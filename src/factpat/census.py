@@ -42,9 +42,9 @@ run_verify's scans over F_q^n read per-window tables built once per call
 (correspondence.scan_G for the images G(x), variety.rational_zeros for
 the zeros of the reduced system), walked in itertools.product order, so
 reports are those of a per-point scan; one variety pass per pattern gives
-both the counting identity and the Jacobian probe.  With the variety
-section, every pattern's common layer is checked against the order
-limit before anything is scanned.
+both the counting identity and the Jacobian probe.  Both scans work in
+the layers F_(q^i) of the window sizes i <= n alone, which the family
+descriptor builds before anything is scanned.
 """
 
 from __future__ import annotations
@@ -61,11 +61,10 @@ from .errors import BudgetError
 from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
                      new_family, pattern_tally, prescribed_family)
-from .ffield import ContextBank, FieldParams, check_order, make_field
+from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
 from .tables import family_tally, pattern_table, tally_windows, window_index
-from .variety import (SCAN_BUDGET, common_degree, identity_failure, sym_system,
-                      variety_pass)
+from .variety import SCAN_BUDGET, identity_failure, sym_system, variety_pass
 
 ENGINE_TAG = "factpat 0.1.0"
 
@@ -405,11 +404,6 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         "sections": sorted(sections),
     }
     patterns = enumerate_patterns(n)
-    if "variety" in sections:
-        # every pattern's common layer must be constructible: fail
-        # before anything is scanned
-        for pat in patterns:
-            check_order(q, common_degree(pat))
     member_tally = census_tally(fam, cfg.budget_members)
     # one entry per polynomial where the correspondence looks them up,
     # else only the pattern totals

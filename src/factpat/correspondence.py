@@ -46,13 +46,6 @@ class PatternLayout:
     pattern: Pattern
     windows: tuple   # ((size, start), ...) in increasing (size, copy) order
 
-    def window_of(self, position: int):
-        """Index of the window containing a 0-based coordinate position."""
-        for w, (size, start) in enumerate(self.windows):
-            if start <= position < start + size:
-                return w
-        raise IndexError(position)
-
 
 def layout(pattern: Pattern) -> PatternLayout:
     """Window sizes and start offsets; windows tile 0..n-1 in order."""
@@ -113,9 +106,8 @@ class RootVector:
 
 def _orbit(K, rows, coords):
     """The values sum_h coords[h] * row[h] in K, one per row.  With rows
-    the circulant conjugate matrix A of a layer (or its image in a larger
-    layer) this is the Galois orbit of alpha = sum coords[h] theta^(q^h):
-    row k gives sigma^k(alpha)."""
+    the circulant conjugate matrix A of a layer this is the Galois orbit
+    of alpha = sum coords[h] theta^(q^h): row k gives sigma^k(alpha)."""
     add, mul = K.add, K.mul
     orbit = []
     for row in rows:

@@ -14,8 +14,9 @@ behind every deterministic choice in the package:
 FieldParams and ExtCtx share one scalar protocol (add/sub/mul/neg/inv/
 pow_/of_int on codes) so the dense polynomial kernels and the matrix
 helpers below work over either layer.  Extension layers optionally carry
-discrete-log tables, built lazily and bounded by ZECH_LIMIT, which turn
-their arithmetic into table lookups for exhaustive scans.
+discrete-log tables, built lazily (ensure_fast), which turn their
+arithmetic into table lookups for exhaustive scans; no layer is over
+ORDER_LIMIT, so every layer can have them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ._dense import (padd, peval, pgcd, pmod, pmul, ppowmod,
                      pscale, psub, trim)
 
 ORDER_LIMIT = 1 << 20     # largest layer order the constructors accept
-ZECH_LIMIT = 1 << 20      # largest order for which log tables are built
 _TABLE_MAX_PRIME = 1024   # op-table cutoffs for base layers
 _TABLE_MAX_EXT = 128
 
@@ -99,9 +99,6 @@ class FieldParams:
     def elements(self):
         return range(self.q)
 
-    def elem(self, code):
-        return FieldElem(self, code)
-
     # -- scalar protocol -----------------------------------------------
 
     def add(self, a, b):
@@ -161,10 +158,6 @@ class FieldParams:
     def root_p(self, a):
         """The unique p-th root of a (inverse of x -> x^p)."""
         return self.pow_(a, self.p ** (self.s - 1))
-
-    def frob_p(self, a, k=1):
-        """The k-th power of the absolute Frobenius x -> x^p."""
-        return self.pow_(a, self.p ** (k % self.s))
 
     # -- internals -----------------------------------------------------
 
@@ -309,42 +302,6 @@ def mat_rank(K, rows) -> int:
     return rank
 
 
-def mat_inv(K, rows):
-    n = len(rows)
-    aug = [list(r) + [1 if j == i else 0 for j in range(n)]
-           for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = K.inv(aug[col][col])
-        aug[col] = [K.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_mul(K, a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = 0
-            for t in range(k):
-                acc = K.add(acc, K.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def mat_nullspace(K, rows):
     """Basis of the right kernel, deterministic (RREF with leftmost pivots)."""
     rows = [list(r) for r in rows]
@@ -391,8 +348,8 @@ class ExtCtx:
     theta is the first code whose Frobenius conjugates form an F_q-basis;
     conj[t] = theta^(q^t).  A[k][h] = theta^(q^(k+h mod i)) sends the
     coordinate vector of an element in the conjugate basis to its Galois
-    orbit under sigma^k, one automorphism per row; A_inv is its exact
-    inverse.  F_q sits inside as the codes below q.
+    orbit under sigma^k, one automorphism per row.  F_q sits inside as
+    the codes below q.
     """
 
     def __init__(self, base: FieldParams, i: int, modulus=None):
@@ -430,9 +387,6 @@ class ExtCtx:
 
     def elements(self):
         return range(self.order)
-
-    def elem(self, code):
-        return FieldElem(self, code)
 
     def in_base(self, x):
         """True iff x lies in F_q (codes below q, the constant digits)."""
@@ -611,13 +565,10 @@ class ExtCtx:
             raise RuntimeError("no normal element found")
         self.A = tuple(tuple(self.conj[(k + h) % i] for h in range(i))
                        for k in range(i))
-        self.A_inv = mat_inv(self, self.A)
 
-    def ensure_fast(self, limit=None):
-        """Build exp/log/Zech tables if the order is within limit."""
+    def ensure_fast(self):
+        """Build the exp/log/Zech tables, once."""
         if self._exp is not None:
-            return
-        if self.order > (ZECH_LIMIT if limit is None else limit):
             return
         M = self.order - 1
         fac = _prime_factors(M)
@@ -666,7 +617,8 @@ class Embedding:
 
     The image of the source generator v_i is the smallest-code root of the
     source modulus inside the degree-i subfield of the target, which makes
-    the embedding deterministic.
+    the embedding deterministic.  No scan uses it (each works in the layers
+    of its window sizes); perfbench/layers.py still wraps its constructor.
     """
 
     def __init__(self, src: ExtCtx, dst: ExtCtx):
@@ -761,76 +713,3 @@ class ContextBank:
         """Test hook: install a hand-built layer (e.g. with corrupted data)."""
         self._ctx[i] = ctx
         self._emb = {k: v for k, v in self._emb.items() if i not in k}
-
-
-class FieldElem:
-    """A field element tagged with its layer (convenience wrapper).
-
-    The engine's hot paths work on raw integer codes; this wrapper exists
-    for interactive use and for context-mismatch checking at the API edge.
-    """
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx, code):
-        if not 0 <= code < (ctx.order if isinstance(ctx, ExtCtx) else ctx.q):
-            raise ValueError(f"code {code} out of range for {ctx!r}")
-        self.ctx = ctx
-        self.code = code
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if self.ctx is not other.ctx and self.ctx != other.ctx:
-                raise ValueError("context mismatch")
-            return other.code
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg(self.code))
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.sub(self.code, c))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.mul(self.code, self.ctx.inv(c)))
-
-    def __pow__(self, e):
-        return FieldElem(self.ctx, self.ctx.pow_(self.code, e))
-
-    def frobenius(self, k=1):
-        if not isinstance(self.ctx, ExtCtx):
-            raise TypeError("frobenius acts on extension-layer elements")
-        return FieldElem(self.ctx, self.ctx.frobenius(self.code, k))
-
-    @property
-    def vec(self):
-        return self.ctx.to_vec(self.code)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.ctx == other.ctx and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.code)
-
-    def __repr__(self):
-        return f"FieldElem({self.code} in {self.ctx!r})"

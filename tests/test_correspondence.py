@@ -64,9 +64,6 @@ def test_layout_tiles_coordinates_in_order():
     pat = Pattern(4, (2, 1, 0, 0))
     lay = layout(pat)
     assert lay.windows == ((1, 0), (1, 1), (2, 2))
-    assert [lay.window_of(k) for k in range(4)] == [0, 1, 2, 2]
-    with pytest.raises(IndexError):
-        lay.window_of(4)
 
 
 def test_layout_all_patterns_partition_range():

@@ -13,9 +13,9 @@ import random
 
 import pytest
 
-from factpat.ffield import (ContextBank, Embedding, ExtCtx, FieldElem,
-                            FieldParams, find_irreducible, make_field,
-                            mat_inv, mat_mul, mat_nullspace, mat_rank)
+from factpat.ffield import (ContextBank, Embedding, ExtCtx, FieldParams,
+                            find_irreducible, make_field, mat_nullspace,
+                            mat_rank)
 
 # Frozen search results.  The library picks the lexicographically least
 # monic irreducible (highest-degree coefficient compared first), so these
@@ -122,17 +122,21 @@ def test_frobenius_is_field_automorphism(p, s):
     field = make_field(p, s)
     q = field.q
     rng = random.Random((SAMPLE_SEED, "frob", p, s).__hash__())
+
+    def frob_p(a):
+        """The absolute Frobenius x -> x^p."""
+        return field.pow_(a, p)
+
     for a, b in _sample_pairs(rng, q, 100):
-        fa, fb = field.frob_p(a), field.frob_p(b)
-        assert field.frob_p(field.add(a, b)) == field.add(fa, fb)
-        assert field.frob_p(field.mul(a, b)) == field.mul(fa, fb)
-        assert field.frob_p(a) == field.pow_(a, p)
+        fa, fb = frob_p(a), frob_p(b)
+        assert frob_p(field.add(a, b)) == field.add(fa, fb)
+        assert frob_p(field.mul(a, b)) == field.mul(fa, fb)
         # frob_p iterated s times is the identity on F_{p^s}
         x = a
         for _ in range(s):
-            x = field.frob_p(x)
+            x = frob_p(x)
         assert x == a
-        assert field.root_p(field.frob_p(a)) == a
+        assert field.root_p(frob_p(a)) == a
 
 
 def test_pow_matches_repeated_multiplication():
@@ -284,17 +288,6 @@ def test_normal_element_search_matches_power_conjugates():
         assert (ctx.theta, ctx.conj) == (cand, tuple(conj)), (p, s, i)
 
 
-def test_conjugate_matrix_inverse_is_exact():
-    base = make_field(5)
-    bank = ContextBank.shared(base)
-    for i in (2, 3, 4):
-        ctx = bank.get(i)
-        prod = mat_mul(ctx, ctx.A, ctx.A_inv)
-        ident = tuple(tuple(1 if r == c else 0 for c in range(i))
-                      for r in range(i))
-        assert prod == ident
-
-
 def test_frobenius_properties_in_extension():
     base = make_field(5)
     ctx = ContextBank.shared(base).get(3)
@@ -424,35 +417,8 @@ def test_mat_rank_and_nullspace_over_f5():
         assert acc == 0
 
 
-def test_mat_inv_round_trip():
-    K = make_field(7)
-    rows = ((1, 2), (3, 4))
-    inv = mat_inv(K, rows)
-    assert mat_mul(K, rows, inv) == ((1, 0), (0, 1))
-
-
-def test_mat_inv_rejects_singular():
-    K = make_field(7)
-    with pytest.raises(ValueError):
-        mat_inv(K, ((1, 2), (2, 4)))
-
-
 # ---------------------------------------------------------------------------
-# wrapper elements and the context bank
-
-
-def test_field_elem_arithmetic_and_mismatch():
-    base = make_field(5)
-    ctx = ContextBank.shared(base).get(2)
-    a, b = ctx.elem(6), ctx.elem(21)
-    assert (a + b).code == ctx.add(6, 21)
-    assert (a * b).code == ctx.mul(6, 21)
-    assert (-a).code == ctx.neg(6)
-    assert (a - a).code == 0
-    assert a.frobenius(1).code == ctx.frobenius(6, 1)
-    other = ContextBank.shared(base).get(3)
-    with pytest.raises(ValueError):
-        _ = a + other.elem(1)
+# the context bank
 
 
 def test_shared_bank_is_cached():

@@ -92,10 +92,10 @@ def test_elementary_symmetric_edges():
 def test_system_layers_and_weights():
     F5, fam = _trace_zero_quartics()
     bank = ContextBank.shared(F5)
-    expected_layer = {"1^4": 1, "1^2 2": 2, "2^2": 2, "1 3": 3, "4": 4}
     for pat in enumerate_patterns(4):
         sys_ = sym_system(fam, pat, bank)
-        assert sys_.common.i == expected_layer[pat.label()]
+        # each window in the layer of its own size, nothing larger
+        assert tuple(ctx.i for _, _, ctx in sys_.windows) == pat.sizes()
         assert sys_.nr == 1
         assert sys_.weight == pattern_stats(pat).weight
         assert len(sys_.windows) == len(pat.sizes())
