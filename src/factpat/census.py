@@ -38,12 +38,15 @@ to that kernel path: it partitions the member stream by the leading free
 coefficient, and tallies merge by addition, so every path and worker
 count emits identical bytes.
 
-run_verify's scans over F_q^n read per-window tables built once per call
-(correspondence.scan_G for the images G(x), variety.rational_zeros for
-the zeros of the reduced system), walked in itertools.product order, so
-reports are those of a per-point scan; one variety pass per pattern gives
-both the counting identity and the Jacobian probe.  Both scans work in
-the layers F_(q^i) of the window sizes i <= n alone, which the family
+run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
+yields each x in itertools.product order with the window index of G(x):
+at depth n the correspondence section reads each polynomial's pattern
+slot from the table by that index; at depth n - r the membership check
+reads the family's window flags, and the variety keeps the windows where
+its reduced system vanishes.  So reports are those of a per-point scan;
+one variety pass per pattern gives both the counting identity and the
+Jacobian probe.  The walk works
+in the layers F_(q^i) of the window sizes i <= n alone, which the family
 descriptor builds before anything is scanned.
 """
 
@@ -54,16 +57,15 @@ import json
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .correspondence import scan_G, verify_membership_equivalence
+from .correspondence import verify_membership_equivalence, walk_G
 from .errors import BudgetError
 from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
                      new_family, pattern_tally, prescribed_family)
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
-from .tables import family_tally, pattern_table, tally_windows, window_index
+from .tables import family_tally, pattern_table, tally_windows
 from .variety import SCAN_BUDGET, identity_failure, sym_system, variety_pass
 
 ENGINE_TAG = "factpat 0.1.0"
@@ -425,10 +427,8 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             type_pattern_bad = None
             fib: dict[int, int] = {}
             untyped = 0
-            for x, (t, g) in zip(product(range(q), repeat=n),
-                                 scan_G(pat, bank, cfg.budget_scan)):
-                # G(x), by its index in the table
-                g = window_index(q, g, n)
+            # G(x), by its index in the table
+            for x, t, g in walk_G(pat, bank, n, budget=cfg.budget_scan):
                 matches = slot[g] >> 1 == i
                 if t != matches and type_pattern_ok:
                     type_pattern_ok = False

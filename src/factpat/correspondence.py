@@ -15,20 +15,21 @@ has a full Galois orbit; typed vectors are exactly those whose G realizes
 the pattern, and each square-free polynomial with the pattern is hit by
 exactly w (the pattern weight) typed vectors.
 
-Scans over F_q^n (scan_G, read by fiber_map, fiber_count, the
-membership check and run_verify) never recompute a window per vector:
-each window's polynomial depends only on its own q^i coordinates, so
-for each window size i below n a flat table of the q^i window
-polynomials and typed flags is built once per call, after ensure_fast
-on layer i; a window of size n is streamed.  The scan walks the windows
-as nested loops in layout order, which is itertools.product order, so
-every first counterexample is the same x as in a per-point scan.
+All scans over F_q^n go through one walk, walk_G, which yields each x
+in itertools.product order with its typed flag and the depth-k window
+index of G(x) (tables.window_index): k = n for the correspondence section
+of run_verify, k = n - r for the membership check and for the variety's
+rational_zeros, whose constraints are linear conditions on that window.
+A window's polynomial depends only on its own q^i coordinates, so for
+each window size i below n the walk tables the top digits of the q^i
+window polynomials once per call (a window of size n is streamed), and
+multiplies windows with the truncated product of tables._multiplier.
+Every first counterexample is the same x as in a per-point scan.
 build_G and is_type_lambda stay as the per-point oracles.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -37,6 +38,7 @@ from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
 from .patterns import Pattern
 from .poly import MonicPoly
+from .tables import _multiplier, family_windows
 
 SCAN_BUDGET = 10 ** 7
 
@@ -119,6 +121,29 @@ def _orbit(K, rows, coords):
     return orbit
 
 
+def _absorb(K, e, ys):
+    """Absorb the values ys into e in place and return it: if e[t] held
+    E_t of some values (t = 0 .. len(e) - 1, e[0] = 1), it then holds E_t
+    of those values and ys.  The one E_k recurrence of the package."""
+    add, mul = K.add, K.mul
+    top = len(e) - 1
+    for y in ys:
+        for t in range(top, 0, -1):
+            e[t] = add(e[t], mul(y, e[t - 1]))
+    return e
+
+
+def _window_esym(ctx, coords, upto):
+    """E_0..E_upto of one window's Galois orbit, formed in its layer
+    F_(q^i) and checked to descend to F_q."""
+    e = _absorb(ctx, [1] + [0] * upto, _orbit(ctx, ctx.A, coords))
+    for t in range(1, upto + 1):
+        if e[t] >= ctx.q:
+            raise GaloisDescentError(
+                f"symmetric value E_{t} = {e[t]} did not descend to F_q")
+    return e
+
+
 def _window_poly(ctx, coords):
     """The monic conjugate product prod_k (T - sigma^k(alpha)) of one
     window element, as a full coefficient list of F_q codes.
@@ -141,7 +166,7 @@ def build_G(pattern: Pattern, x, bank) -> MonicPoly:
     """The monic degree-n image of x: product over windows of the full
     conjugate product of the window element.
 
-    The per-point oracle for scan_G: each window product is computed
+    The per-point oracle for walk_G: each window product is computed
     inside its own layer F_(q^i) and descent-checked (see _window_poly).
     """
     x = tuple(x)
@@ -154,119 +179,102 @@ def build_G(pattern: Pattern, x, bank) -> MonicPoly:
     return MonicPoly.from_full(base, out)
 
 
-def _check_budget(total, budget):
-    if total > budget:
-        raise BudgetError(f"scan size {total} exceeds budget {budget}")
-
-
-def _window_entries(ctx):
-    """(typed, window polynomial) for every coordinate vector of the
-    layer F_(q^i), in product order."""
+def _window_entries(ctx, k):
+    """(coordinates, (typed, digits)) for every coordinate vector of the
+    layer F_(q^i) in product order.  The digits are the top
+    c_(i-1), ..., c_(i-d) of the window polynomial, d = min(i, k): the
+    signed E values (-1)^t E_t of the orbit."""
     ctx.ensure_fast()
+    neg = ctx.base.neg
+    d = min(ctx.i, k)
     for coords in product(range(ctx.q), repeat=ctx.i):
-        yield _full_shifts(coords), _window_poly(ctx, coords)
+        e = _window_esym(ctx, coords, d)
+        yield coords, (_full_shifts(coords), tuple(
+            [neg(e[t]) if t % 2 else e[t] for t in range(1, d + 1)]))
 
 
-def _window_table(ctx):
-    """All window entries of a layer, stored flat: entry t has the full
-    coefficient list polys[t*(i+1):(t+1)*(i+1)] and the flag typed[t]."""
-    polys, typed = array("q"), bytearray()
-    for t, poly in _window_entries(ctx):
-        typed.append(t)
-        polys.extend(poly)
-    return polys, typed
+def _window_table(ctx, k):
+    """The entries of a layer without their coordinates, in product
+    order; equal entries (conjugate windows, and at depth k < i every
+    window with the same top digits) are one object."""
+    shared = {}
+    return [shared.setdefault(e, e) for _, e in _window_entries(ctx, k)]
 
 
-def _stored_entries(table, size):
-    polys, typed = table
-    step = size + 1
-    for t, flag in enumerate(typed):
-        yield flag, polys[t * step:(t + 1) * step]
+def _stored(q, size, table):
+    return zip(product(range(q), repeat=size), table)
 
 
-def _walk_G(base, levels, w, prefix, typed):
-    """The scan below window w: levels[w]() yields that window's
-    entries, prefix is the product of the outer windows' polynomials."""
-    last = w == len(levels) - 1
-    for flag, poly in levels[w]():
-        out = pmul(base, prefix, poly)
-        if last:
-            yield bool(typed and flag), out
-        else:
-            yield from _walk_G(base, levels, w + 1, out, typed and flag)
+def walk_G(pattern: Pattern, bank, k: int, flags=None,
+           budget: int = SCAN_BUDGET):
+    """Every x in F_q^n in product order, as (x, typed, w) with w the
+    depth-k window index of G(x) (see tables.window_index); with flags,
+    only the x with flags[w] set.
 
-
-def scan_G(pattern: Pattern, bank, budget: int = SCAN_BUDGET):
-    """Every x in F_q^n in product order, as (typed, full coefficient
-    list of G(x)): the scan that fiber_map, fiber_count and the
-    membership check read.
-
-    G(x) is the product of its windows' polynomials, and each window's
-    depends only on its own coordinates.  So for each window size below n
-    the polynomials of all q^i window vectors are computed once per call
-    (after ensure_fast on that layer) into a flat table, exactly as
-    build_G computes and descent-checks them; a window of size n (the
-    pattern n) is streamed, since none of its entries is reused.  The
-    walk nests one loop per window in layout order, which is product
-    order, and multiplies each outer prefix once, so the innermost window
-    costs one base-field pmul per x.
+    G(x) is the product of its windows' polynomials, and the depth-k
+    window of a product is the product of its factors' windows.  So for
+    each window size below n the windows of all q^i window vectors are
+    tabled once per call, formed in the window's layer and checked to
+    descend to F_q (GaloisDescentError otherwise); a window of size n is
+    streamed, since none of its entries is reused.
+    The walk nests one loop per window in layout order, which is product
+    order, plans each outer prefix once, and places each x with one
+    truncated product (tables._multiplier).
     """
     n = pattern.n
-    _check_budget(bank.base.q ** n, budget)
+    total = bank.base.q ** n
+    if total > budget:
+        raise BudgetError(f"scan size {total} exceeds budget {budget}")
     tables = {}
     levels = []
     for size, _ in layout(pattern).windows:
         if size == n:
-            levels.append(partial(_window_entries, bank.get(size)))
+            levels.append(partial(_window_entries, bank.get(size), k))
             continue
         if size not in tables:
-            tables[size] = _window_table(bank.get(size))
-        levels.append(partial(_stored_entries, tables[size], size))
-    return _walk_G(bank.base, levels, 0, [1], True)
+            tables[size] = _window_table(bank.get(size), k)
+        levels.append(partial(_stored, bank.base.q, size, tables[size]))
+    mult = _multiplier(bank.base, k)
+    return _walk(levels, 0, mult, flags, (), mult[0](()), True)
 
 
-def fiber_count(f: MonicPoly, pattern: Pattern, bank,
-                budget: int = SCAN_BUDGET) -> int:
-    """Number of vectors x with G(x, T) = f, by exhaustive scan."""
-    if f.degree != pattern.n:
-        raise ValueError("degree mismatch between f and the pattern")
-    target = f.full()
-    return sum(1 for _, g in scan_G(pattern, bank, budget) if g == target)
-
-
-def fiber_map(pattern: Pattern, bank, budget: int = SCAN_BUDGET):
-    """One scan over F_q^n returning (typed_fibers, untyped_count), where
-    typed_fibers maps the coeff tuple of G(x) to the number of typed x."""
-    typed: dict[tuple, int] = {}
-    untyped = 0
-    for t, g in scan_G(pattern, bank, budget):
-        if t:
-            key = tuple(g[:-1])
-            typed[key] = typed.get(key, 0) + 1
-        else:
-            untyped += 1
-    return typed, untyped
+def _walk(levels, level, mult, flags, xs, rows, typed):
+    """The walk below window `level`: levels[level]() yields that
+    window's entries; xs, rows (the planned window product) and typed
+    belong to the outer windows."""
+    plan, times, place = mult
+    if level < len(levels) - 1:
+        for coords, (t, b) in levels[level]():
+            yield from _walk(levels, level + 1, mult, flags, xs + coords,
+                             plan(times(rows, b)), typed and t)
+        return
+    for coords, (t, b) in levels[level]():
+        w = place(rows, b)
+        if flags is None or flags[w]:
+            yield xs + coords, typed and t, w
 
 
 def verify_membership_equivalence(fam, pattern: Pattern, bank,
-                        budget: int = SCAN_BUDGET):
+                                  budget: int = SCAN_BUDGET):
     """Check, over every typed vector, that G(x) lies in the family iff
     the reduced symmetric system vanishes at x.
 
-    G(x) comes from scan_G and the system from the per-point oracle
-    eval_R, so each typed x checks the scan against the oracle.  Returns
-    (ok, counterexample) where the counterexample is None or a dict with
-    the offending vector and both verdicts.
+    Membership is read from the walk at depth n - r, through the window
+    flags that family_tally sums over, and the system from the per-point
+    oracle eval_R, so each typed x checks the walk against the oracle.
+    Returns (ok, counterexample) where the counterexample is None or a
+    dict with the offending vector and both verdicts.
     """
-    scan = scan_G(pattern, bank, budget)
+    scan = walk_G(pattern, bank, fam.n - fam.r, budget=budget)
     from .variety import eval_R, sym_system
     sys_ = sym_system(fam, pattern, bank)
-    for x, (typed, g) in zip(product(range(bank.base.q), repeat=pattern.n), scan):
+    inside = family_windows(fam)
+    for x, typed, w in scan:
         if not typed:
             continue
-        in_family = fam.contains_coeffs(g)
-        on_variety = all(v == 0 for v in eval_R(sys_, x))
+        in_family = bool(inside[w])
+        on_variety = not any(eval_R(sys_, x))
         if in_family != on_variety:
-            return False, {"x": tuple(x), "in_family": in_family,
+            return False, {"x": x, "in_family": in_family,
                            "on_variety": on_variety}
     return True, None

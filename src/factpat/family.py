@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetError
-from .ffield import FieldParams
+from .ffield import FieldParams, rref
 from .patterns import Pattern, pattern_stats
 from .poly import MonicPoly, pattern_of_coeffs
 
@@ -101,34 +101,14 @@ def _reduce_rows(K, crows, calpha, ncols, m):
     pivot column cleared in every other row, rows ordered by pivot column.
     Raises ValueError when the rows are dependent (rank < m).
     """
-    rows = [list(r) for r in crows]
-    consts = list(calpha)
-    used = []
-    for col in range(ncols - 1, -1, -1):
-        pr = None
-        for j in range(m):
-            if j not in (u[0] for u in used) and rows[j][col] != 0:
-                pr = j
-                break
-        if pr is None:
-            continue
-        inv = K.inv(rows[pr][col])
-        rows[pr] = [K.mul(inv, x) for x in rows[pr]]
-        consts[pr] = K.mul(inv, consts[pr])
-        for j in range(m):
-            if j != pr and rows[j][col] != 0:
-                f = rows[j][col]
-                rows[j] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[j], rows[pr])]
-                consts[j] = K.sub(consts[j], K.mul(f, consts[pr]))
-        used.append((pr, col))
-        if len(used) == m:
-            break
-    if len(used) < m:
+    # the constants ride along as a last column that is never a pivot
+    rows, cols = rref(K, [list(r) + [a] for r, a in zip(crows, calpha)],
+                      range(ncols - 1, -1, -1))
+    if len(cols) < m:
         raise ValueError("constraint rows are linearly dependent")
-    used.sort(key=lambda u: u[1])
-    srows = tuple(tuple(rows[j]) for j, _ in used)
-    salpha = tuple(consts[j] for j, _ in used)
-    pivots = tuple(col + 1 for _, col in used)
+    srows = tuple(tuple(r[:ncols]) for r in reversed(rows))
+    salpha = tuple(r[ncols] for r in reversed(rows))
+    pivots = tuple(col + 1 for col in reversed(cols))
     return srows, salpha, pivots
 
 

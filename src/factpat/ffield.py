@@ -275,45 +275,18 @@ def find_irreducible(field: FieldParams, d: int) -> tuple:
 # -- matrix helpers over any scalar context ---------------------------------
 
 
-def mat_rank(K, rows) -> int:
+def rref(K, rows, cols):
+    """Reduced row echelon form over K with pivots taken in the column
+    order cols: (rows, pivots), the pivot rows first in pivot order, each
+    with a 1 in its pivot column and that column 0 in every other row.
+    For a given column order the result is unique."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = K.inv(rows[rank][col])
-        rows[rank] = [K.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
-        rank += 1
+    pivots = []
+    for col in cols:
+        rank = len(pivots)
         if rank == len(rows):
             break
-    return rank
-
-
-def mat_nullspace(K, rows):
-    """Basis of the right kernel, deterministic (RREF with leftmost pivots)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
@@ -324,10 +297,21 @@ def mat_nullspace(K, rows):
                 f = rows[r][col]
                 rows[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
+    return rows, pivots
+
+
+def mat_rank(K, rows) -> int:
+    return len(rref(K, rows, range(len(rows[0]) if rows else 0))[1])
+
+
+def mat_nullspace(K, rows):
+    """Basis of the right kernel, deterministic (RREF with leftmost pivots)."""
+    ncols = len(rows[0]) if rows else 0
+    rows, pivots = rref(K, rows, range(ncols))
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [0] * ncols
         vec[fc] = 1
         for r, pc in enumerate(pivots):
@@ -391,11 +375,6 @@ class ExtCtx:
     def in_base(self, x):
         """True iff x lies in F_q (codes below q, the constant digits)."""
         return x < self.q
-
-    def to_base(self, x):
-        if x >= self.q:
-            raise ValueError(f"code {x} is not in the base field")
-        return x
 
     def of_int(self, k):
         return k % self.base.p

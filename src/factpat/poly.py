@@ -11,7 +11,6 @@ irreducible factors of each degree occur.
 from __future__ import annotations
 
 from ._dense import pderiv, peval, pgcd, pmod, pmul, ppowmod, pquo, trim
-from .patterns import Pattern
 
 
 class MonicPoly:
@@ -208,10 +207,3 @@ def pattern_of_coeffs(K, full):
             counts[deg - 1] += k * cnt
     return tuple(counts), False
 
-
-def factor_pattern(f: MonicPoly) -> Pattern:
-    """The factorization pattern of f (degree >= 1)."""
-    if f.degree < 1:
-        raise ValueError("pattern extraction needs degree >= 1")
-    counts, _ = pattern_of_coeffs(f.ctx, f.full())
-    return Pattern(f.degree, counts)

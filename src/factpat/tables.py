@@ -24,11 +24,18 @@ k = 0 gives the unconstrained census, k = n - r the windows a linear
 family constrains, and k = n one entry per polynomial.  Live state is
 the recursion (depth below n), the windows of the irreducibles below
 degree n, and one flat array of q^k * P * 2 counts.
+
+The verify scans share the window product _multiplier: G(x) is the
+product of its windows' conjugate products, so correspondence.walk_G
+places each x at its depth-k window index with the same truncated
+product, and family_windows flags the indices inside a family for
+family_tally and for the membership check.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from operator import mul
 
 from .patterns import enumerate_patterns
@@ -218,11 +225,17 @@ def tally_windows(n, counts, windows):
     return out
 
 
+def family_windows(fam) -> bytearray:
+    """Flag per depth-(n - r) window index: 1 iff the window satisfies the
+    family's equations, so that its monics are members."""
+    n, q, k = fam.n, fam.q, fam.n - fam.r
+    return bytearray(fam.contains_coeffs(window_coeffs(q, n, k, w))
+                     for w in range(q ** k))
+
+
 def family_tally(fam) -> dict:
     """The pattern tally of a linear family from the table at depth n - r:
     the sum over the windows that satisfy the family's equations."""
-    n, q, k = fam.n, fam.q, fam.n - fam.r
-    counts = pattern_table(fam.ctx, n, k)
-    inside = [w for w in range(q ** k)
-              if fam.contains_coeffs(window_coeffs(q, n, k, w))]
-    return tally_windows(n, counts, inside)
+    counts = pattern_table(fam.ctx, fam.n, fam.n - fam.r)
+    inside = family_windows(fam)
+    return tally_windows(fam.n, counts, compress(range(len(inside)), inside))

@@ -19,43 +19,31 @@ Two exact facts drive the verification:
   times over, or two values each repeated).  For p = 2 the probe is
   informational.
 
-Both are read from one scan, rational_zeros: for each window size below
-n the E values of all q^i window vectors are tabled once per call (a
-window of size n is streamed), and the walk over F_q^n, window by window
-in product order, carries the product of the outer windows' E values as
-a prefix.  run_verify takes the counts and the probe from a single pass
+Both are read from one scan, rational_zeros.  R depends on x only
+through the depth-(n - r) window of G(x), whose digits are the signed
+E_1..E_(n-r), so R is evaluated once per window index and the rational
+zeros are the x that correspondence.walk_G passes at that depth.
+run_verify takes the counts and the probe from a single pass
 (variety_pass); count_points and jacobian_probe read the same scan.
 eval_R and g_coeffs stay as the per-point oracles.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
 
-from .correspondence import SCAN_BUDGET, _check_budget, _orbit, layout
-from .errors import CountingIdentityError, GaloisDescentError
+from ._dense import pmul
+from .correspondence import (SCAN_BUDGET, _absorb, _orbit, _window_esym,
+                             layout, walk_G)
+from .errors import CountingIdentityError
 from .family import LinearFamily, pattern_tally
 from .ffield import mat_rank
 from .patterns import Pattern, pattern_stats
 from .poly import MonicPoly, squarefree_decompose
+from .tables import _digits
 
 # how many violating vectors the Jacobian probe records by default
 MAX_RECORDED = 10
-
-
-def _absorb(K, e, ys):
-    """Absorb the values ys into e in place and return it: if e[t] held
-    E_t of some values (t = 0 .. len(e) - 1, e[0] = 1), it then holds E_t
-    of those values and ys.  The one E_k recurrence of the package."""
-    add, mul = K.add, K.mul
-    top = len(e) - 1
-    for y in ys:
-        for t in range(top, 0, -1):
-            e[t] = add(e[t], mul(y, e[t - 1]))
-    return e
 
 
 def elementary_symmetric(K, k: int, ys) -> int:
@@ -70,6 +58,7 @@ def elementary_symmetric(K, k: int, ys) -> int:
 class SymSystem:
     fam: LinearFamily
     pattern: Pattern
+    bank: object              # the ContextBank of the window layers
     windows: tuple            # ((start, size, layer F_(q^size)), ...)
     terms: tuple              # per row j: ((k, coeff), ...) nonzero entries
     nr: int                   # n - r, number of symmetric values used
@@ -87,40 +76,16 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
         windows.append((start, size, ctx))
     terms = tuple(tuple((k + 1, c) for k, c in enumerate(srow) if c)
                   for srow in fam.srows)
-    return SymSystem(fam, pattern, tuple(windows), terms, fam.n - fam.r,
+    return SymSystem(fam, pattern, bank, tuple(windows), terms, fam.n - fam.r,
                      pattern_stats(pattern).weight)
-
-
-def _window_esym(ctx, coords, upto):
-    """E_0..E_upto of one window's Galois orbit, formed in its layer
-    F_(q^i) and checked to descend to F_q."""
-    e = _absorb(ctx, [1] + [0] * upto, _orbit(ctx, ctx.A, coords))
-    for t in range(1, upto + 1):
-        if e[t] >= ctx.q:
-            raise GaloisDescentError(
-                f"symmetric value E_{t} = {e[t]} did not descend to F_q")
-    return e
-
-
-def _times(K, a, b):
-    """The product of two truncated reversed polynomials over F_q
-    (a[0] = b[0] = 1), to the length of a: the E values of the union of
-    two root multisets."""
-    add, mul = K.add, K.mul
-    out = list(a)
-    for t in range(1, len(a)):
-        for u in range(t):
-            if a[u] and b[t - u]:
-                out[t] = add(out[t], mul(a[u], b[t - u]))
-    return out
 
 
 def _esym(sys_: SymSystem, x, upto):
     """E_0..E_upto of all root values of x, window by window."""
     K = sys_.fam.ctx
-    e = [1] + [0] * upto
+    e = [1]
     for start, size, ctx in sys_.windows:
-        e = _times(K, e, _window_esym(ctx, x[start:start + size], upto))
+        e = pmul(K, e, _window_esym(ctx, x[start:start + size], upto))[:upto + 1]
     return e
 
 
@@ -159,51 +124,26 @@ def g_coeffs(sys_: SymSystem, x):
             for j in range(n)] + [1]
 
 
-def _window_entries(ctx, nr, table):
-    """(coordinates, E_0..E_nr) of every window vector of the layer in
-    product order, from the flat table or, if it is None, computed."""
-    step = nr + 1
-    vectors = product(range(ctx.q), repeat=ctx.i)
-    if table is None:
-        return ((c, _window_esym(ctx, c, nr)) for c in vectors)
-    return ((c, table[t * step:(t + 1) * step]) for t, c in enumerate(vectors))
-
-
-def _walk_zeros(sys_, levels, w, xs, prefix):
-    """The zeros below window w: levels[w]() yields that window's
-    entries; xs and prefix = E_0..E_nr belong to the outer windows."""
-    K = sys_.fam.ctx
-    last = w == len(levels) - 1
-    for coords, ew in levels[w]():
-        e = _times(K, prefix, ew)
-        if not last:
-            yield from _walk_zeros(sys_, levels, w + 1, xs + coords, e)
-        elif not any(_residues(sys_, e)):
-            yield xs + coords, e
-
-
 def rational_zeros(sys_: SymSystem, budget: int = SCAN_BUDGET):
     """Every rational zero x of R, in product order, as (x, e) with
     e = E_0..E_(n-r) of the root values of x (as eval_R forms them).
 
-    For each window size below n the E values of all q^i window vectors
-    are formed once per call into a flat table; a window of size n is
-    streamed.  The walk nests one loop per window in layout order, which
-    is product order, so each x costs one truncated product over F_q.
+    R depends on x only through the depth-(n - r) window of G(x), whose
+    digits are (-1)^t E_t.  So R is evaluated once per window index, and
+    the walk at that depth passes only the x whose window is a zero.
     """
-    q, n = sys_.fam.q, sys_.fam.n
-    _check_budget(q ** n, budget)
-    nr = sys_.nr
-    tables = {}
-    levels = []
-    for _, size, ctx in sys_.windows:
-        if size < n and size not in tables:
-            tab = array("q")
-            for coords in product(range(q), repeat=size):
-                tab.extend(_window_esym(ctx, coords, nr))
-            tables[size] = tab
-        levels.append(partial(_window_entries, ctx, nr, tables.get(size)))
-    return _walk_zeros(sys_, levels, 0, (), [1] + [0] * nr)
+    K, nr = sys_.fam.ctx, sys_.nr
+    flags = bytearray(K.q ** nr)
+    # the walk checks its budget now and reads the flags only when iterated
+    scan = walk_G(sys_.pattern, sys_.bank, nr, flags, budget)
+    zeros = {}
+    for w in range(len(flags)):
+        e = [1] + [K.neg(c) if t % 2 else c
+                   for t, c in enumerate(_digits(w, K.q, nr), start=1)]
+        if not any(_residues(sys_, e)):
+            zeros[w] = e
+            flags[w] = 1
+    return ((x, zeros[w]) for x, _, w in scan)
 
 
 def _coincident(sys_: SymSystem, x) -> bool:

@@ -12,15 +12,15 @@ from itertools import product
 
 import pytest
 
-from factpat.correspondence import (RootVector, build_G, fiber_count,
-                                    fiber_map, is_type_lambda, layout,
-                                    verify_membership_equivalence,
-                                    window_start)
+from factpat.correspondence import (RootVector, build_G, is_type_lambda,
+                                    layout, verify_membership_equivalence,
+                                    walk_G, window_start)
 from factpat.errors import BudgetError, GaloisDescentError
 from factpat.family import new_family
 from factpat.ffield import ContextBank, ExtCtx, make_field
 from factpat.patterns import Pattern, enumerate_patterns, pattern_stats
 from factpat.poly import MonicPoly, is_squarefree, pattern_of_coeffs
+from factpat.tables import window_coeffs
 
 
 def _local_typed(x, pattern):
@@ -155,7 +155,7 @@ def test_single_window_matches_plain_orbit_product():
             g = build_G(pat, x, bank)
             ref = _orbit_product_poly(ctx, x)
             assert all(ctx.in_base(c) for c in ref)
-            assert [ctx.to_base(c) for c in ref] == g.full()
+            assert ref == g.full()
 
 
 def test_mixed_pattern_roots_annihilate_G():
@@ -197,9 +197,12 @@ def test_squarefree_fibers_carry_weight_n3():
     bank = ContextBank.shared(K)
     for pat in enumerate_patterns(3):
         w = pattern_stats(pat).weight
-        fibers, untyped = fiber_map(pat, bank)
-        typed = 5 ** 3 - untyped
-        assert sum(fibers.values()) == typed
+        fibers = {}
+        for x, t, g in walk_G(pat, bank, 3):
+            assert t == is_type_lambda(x, pat)
+            if t:
+                key = tuple(window_coeffs(5, 3, 3, g)[:-1])
+                fibers[key] = fibers.get(key, 0) + 1
         for coeffs, size in fibers.items():
             f = MonicPoly(K, coeffs)
             counts, sqf = pattern_of_coeffs(K, f.full())
@@ -215,28 +218,12 @@ def test_squarefree_fibers_carry_weight_n3():
                 assert fibers.get(tail, 0) == w
 
 
-def test_fiber_count_agrees_with_fiber_map():
-    K = make_field(5)
-    bank = ContextBank.shared(K)
-    pat = Pattern(3, (1, 1, 0))
-    fibers, _ = fiber_map(pat, bank)
-    some = sorted(fibers)[:5]
-    for coeffs in some:
-        f = MonicPoly(K, coeffs)
-        assert fiber_count(f, pat, bank) == fibers[coeffs]
-    # a polynomial of the wrong pattern has an empty fiber
-    irr = MonicPoly.irreducible(K, 3)
-    assert fiber_count(irr, pat, bank) == 0
-
-
 def test_budget_guard_on_scans():
     bank = ContextBank.shared(make_field(5))
     pat = Pattern(3, (1, 1, 0))
-    with pytest.raises(BudgetError):
-        fiber_map(pat, bank, budget=10)
-    with pytest.raises(BudgetError):
-        fiber_count(MonicPoly.irreducible(make_field(5), 3), pat, bank,
-                    budget=10)
+    for k in (1, 3):
+        with pytest.raises(BudgetError):
+            walk_G(pat, bank, k, budget=10)
 
 
 # ---------------------------------------------------------------------------

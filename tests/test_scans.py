@@ -1,20 +1,23 @@
 """Window-wise scans checked against the per-point oracles.
 
-scan_G (correspondence) and rational_zeros (variety) compute each
-window's polynomial and E values once per call and walk F_q^n window by
-window.  Oracles: build_G on a fresh bank with no Zech tables, and a
-brute-force filter of eval_R over every x with the E values of build_G.
+walk_G (correspondence) computes each window's top digits once per call
+and walks F_q^n window by window; rational_zeros (variety) is that walk
+at depth n - r, filtered by the windows where the system vanishes.
+Oracles: build_G with window_index on a fresh bank with no Zech tables,
+and a brute-force filter of eval_R over every x with the E values of
+build_G.
 The probe's per-zero verdicts are held to a Jacobian interpolated from
 eval_R along coordinate lines, to the square-freeness of build_G, and to
 root multiplicities read from each window's minimal polynomial.  Also
 here: the descent traps reached through the scans, the pinned bytes of
-four verify reports, the variety at n = 7 that once needed F_(5^12), and
+five verify reports, the variety at n = 7 that once needed F_(5^12), and
 the fail-fast on a window layer over the order limit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import warnings
 from itertools import product
 
@@ -24,14 +27,14 @@ from hypothesis import strategies as st
 
 from factpat import census, cli, correspondence, ffield
 from factpat.census import RunConfig, render_json, run_verify
-from factpat.correspondence import (build_G, fiber_map, is_type_lambda,
-                                    scan_G)
+from factpat.correspondence import build_G, is_type_lambda, walk_G
 from factpat.errors import GaloisDescentError
 from factpat.family import new_family, pattern_tally, prescribed_family
 from factpat._dense import pmul
 from factpat.ffield import ContextBank, ExtCtx, make_field, mat_rank
 from factpat.patterns import Pattern, enumerate_patterns
 from factpat.poly import is_squarefree
+from factpat.tables import window_index
 from factpat.variety import (_coincident, _double_collision, _jacobian,
                              count_points, eval_R, jacobian_probe,
                              rational_zeros, sym_system, variety_pass)
@@ -45,15 +48,22 @@ FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
 
 
 @settings(max_examples=30)
-@given(st.sampled_from(FIELDS), st.integers(1, 4))
-def test_G_scan_matches_build_G_on_a_bank_without_zech_tables(ps, n):
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.data())
+def test_G_scan_matches_build_G_on_a_bank_without_zech_tables(ps, n, data):
     K = make_field(*ps)
+    k = data.draw(st.integers(1, n), label="depth")
     oracle = ContextBank(K)             # schoolbook arithmetic throughout
     vectors = list(product(range(K.q), repeat=n))
+    bank = ContextBank.shared(K)
     for pat in enumerate_patterns(n):
-        want = [(is_type_lambda(x, pat), build_G(pat, x, oracle).full())
+        want = [(x, is_type_lambda(x, pat),
+                 window_index(K.q, build_G(pat, x, oracle).full(), k))
                 for x in vectors]
-        assert list(scan_G(pat, ContextBank.shared(K))) == want, pat.label()
+        assert list(walk_G(pat, bank, k)) == want, pat.label()
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        flags = bytearray(rng.randrange(2) for _ in range(K.q ** k))
+        assert list(walk_G(pat, bank, k, flags)) == [
+            entry for entry in want if flags[entry[2]]], pat.label()
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +261,9 @@ def _bank_with_non_base_shift():
 
 @pytest.mark.parametrize("pat", [Pattern(2, (0, 1)),       # streamed window
                                  Pattern(3, (1, 1, 0))])   # stored window
-def test_corrupted_conjugate_table_trips_fiber_map(pat):
+def test_corrupted_conjugate_table_trips_the_walk(pat):
     with pytest.raises(GaloisDescentError):
-        fiber_map(pat, _bank_with_bad_conjugates())
+        list(walk_G(pat, _bank_with_bad_conjugates(), pat.n))
 
 
 @pytest.mark.parametrize("n, pat", [(2, Pattern(2, (0, 1))),
@@ -274,7 +284,9 @@ def test_corrupted_embedding_layer_trips_point_scans(n, pat):
 # sha256 of render_json(run_verify(cfg, sections)): the first three taken
 # before the scans were rewritten window by window, the variety-only one
 # (pattern 2 3 then needed the common layer F_(5^6)) before the variety
-# dropped its common layer
+# dropped its common layer, the last (r = 0 over F_9: the variety walks
+# at depth n with odd-characteristic signs and extension-field digits)
+# before both scans became one walk
 BOTH = ("correspondence", "variety")
 PINNED_VERIFY = [
     (RunConfig(p=5, n=3, r=2, rows=((2,),), alpha=(1,)), BOTH,
@@ -285,6 +297,8 @@ PINNED_VERIFY = [
      "e3034254706abfb8a191b4cda89d4dea872cc56cd55713adb6f481dde5b9d3fb"),
     (RunConfig(p=5, n=5, r=3, rows=((1, 0),), alpha=(0,)), ("variety",),
      "0e18eb21e1fd062c32a1b59c426be2fdb0f02f25aa1916b893c1475de5705ead"),
+    (RunConfig(p=3, s=2, n=3, mode="prescribed", indices=(3,), alpha=(2,)),
+     BOTH, "47a239853adfe91b00cebca284d12af00228e844ae4475fee6aeaf57759349b9"),
 ]
 
 
@@ -302,15 +316,16 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
     # flip the typed flag of one vector under pattern 1^3: run_verify must
     # report exactly that vector
     flip = 7                                   # x = (0, 1, 2)
-    real = correspondence.scan_G
+    real = correspondence.walk_G
 
-    def lying_scan(pattern, bank, budget):
-        for k, (t, g) in enumerate(real(pattern, bank, budget)):
-            lie = k == flip and pattern.counts == (3, 0, 0)
-            yield (not t if lie else t), g
+    def lying_walk(pattern, bank, k, flags=None,
+                   budget=correspondence.SCAN_BUDGET):
+        for step, (x, t, w) in enumerate(real(pattern, bank, k, flags, budget)):
+            lie = step == flip and pattern.counts == (3, 0, 0)
+            yield x, (not t if lie else t), w
 
-    monkeypatch.setattr(correspondence, "scan_G", lying_scan)
-    monkeypatch.setattr(census, "scan_G", lying_scan)
+    monkeypatch.setattr(correspondence, "walk_G", lying_walk)
+    monkeypatch.setattr(census, "walk_G", lying_walk)
     cfg = RunConfig(p=5, n=3, r=2, rows=((1,),), alpha=(0,))
     rep = run_verify(cfg, sections=("correspondence",))
     row = rep["correspondence"][0]             # 1^3: every vector is typed
@@ -344,7 +359,7 @@ def test_variety_pass_at_n7_needs_no_common_layer():
 def test_window_layer_limit_fails_before_any_scan(monkeypatch, tmp_path):
     # at (11, 6) the window layer F_(11^6) of pattern 6 is itself over the
     # order limit: the family descriptor fails before anything is scanned
-    for name in ("census_tally", "scan_G", "sym_system", "variety_pass"):
+    for name in ("census_tally", "walk_G", "sym_system", "variety_pass"):
         monkeypatch.setattr(census, name, _refuse)
     cfg = RunConfig(p=11, n=6, r=3, rows=((1, 0, 0),), alpha=(0,))
     ini = tmp_path / "q11n6.ini"
