@@ -9,7 +9,11 @@ behind every deterministic choice in the package:
 * moduli are the lexicographically smallest monic irreducibles, comparing
   coefficient tuples highest degree first (constant term varies fastest);
 * a normal element is the first code whose Frobenius conjugates are
-  linearly independent over F_q.
+  linearly independent over F_q.  The search, in code order, skips a
+  block of codes when the smallest Frobenius-invariant subspace that
+  contains the block is proper: the block's codes and their conjugates
+  all lie in it, so none is normal, and the first normal code is never
+  skipped (ExtCtx._init_normal_basis).
 
 FieldParams and ExtCtx share one scalar protocol (add/sub/mul/neg/inv/
 pow_/of_int on codes) so the dense polynomial kernels and the matrix
@@ -503,27 +507,46 @@ class ExtCtx:
         return conv[:i]
 
     def _init_normal_basis(self):
-        i = self.i
+        """theta, the first normal code, by a depth-first search over its
+        digits, highest first, each from 0 to q-1: that is code order.
+
+        A node fixes the digits at positions pos..i-1 to those of h; its
+        codes are the block h + span(v^0, ..., v^(pos-1)).  Let W be the
+        smallest Frobenius-invariant subspace that contains h and
+        v^0, ..., v^(pos-1).  W contains every code x of the block and so
+        every conjugate of x; if dim W < i, no code of the block is
+        normal, and the search skips all q^pos of them.  Only blocks
+        without a normal code are skipped, so the first leaf accepted is
+        the first normal code.  At a leaf (pos = 0) the seed is x alone,
+        W is spanned by the conjugates x, x^q, ..., and the test is that
+        the first i of them are independent; they are conj.
+        """
+        i, q = self.i, self.q
         base = self.base
         add, sub, mul = base.add, base.sub, base.mul
         # x -> x^q is F_q-linear; frob[r] is row r of its matrix, whose
         # column j holds the digits of (v^j)^q
-        cols = [self.to_vec(self.frobenius(self.q ** j, 1)) for j in range(i)]
+        cols = [self.to_vec(self.frobenius(q ** j, 1)) for j in range(i)]
         frob = [[col[r] for col in cols] for r in range(i)]
-        for cand in range(self.order):
-            # conjugates by matrix-vector products, each reduced against
-            # the echelon rows of the earlier ones; stop at a dependent one
-            x = self.to_vec(cand)
-            conj = [x]
+        nodes = [(i, 0)]                # (pos, code of the fixed digits)
+        while nodes:
+            pos, code = nodes.pop()
+            # W from its seeds: each vector is reduced against the echelon
+            # rows of those kept; a kept one queues its image under x -> x^q
+            todo = [self.to_vec(code)] + [self.to_vec(q ** j) for j in range(pos)]
+            kept = []
             echelon = []
-            while True:
+            for x in todo:
                 v = list(x)
                 for col, row in echelon:
                     c = v[col]
                     if c:
                         v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
                 piv = next((j for j, c in enumerate(v) if c), None)
-                if piv is None or len(conj) == i:
+                if piv is None:
+                    continue
+                kept.append(x)
+                if len(kept) == i:
                     break
                 inv = base.inv(v[piv])
                 echelon.append((piv, [mul(inv, c) for c in v]))
@@ -534,12 +557,15 @@ class ExtCtx:
                         if f and c:
                             acc = add(acc, mul(f, c))
                     nxt.append(acc)
-                x = tuple(nxt)
-                conj.append(x)
-            if piv is not None:         # all i conjugates independent
-                self.theta = cand
-                self.conj = tuple(self.from_vec(r) for r in conj)
+                todo.append(tuple(nxt))
+            if len(kept) < i:           # dim W < i: no normal code here
+                continue
+            if pos == 0:
+                self.theta = code
+                self.conj = tuple(self.from_vec(r) for r in kept)
                 break
+            step = q ** (pos - 1)       # pushed from q-1 down: 0 pops first
+            nodes.extend((pos - 1, code + d * step) for d in range(q - 1, -1, -1))
         else:  # pragma: no cover - a normal basis always exists
             raise RuntimeError("no normal element found")
         self.A = tuple(tuple(self.conj[(k + h) % i] for h in range(i))

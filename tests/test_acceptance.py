@@ -10,17 +10,20 @@ that read different conclusions from the same enumeration.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
 import warnings
 from fractions import Fraction
 from itertools import combinations
 
-from factpat.census import RunConfig, render_json, run_census, run_global, run_verify
-from factpat.family import (bound_fp1, bound_fp2, bound_nonsquarefree,
-                            new_family, pattern_tally)
+from factpat.census import (RunConfig, _chunk_task, render_json, run_census,
+                            run_global, run_verify)
+from factpat.family import (MEMBER_BUDGET, bound_fp1, bound_fp2,
+                            bound_nonsquarefree, new_family, pattern_tally)
 from factpat.ffield import ContextBank, make_field
 from factpat.patterns import (Pattern, enumerate_patterns, irreducible_count,
                               pattern_stats, symmetric_group_census)
+from factpat.tables import family_tally
 from factpat.variety import count_points, jacobian_probe, sym_system
 
 _CACHE: dict = {}
@@ -59,9 +62,14 @@ def _pivot_rows(n, r, pivots):
 
 
 def _grid_families():
-    """(q, n, m, pivots) -> (family, tally) over the full bound grid."""
+    """(q, n, m, pivots) -> (family, tally) over the full bound grid.
+
+    Each tally is pattern_tally's, the oracle's, over chunks of members by
+    leading free coefficient on a 2-worker pool (census._chunk_task),
+    merged by addition as census_tally merges them.  Meanwhile the table
+    route, tables.family_tally, tallies each family: it must agree."""
     if "grid" not in _CACHE:
-        out = {}
+        families = {}
         for q in BOUND_GRID_Q:
             field = _field(q)
             for n in BOUND_GRID_N:
@@ -71,7 +79,23 @@ def _grid_families():
                                          _pivot_rows(n, 3, pivots),
                                          [0] * m)
                         assert fam.pivots == pivots
-                        out[(q, n, m, pivots)] = (fam, pattern_tally(fam))
+                        families[(q, n, m, pivots)] = fam
+        tasks = [(fam, first, MEMBER_BUDGET)
+                 for fam in families.values() for first in range(fam.q)]
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            pending = pool.map_async(_chunk_task, tasks, chunksize=1)
+            tables = {key: family_tally(fam) for key, fam in families.items()}
+            parts = iter(pending.get())
+        out = {}
+        for key, fam in families.items():
+            tally: dict[tuple, list] = {}
+            for _ in range(fam.q):
+                for pat, (cnt, sq) in next(parts).items():
+                    slot = tally.setdefault(pat, [0, 0])
+                    slot[0] += cnt
+                    slot[1] += sq
+            assert tally == tables[key], key
+            out[key] = (fam, tally)
         _CACHE["grid"] = out
     return _CACHE["grid"]
 

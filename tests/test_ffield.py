@@ -10,6 +10,7 @@ reference paths that cannot share a bug with them.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -276,8 +277,10 @@ def test_theta_is_first_normal_element_in_code_order():
 def test_normal_element_search_matches_power_conjugates():
     # the reference takes every conjugate with pow_ and the rank of all of
     # them at once; the search must pick the same theta and conjugates
+    # the last five have theta far from 0, so the search skips blocks
     for p, s, i in ((5, 1, 4), (3, 1, 4), (7, 1, 3), (2, 2, 3), (2, 3, 3),
-                    (3, 2, 2)):
+                    (3, 2, 2), (2, 3, 4), (3, 1, 6), (5, 1, 5), (3, 1, 8),
+                    (2, 2, 6)):
         base = make_field(p, s)
         ctx = ExtCtx(base, i)
         q = base.q
@@ -286,6 +289,30 @@ def test_normal_element_search_matches_power_conjugates():
             if mat_rank(base, [ctx.to_vec(c) for c in conj]) == i:
                 break
         assert (ctx.theta, ctx.conj) == (cand, tuple(conj)), (p, s, i)
+
+
+def test_theta_on_kummer_layers_is_the_all_ones_code():
+    # i | q - 1 makes the modulus a binomial v^i + c; then Frobenius maps
+    # v^j to zeta^j v^j with zeta of order i, so a code is normal iff no
+    # digit is 0, and the first such code has every digit 1
+    fields = [make_field(p, s) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+              for s in range(1, 6) if p ** s <= 32]
+    layers = [(base, i) for base in fields for i in range(2, base.q)
+              if (base.q - 1) % i == 0 and base.q ** i <= 1 << 20]
+    assert {(base.q, i) for base, i in layers} >= {(7, 6), (11, 5)}
+    for base, i in layers:
+        q = base.q
+        t0 = time.perf_counter()
+        ctx = ExtCtx(base, i)
+        built = time.perf_counter() - t0
+        assert ctx.modulus[1:] == (0,) * (i - 1) and ctx.modulus[0], (q, i)
+        zeta, rest = divmod(ctx.frobenius(q), q)    # v -> zeta v
+        assert rest == 0 and zeta < q, (q, i)
+        assert [base.pow_(zeta, k) == 1 for k in range(1, i + 1)] == \
+            [False] * (i - 1) + [True], (q, i)
+        assert ctx.theta == (q ** i - 1) // (q - 1), (q, i)
+        if (q, i) in ((7, 6), (11, 5)):
+            assert built < 0.25, (q, i, built)
 
 
 def test_frobenius_properties_in_extension():
