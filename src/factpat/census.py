@@ -55,6 +55,7 @@ from __future__ import annotations
 import configparser
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,6 +123,8 @@ def parse_config(path) -> RunConfig:
             cfg.budget_members = b
             cfg.budget_scan = b
         cfg.workers = int(run.get("workers", "1"))
+        if cfg.workers < 1:
+            raise ValueError("workers must be >= 1")
         cfg.fmt = run.get("format", "json").strip()
         if cfg.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {cfg.fmt!r}")
@@ -158,10 +161,7 @@ def family_descriptor(fam: LinearFamily, bank=None) -> dict:
         theta[str(i)] = ctx.theta
         moduli[str(i)] = list(ctx.modulus)
     return {
-        "p": fam.ctx.p,
-        "s": fam.ctx.s,
-        "q": fam.q,
-        "base_modulus": list(fam.ctx.modulus) if fam.ctx.modulus else None,
+        **_field_header(fam.ctx),
         "n": fam.n,
         "m": fam.m,
         "r": fam.r,
@@ -180,6 +180,43 @@ def family_descriptor(fam: LinearFamily, bank=None) -> dict:
         "theta": theta,
         "ext_moduli": moduli,
     }
+
+
+def _field_header(field: FieldParams) -> dict:
+    return {"p": field.p, "s": field.s, "q": field.q,
+            "base_modulus": list(field.modulus) if field.modulus else None}
+
+
+def _count_row(pat, tally, size):
+    """(row, deviation): a pattern's count cells against its limiting
+    proportion of size, and the deviation as a Fraction."""
+    cnt, sq = tally.get(pat.counts, (0, 0))
+    expected = pattern_stats(pat).proportion * size
+    dev = abs(Fraction(cnt) - expected)
+    return {"lambda": pat.label(), "count": cnt, "sq": sq, "nsq": cnt - sq,
+            "expected": _frac_str(expected), "deviation": _frac_str(dev)}, dev
+
+
+def _bound_cells(fam, pat, dev=None) -> dict:
+    """The fp1 and fp2 cells of a pattern's row; given the deviation (a
+    census), each also carries its verdict, None where it does not apply."""
+    cells = {}
+    for tag, b in (("fp1", bound_fp1(fam, pat)), ("fp2", bound_fp2(fam, pat))):
+        cell = {"applicable": b.applicable, "reason": b.reason,
+                "value": b.value_str()}
+        if dev is not None:
+            cell["pass"] = b.allows(dev) if b.applicable else None
+        cells[tag] = cell
+    return cells
+
+
+def _int_or_frac(v):
+    return v if isinstance(v, int) else _frac_str(v)
+
+
+def _reference_ci(fam) -> dict:
+    ref = bound_reference_ci(fam.n, fam.m, fam.pivots)
+    return {"sqrt_coeff": ref.sqrt_coeff, "plain_coeff": ref.plain_coeff}
 
 
 # -- member tally -----------------------------------------------------------
@@ -206,8 +243,10 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
     Families of small codimension (q^n <= TABLE_RATIO * |A|) with no more
     windows than members (q^(n-r) <= |A|) are read off the pattern table;
     the others run the kernel member by member, chunked by the leading
-    free coefficient when workers > 1.  Merge order is fixed, so the
-    result is independent of the path and of the worker count."""
+    free coefficient when workers > 1, in a pool of at most as many
+    processes as chunks and as CPUs this process may run on.  Merge
+    order is fixed, so the result is independent of the path and of the
+    worker count."""
     if fam.size > budget:
         raise BudgetError(f"family size {fam.size} exceeds budget {budget}")
     q, size = fam.q, fam.size
@@ -216,7 +255,8 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
     if workers <= 1 or fam.n - fam.m == 0:
         return pattern_tally(fam, budget=budget)
     chunks = list(range(fam.q))
-    with multiprocessing.Pool(min(workers, len(chunks))) as pool:
+    size = min(workers, len(chunks), len(os.sched_getaffinity(0)))
+    with multiprocessing.Pool(size) as pool:
         parts = pool.map(_chunk_task, [(fam, c, budget) for c in chunks])
     merged: dict[tuple, list] = {}
     for part in parts:
@@ -239,39 +279,19 @@ def run_census(cfg: RunConfig) -> dict:
     descriptor = family_descriptor(fam)
     tally = census_tally(fam, cfg.budget_members, cfg.workers)
     rows = []
-    bounds_pass = True
-    total = sq_total = 0
     for pat in enumerate_patterns(fam.n):
-        stats = pattern_stats(pat)
-        cnt, sq = tally.get(pat.counts, (0, 0))
-        expected = stats.proportion * fam.size
-        dev = abs(Fraction(cnt) - expected)
-        b1 = bound_fp1(fam, pat)
-        b2 = bound_fp2(fam, pat)
-        p1 = b1.allows(dev) if b1.applicable else None
-        p2 = b2.allows(dev) if b2.applicable else None
-        if p1 is False or p2 is False:
-            bounds_pass = False
-        rows.append({
-            "lambda": pat.label(),
-            "count": cnt,
-            "sq": sq,
-            "nsq": cnt - sq,
-            "expected": _frac_str(expected),
-            "deviation": _frac_str(dev),
-            "fp1": {"applicable": b1.applicable, "reason": b1.reason,
-                    "value": b1.value_str(), "pass": p1},
-            "fp2": {"applicable": b2.applicable, "reason": b2.reason,
-                    "value": b2.value_str(), "pass": p2},
-        })
-        total += cnt
-        sq_total += sq
+        row, dev = _count_row(pat, tally, fam.size)
+        row.update(_bound_cells(fam, pat, dev))
+        rows.append(row)
+    bounds_pass = all(row[b]["pass"] is not False
+                      for row in rows for b in ("fp1", "fp2"))
+    total = sum(row["count"] for row in rows)
+    sq_total = sum(row["sq"] for row in rows)
     nsq_total = total - sq_total
     sum_ok = total == fam.size
     discr_applicable = fam.q > fam.n
     discr_value = bound_nonsquarefree(fam)
     discr_pass = (nsq_total <= discr_value) if discr_applicable else None
-    ref = bound_reference_ci(fam.n, fam.m, fam.pivots)
     overall = bounds_pass and sum_ok and discr_pass is not False
     return {
         "mode": "census",
@@ -284,12 +304,10 @@ def run_census(cfg: RunConfig) -> dict:
             "nsq": nsq_total,
             "family_size": fam.size,
             "discr": {"applicable": discr_applicable,
-                      "value": discr_value if isinstance(discr_value, int)
-                      else _frac_str(discr_value),
+                      "value": _int_or_frac(discr_value),
                       "pass": discr_pass},
         },
-        "reference_ci": {"sqrt_coeff": ref.sqrt_coeff,
-                         "plain_coeff": ref.plain_coeff},
+        "reference_ci": _reference_ci(fam),
         "checks": {"sum_matches_family_size": sum_ok},
         "overall_pass": overall,
     }
@@ -318,26 +336,11 @@ def run_global(cfg: RunConfig) -> dict:
     q = field.q
     size = q ** n
     tally = tally_windows(n, _global_table(field, n, 0, cfg.budget_members), [0])
-    rows = []
-    total = sq_total = 0
-    irr_count = 0
-    for pat in enumerate_patterns(n):
-        stats = pattern_stats(pat)
-        cnt, sq = tally.get(pat.counts, (0, 0))
-        expected = stats.proportion * size
-        dev = abs(Fraction(cnt) - expected)
-        rows.append({
-            "lambda": pat.label(),
-            "count": cnt,
-            "sq": sq,
-            "nsq": cnt - sq,
-            "expected": _frac_str(expected),
-            "deviation": _frac_str(dev),
-        })
-        total += cnt
-        sq_total += sq
-        if pat.counts[-1] == 1:
-            irr_count = cnt
+    rows = [_count_row(pat, tally, size)[0] for pat in enumerate_patterns(n)]
+    total = sum(row["count"] for row in rows)
+    sq_total = sum(row["sq"] for row in rows)
+    # enumerate_patterns ends with the irreducible pattern
+    irr_count = rows[-1]["count"]
     necklace = irreducible_count(q, n)
     sq_expected = size - size // q
     checks = {
@@ -348,8 +351,7 @@ def run_global(cfg: RunConfig) -> dict:
     return {
         "mode": "global",
         "engine": ENGINE_TAG,
-        "field": {"p": field.p, "s": field.s, "q": q,
-                  "base_modulus": list(field.modulus) if field.modulus else None},
+        "field": _field_header(field),
         "n": n,
         "rows": rows,
         "totals": {"count": total, "sq": sq_total, "nsq": total - sq_total,
@@ -364,29 +366,16 @@ def run_bounds(cfg: RunConfig) -> dict:
     """Bound values and applicability per pattern, with no enumeration."""
     field = build_field(cfg)
     fam = build_family(cfg, field)
-    rows = []
-    for pat in enumerate_patterns(fam.n):
-        b1 = bound_fp1(fam, pat)
-        b2 = bound_fp2(fam, pat)
-        rows.append({
-            "lambda": pat.label(),
-            "fp1": {"applicable": b1.applicable, "reason": b1.reason,
-                    "value": b1.value_str()},
-            "fp2": {"applicable": b2.applicable, "reason": b2.reason,
-                    "value": b2.value_str()},
-        })
-    discr_value = bound_nonsquarefree(fam)
-    ref = bound_reference_ci(fam.n, fam.m, fam.pivots)
+    rows = [{"lambda": pat.label(), **_bound_cells(fam, pat)}
+            for pat in enumerate_patterns(fam.n)]
     return {
         "mode": "bounds",
         "engine": ENGINE_TAG,
         "family": family_descriptor(fam),
         "rows": rows,
         "discr": {"applicable": fam.q > fam.n,
-                  "value": discr_value if isinstance(discr_value, int)
-                  else _frac_str(discr_value)},
-        "reference_ci": {"sqrt_coeff": ref.sqrt_coeff,
-                         "plain_coeff": ref.plain_coeff},
+                  "value": _int_or_frac(bound_nonsquarefree(fam))},
+        "reference_ci": _reference_ci(fam),
         "overall_pass": True,
     }
 

@@ -50,6 +50,8 @@ def _load_config(args) -> census.RunConfig:
         cfg.fmt = args.format
     if args.workers is not None:
         cfg.workers = args.workers
+    if cfg.workers < 1:
+        raise ValueError("workers must be >= 1")
     if args.budget is not None:
         cfg.budget_members = args.budget
         cfg.budget_scan = args.budget

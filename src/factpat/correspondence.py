@@ -133,10 +133,10 @@ def _absorb(K, e, ys):
     return e
 
 
-def _window_esym(ctx, coords, upto):
-    """E_0..E_upto of one window's Galois orbit, formed in its layer
-    F_(q^i) and checked to descend to F_q."""
-    e = _absorb(ctx, [1] + [0] * upto, _orbit(ctx, ctx.A, coords))
+def _window_esym(ctx, orbit, upto):
+    """E_0..E_upto of one window's Galois orbit (see _orbit), formed in
+    its layer F_(q^i) and checked to descend to F_q."""
+    e = _absorb(ctx, [1] + [0] * upto, orbit)
     for t in range(1, upto + 1):
         if e[t] >= ctx.q:
             raise GaloisDescentError(
@@ -183,13 +183,17 @@ def _window_entries(ctx, k):
     """(coordinates, (typed, digits)) for every coordinate vector of the
     layer F_(q^i) in product order.  The digits are the top
     c_(i-1), ..., c_(i-d) of the window polynomial, d = min(i, k): the
-    signed E values (-1)^t E_t of the orbit."""
+    signed E values (-1)^t E_t of the orbit.  Typed is read from the
+    orbit: conj is a basis, so the conjugates are distinct exactly when
+    the cyclic shifts of the coordinates are (_full_shifts)."""
     ctx.ensure_fast()
     neg = ctx.base.neg
-    d = min(ctx.i, k)
-    for coords in product(range(ctx.q), repeat=ctx.i):
-        e = _window_esym(ctx, coords, d)
-        yield coords, (_full_shifts(coords), tuple(
+    i = ctx.i
+    d = min(i, k)
+    for coords in product(range(ctx.q), repeat=i):
+        orbit = _orbit(ctx, ctx.A, coords)
+        e = _window_esym(ctx, orbit, d)
+        yield coords, (len(set(orbit)) == i, tuple(
             [neg(e[t]) if t % 2 else e[t] for t in range(1, d + 1)]))
 
 

@@ -17,33 +17,27 @@ behind every deterministic choice in the package:
 
 FieldParams and ExtCtx share one scalar protocol (add/sub/mul/neg/inv/
 pow_/of_int on codes) so the dense polynomial kernels and the matrix
-helpers below work over either layer.  Extension layers optionally carry
-discrete-log tables, built lazily (ensure_fast), which turn their
-arithmetic into table lookups for exhaustive scans; no layer is over
-ORDER_LIMIT, so every layer can have them.
+helpers below work over either layer.  Both layers are a base field
+extended by a monic modulus, so they share one digit arithmetic
+(_Digits): the codec, digit-by-digit add and neg, the multiply by
+reduction rows and square-and-multiply.  What stays per layer is the
+fast path in front of it.  Prime fields and base layers of order up to
+_TABLE_MAX_PRIME and _TABLE_MAX_EXT carry flat add/mul tables; extension
+layers optionally carry discrete-log (Zech) tables, built lazily
+(ensure_fast), which turn their arithmetic into table lookups for
+exhaustive scans; no layer is over ORDER_LIMIT, so every layer can have
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from ._dense import (padd, peval, pgcd, pmod, pmul, ppowmod,
-                     pscale, psub, trim)
+from ._dense import padd, peval, pgcd, pmod, pmul, ppowmod, pscale, psub
 
 ORDER_LIMIT = 1 << 20     # largest layer order the constructors accept
 _TABLE_MAX_PRIME = 1024   # op-table cutoffs for base layers
 _TABLE_MAX_EXT = 128
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -60,7 +54,125 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class FieldParams:
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
+def _to_vec(code, radix, width):
+    """The width little-endian base-radix digits of code: the one codec
+    of the package, for layer elements, windows and candidate moduli."""
+    digits = []
+    for _ in range(width):
+        code, d = divmod(code, radix)
+        digits.append(d)
+    return tuple(digits)
+
+
+def _from_vec(digits, radix):
+    code = 0
+    for d in reversed(digits):
+        code = code * radix + d
+    return code
+
+
+class _Digits:
+    """Polynomial-basis arithmetic of a layer F[v]/(h), shared by both
+    layers of the tower: the scalar protocol without tables.  F is
+    self._coef with self._radix elements, a code holds self._width digits
+    over F, h is monic with non-leading coefficients self.modulus, and
+    self._red holds its reduction rows.  Each layer puts its own fast
+    path in front of add, neg, mul and pow_."""
+
+    def to_vec(self, a):
+        return _to_vec(a, self._radix, self._width)
+
+    def from_vec(self, digits):
+        return _from_vec(digits, self._radix)
+
+    def add(self, a, b):
+        r = self._radix
+        badd = self._coef.add
+        out = 0
+        mult = 1
+        for _ in range(self._width):
+            out += badd(a % r, b % r) * mult
+            a //= r
+            b //= r
+            mult *= r
+        return out
+
+    def neg(self, a):
+        if self._coef.p == 2:
+            return a
+        r = self._radix
+        bneg = self._coef.neg
+        out = 0
+        mult = 1
+        for _ in range(self._width):
+            out += bneg(a % r) * mult
+            a //= r
+            mult *= r
+        return out
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self.from_vec(self._mul_digits(self.to_vec(a), self.to_vec(b)))
+
+    def pow_(self, a, e):
+        if e < 0:
+            return self.pow_(self.inv(a), -e)
+        if a == 0:
+            return 0 if e else 1
+        e %= self._radix ** self._width - 1
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return result
+
+    def _reduction_rows(self):
+        # rows[t] = digit vector of v^(i+t), t = 0 .. i-2
+        base = self._coef
+        rows = []
+        cur = [base.neg(c) for c in self.modulus]
+        for _ in range(self._width - 1):
+            rows.append(tuple(cur))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [base.add(cj, base.mul(top, rj))
+                       for cj, rj in zip(cur, rows[0])]
+        return tuple(rows)
+
+    def _mul_digits(self, xd, yd):
+        base = self._coef
+        badd, bmul = base.add, base.mul
+        i = self._width
+        conv = [0] * (2 * i - 1)
+        for a, xa in enumerate(xd):
+            if xa == 0:
+                continue
+            for b, yb in enumerate(yd):
+                if yb:
+                    conv[a + b] = badd(conv[a + b], bmul(xa, yb))
+        for t in range(2 * i - 2, i - 1, -1):
+            c = conv[t]
+            if c:
+                row = self._red[t - i]
+                for j in range(i):
+                    if row[j]:
+                        conv[j] = badd(conv[j], bmul(c, row[j]))
+        return conv[:i]
+
+
+class FieldParams(_Digits):
     """The base layer F_q = F_p[u]/(g), elements as integer codes.
 
     For s == 1 the modulus is None and codes are residues mod p.  For
@@ -74,31 +186,17 @@ class FieldParams:
         self.s = s
         self.q = p ** s
         self.modulus = None if modulus is None else tuple(modulus)
+        self._radix, self._width = p, s
+        self._coef = self._red = None
         if s > 1:
             if self.modulus is None or len(self.modulus) != s:
                 raise ValueError("degree-s modulus required when s > 1")
-            self._prime = prime_ctx if prime_ctx is not None else FieldParams(p, 1)
-        else:
-            self._prime = None
+            self._coef = prime_ctx if prime_ctx is not None else FieldParams(p, 1)
+            self._red = self._reduction_rows()
         self._addt = self._mult = self._negt = self._invt = None
         limit = _TABLE_MAX_PRIME if s == 1 else _TABLE_MAX_EXT
         if self.q <= limit:
             self._build_tables()
-
-    # -- representation ------------------------------------------------
-
-    def to_vec(self, a):
-        digits = []
-        for _ in range(self.s):
-            digits.append(a % self.p)
-            a //= self.p
-        return tuple(digits)
-
-    def from_vec(self, digits):
-        a = 0
-        for d in reversed(digits):
-            a = a * self.p + d
-        return a
 
     def elements(self):
         return range(self.q)
@@ -111,7 +209,7 @@ class FieldParams:
             return t[a * self.q + b]
         if self.s == 1:
             return (a + b) % self.p
-        return self._vec_add(a, b)
+        return super().add(a, b)
 
     def neg(self, a):
         t = self._negt
@@ -119,11 +217,7 @@ class FieldParams:
             return t[a]
         if self.s == 1:
             return (-a) % self.p
-        K = self._prime
-        return self.from_vec([K.neg(d) for d in self.to_vec(a)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return super().neg(a)
 
     def mul(self, a, b):
         t = self._mult
@@ -131,7 +225,7 @@ class FieldParams:
             return t[a * self.q + b]
         if self.s == 1:
             return (a * b) % self.p
-        return self._vec_mul(a, b)
+        return super().mul(a, b)
 
     def inv(self, a):
         if a == 0:
@@ -140,21 +234,6 @@ class FieldParams:
         if t is not None:
             return t[a]
         return self.pow_(a, self.q - 2)
-
-    def pow_(self, a, e):
-        if e < 0:
-            return self.pow_(self.inv(a), -e)
-        if a == 0:
-            return 0 if e else 1
-        e %= self.q - 1
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
 
     def of_int(self, k):
         return k % self.p
@@ -165,36 +244,21 @@ class FieldParams:
 
     # -- internals -----------------------------------------------------
 
-    def _vec_add(self, a, b):
-        K = self._prime
-        return self.from_vec([K.add(x, y)
-                              for x, y in zip(self.to_vec(a), self.to_vec(b))])
-
-    def _vec_mul(self, a, b):
-        K = self._prime
-        prod = pmul(K, trim(list(self.to_vec(a))), trim(list(self.to_vec(b))))
-        full = list(self.modulus) + [1]
-        red = pmod(K, prod, full)
-        return self.from_vec(red + [0] * (self.s - len(red)))
-
     def _build_tables(self):
         q = self.q
+        r = range(q)
         if self.s == 1:
             p = self.p
-            self._addt = [(a + b) % p for a in range(q) for b in range(q)]
-            self._mult = [(a * b) % p for a in range(q) for b in range(q)]
-            self._negt = [(-a) % p for a in range(q)]
+            self._addt = [(a + b) % p for a in r for b in r]
+            self._mult = [(a * b) % p for a in r for b in r]
+            self._negt = [(-a) % p for a in r]
         else:
-            self._addt = [self._vec_add(a, b) for a in range(q) for b in range(q)]
-            self._mult = [self._vec_mul(a, b) for a in range(q) for b in range(q)]
-            K = self._prime
-            self._negt = [self.from_vec([K.neg(d) for d in self.to_vec(a)])
-                          for a in range(q)]
-        invt = [0] * q
-        for a in range(1, q):
-            row = self._mult[a * q:(a + 1) * q]
-            invt[a] = row.index(1)
-        self._invt = invt
+            # the untabled paths, as each table is None while it is built
+            self._addt = [self.add(a, b) for a in r for b in r]
+            self._mult = [self.mul(a, b) for a in r for b in r]
+            self._negt = [self.neg(a) for a in r]
+        self._invt = [0] + [self._mult[a * q:(a + 1) * q].index(1)
+                            for a in range(1, q)]
 
     def __eq__(self, other):
         return (isinstance(other, FieldParams)
@@ -265,12 +329,7 @@ def find_irreducible(field: FieldParams, d: int) -> tuple:
         raise ValueError("degree must be >= 1")
     q = field.q
     for code in range(q ** d):
-        digits = []
-        c = code
-        for _ in range(d):
-            digits.append(c % q)
-            c //= q
-        full = digits + [1]
+        full = [*_to_vec(code, q, d), 1]
         if _is_irreducible(field, full, q):
             return tuple(full)
     raise RuntimeError("no irreducible found")  # unreachable
@@ -330,7 +389,7 @@ def check_order(q: int, i: int) -> None:
         raise ValueError(f"extension order {q}^{i} exceeds the {ORDER_LIMIT} limit")
 
 
-class ExtCtx:
+class ExtCtx(_Digits):
     """Extension layer F_(q^i) = F_q[v]/(h) with normal-basis data.
 
     theta is the first code whose Frobenius conjugates form an F_q-basis;
@@ -353,25 +412,10 @@ class ExtCtx:
         self.modulus = tuple(modulus)
         if len(self.modulus) != i:
             raise ValueError("modulus degree must equal the extension degree")
+        self._coef, self._radix, self._width = base, base.q, i
         self._red = self._reduction_rows()
-        self._exp = self._log = self._zech = None
-        self._qpow = None
+        self._exp = self._log = self._zech = self._qpow = None
         self._init_normal_basis()
-
-    # -- representation ------------------------------------------------
-
-    def to_vec(self, x):
-        digits = []
-        for _ in range(self.i):
-            digits.append(x % self.q)
-            x //= self.q
-        return tuple(digits)
-
-    def from_vec(self, digits):
-        x = 0
-        for d in reversed(digits):
-            x = x * self.q + d
-        return x
 
     def elements(self):
         return range(self.order)
@@ -396,32 +440,7 @@ class ExtCtx:
             lx = log[x]
             z = self._zech[(log[y] - lx) % (self.order - 1)]
             return 0 if z < 0 else exp[(lx + z) % (self.order - 1)]
-        q = self.q
-        out = 0
-        mult = 1
-        badd = self.base.add
-        for _ in range(self.i):
-            out += badd(x % q, y % q) * mult
-            x //= q
-            y //= q
-            mult *= q
-        return out
-
-    def neg(self, x):
-        if self.base.p == 2:
-            return x
-        q = self.q
-        out = 0
-        mult = 1
-        bneg = self.base.neg
-        for _ in range(self.i):
-            out += bneg(x % q) * mult
-            x //= q
-            mult *= q
-        return out
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        return super().add(x, y)
 
     def mul(self, x, y):
         exp = self._exp
@@ -430,9 +449,7 @@ class ExtCtx:
                 return 0
             log = self._log
             return exp[(log[x] + log[y]) % (self.order - 1)]
-        if x == 0 or y == 0:
-            return 0
-        return self.from_vec(self._mul_digits(self.to_vec(x), self.to_vec(y)))
+        return super().mul(x, y)
 
     def inv(self, x):
         if x == 0:
@@ -443,22 +460,9 @@ class ExtCtx:
         return self.pow_(x, self.order - 2)
 
     def pow_(self, x, e):
-        if e < 0:
-            return self.pow_(self.inv(x), -e)
-        if x == 0:
-            return 0 if e else 1
-        M = self.order - 1
-        e %= M
-        if self._exp is not None:
-            return self._exp[(self._log[x] * e) % M]
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            e >>= 1
-            if e:
-                x = self.mul(x, x)
-        return result
+        if self._exp is None or x == 0:
+            return super().pow_(x, e)
+        return self._exp[(self._log[x] * e) % (self.order - 1)]
 
     def frobenius(self, x, k=1):
         """The k-th power of the relative Frobenius x -> x^q."""
@@ -471,40 +475,6 @@ class ExtCtx:
         return self.pow_(x, self.q ** k)
 
     # -- internals -----------------------------------------------------
-
-    def _reduction_rows(self):
-        # rows[t] = digit vector of v^(i+t), t = 0 .. i-2
-        base = self.base
-        rows = []
-        cur = [base.neg(c) for c in self.modulus]
-        for _ in range(self.i - 1):
-            rows.append(tuple(cur))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [base.add(cj, base.mul(top, rj))
-                       for cj, rj in zip(cur, rows[0])]
-        return tuple(rows)
-
-    def _mul_digits(self, xd, yd):
-        base = self.base
-        badd, bmul = base.add, base.mul
-        i = self.i
-        conv = [0] * (2 * i - 1)
-        for a, xa in enumerate(xd):
-            if xa == 0:
-                continue
-            for b, yb in enumerate(yd):
-                if yb:
-                    conv[a + b] = badd(conv[a + b], bmul(xa, yb))
-        for t in range(2 * i - 2, i - 1, -1):
-            c = conv[t]
-            if c:
-                row = self._red[t - i]
-                for j in range(i):
-                    if row[j]:
-                        conv[j] = badd(conv[j], bmul(c, row[j]))
-        return conv[:i]
 
     def _init_normal_basis(self):
         """theta, the first normal code, by a depth-first search over its

@@ -38,6 +38,7 @@ from array import array
 from itertools import compress
 from operator import mul
 
+from .ffield import _to_vec
 from .patterns import enumerate_patterns
 
 
@@ -57,14 +58,6 @@ def window_coeffs(q, n, k, w):
     for t in range(1, k + 1):
         w, full[n - t] = divmod(w, q)
     return full
-
-
-def _digits(w, q, length):
-    out = []
-    for _ in range(length):
-        w, c = divmod(w, q)
-        out.append(c)
-    return tuple(out)
 
 
 def _multiplier(K, k):
@@ -128,7 +121,7 @@ def _composites(K, n, k, hist, slot_of, width):
     plan, times, place = _multiplier(K, k)
     unit = [(n + 1) ** (d - 1) for d in range(n + 1)]
     # every factor window has an index below q^min(k, n-1)
-    digits = [_digits(w, q, k) for w in range(q ** min(k, n - 1))]
+    digits = [_to_vec(w, q, k) for w in range(q ** min(k, n - 1))]
     # a factor that another can follow has degree at most n/2; irreducibles
     # sharing a window are interchangeable, so list the window once per
     # irreducible

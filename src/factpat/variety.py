@@ -37,10 +37,9 @@ from .correspondence import (SCAN_BUDGET, _absorb, _orbit, _window_esym,
                              layout, walk_G)
 from .errors import CountingIdentityError
 from .family import LinearFamily, pattern_tally
-from .ffield import mat_rank
+from .ffield import _to_vec, mat_rank
 from .patterns import Pattern, pattern_stats
 from .poly import MonicPoly, squarefree_decompose
-from .tables import _digits
 
 # how many violating vectors the Jacobian probe records by default
 MAX_RECORDED = 10
@@ -85,7 +84,8 @@ def _esym(sys_: SymSystem, x, upto):
     K = sys_.fam.ctx
     e = [1]
     for start, size, ctx in sys_.windows:
-        e = pmul(K, e, _window_esym(ctx, x[start:start + size], upto))[:upto + 1]
+        orbit = _orbit(ctx, ctx.A, x[start:start + size])
+        e = pmul(K, e, _window_esym(ctx, orbit, upto))[:upto + 1]
     return e
 
 
@@ -139,7 +139,7 @@ def rational_zeros(sys_: SymSystem, budget: int = SCAN_BUDGET):
     zeros = {}
     for w in range(len(flags)):
         e = [1] + [K.neg(c) if t % 2 else c
-                   for t, c in enumerate(_digits(w, K.q, nr), start=1)]
+                   for t, c in enumerate(_to_vec(w, K.q, nr), start=1)]
         if not any(_residues(sys_, e)):
             zeros[w] = e
             flags[w] = 1

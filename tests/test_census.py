@@ -12,11 +12,13 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import factpat
+from factpat import census, cli
 from factpat.census import (CENSUS_CSV_HEADER, RunConfig, build_family,
                             build_field, census_tally, emit_report,
                             family_descriptor, parse_config, render_csv,
@@ -110,6 +112,10 @@ def test_parse_config_errors(tmp_path):
     bad.write_text("[family]\nn = 4\n")
     with pytest.raises(ValueError):
         parse_config(bad)
+    for workers in (0, -3):
+        bad.write_text(CONFIG_TEXT.replace("workers = 1", f"workers = {workers}"))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            parse_config(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +166,42 @@ def test_census_tally_parallel_merge_matches_serial():
     serial = census_tally(fam, workers=1)
     parallel = census_tally(fam, workers=2)
     assert serial == parallel == pattern_tally(fam)
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the size it is asked
+    for and maps in this process, so no process starts."""
+
+    def __init__(self, sizes, size):
+        sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("p,n,r,rows,cpus,want", [
+    # one chunk per field element: 1021 chunks, 4 CPUs
+    (1021, 2, 1, ((1,),), 4, 4),
+    # 13 chunks, 64 CPUs
+    (13, 4, 2, ((1, 0), (0, 1)), 64, 13),
+])
+def test_census_tally_pool_is_capped_by_chunks_and_cpus(
+        monkeypatch, p, n, r, rows, cpus, want):
+    cfg = _demo_cfg(p=p, n=n, r=r, rows=rows, alpha=(0,) * len(rows))
+    fam = build_family(cfg, build_field(cfg))
+    sizes = []
+    monkeypatch.setattr(census.multiprocessing, "Pool",
+                        partial(_RecordingPool, sizes))
+    monkeypatch.setattr(census.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    assert census_tally(fam, workers=2000) == pattern_tally(fam)
+    assert sizes == [want]
 
 
 def test_reports_are_byte_identical_between_runs():
@@ -315,6 +357,15 @@ def test_cli_error_paths(tmp_path):
     proc3 = _run_cli(["census", "--config", str(bad.with_name("x.ini")),
                       "--budget", "1"], tmp_path)
     assert proc3.returncode == 2, proc3.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
+    cfgfile = tmp_path / "demo.ini"
+    cfgfile.write_text(CONFIG_TEXT)
+    assert cli.main(["census", "--config", str(cfgfile),
+                     "--workers", workers]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_budget_override_triggers_guard(tmp_path):

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from factpat._dense import pmod, pmul, trim
 from factpat.ffield import (ContextBank, Embedding, ExtCtx, FieldParams,
                             find_irreducible, make_field, mat_nullspace,
                             mat_rank)
@@ -90,7 +91,8 @@ def test_modulus_is_minimal_in_code_order():
             assert has_root, f"smaller irreducible {digits} missed for ({p},{s})"
 
 
-@pytest.mark.parametrize("p,s", [(5, 1), (3, 2), (2, 3), (5, 2)])
+# (3, 5) and (2, 8) are over _TABLE_MAX_EXT: no flat tables
+@pytest.mark.parametrize("p,s", [(5, 1), (3, 2), (2, 3), (5, 2), (3, 5), (2, 8)])
 def test_field_axioms_sampled(p, s):
     field = make_field(p, s)
     q = field.q
@@ -107,6 +109,27 @@ def test_field_axioms_sampled(p, s):
         assert field.sub(a, b) == field.add(a, field.neg(b))
         if a:
             assert field.mul(a, field.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,s,tabled", [(2, 3, True), (3, 5, False),
+                                         (2, 3, False)])
+def test_base_mul_is_polynomial_product_mod_g(p, s, tabled):
+    # An independent route for the multiply: the product of the digit
+    # vectors over F_p, reduced mod g by polynomial division.
+    field = make_field(p, s)
+    if not tabled:
+        field._addt = field._mult = field._negt = field._invt = None
+    assert (field._mult is not None) == tabled
+    prime = make_field(p)
+    g = list(field.modulus) + [1]
+    q = field.q
+    rng = random.Random(f"{SAMPLE_SEED}/mul/{p}/{s}")
+    pairs = ([(a, b) for a in range(q) for b in range(q)] if q <= 64
+             else _sample_pairs(rng, q, 2000))
+    for a, b in pairs:
+        prod = pmul(prime, trim(list(field.to_vec(a))),
+                    trim(list(field.to_vec(b))))
+        assert field.mul(a, b) == field.from_vec(pmod(prime, prod, g))
 
 
 def test_inverse_of_zero_raises():
