@@ -32,7 +32,10 @@ tables.py) multiplies irreducibles and bins the products by their top
 window; run_global reads it at depth 0, run_verify at depth n for its
 per-polynomial lookups (depth 0 when only the variety section runs), and
 census_tally at depth n - r for families of small codimension (see
-census_tally).  Other families run the census kernel
+census_tally).  run_global's and run_verify's tables are built per call;
+the census table depends only on (q, n, r), so tables.family_tally keeps
+it in the field's shared ContextBank, and a process holds one table per
+(field, n, depth) it has tallied.  Other families run the census kernel
 (poly.pattern_of_coeffs) member by member.  workers applies only
 to that kernel path: it partitions the member stream by the leading free
 coefficient, and tallies merge by addition, so every path and worker
@@ -226,8 +229,10 @@ def _reference_ci(fam) -> dict:
 # Python 3.11), so the break-even codimension q^m ran from 36 to 332,
 # median about 120.  census_tally reads the table when
 # q^n <= TABLE_RATIO * |A|, that is q^m <= TABLE_RATIO, and the table's
-# q^(n-r) windows are no more than the members, so that its memory stays
-# within a constant per member.
+# q^(n-r) windows are no more than the members, so that each table's
+# memory stays within a constant per member of the family that built it.
+# The table is kept for the process (tables.family_tally), one per
+# (field, n, depth) tallied, and shared by every family at that point.
 TABLE_RATIO = 128
 
 

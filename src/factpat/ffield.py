@@ -277,12 +277,14 @@ def make_field(p, s=1) -> FieldParams:
     """Construct F_(p^s) with the lexicographically smallest modulus."""
     if not isinstance(p, int) or not isinstance(s, int):
         raise ValueError("p and s must be integers")
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if s < 1:
         raise ValueError("s must be >= 1")
-    if p ** s > ORDER_LIMIT:
+    # the limit before the primality test, whose trial division is slow
+    # for a large p; any s past the limit's bit length is over it
+    if p >= 2 and (s > ORDER_LIMIT.bit_length() or p ** s > ORDER_LIMIT):
         raise ValueError(f"field order {p}^{s} exceeds the {ORDER_LIMIT} limit")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     prime = FieldParams(p, 1)
     if s == 1:
         return prime
@@ -653,12 +655,14 @@ _SHARED_BANKS: dict = {}
 
 
 class ContextBank:
-    """Deterministic cache of extension layers over one base field."""
+    """Deterministic cache of extension layers over one base field, and
+    of the pattern tables tables.family_tally reads, by (n, depth)."""
 
     def __init__(self, base: FieldParams):
         self.base = base
         self._ctx: dict[int, ExtCtx] = {}
         self._emb: dict[tuple[int, int], Embedding] = {}
+        self.family_tables: dict[tuple[int, int], object] = {}
 
     @classmethod
     def shared(cls, base: FieldParams) -> "ContextBank":

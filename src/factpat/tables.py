@@ -21,9 +21,13 @@ irreducibles have each window; a factor that can only come last is taken
 once per window with that multiplicity.
 
 k = 0 gives the unconstrained census, k = n - r the windows a linear
-family constrains, and k = n one entry per polynomial.  Live state is
-the recursion (depth below n), the windows of the irreducibles below
-degree n, and one flat array of q^k * P * 2 counts.
+family constrains, and k = n one entry per polynomial.  Live state while
+a table is built is the recursion (depth below n), the windows of the
+irreducibles below degree n, and one flat array of q^k * P * 2 counts.
+The table at depth n - r serves every family at (q, n, r), so
+family_tally keeps it in the shared ContextBank of its field, keyed by
+(n, k), until ffield._SHARED_BANKS is cleared; the tables that
+run_global and run_verify read are built per call and dropped.
 
 The verify scans share the window product _multiplier: G(x) is the
 product of its windows' conjugate products, so correspondence.walk_G
@@ -38,7 +42,7 @@ from array import array
 from itertools import compress
 from operator import mul
 
-from .ffield import _to_vec
+from .ffield import ContextBank, _to_vec
 from .patterns import enumerate_patterns
 
 
@@ -228,7 +232,14 @@ def family_windows(fam) -> bytearray:
 
 def family_tally(fam) -> dict:
     """The pattern tally of a linear family from the table at depth n - r:
-    the sum over the windows that satisfy the family's equations."""
-    counts = pattern_table(fam.ctx, fam.n, fam.n - fam.r)
+    the sum over the windows that satisfy the family's equations.  The
+    table depends on the field, n and r alone, so the first family at a
+    (q, n, r) builds it into the field's shared ContextBank and the later
+    ones only sum windows; nothing writes to it after it is built."""
+    n, k = fam.n, fam.n - fam.r
+    kept = ContextBank.shared(fam.ctx).family_tables
+    counts = kept.get((n, k))
+    if counts is None:
+        counts = kept[n, k] = pattern_table(fam.ctx, n, k)
     inside = family_windows(fam)
-    return tally_windows(fam.n, counts, compress(range(len(inside)), inside))
+    return tally_windows(n, counts, compress(range(len(inside)), inside))

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -366,6 +367,16 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     assert cli.main(["census", "--config", str(cfgfile),
                      "--workers", workers]) == 2
     assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_large_prime_at_once(tmp_path, capsys):
+    ini = tmp_path / "large.ini"
+    ini.write_text(f"[field]\np = {2 ** 61 - 1}\n\n[family]\nn = 4\nr = 3\n"
+                   "rows = 1\nalpha = 0\n")
+    start = time.monotonic()
+    assert cli.main(["census", "--config", str(ini)]) == 2
+    assert time.monotonic() - start < 1
+    assert "exceeds the 1048576 limit" in capsys.readouterr().err
 
 
 def test_cli_budget_override_triggers_guard(tmp_path):

@@ -41,7 +41,7 @@ def _sample_pairs(rng, q, count):
 
 
 def test_make_field_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
         make_field(4)
     with pytest.raises(ValueError):
         make_field(1)
@@ -49,6 +49,14 @@ def test_make_field_rejects_bad_parameters():
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_field(2, 21)  # 2^21 exceeds the table/order limit
+    # the order limit comes before the primality test, so a large prime
+    # or a huge degree fails at once, without trial division or p**s
+    for p, s in ((2 ** 61 - 1, 1), (2, 10 ** 9)):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=r"field order \d+\^\d+ exceeds "
+                                             r"the 1048576 limit"):
+            make_field(p, s)
+        assert time.monotonic() - start < 1, (p, s)
 
 
 @pytest.mark.parametrize("p,s", sorted(FROZEN_MODULI))

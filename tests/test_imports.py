@@ -1,5 +1,6 @@
-"""Every import in the engine's modules is used, and every private name
-the engine defines is read.
+"""Every import in the engine's modules is used, every private name the
+engine defines is read, and the only cache the engine keeps is one that
+a single clear empties.
 
 No linter ships with the engine, so this walks each module's syntax tree
 with the standard library alone: a name bound by an import (at module
@@ -8,6 +9,9 @@ level or inside a function) must be read somewhere in the module.
 `from __future__ import ...`.  A private name (one leading underscore)
 defined at module level, or as a method, must be read somewhere in the
 engine: loaded as a name or attribute, or imported by another module.
+The one module-level container is ffield._SHARED_BANKS, which holds the
+layers and the family tables; clearing it gives a process the cold state
+of a fresh one, so no function is memoized with functools either.
 """
 
 from __future__ import annotations
@@ -110,3 +114,59 @@ def test_the_check_sees_an_unread_private_name():
     }
     assert _unread_private_names(trees) == {"a.py": [(2, "_unused"),
                                                      (6, "_dead")]}
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+_CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _callee(node):
+    """The called or decorating name: f for f(...), f.g(...) and @f."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _caches(tree):
+    """(line, name) of the module-level names bound to a mutable container
+    and of the functions memoized with functools."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if (isinstance(value, _CONTAINERS)
+                or _callee(value) in ("dict", "set", "defaultdict")):
+            out += [(node.lineno, t.id) for t in targets
+                    if isinstance(t, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_callee(d) in _CACHE_DECORATORS
+                   for d in node.decorator_list):
+                out.append((node.lineno, node.name))
+    return sorted(out)
+
+
+def test_the_shared_banks_are_the_only_cache():
+    found = {p.name: [name for _, name in _caches(ast.parse(p.read_text()))]
+             for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {
+        "ffield.py": ["_SHARED_BANKS"]}
+
+
+def test_the_check_sees_a_module_cache():
+    tree = ast.parse("import functools\nfrom collections import defaultdict\n"
+                     "LIMIT = 3\nPAIR = (1, 2)\n_memo = {}\nseen: set = set()\n"
+                     "by_key = defaultdict(list)\nsquares = [i * i for i in "
+                     "range(4)]\n@functools.lru_cache(maxsize=None)\n"
+                     "def f(x):\n    local = {}\n    return local\n"
+                     "class C:\n    @functools.cache\n    def g(self):\n"
+                     "        pass\n")
+    assert _caches(tree) == [(5, "_memo"), (6, "seen"), (7, "by_key"),
+                             (8, "squares"), (10, "f"), (15, "g")]

@@ -3,20 +3,23 @@ census kernel that factors every polynomial on its own.
 
 Oracles: pattern_of_coeffs over all q^n monics (binned by window at
 every depth), pattern_tally over random linear and prescribed families,
-and the kernel path of census_tally with and without workers.
+and the kernel path of census_tally with and without workers.  The
+family tables kept in the shared ContextBank are checked for reuse, for
+a rebuild once the banks are cleared, and for staying unwritten.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from factpat import census, cli
-from factpat.census import RunConfig, census_tally, run_census
+from factpat import census, cli, ffield, tables
+from factpat.census import (RunConfig, census_tally, run_census, run_global,
+                            run_verify)
 from factpat.family import new_family, pattern_tally, prescribed_family
 from factpat.ffield import make_field
 from factpat.patterns import enumerate_patterns
@@ -86,11 +89,21 @@ def test_window_coeffs_inverts_window_index():
             assert window_index(5, window_coeffs(5, 4, k, w), k) == w
 
 
+def _unit_row_families(q, n, r, m, alpha):
+    """Every family at (q, n, r) of codimension m whose rows are unit
+    vectors, one per choice of pivot columns."""
+    field = make_field(q)
+    out = []
+    for cols in combinations(range(n - r), m):
+        rows = [[1 if c == j else 0 for c in range(n - r)] for j in cols]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out.append(new_family(field, n, r, rows, [alpha] * m))
+    return out
+
+
 def _family(q, n, r, m):
-    rows = [[1 if c == j else 0 for c in range(n - r)] for j in range(m)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return new_family(make_field(q), n, r, rows, [1] * m)
+    return _unit_row_families(q, n, r, m, 1)[0]
 
 
 def _refuse(*args, **kw):
@@ -126,3 +139,56 @@ def test_tower_limit_fails_before_the_tally(monkeypatch, tmp_path):
     ini.write_text("[field]\np = 11\n\n[family]\nn = 6\nr = 3\n"
                    "rows = 1 0 0\nalpha = 0\n")
     assert cli.main(["census", "--config", str(ini)]) == 2
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Fresh shared banks, and the (q, n, k) of every pattern_table call
+    family_tally makes."""
+    monkeypatch.setattr(ffield, "_SHARED_BANKS", {})
+    calls = []
+    build = tables.pattern_table
+
+    def counting(K, n, k):
+        calls.append((K.q, n, k))
+        return build(K, n, k)
+
+    monkeypatch.setattr(tables, "pattern_table", counting)
+    return calls
+
+
+def test_families_at_one_grid_point_share_one_table(built):
+    families = (_unit_row_families(7, 5, 3, 1, 1)
+                + _unit_row_families(7, 5, 3, 2, 1))
+    assert len(families) == 3
+    for fam in families:
+        assert family_tally(fam) == pattern_tally(fam)
+    assert built == [(7, 5, 2)]
+    kept = ffield.ContextBank.shared(make_field(7)).family_tables
+    assert list(kept) == [(5, 2)]
+    before = kept[5, 2].tobytes()
+    # another r is another depth, so another table
+    other = _unit_row_families(7, 5, 2, 1, 3)[0]
+    assert family_tally(other) == pattern_tally(other)
+    assert built == [(7, 5, 2), (7, 5, 3)]
+    # the kept table is read, never written: not by the tallies above,
+    # nor by a census that reads it
+    cfg = RunConfig(p=7, n=5, r=3, rows=((0, 1),), alpha=(4,))
+    assert run_census(cfg)["overall_pass"]
+    assert built == [(7, 5, 2), (7, 5, 3)]
+    assert kept[5, 2].tobytes() == before
+    # clearing the banks, as a fresh process starts, rebuilds on next use
+    ffield._SHARED_BANKS.clear()
+    assert family_tally(families[0]) == pattern_tally(families[0])
+    assert built == [(7, 5, 2), (7, 5, 3), (7, 5, 2)]
+
+
+def test_global_and_verify_tables_are_not_kept(built):
+    cfg = RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(2,))
+    assert run_global(cfg)["overall_pass"]
+    assert run_verify(cfg)["overall_pass"]
+    # run_verify's member tally goes through family_tally; its depth-n
+    # table and run_global's depth-0 table are built per call
+    assert built == [(5, 4, 2)]
+    assert list(ffield.ContextBank.shared(make_field(5)).family_tables) \
+        == [(4, 2)]
