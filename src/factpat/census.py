@@ -331,8 +331,8 @@ def run_global(cfg: RunConfig) -> dict:
 
     Deviations from the limiting proportions are reported descriptively
     (no verdicts); the exact identities checked are the pattern partition
-    of q^n, the square-free count q^n - q^(n-1), and the necklace count
-    of irreducibles.
+    of q^n, the square-free count q^n - q^(n-1) (q at n = 1), and the
+    necklace count of irreducibles.
     """
     field = build_field(cfg)
     n = cfg.n
@@ -347,7 +347,8 @@ def run_global(cfg: RunConfig) -> dict:
     # enumerate_patterns ends with the irreducible pattern
     irr_count = rows[-1]["count"]
     necklace = irreducible_count(q, n)
-    sq_expected = size - size // q
+    # q^n - q^(n-1) needs n >= 2: every monic linear is square-free
+    sq_expected = size - size // q if n > 1 else q
     checks = {
         "sum_matches_size": total == size,
         "squarefree_count_matches": sq_total == sq_expected,

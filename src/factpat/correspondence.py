@@ -24,8 +24,13 @@ A window's polynomial depends only on its own q^i coordinates, so for
 each window size i below n the walk tables the top digits of the q^i
 window polynomials once per call (a window of size n is streamed), and
 multiplies windows with the truncated product of tables._multiplier.
+The orbit of a window vector is F_q-linear in its coordinates, so the
+walk takes it as the sum of two orbits read from half tables, one over
+the first ceil(i/2) coordinates and one over the last floor(i/2).
 Every first counterexample is the same x as in a per-point scan.
-build_G and is_type_lambda stay as the per-point oracles.
+build_G, is_type_lambda and variety.eval_R stay as the per-point
+oracles; build_G and eval_R form each orbit as the conjugate-matrix
+product _orbit.
 """
 
 from __future__ import annotations
@@ -179,19 +184,37 @@ def build_G(pattern: Pattern, x, bank) -> MonicPoly:
     return MonicPoly.from_full(base, out)
 
 
+def _half_orbits(ctx, cols):
+    """The Galois orbits (see _orbit) of every coordinate vector that is
+    zero off the coordinates cols, in product order over cols: from the
+    zero orbit, each coordinate h extends every orbit by c times column h
+    of A, for c in 0 .. q-1."""
+    add, mul = ctx.add, ctx.mul
+    half = [(0,) * ctx.i]
+    for h in cols:
+        steps = [[mul(c, row[h]) for row in ctx.A] for c in range(ctx.q)]
+        half = [tuple(map(add, o, s)) for o in half for s in steps]
+    return half
+
+
 def _window_entries(ctx, k):
     """(coordinates, (typed, digits)) for every coordinate vector of the
-    layer F_(q^i) in product order.  The digits are the top
-    c_(i-1), ..., c_(i-d) of the window polynomial, d = min(i, k): the
-    signed E values (-1)^t E_t of the orbit.  Typed is read from the
-    orbit: conj is a basis, so the conjugates are distinct exactly when
-    the cyclic shifts of the coordinates are (_full_shifts)."""
+    layer F_(q^i) in product order.  The orbit is F_q-linear in the
+    coordinates, so it is the sum of the orbits of the first ceil(i/2)
+    and of the last floor(i/2) coordinates, each read from a half table
+    (_half_orbits).  The digits are the top c_(i-1), ..., c_(i-d) of the
+    window polynomial, d = min(i, k): the signed E values (-1)^t E_t of
+    the orbit.  Typed is read from the orbit: conj is a basis, so the
+    conjugates are distinct exactly when the cyclic shifts of the
+    coordinates are (_full_shifts)."""
     ctx.ensure_fast()
-    neg = ctx.base.neg
+    add, neg = ctx.add, ctx.base.neg
     i = ctx.i
     d = min(i, k)
-    for coords in product(range(ctx.q), repeat=i):
-        orbit = _orbit(ctx, ctx.A, coords)
+    m = (i + 1) // 2
+    high, low = _half_orbits(ctx, range(m)), _half_orbits(ctx, range(m, i))
+    orbits = (list(map(add, a, b)) for a in high for b in low)
+    for coords, orbit in zip(product(range(ctx.q), repeat=i), orbits):
         e = _window_esym(ctx, orbit, d)
         yield coords, (len(set(orbit)) == i, tuple(
             [neg(e[t]) if t % 2 else e[t] for t in range(1, d + 1)]))

@@ -260,6 +260,24 @@ def test_global_mode_exact_classical_counts():
     assert counts == {"1^3": 35, "1 2": 50, "3": 40}
 
 
+@pytest.mark.parametrize("p, s", [(3, 1), (2, 2)])
+def test_global_mode_at_degree_one(p, s):
+    # q^n - q^(n-1) holds only for n >= 2: all q monic linears are
+    # square-free
+    rep = run_global(RunConfig(p=p, s=s, n=1))
+    q = p ** s
+    assert rep["overall_pass"] is True
+    assert all(rep["checks"].values())
+    assert rep["totals"]["sq"] == rep["totals"]["squarefree_expected"] == q
+
+
+def test_cli_global_at_degree_one(tmp_path, capsys):
+    ini = tmp_path / "n1.ini"
+    ini.write_text("[field]\np = 3\n\n[family]\nn = 1\n")
+    assert cli.main(["global", "--config", str(ini)]) == 0
+    assert json.loads(capsys.readouterr().out)["overall_pass"] is True
+
+
 def test_bounds_mode_reports_formulas_without_enumeration():
     rep = run_bounds(_demo_cfg())
     assert rep["mode"] == "bounds"

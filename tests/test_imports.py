@@ -12,6 +12,8 @@ engine: loaded as a name or attribute, or imported by another module.
 The one module-level container is ffield._SHARED_BANKS, which holds the
 layers and the family tables; clearing it gives a process the cold state
 of a fresh one, so no function is memoized with functools either.
+The walk's functions in correspondence read none of the per-point
+oracles, so the tests that hold the walk to an oracle compare two routes.
 """
 
 from __future__ import annotations
@@ -170,3 +172,34 @@ def test_the_check_sees_a_module_cache():
                      "        pass\n")
     assert _caches(tree) == [(5, "_memo"), (6, "seen"), (7, "by_key"),
                              (8, "squares"), (10, "f"), (15, "g")]
+
+
+_WALK = {"walk_G", "_walk", "_window_entries", "_window_table", "_stored",
+         "_half_orbits"}
+_ORACLES = {"_orbit", "build_G", "_window_poly", "is_type_lambda",
+            "_full_shifts", "eval_R"}
+
+
+def _oracle_reads(tree):
+    """(function, name) of each oracle name that a walk function reads."""
+    return sorted((node.name, name) for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name in _WALK
+                  for name in _reads(node) & _ORACLES)
+
+
+def test_the_walk_reads_no_oracle():
+    tree = ast.parse((SRC / "correspondence.py").read_text())
+    assert _WALK <= {node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+    assert _oracle_reads(tree) == []
+
+
+def test_the_check_sees_a_walk_reading_an_oracle():
+    tree = ast.parse("def _orbit(c):\n    return c\n"
+                     "def walk_G(x):\n    return _orbit(x)\n"
+                     "def _walk(m):\n    return m._full_shifts\n"
+                     "def _stored():\n    from .variety import eval_R\n"
+                     "def build_G(x):\n    return _orbit(x)\n")
+    assert _oracle_reads(tree) == [("_stored", "eval_R"),
+                                   ("_walk", "_full_shifts"),
+                                   ("walk_G", "_orbit")]

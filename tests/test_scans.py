@@ -4,12 +4,14 @@ walk_G (correspondence) computes each window's top digits once per call
 and walks F_q^n window by window; rational_zeros (variety) is that walk
 at depth n - r, filtered by the windows where the system vanishes.
 Oracles: build_G with window_index on a fresh bank with no Zech tables,
-and a brute-force filter of eval_R over every x with the E values of
-build_G.
+a brute-force filter of eval_R over every x with the E values of
+build_G, and, for the walk's window entries (orbits summed from two half
+tables), the per-vector conjugate-matrix orbit _orbit.
 The probe's per-zero verdicts are held to a Jacobian interpolated from
 eval_R along coordinate lines, to the square-freeness of build_G, and to
 root multiplicities read from each window's minimal polynomial.  Also
-here: the descent traps reached through the scans, the pinned bytes of
+here: the descent traps reached through the scans (a corrupted column
+of A in either half of the split), the pinned bytes of
 five verify reports, the variety at n = 7 that once needed F_(5^12), and
 the fail-fast on a window layer over the order limit.
 """
@@ -64,6 +66,31 @@ def test_G_scan_matches_build_G_on_a_bank_without_zech_tables(ps, n, data):
         flags = bytearray(rng.randrange(2) for _ in range(K.q ** k))
         assert list(walk_G(pat, bank, k, flags)) == [
             entry for entry in want if flags[entry[2]]], pat.label()
+
+
+# (q, i) layers: i = 1, F_2, extension base fields, odd and even i
+LAYERS = ((2, 1), (2, 5), (3, 4), (4, 3), (5, 3), (7, 2), (9, 2))
+
+
+@pytest.mark.parametrize("q, i", LAYERS)
+def test_window_entries_match_the_per_vector_orbit(q, i):
+    # the walk takes each orbit as the sum of two half-table orbits; the
+    # oracle forms it per vector as the conjugate-matrix product
+    K = make_field(*{4: (2, 2), 9: (3, 2)}.get(q, (q, 1)))
+    ctx = ContextBank.shared(K).get(i)
+    vectors = list(product(range(q), repeat=i))
+    for k in range(1, i + 1):
+        want = []
+        for coords in vectors:
+            o = correspondence._orbit(ctx, ctx.A, coords)
+            e = correspondence._window_esym(ctx, o, min(i, k))
+            want.append((coords, (len(set(o)) == i, tuple(
+                K.neg(e[t]) if t % 2 else e[t]
+                for t in range(1, min(i, k) + 1)))))
+        got = list(correspondence._window_entries(ctx, k))
+        assert got == want, k
+        assert all(typed == correspondence._full_shifts(coords)
+                   for coords, (typed, _) in got)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +264,14 @@ def test_coincidence_and_double_collision_match_oracles(ps, n, data):
 # in test_correspondence.py and test_variety.py)
 
 
-def _bank_with_bad_conjugates():
+def _bank_with_bad_conjugates(i=2, h=1):
     base = make_field(5)
     bank = ContextBank(base)
-    bad = ExtCtx(base, 2)
+    bad = ExtCtx(base, i)
     rows = [list(r) for r in bad.A]
-    rows[1][1] = bad.add(rows[1][1], 1)   # no longer the Frobenius image
+    rows[1][h] = bad.add(rows[1][h], 1)   # no longer the Frobenius image
     bad.A = tuple(tuple(r) for r in rows)
-    bank.override(2, bad)
+    bank.override(i, bad)
     return bank
 
 
@@ -264,6 +291,15 @@ def _bank_with_non_base_shift():
 def test_corrupted_conjugate_table_trips_the_walk(pat):
     with pytest.raises(GaloisDescentError):
         list(walk_G(pat, _bank_with_bad_conjugates(), pat.n))
+
+
+@pytest.mark.parametrize("h", [0, 2])          # in the first, second half
+@pytest.mark.parametrize("pat", [Pattern(3, (0, 0, 1)),      # streamed
+                                 Pattern(4, (1, 0, 1, 0))])  # stored
+def test_corrupted_conjugate_column_trips_the_walk_in_either_half(pat, h):
+    # F_(5^3): the walk's half tables split the columns of A as {0, 1}, {2}
+    with pytest.raises(GaloisDescentError):
+        list(walk_G(pat, _bank_with_bad_conjugates(3, h), pat.n))
 
 
 @pytest.mark.parametrize("n, pat", [(2, Pattern(2, (0, 1))),
