@@ -10,22 +10,17 @@ __version__ = "0.1.0"
 from .census import (RunConfig, census_tally, emit_report, family_descriptor,
                      parse_config, run_bounds, run_census, run_global,
                      run_verify)
-from .correspondence import (PatternLayout, RootVector, build_G,
-                             is_type_lambda, layout,
-                             verify_membership_equivalence, walk_G,
-                             window_start)
+from .correspondence import (build_G, is_type_lambda, layout,
+                             verify_membership_equivalence, walk_G)
 from .errors import BudgetError, CountingIdentityError, GaloisDescentError
 from .family import (BoundReport, LinearFamily, ReferenceBound, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
-                     enumerate_members, new_family, pattern_tally,
-                     prescribed_family)
-from .ffield import (ContextBank, Embedding, ExtCtx, FieldParams,
-                     find_irreducible, make_field)
+                     new_family, pattern_tally, prescribed_family)
+from .ffield import ContextBank, ExtCtx, FieldParams, find_irreducible, make_field
 from .patterns import (Pattern, PatternStats, cycle_pattern,
                        enumerate_patterns, irreducible_count, pattern_stats,
                        symmetric_group_census)
-from .poly import (MonicPoly, is_squarefree, pattern_of_coeffs,
-                   squarefree_decompose)
+from .poly import MonicPoly, pattern_of_coeffs, squarefree_decompose
 from .variety import (PointCounts, ProbeReport, SymSystem, count_points,
-                      elementary_symmetric, eval_R, g_coeffs, jacobian_probe,
-                      rational_zeros, sym_system, variety_pass)
+                      eval_R, g_coeffs, jacobian_probe, rational_zeros,
+                      sym_system, variety_pass)

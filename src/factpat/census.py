@@ -21,7 +21,12 @@ A run is described by an INI config:
     budget = 10000000
     workers = 1
     format = json          ; json | csv
-    out = report.json
+    out = report.json      ; the CLI exits 2 if it cannot write it
+
+budget is one limit, MEMBER_BUDGET (10^8) by default: no run enumerates
+a family of more members, builds a pattern table over more monics, or
+scans more vectors of F_q^n in one walk; past it the run raises
+BudgetError.
 
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
@@ -70,7 +75,7 @@ from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
 from .tables import family_tally, pattern_table, tally_windows
-from .variety import SCAN_BUDGET, identity_failure, sym_system, variety_pass
+from .variety import identity_failure, sym_system, variety_pass
 
 ENGINE_TAG = "factpat 0.1.0"
 
@@ -85,8 +90,7 @@ class RunConfig:
     rows: tuple = ()
     alpha: tuple = ()
     indices: tuple = ()
-    budget_members: int = MEMBER_BUDGET
-    budget_scan: int = SCAN_BUDGET
+    budget: int = MEMBER_BUDGET
     workers: int = 1
     fmt: str = "json"
     out: str | None = None
@@ -121,10 +125,7 @@ def parse_config(path) -> RunConfig:
             cfg.indices = _parse_ints(fam["indices"])
     if "run" in cp:
         run = cp["run"]
-        if "budget" in run:
-            b = int(run["budget"])
-            cfg.budget_members = b
-            cfg.budget_scan = b
+        cfg.budget = int(run.get("budget", cfg.budget))
         cfg.workers = int(run.get("workers", "1"))
         if cfg.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -134,10 +135,6 @@ def parse_config(path) -> RunConfig:
         out = run.get("out", "").strip()
         cfg.out = out or None
     return cfg
-
-
-def build_field(cfg: RunConfig) -> FieldParams:
-    return make_field(cfg.p, cfg.s)
 
 
 def build_family(cfg: RunConfig, field: FieldParams) -> LinearFamily:
@@ -154,9 +151,8 @@ def build_family(cfg: RunConfig, field: FieldParams) -> LinearFamily:
     raise ValueError(f"mode {cfg.mode!r} does not define a family")
 
 
-def family_descriptor(fam: LinearFamily, bank=None) -> dict:
-    if bank is None:
-        bank = ContextBank.shared(fam.ctx)
+def family_descriptor(fam: LinearFamily) -> dict:
+    bank = ContextBank.shared(fam.ctx)
     theta = {}
     moduli = {}
     for i in range(1, fam.n + 1):
@@ -277,12 +273,12 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
 
 def run_census(cfg: RunConfig) -> dict:
     """Pattern census of a family with bound verdicts per pattern."""
-    field = build_field(cfg)
+    field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
     # the descriptor builds the extension layers, which can exceed the
     # order limit: fail before the tally scans anything
     descriptor = family_descriptor(fam)
-    tally = census_tally(fam, cfg.budget_members, cfg.workers)
+    tally = census_tally(fam, cfg.budget, cfg.workers)
     rows = []
     for pat in enumerate_patterns(fam.n):
         row, dev = _count_row(pat, tally, fam.size)
@@ -334,13 +330,13 @@ def run_global(cfg: RunConfig) -> dict:
     of q^n, the square-free count q^n - q^(n-1) (q at n = 1), and the
     necklace count of irreducibles.
     """
-    field = build_field(cfg)
+    field = make_field(cfg.p, cfg.s)
     n = cfg.n
     if n < 1:
         raise ValueError("global census needs n >= 1")
     q = field.q
     size = q ** n
-    tally = tally_windows(n, _global_table(field, n, 0, cfg.budget_members), [0])
+    tally = tally_windows(n, _global_table(field, n, 0, cfg.budget), [0])
     rows = [_count_row(pat, tally, size)[0] for pat in enumerate_patterns(n)]
     total = sum(row["count"] for row in rows)
     sq_total = sum(row["sq"] for row in rows)
@@ -370,7 +366,7 @@ def run_global(cfg: RunConfig) -> dict:
 
 def run_bounds(cfg: RunConfig) -> dict:
     """Bound values and applicability per pattern, with no enumeration."""
-    field = build_field(cfg)
+    field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
     rows = [{"lambda": pat.label(), **_bound_cells(fam, pat)}
             for pat in enumerate_patterns(fam.n)]
@@ -389,7 +385,7 @@ def run_bounds(cfg: RunConfig) -> dict:
 def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     """Exhaustive verification of the correspondence and the variety
     identities for every pattern of the configured degree."""
-    field = build_field(cfg)
+    field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
     bank = ContextBank.shared(field)
     n = fam.n
@@ -397,15 +393,15 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     report: dict = {
         "mode": "verify",
         "engine": ENGINE_TAG,
-        "family": family_descriptor(fam, bank),
+        "family": family_descriptor(fam),
         "sections": sorted(sections),
     }
     patterns = enumerate_patterns(n)
-    member_tally = census_tally(fam, cfg.budget_members)
+    member_tally = census_tally(fam, cfg.budget, cfg.workers)
     # one entry per polynomial where the correspondence looks them up,
     # else only the pattern totals
     depth = n if "correspondence" in sections else 0
-    table = _global_table(field, n, depth, cfg.budget_scan)
+    table = _global_table(field, n, depth, cfg.budget)
     gtally = tally_windows(n, table, range(q ** depth))
     ok_flags = []
     sq_grouped = Fraction(0)
@@ -423,7 +419,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             fib: dict[int, int] = {}
             untyped = 0
             # G(x), by its index in the table
-            for x, t, g in walk_G(pat, bank, n, budget=cfg.budget_scan):
+            for x, t, g in walk_G(pat, bank, n, budget=cfg.budget):
                 matches = slot[g] >> 1 == i
                 if t != matches and type_pattern_ok:
                     type_pattern_ok = False
@@ -440,7 +436,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             for c, cnt in fib.items():
                 if not slot[c] & 1:
                     nsq_sizes[cnt] = nsq_sizes.get(cnt, 0) + 1
-            mem_ok, mem_bad = verify_membership_equivalence(fam, pat, bank, cfg.budget_scan)
+            mem_ok, mem_bad = verify_membership_equivalence(fam, pat, bank, cfg.budget)
             typed_sqfree = sum(fib.get(c, 0) for c in sq_polys)
             sq_grouped += Fraction(typed_sqfree, stats.weight)
             rows.append({
@@ -467,7 +463,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         for pat in patterns:
             sys_ = sym_system(fam, pat, bank)
             # counts and probe from one scan of the rational zeros
-            pc, probe = variety_pass(sys_, cfg.budget_scan, member_tally)
+            pc, probe = variety_pass(sys_, cfg.budget, member_tally)
             detail = identity_failure(pc, pat)
             row = {
                 "lambda": pat.label(),

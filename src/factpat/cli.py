@@ -4,7 +4,8 @@ Subcommands: census, verify-correspondence, variety, global, bounds.
 Each reads an INI config (see the census module docstring), applies any
 flag overrides, and emits a deterministic report to stdout or --out.
 Exit codes: 0 when every checked identity and applicable bound passed,
-1 when a check failed, 2 for configuration or budget errors.
+1 when a check failed, 2 for configuration or budget errors and for
+an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def _add_common(sub):
     sub.add_argument("--workers", type=int, default=None,
                      help="parallel workers for member enumeration")
     sub.add_argument("--budget", type=int, default=None,
-                     help="enumeration budget (overrides [run] budget)")
+                     help="run budget (overrides [run] budget)")
     sub.add_argument("--out", default=None,
                      help="write the report to this path instead of stdout")
 
@@ -53,8 +54,7 @@ def _load_config(args) -> census.RunConfig:
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")
     if args.budget is not None:
-        cfg.budget_members = args.budget
-        cfg.budget_scan = args.budget
+        cfg.budget = args.budget
     if args.out is not None:
         cfg.out = args.out
     return cfg
@@ -74,10 +74,10 @@ def main(argv=None) -> int:
             report = census.run_global(cfg)
         else:
             report = census.run_bounds(cfg)
+        text = census.emit_report(report, cfg.fmt, cfg.out)
     except (ValueError, OSError, BudgetError) as exc:
         print(f"factpat: {exc}", file=sys.stderr)
         return 2
-    text = census.emit_report(report, cfg.fmt, cfg.out)
     if cfg.out is None:
         sys.stdout.write(text)
     return 0 if report["overall_pass"] else 1

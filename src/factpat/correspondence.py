@@ -35,7 +35,6 @@ product _orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
@@ -48,14 +47,9 @@ from .tables import _multiplier, family_windows
 SCAN_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
-class PatternLayout:
-    pattern: Pattern
-    windows: tuple   # ((size, start), ...) in increasing (size, copy) order
-
-
-def layout(pattern: Pattern) -> PatternLayout:
-    """Window sizes and start offsets; windows tile 0..n-1 in order."""
+def layout(pattern: Pattern) -> tuple:
+    """The windows ((size, start), ...) in increasing (size, copy) order;
+    they tile 0..n-1 in order."""
     windows = []
     start = 0
     for i, c in enumerate(pattern.counts, start=1):
@@ -63,16 +57,7 @@ def layout(pattern: Pattern) -> PatternLayout:
             windows.append((i, start))
             start += i
     assert start == pattern.n
-    return PatternLayout(pattern, tuple(windows))
-
-
-def window_start(pattern: Pattern, i: int, j: int) -> int:
-    """Start offset of the j-th (1-based) window of size i:
-    sum of k*counts[k-1] below i, plus (j-1)*i."""
-    if not 1 <= j <= pattern.counts[i - 1]:
-        raise ValueError(f"no window ({i}, {j}) in this pattern")
-    below = sum(k * c for k, c in enumerate(pattern.counts[:i - 1], start=1))
-    return below + (j - 1) * i
+    return tuple(windows)
 
 
 def _full_shifts(win) -> bool:
@@ -87,7 +72,7 @@ def is_type_lambda(x, pattern: Pattern) -> bool:
     if len(x) != pattern.n:
         raise ValueError("vector length must equal the pattern degree")
     return all(_full_shifts(x[start:start + size])
-               for size, start in layout(pattern).windows)
+               for size, start in layout(pattern))
 
 
 class RootVector:
@@ -102,7 +87,7 @@ class RootVector:
         self.pattern = pattern
         self.layout = layout(pattern)
         ys = []
-        for size, start in self.layout.windows:
+        for size, start in self.layout:
             ctx = bank.get(size)
             ys.append(tuple(_orbit(ctx, ctx.A, self.x[start:start + size])))
         self.y = tuple(ys)
@@ -179,7 +164,7 @@ def build_G(pattern: Pattern, x, bank) -> MonicPoly:
         raise ValueError("vector length must equal the pattern degree")
     base = bank.base
     out = [1]
-    for size, start in layout(pattern).windows:
+    for size, start in layout(pattern):
         out = pmul(base, out, _window_poly(bank.get(size), x[start:start + size]))
     return MonicPoly.from_full(base, out)
 
@@ -254,7 +239,7 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
         raise BudgetError(f"scan size {total} exceeds budget {budget}")
     tables = {}
     levels = []
-    for size, _ in layout(pattern).windows:
+    for size, _ in layout(pattern):
         if size == n:
             levels.append(partial(_window_entries, bank.get(size), k))
             continue

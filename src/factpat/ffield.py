@@ -401,7 +401,7 @@ class ExtCtx(_Digits):
     the codes below q.
     """
 
-    def __init__(self, base: FieldParams, i: int, modulus=None):
+    def __init__(self, base: FieldParams, i: int):
         if i < 1:
             raise ValueError("extension degree must be >= 1")
         check_order(base.q, i)
@@ -409,11 +409,7 @@ class ExtCtx(_Digits):
         self.i = i
         self.q = base.q
         self.order = base.q ** i
-        if modulus is None:
-            modulus = find_irreducible(base, i)[:-1]
-        self.modulus = tuple(modulus)
-        if len(self.modulus) != i:
-            raise ValueError("modulus degree must equal the extension degree")
+        self.modulus = find_irreducible(base, i)[:-1]
         self._coef, self._radix, self._width = base, base.q, i
         self._red = self._reduction_rows()
         self._exp = self._log = self._zech = self._qpow = None
@@ -661,7 +657,6 @@ class ContextBank:
     def __init__(self, base: FieldParams):
         self.base = base
         self._ctx: dict[int, ExtCtx] = {}
-        self._emb: dict[tuple[int, int], Embedding] = {}
         self.family_tables: dict[tuple[int, int], object] = {}
 
     @classmethod
@@ -680,15 +675,6 @@ class ContextBank:
             self._ctx[i] = ctx
         return ctx
 
-    def embedding(self, i: int, n: int) -> Embedding:
-        key = (i, n)
-        emb = self._emb.get(key)
-        if emb is None:
-            emb = Embedding(self.get(i), self.get(n))
-            self._emb[key] = emb
-        return emb
-
     def override(self, i: int, ctx: ExtCtx) -> None:
         """Test hook: install a hand-built layer (e.g. with corrupted data)."""
         self._ctx[i] = ctx
-        self._emb = {k: v for k, v in self._emb.items() if i not in k}

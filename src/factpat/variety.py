@@ -33,24 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._dense import pmul
-from .correspondence import (SCAN_BUDGET, _absorb, _orbit, _window_esym,
-                             layout, walk_G)
+from .correspondence import (SCAN_BUDGET, _orbit, _window_esym, layout,
+                             walk_G)
 from .errors import CountingIdentityError
 from .family import LinearFamily, pattern_tally
 from .ffield import _to_vec, mat_rank
 from .patterns import Pattern, pattern_stats
 from .poly import MonicPoly, squarefree_decompose
 
-# how many violating vectors the Jacobian probe records by default
+# how many violating vectors the Jacobian probe records
 MAX_RECORDED = 10
-
-
-def elementary_symmetric(K, k: int, ys) -> int:
-    """E_k of the given values over the scalar context K, exactly."""
-    ys = list(ys)
-    if k < 0 or k > len(ys):
-        raise ValueError("k must be in 0..len(ys)")
-    return _absorb(K, [1] + [0] * k, ys)[k]
 
 
 @dataclass
@@ -69,7 +61,7 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
     if pattern.n != fam.n:
         raise ValueError("pattern degree must match the family degree")
     windows = []
-    for size, start in layout(pattern).windows:
+    for size, start in layout(pattern):
         ctx = bank.get(size)
         ctx.ensure_fast()
         windows.append((start, size, ctx))
@@ -216,7 +208,7 @@ class ProbeReport:
     rank_deficient: int
     confirmed: int             # rank-deficient points with the double collision
     violations: int            # rank-deficient points without it
-    counterexamples: tuple     # up to max_recorded of the violating vectors
+    counterexamples: tuple     # up to MAX_RECORDED of the violating vectors
 
     @property
     def ok(self) -> bool:
@@ -266,9 +258,8 @@ def _jacobian(sys_: SymSystem, x, e):
 class _Probe:
     """The Jacobian probe's tallies, fed one rational zero at a time."""
 
-    def __init__(self, sys_: SymSystem, max_recorded: int):
+    def __init__(self, sys_: SymSystem):
         self.sys_ = sys_
-        self.max_recorded = max_recorded
         self.points = self.deficient = self.confirmed = self.violations = 0
         self.bad = []
 
@@ -282,7 +273,7 @@ class _Probe:
             self.confirmed += 1
         else:
             self.violations += 1
-            if len(self.bad) < self.max_recorded:
+            if len(self.bad) < MAX_RECORDED:
                 self.bad.append(tuple(x))
 
     def report(self) -> ProbeReport:
@@ -291,13 +282,12 @@ class _Probe:
                            self.violations, tuple(self.bad))
 
 
-def jacobian_probe(sys_: SymSystem, budget: int = SCAN_BUDGET,
-                   max_recorded: int = MAX_RECORDED) -> ProbeReport:
+def jacobian_probe(sys_: SymSystem, budget: int = SCAN_BUDGET) -> ProbeReport:
     """Scan the rational zeros of R; wherever the Jacobian in x drops
     below full rank, check the double-collision condition on the root
     values.  Points violating it are recorded as counterexamples (none
     are expected for p > 2)."""
-    probe = _Probe(sys_, max_recorded)
+    probe = _Probe(sys_)
     for x, e in rational_zeros(sys_, budget):
         probe.add(x, e)
     return probe.report()
@@ -308,7 +298,7 @@ def variety_pass(sys_: SymSystem, budget: int = SCAN_BUDGET,
     """count_points and jacobian_probe from one scan of the rational
     zeros: (PointCounts, ProbeReport).  The counting identity is not
     enforced here; see identity_failure."""
-    probe = _Probe(sys_, MAX_RECORDED)
+    probe = _Probe(sys_)
     v_eq = 0
     for x, e in rational_zeros(sys_, budget):
         probe.add(x, e)

@@ -21,12 +21,11 @@ import pytest
 import factpat
 from factpat import census, cli
 from factpat.census import (CENSUS_CSV_HEADER, RunConfig, build_family,
-                            build_field, census_tally, emit_report,
-                            family_descriptor, parse_config, render_csv,
-                            render_json, run_bounds, run_census, run_global,
-                            run_verify)
+                            census_tally, emit_report, family_descriptor,
+                            parse_config, render_csv, render_json, run_bounds,
+                            run_census, run_global, run_verify)
 from factpat.family import pattern_tally
-from factpat.ffield import ContextBank
+from factpat.ffield import make_field
 
 CONFIG_TEXT = """\
 ; canonical demo family: trace-zero quartics over F_5
@@ -77,8 +76,7 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.mode == "linear"
     assert cfg.rows == ((1,),)
     assert cfg.alpha == (0,)
-    assert cfg.budget_members == 2000000
-    assert cfg.budget_scan == 2000000
+    assert cfg.budget == 2000000
     assert cfg.workers == 1
     assert cfg.fmt == "json"
 
@@ -102,7 +100,7 @@ def test_parse_config_prescribed_mode(tmp_path):
     cfg = parse_config(path)
     assert cfg.mode == "prescribed"
     assert cfg.indices == (1, 2)
-    fam = build_family(cfg, build_field(cfg))
+    fam = build_family(cfg, make_field(cfg.p, cfg.s))
     assert fam.prescribed and fam.pivots == (1, 2)
 
 
@@ -125,9 +123,8 @@ def test_parse_config_errors(tmp_path):
 
 def test_descriptor_reports_tower_and_reduction():
     cfg = _demo_cfg()
-    field = build_field(cfg)
-    fam = build_family(cfg, field)
-    desc = family_descriptor(fam, ContextBank.shared(field))
+    fam = build_family(cfg, make_field(cfg.p, cfg.s))
+    desc = family_descriptor(fam)
     assert desc["q"] == 5 and desc["family_size"] == 125
     assert desc["pivots"] == [1]
     assert desc["theta"] == {"1": 1, "2": 6, "3": 6, "4": 156}
@@ -161,12 +158,24 @@ def test_census_report_frozen_essentials():
     assert labels == ["1^4", "1^2 2", "2^2", "1 3", "4"]
 
 
-def test_census_tally_parallel_merge_matches_serial():
-    cfg = _demo_cfg()
-    fam = build_family(cfg, build_field(cfg))
-    serial = census_tally(fam, workers=1)
-    parallel = census_tally(fam, workers=2)
-    assert serial == parallel == pattern_tally(fam)
+def _refuse(*args, **kwargs):
+    raise AssertionError("the table path was taken")
+
+
+def test_census_tally_parallel_merge_matches_serial(monkeypatch):
+    demo = _demo_cfg()                  # q^m = 5: the table path
+    # q^m = 169 > TABLE_RATIO: the kernel path, on a real 2-worker pool
+    kernel = _demo_cfg(p=13, n=4, r=2, rows=((1, 0), (0, 1)), alpha=(0, 0))
+    for cfg in (demo, kernel):
+        fam = build_family(cfg, make_field(cfg.p, cfg.s))
+        if cfg is kernel:
+            monkeypatch.setattr(census, "family_tally", _refuse)
+        serial = census_tally(fam, workers=1)
+        parallel = census_tally(fam, workers=2)
+        assert serial == parallel == pattern_tally(fam)
+        one = render_json(run_census(cfg))
+        cfg.workers = 2
+        assert render_json(run_census(cfg)) == one
 
 
 class _RecordingPool:
@@ -195,7 +204,7 @@ class _RecordingPool:
 def test_census_tally_pool_is_capped_by_chunks_and_cpus(
         monkeypatch, p, n, r, rows, cpus, want):
     cfg = _demo_cfg(p=p, n=n, r=r, rows=rows, alpha=(0,) * len(rows))
-    fam = build_family(cfg, build_field(cfg))
+    fam = build_family(cfg, make_field(cfg.p, cfg.s))
     sizes = []
     monkeypatch.setattr(census.multiprocessing, "Pool",
                         partial(_RecordingPool, sizes))
@@ -310,6 +319,22 @@ def test_verify_mode_full_and_sectioned():
     assert render_csv(rep).startswith("section,lambda,check,pass,detail\n")
 
 
+def test_verify_passes_workers_to_the_member_tally(monkeypatch):
+    seen = []
+    real = census.census_tally
+
+    def tally(fam, budget, workers=1):
+        seen.append(workers)
+        return real(fam, budget, workers)
+
+    monkeypatch.setattr(census, "census_tally", tally)
+    cfg = RunConfig(p=5, s=1, n=3, r=2, rows=((1,),), alpha=(0,), workers=3)
+    one = render_json(run_verify(cfg, sections=("variety",)))
+    cfg.workers = 1
+    assert render_json(run_verify(cfg, sections=("variety",))) == one
+    assert seen == [3, 1]
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -343,6 +368,16 @@ def test_cli_census_roundtrip(tmp_path):
                       "--out", str(out2)], tmp_path)
     assert proc2.returncode == 0, proc2.stderr
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "demo.ini"
+    cfgfile.write_text(CONFIG_TEXT)
+    out = tmp_path / "missing" / "r.json"
+    assert cli.main(["census", "--config", str(cfgfile),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("factpat:")
+    assert not out.parent.exists()
 
 
 def test_cli_csv_to_stdout(tmp_path):

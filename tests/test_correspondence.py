@@ -14,7 +14,7 @@ import pytest
 
 from factpat.correspondence import (RootVector, build_G, is_type_lambda,
                                     layout, verify_membership_equivalence,
-                                    walk_G, window_start)
+                                    walk_G)
 from factpat.errors import BudgetError, GaloisDescentError
 from factpat.family import new_family
 from factpat.ffield import ContextBank, ExtCtx, make_field
@@ -62,8 +62,10 @@ def _orbit_product_poly(ctx, coords):
 
 def test_layout_tiles_coordinates_in_order():
     pat = Pattern(4, (2, 1, 0, 0))
-    lay = layout(pat)
-    assert lay.windows == ((1, 0), (1, 1), (2, 2))
+    assert layout(pat) == ((1, 0), (1, 1), (2, 2))
+    # one window per part, each starting after all smaller windows
+    assert layout(Pattern(6, (1, 1, 1, 0, 0, 0))) == ((1, 0), (2, 1), (3, 3))
+    assert layout(Pattern(4, (0, 2, 0, 0))) == ((2, 0), (2, 2))
 
 
 def test_layout_all_patterns_partition_range():
@@ -71,26 +73,11 @@ def test_layout_all_patterns_partition_range():
         for pat in enumerate_patterns(n):
             lay = layout(pat)
             covered = []
-            for size, start in lay.windows:
+            for size, start in lay:
                 covered.extend(range(start, start + size))
             assert covered == list(range(n))
-            sizes = [s for s, _ in lay.windows]
+            sizes = [s for s, _ in lay]
             assert sizes == sorted(sizes)
-
-
-def test_window_start_matches_layout():
-    # the copy index j is 1-based within the block of same-size windows
-    pat = Pattern(6, (1, 1, 1, 0, 0, 0))
-    assert window_start(pat, 1, 1) == 0
-    assert window_start(pat, 2, 1) == 1
-    assert window_start(pat, 3, 1) == 3
-    pat2 = Pattern(4, (0, 2, 0, 0))
-    assert window_start(pat2, 2, 1) == 0
-    assert window_start(pat2, 2, 2) == 2
-    with pytest.raises(ValueError):
-        window_start(pat2, 3, 1)
-    with pytest.raises(ValueError):
-        window_start(pat2, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +153,7 @@ def test_mixed_pattern_roots_annihilate_G():
     for x in [(0, 1, 2, 3), (4, 4, 1, 0), (2, 0, 0, 1), (3, 3, 3, 3)]:
         g = build_G(pat, x, bank)
         rv = RootVector(x, pat, bank)
-        for (size, _), orbit in zip(rv.layout.windows, rv.y):
+        for (size, _), orbit in zip(rv.layout, rv.y):
             ctx = bank.get(size)
             for root in orbit:
                 acc = 0

@@ -413,13 +413,12 @@ def test_verify_builds_no_embedding(monkeypatch):
         raise AssertionError("an embedding was built")
 
     monkeypatch.setattr(ffield.Embedding, "__init__", no_embedding)
-    monkeypatch.setattr(ffield.ContextBank, "embedding", no_embedding)
     built = []
     real_init = ffield.ExtCtx.__init__
 
-    def init(ctx, base, i, modulus=None):
+    def init(ctx, base, i):
         built.append(i)
-        real_init(ctx, base, i, modulus)
+        real_init(ctx, base, i)
 
     monkeypatch.setattr(ffield.ExtCtx, "__init__", init)
     ffield._SHARED_BANKS.clear()            # build every layer afresh
