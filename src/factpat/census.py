@@ -23,10 +23,10 @@ A run is described by an INI config:
     format = json          ; json | csv
     out = report.json      ; the CLI exits 2 if it cannot write it
 
-budget is one limit, MEMBER_BUDGET (10^8) by default: no run enumerates
-a family of more members, builds a pattern table over more monics, or
-scans more vectors of F_q^n in one walk; past it the run raises
-BudgetError.
+budget is one limit, MEMBER_BUDGET (10^8) by default: no run tallies a
+family of more members, builds the q^n-monic table of run_global or
+run_verify past it, or scans more vectors of F_q^n in one walk; past it
+the run raises BudgetError.
 
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
