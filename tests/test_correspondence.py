@@ -68,6 +68,31 @@ def test_layout_tiles_coordinates_in_order():
     assert layout(Pattern(4, (0, 2, 0, 0))) == ((2, 0), (2, 2))
 
 
+def _starts(pat, i):
+    """Start offsets of the windows of size i, in copy order."""
+    return [start for size, start in layout(pat) if size == i]
+
+
+def test_window_start_matches_layout():
+    # the j-th (1-based) window of size i starts after every smaller window
+    # and the j-1 earlier copies of size i
+    pat = Pattern(6, (1, 1, 1, 0, 0, 0))
+    for i in (1, 2, 3):
+        below = sum(k * c for k, c in enumerate(pat.counts[:i - 1], start=1))
+        assert _starts(pat, i) == [below]
+    assert _starts(pat, 1)[0] == 0
+    assert _starts(pat, 2)[0] == 1
+    assert _starts(pat, 3)[0] == 3
+    pat2 = Pattern(4, (0, 2, 0, 0))
+    assert _starts(pat2, 2)[0] == 0
+    assert _starts(pat2, 2)[1] == 2
+    # no window (3, 1) and no third copy (2, 3)
+    with pytest.raises(IndexError):
+        _starts(pat2, 3)[0]
+    with pytest.raises(IndexError):
+        _starts(pat2, 2)[2]
+
+
 def test_layout_all_patterns_partition_range():
     for n in (3, 4, 6):
         for pat in enumerate_patterns(n):
