@@ -49,11 +49,12 @@ count emits identical bytes.
 run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
 yields each x in itertools.product order with the window index of G(x):
 at depth n the correspondence section reads each polynomial's pattern
-slot from the table by that index; at depth n - r the membership check
-reads the family's window flags, and the variety keeps the windows where
-its reduced system vanishes.  So reports are those of a per-point scan;
-one variety pass per pattern gives both the counting identity and the
-Jacobian probe.  The walk works
+slot from the table by that index, and in the same walk the membership
+check reads the family's window flags at that index mod q^(n - r), the
+depth-(n - r) window; at depth n - r the variety keeps the windows where
+its reduced system vanishes.  So each section walks each pattern once,
+and reports are those of a per-point scan; one variety pass per pattern
+gives both the counting identity and the Jacobian probe.  The walk works
 in the layers F_(q^i) of the window sizes i <= n alone, which the family
 descriptor builds before anything is scanned.
 """
@@ -67,7 +68,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .correspondence import verify_membership_equivalence, walk_G
+from .correspondence import _Membership, walk_G
 from .errors import BudgetError
 from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
@@ -418,8 +419,10 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             type_pattern_bad = None
             fib: dict[int, int] = {}
             untyped = 0
+            member = _Membership(fam, pat, bank)
             # G(x), by its index in the table
             for x, t, g in walk_G(pat, bank, n, budget=cfg.budget):
+                member.add(x, t, g)
                 matches = slot[g] >> 1 == i
                 if t != matches and type_pattern_ok:
                     type_pattern_ok = False
@@ -436,7 +439,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             for c, cnt in fib.items():
                 if not slot[c] & 1:
                     nsq_sizes[cnt] = nsq_sizes.get(cnt, 0) + 1
-            mem_ok, mem_bad = verify_membership_equivalence(fam, pat, bank, cfg.budget)
+            mem_ok, mem_bad = member.result()
             typed_sqfree = sum(fib.get(c, 0) for c in sq_polys)
             sq_grouped += Fraction(typed_sqfree, stats.weight)
             rows.append({
@@ -452,9 +455,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                 "membership_equiv_ok": mem_ok,
                 "membership_equiv_counterexample":
                     None if mem_bad is None else
-                    {"x": list(mem_bad["x"]),
-                     "in_family": mem_bad["in_family"],
-                     "on_variety": mem_bad["on_variety"]},
+                    {**mem_bad, "x": list(mem_bad["x"])},
             })
             ok_flags += [type_pattern_ok, fiber_ok, mem_ok]
         report["correspondence"] = rows

@@ -18,8 +18,9 @@ exactly w (the pattern weight) typed vectors.
 All scans over F_q^n go through one walk, walk_G, which yields each x
 in itertools.product order with its typed flag and the depth-k window
 index of G(x) (tables.window_index): k = n for the correspondence section
-of run_verify, k = n - r for the membership check and for the variety's
-rational_zeros, whose constraints are linear conditions on that window.
+of run_verify, whose membership check (_Membership) reads the depth-(n - r)
+window off that index, and k = n - r for the variety's rational_zeros,
+whose constraints are linear conditions on that window.
 A window's polynomial depends only on its own q^i coordinates, so for
 each window size i below n the walk tables the top digits of the q^i
 window polynomials once per call (a window of size n is streamed), and
@@ -30,7 +31,7 @@ the first ceil(i/2) coordinates and one over the last floor(i/2).
 Every first counterexample is the same x as in a per-point scan.
 build_G, is_type_lambda and variety.eval_R stay as the per-point
 oracles; build_G and eval_R form each orbit as the conjugate-matrix
-product _orbit.
+product _orbit, and read nothing of the walk.
 """
 
 from __future__ import annotations
@@ -266,27 +267,40 @@ def _walk(levels, level, mult, flags, xs, rows, typed):
             yield xs + coords, typed and t, w
 
 
+class _Membership:
+    """The membership check, fed the walk one x at a time: at every typed
+    x, the family's window flags against the per-point oracle eval_R, up
+    to the first x where they disagree."""
+
+    def __init__(self, fam, pattern: Pattern, bank):
+        from .variety import eval_R, sym_system
+        self.eval_R, self.sys_ = eval_R, sym_system(fam, pattern, bank)
+        self.inside, self.bad = family_windows(fam), None
+
+    def add(self, x, typed, w):
+        """w is the window index of G(x) at depth n - r or deeper: the
+        depth-(n - r) window is its index mod q^(n - r) (see tables)."""
+        if typed and self.bad is None:
+            in_family = bool(self.inside[w % len(self.inside)])
+            on_variety = not any(self.eval_R(self.sys_, x))
+            if in_family != on_variety:
+                self.bad = {"x": x, "in_family": in_family,
+                            "on_variety": on_variety}
+
+    def result(self):
+        return self.bad is None, self.bad
+
+
 def verify_membership_equivalence(fam, pattern: Pattern, bank,
                                   budget: int = SCAN_BUDGET):
     """Check, over every typed vector, that G(x) lies in the family iff
-    the reduced symmetric system vanishes at x.
-
-    Membership is read from the walk at depth n - r, through the window
-    flags that family_tally sums over, and the system from the per-point
-    oracle eval_R, so each typed x checks the walk against the oracle.
-    Returns (ok, counterexample) where the counterexample is None or a
-    dict with the offending vector and both verdicts.
-    """
+    the reduced symmetric system vanishes at x, walking at depth n - r
+    (see _Membership).  Returns (ok, counterexample): None or a dict with
+    the offending vector and both verdicts."""
     scan = walk_G(pattern, bank, fam.n - fam.r, budget=budget)
-    from .variety import eval_R, sym_system
-    sys_ = sym_system(fam, pattern, bank)
-    inside = family_windows(fam)
+    check = _Membership(fam, pattern, bank)
     for x, typed, w in scan:
-        if not typed:
-            continue
-        in_family = bool(inside[w])
-        on_variety = not any(eval_R(sys_, x))
-        if in_family != on_variety:
-            return False, {"x": x, "in_family": in_family,
-                           "on_variety": on_variety}
-    return True, None
+        check.add(x, typed, w)
+        if check.bad is not None:
+            break
+    return check.result()

@@ -25,7 +25,8 @@ E_1..E_(n-r), so R is evaluated once per window index and the rational
 zeros are the x that correspondence.walk_G passes at that depth.
 run_verify takes the counts and the probe from a single pass
 (variety_pass); count_points and jacobian_probe read the same scan.
-eval_R and g_coeffs stay as the per-point oracles.
+eval_R and g_coeffs stay as the per-point oracles; they form each
+window vector's E values once per pattern (see _esym).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class SymSystem:
     terms: tuple              # per row j: ((k, coeff), ...) nonzero entries
     nr: int                   # n - r, number of symmetric values used
     weight: int               # pattern weight w
+    kept: dict                # (coords, upto) -> a window's E_0..E_upto
 
 
 def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
@@ -68,16 +70,23 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
     terms = tuple(tuple((k + 1, c) for k, c in enumerate(srow) if c)
                   for srow in fam.srows)
     return SymSystem(fam, pattern, bank, tuple(windows), terms, fam.n - fam.r,
-                     pattern_stats(pattern).weight)
+                     pattern_stats(pattern).weight, {})
 
 
 def _esym(sys_: SymSystem, x, upto):
-    """E_0..E_upto of all root values of x, window by window."""
-    K = sys_.fam.ctx
-    e = [1]
+    """E_0..E_upto of all root values of x, window by window.  Each
+    window vector's E values are formed once per system and kept, except
+    for a window of size n, which no other x shares."""
+    K, kept, x = sys_.fam.ctx, sys_.kept, tuple(x)
+    e = None
     for start, size, ctx in sys_.windows:
-        orbit = _orbit(ctx, ctx.A, x[start:start + size])
-        e = pmul(K, e, _window_esym(ctx, orbit, upto))[:upto + 1]
+        coords = x[start:start + size]
+        ew = kept.get((coords, upto))
+        if ew is None:
+            ew = _window_esym(ctx, _orbit(ctx, ctx.A, coords), upto)
+            if size < sys_.fam.n:
+                kept[coords, upto] = ew
+        e = ew if e is None else pmul(K, e, ew)[:upto + 1]
     return e
 
 

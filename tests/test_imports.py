@@ -13,7 +13,9 @@ The one module-level container is ffield._SHARED_BANKS, which holds the
 layers and the family tables; clearing it gives a process the cold state
 of a fresh one, so no function is memoized with functools either.
 The walk's functions in correspondence read none of the per-point
-oracles, so the tests that hold the walk to an oracle compare two routes.
+oracles, and the oracles in correspondence and variety read none of the
+walk's functions, so the tests that hold the walk to an oracle compare
+two routes, also where the oracles keep values.
 """
 
 from __future__ import annotations
@@ -203,3 +205,36 @@ def test_the_check_sees_a_walk_reading_an_oracle():
     assert _oracle_reads(tree) == [("_stored", "eval_R"),
                                    ("_walk", "_full_shifts"),
                                    ("walk_G", "_orbit")]
+
+
+_ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "_esym", "g_coeffs"}
+
+
+def _walk_reads(trees):
+    """(function, name) of each walk name that an oracle function reads."""
+    return sorted((node.name, name) for tree in trees for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in _ORACLE_FUNCTIONS
+                  for name in _reads(node) & _WALK)
+
+
+def test_no_oracle_reads_the_walk():
+    trees = [ast.parse((SRC / name).read_text())
+             for name in ("correspondence.py", "variety.py")]
+    assert _ORACLE_FUNCTIONS <= {node.name for tree in trees
+                                 for node in tree.body
+                                 if isinstance(node, ast.FunctionDef)}
+    assert _walk_reads(trees) == []
+
+
+def test_the_check_sees_an_oracle_reading_the_walk():
+    trees = [ast.parse("def walk_G(x):\n    return x\n"
+                       "def build_G(x):\n    return walk_G(x)\n"
+                       "def _window_poly(c):\n    return c._half_orbits\n"),
+             ast.parse("def _esym(s):\n"
+                       "    from .correspondence import _stored\n"
+                       "def eval_R(s):\n    return _esym(s)\n"
+                       "def rational_zeros(s):\n    return walk_G(s)\n")]
+    assert _walk_reads(trees) == [("_esym", "_stored"),
+                                  ("_window_poly", "_half_orbits"),
+                                  ("build_G", "walk_G")]

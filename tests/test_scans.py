@@ -12,8 +12,11 @@ eval_R along coordinate lines, to the square-freeness of build_G, and to
 root multiplicities read from each window's minimal polynomial.  Also
 here: the descent traps reached through the scans (a corrupted column
 of A in either half of the split), the pinned bytes of
-five verify reports, the variety at n = 7 that once needed F_(5^12), and
-the fail-fast on a window layer over the order limit.
+five verify reports, the walks run_verify makes (one per pattern and
+section), its membership cells against verify_membership_equivalence
+(also where eval_R is made to lie), the variety at n = 7 that once
+needed F_(5^12), and the fail-fast on a window layer over the order
+limit.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from factpat import census, cli, correspondence, ffield
-from factpat.census import RunConfig, render_json, run_verify
-from factpat.correspondence import build_G, is_type_lambda, walk_G
+from factpat import census, cli, correspondence, ffield, variety
+from factpat.census import (RunConfig, build_family, render_json,
+                            run_verify)
+from factpat.correspondence import (build_G, is_type_lambda,
+                                    verify_membership_equivalence, walk_G)
 from factpat.errors import GaloisDescentError
 from factpat.family import new_family, pattern_tally, prescribed_family
 from factpat._dense import pmul
@@ -371,6 +376,84 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
         "x": [0, 1, 2], "typed": False, "pattern_matches": True}
     assert all(r["type_pattern_ok"] for r in rep["correspondence"][1:])
     assert rep["overall_pass"] is False
+
+
+@pytest.mark.parametrize("sections", [BOTH, ("correspondence",),
+                                      ("variety",)])
+def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
+    # the membership check rides on the correspondence walk: P walks at
+    # depth n for the correspondence, P at depth n - r for the variety
+    real = correspondence.walk_G
+    depths = []
+
+    def counting_walk(pattern, bank, k, flags=None,
+                      budget=correspondence.SCAN_BUDGET):
+        depths.append(k)
+        return real(pattern, bank, k, flags, budget)
+
+    for module in (census, correspondence, variety):
+        monkeypatch.setattr(module, "walk_G", counting_walk)
+    cfg = RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,))
+    rep = run_verify(cfg, sections=sections)
+    npat = len(enumerate_patterns(4))
+    want = ([4] * npat if "correspondence" in sections else []) + (
+        [2] * npat if "variety" in sections else [])
+    assert depths == want
+    assert rep["overall_pass"] is True
+
+
+MEMBERSHIP_CFGS = [
+    RunConfig(p=5, n=3, r=2, rows=((2,),), alpha=(1,)),
+    RunConfig(p=5, n=4, r=2, rows=((1, 3),), alpha=(2,)),
+    RunConfig(p=5, n=4, mode="prescribed", indices=(1, 3), alpha=(2, 1)),
+]
+
+
+def _membership_routes(cfg):
+    """Per pattern: (run_verify's membership cells, the same cells from
+    verify_membership_equivalence)."""
+    field = make_field(cfg.p, cfg.s)
+    fam = build_family(cfg, field)
+    bank = ContextBank.shared(field)
+    rows = run_verify(cfg, sections=("correspondence",))["correspondence"]
+    out = []
+    for row, pat in zip(rows, enumerate_patterns(cfg.n)):
+        assert row["lambda"] == pat.label()
+        ok, bad = verify_membership_equivalence(fam, pat, bank)
+        if bad is not None:
+            bad = {**bad, "x": list(bad["x"])}
+        out.append(((row["membership_equiv_ok"],
+                     row["membership_equiv_counterexample"]), (ok, bad)))
+    return out
+
+
+@pytest.mark.parametrize("cfg", MEMBERSHIP_CFGS,
+                         ids=["q5n3", "q5n4", "q5n4-prescribed"])
+def test_verify_membership_matches_its_own_walk(cfg):
+    for in_verify, alone in _membership_routes(cfg):
+        assert in_verify == alone == (True, None)
+
+
+@pytest.mark.parametrize("cfg", MEMBERSHIP_CFGS[1:], ids=["q5n4",
+                                                          "q5n4-prescribed"])
+def test_membership_counterexample_is_the_first_flipped_vector(monkeypatch,
+                                                               cfg):
+    # eval_R lies at two vectors, typed under every pattern; both routes
+    # must report the first of them in product order
+    real = variety.eval_R
+    flipped = {(3, 0, 1, 2), (1, 2, 3, 4)}
+
+    def lying_eval_R(sys_, x):
+        out = real(sys_, x)
+        if tuple(x) not in flipped:
+            return out
+        return (0,) * len(out) if any(out) else (1,) * len(out)
+
+    monkeypatch.setattr(variety, "eval_R", lying_eval_R)
+    for in_verify, alone in _membership_routes(cfg):
+        assert in_verify == alone
+        assert in_verify[0] is False
+        assert in_verify[1]["x"] == [1, 2, 3, 4]
 
 
 def _refuse(*args, **kwargs):

@@ -4,7 +4,8 @@ and the Jacobian rank probe.
 
 Independent oracles: combinations-based symmetric sums, Vieta expansion
 through the conjugate-product polynomial, and frozen exhaustive counts
-for the canonical trace-zero quartic family over F_5.
+for the canonical trace-zero quartic family over F_5.  The window E
+values a system keeps are held to a fresh system per call.
 """
 
 from __future__ import annotations
@@ -136,6 +137,50 @@ def test_eval_R_vanishes_exactly_on_family_members():
             coeffs = g_coeffs(sys_, x)
             assert (all(v == 0 for v in residues)
                     == fam.contains_coeffs(coeffs))
+
+
+def _kept_family(p, n):
+    K = make_field(p)
+    return ContextBank.shared(K), new_family(K, n, n - 2, [[1, 2]], [1])
+
+
+@pytest.mark.parametrize("p, n", [(5, 4), (7, 3)])
+def test_kept_window_values_do_not_depend_on_order(p, n):
+    # each system keeps its windows' E values: the oracles must give the
+    # same values in either order, and as on a fresh system per call
+    bank, fam = _kept_family(p, n)
+    xs = list(product(range(p), repeat=n))
+    for pat in enumerate_patterns(n):
+        sys_ = sym_system(fam, pat, bank)
+        forward = [(eval_R(sys_, x), g_coeffs(sys_, x)) for x in xs]
+        sys_ = sym_system(fam, pat, bank)
+        backward = [(eval_R(sys_, x), g_coeffs(sys_, x))
+                    for x in reversed(xs)][::-1]
+        sys_ = sym_system(fam, pat, bank)
+        swapped = [g_coeffs(sys_, x) for x in xs]
+        swapped = [(eval_R(sys_, x), g) for x, g in zip(xs, swapped)]
+        fresh = [(eval_R(sym_system(fam, pat, bank), x),
+                  g_coeffs(sym_system(fam, pat, bank), x)) for x in xs]
+        assert forward == backward == swapped == fresh, pat.label()
+
+
+def test_kept_window_values_are_bounded():
+    # no window of size n is kept, and at most q^i windows of each size
+    # i < n per depth
+    p, n = 5, 4
+    bank, fam = _kept_family(p, n)
+    for pat in enumerate_patterns(n):
+        sys_ = sym_system(fam, pat, bank)
+        for x in product(range(p), repeat=n):
+            eval_R(sys_, x)
+            g_coeffs(sys_, x)
+        sizes = sorted(set(pat.sizes()) - {n})
+        assert {len(c) for c, _ in sys_.kept} == set(sizes), pat.label()
+        for upto in (sys_.nr, n):
+            kept = [c for c, u in sys_.kept if u == upto]
+            assert len(kept) == sum(p ** i for i in sizes)
+            assert len(kept) <= sum(p ** i for i in range(n))
+        assert {u for _, u in sys_.kept} <= {sys_.nr, n}
 
 
 # ---------------------------------------------------------------------------
