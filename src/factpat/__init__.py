@@ -20,7 +20,7 @@ from .ffield import ContextBank, ExtCtx, FieldParams, find_irreducible, make_fie
 from .patterns import (Pattern, PatternStats, cycle_pattern,
                        enumerate_patterns, irreducible_count, pattern_stats,
                        symmetric_group_census)
-from .poly import MonicPoly, pattern_of_coeffs, squarefree_decompose
+from .poly import pattern_of_coeffs, squarefree_decompose
 from .variety import (PointCounts, ProbeReport, SymSystem, count_points,
                       eval_R, g_coeffs, jacobian_probe, rational_zeros,
                       sym_system, variety_pass)

@@ -55,8 +55,11 @@ depth-(n - r) window; at depth n - r the variety keeps the windows where
 its reduced system vanishes.  So each section walks each pattern once,
 and reports are those of a per-point scan; one variety pass per pattern
 gives both the counting identity and the Jacobian probe.  The walk works
-in the layers F_(q^i) of the window sizes i <= n alone, which the family
-descriptor builds before anything is scanned.
+in the layers F_(q^i) of the window sizes i <= n alone, with their Zech
+tables (ffield.ExtCtx.ensure_fast).  Those tables are what the order
+limit bounds, so run_verify builds the largest, F_(q^n), before anything
+is tallied or scanned.  run_census and run_bounds build the layers for
+the descriptor but no tables, so the order limit does not apply to them.
 """
 
 from __future__ import annotations
@@ -276,8 +279,6 @@ def run_census(cfg: RunConfig) -> dict:
     """Pattern census of a family with bound verdicts per pattern."""
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
-    # the descriptor builds the extension layers, which can exceed the
-    # order limit: fail before the tally scans anything
     descriptor = family_descriptor(fam)
     tally = census_tally(fam, cfg.budget, cfg.workers)
     rows = []
@@ -398,6 +399,9 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         "sections": sorted(sections),
     }
     patterns = enumerate_patterns(n)
+    # the scans table every layer they use, up to F_(q^n); tabling that
+    # one first fails a layer over the order limit before any tally or scan
+    bank.get(n).ensure_fast()
     member_tally = census_tally(fam, cfg.budget, cfg.workers)
     # one entry per polynomial where the correspondence looks them up,
     # else only the pattern totals

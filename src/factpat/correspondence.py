@@ -42,7 +42,6 @@ from itertools import product
 from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
 from .patterns import Pattern
-from .poly import MonicPoly
 from .tables import _multiplier, family_windows
 
 SCAN_BUDGET = 10 ** 7
@@ -153,9 +152,9 @@ def _window_poly(ctx, coords):
     return win_poly
 
 
-def build_G(pattern: Pattern, x, bank) -> MonicPoly:
-    """The monic degree-n image of x: product over windows of the full
-    conjugate product of the window element.
+def build_G(pattern: Pattern, x, bank) -> list:
+    """The monic degree-n image of x, as a full coefficient list: product
+    over windows of the full conjugate product of the window element.
 
     The per-point oracle for walk_G: each window product is computed
     inside its own layer F_(q^i) and descent-checked (see _window_poly).
@@ -167,7 +166,7 @@ def build_G(pattern: Pattern, x, bank) -> MonicPoly:
     out = [1]
     for size, start in layout(pattern):
         out = pmul(base, out, _window_poly(bank.get(size), x[start:start + size]))
-    return MonicPoly.from_full(base, out)
+    return out
 
 
 def _half_orbits(ctx, cols):

@@ -25,7 +25,7 @@ from itertools import product
 from .errors import BudgetError
 from .ffield import FieldParams, rref
 from .patterns import Pattern, pattern_stats
-from .poly import MonicPoly, pattern_of_coeffs
+from .poly import pattern_of_coeffs
 
 MEMBER_BUDGET = 10 ** 8
 
@@ -230,11 +230,11 @@ def _member_coeffs(fam: LinearFamily, first=None):
 
 
 def enumerate_members(fam: LinearFamily, budget: int = MEMBER_BUDGET):
-    """Yield every member exactly once as MonicPoly, deterministically."""
+    """Yield every member exactly once as its full coefficient list,
+    deterministically."""
     if fam.size > budget:
         raise BudgetError(f"family size {fam.size} exceeds budget {budget}")
-    for full in _member_coeffs(fam):
-        yield MonicPoly(fam.ctx, full[:-1])
+    yield from _member_coeffs(fam)
 
 
 def pattern_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET, first=None) -> dict:

@@ -25,8 +25,8 @@ fast path in front of it.  Prime fields and base layers of order up to
 _TABLE_MAX_PRIME and _TABLE_MAX_EXT carry flat add/mul tables; extension
 layers optionally carry discrete-log (Zech) tables, built lazily
 (ensure_fast), which turn their arithmetic into table lookups for
-exhaustive scans; no layer is over ORDER_LIMIT, so every layer can have
-them.
+exhaustive scans.  A layer of any order can be built; only its tables
+are limited, to layers of order at most ORDER_LIMIT.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import itertools
 
 from ._dense import padd, peval, pgcd, pmod, pmul, ppowmod, pscale, psub
 
-ORDER_LIMIT = 1 << 20     # largest layer order the constructors accept
+ORDER_LIMIT = 1 << 20     # largest order of a field or of a tabled layer
 _TABLE_MAX_PRIME = 1024   # op-table cutoffs for base layers
 _TABLE_MAX_EXT = 128
 
@@ -385,12 +385,6 @@ def mat_nullspace(K, rows):
     return basis
 
 
-def check_order(q: int, i: int) -> None:
-    """Raise ValueError if the layer F_(q^i) is over ORDER_LIMIT."""
-    if q ** i > ORDER_LIMIT:
-        raise ValueError(f"extension order {q}^{i} exceeds the {ORDER_LIMIT} limit")
-
-
 class ExtCtx(_Digits):
     """Extension layer F_(q^i) = F_q[v]/(h) with normal-basis data.
 
@@ -404,7 +398,6 @@ class ExtCtx(_Digits):
     def __init__(self, base: FieldParams, i: int):
         if i < 1:
             raise ValueError("extension degree must be >= 1")
-        check_order(base.q, i)
         self.base = base
         self.i = i
         self.q = base.q
@@ -412,7 +405,7 @@ class ExtCtx(_Digits):
         self.modulus = find_irreducible(base, i)[:-1]
         self._coef, self._radix, self._width = base, base.q, i
         self._red = self._reduction_rows()
-        self._exp = self._log = self._zech = self._qpow = None
+        self._exp = self._log = self._zech = None
         self._init_normal_basis()
 
     def elements(self):
@@ -467,9 +460,6 @@ class ExtCtx(_Digits):
         k %= self.i
         if k == 0 or x == 0 or x == 1:
             return x
-        if self._exp is not None:
-            M = self.order - 1
-            return self._exp[(self._log[x] * self._qpow[k]) % M]
         return self.pow_(x, self.q ** k)
 
     # -- internals -----------------------------------------------------
@@ -540,9 +530,13 @@ class ExtCtx(_Digits):
                        for k in range(i))
 
     def ensure_fast(self):
-        """Build the exp/log/Zech tables, once."""
+        """Build the exp/log/Zech tables, once: three lists of about
+        q^i entries, so a layer over ORDER_LIMIT raises ValueError here."""
         if self._exp is not None:
             return
+        if self.order > ORDER_LIMIT:
+            raise ValueError(f"extension order {self.q}^{self.i} exceeds "
+                             f"the {ORDER_LIMIT} limit")
         M = self.order - 1
         fac = _prime_factors(M)
         gen = None
@@ -571,7 +565,6 @@ class ExtCtx(_Digits):
             s2 = s - d0 + badd(d0, 1)
             zech[k] = log[s2] if s2 else -1
         self._exp, self._log, self._zech = exp, log, zech
-        self._qpow = [pow(q, k, M) for k in range(self.i)]
 
     def __eq__(self, other):
         return (isinstance(other, ExtCtx)

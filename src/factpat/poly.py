@@ -1,91 +1,16 @@
-"""Monic polynomials over F_q and factorization-pattern extraction.
+"""Square-free decomposition and factorization patterns over F_q.
 
-A MonicPoly of degree n stores the tuple (c_0, ..., c_(n-1)) of
-f = T^n + c_(n-1) T^(n-1) + ... + c_0; the leading 1 is implicit.
-Pattern extraction never splits factors of equal degree: a square-free
-decomposition handles multiplicities (taking p-th roots when the
-derivative vanishes) and a distinct-degree stage only counts how many
-irreducible factors of each degree occur.
+A monic f = T^n + c_(n-1) T^(n-1) + ... + c_0 is its full coefficient
+list [c_0, ..., c_(n-1), 1], the dense form of _dense, everywhere in the
+package.  Pattern extraction never splits factors of equal degree: a
+square-free decomposition handles multiplicities (taking p-th roots when
+the derivative vanishes) and a distinct-degree stage only counts how
+many irreducible factors of each degree occur.
 """
 
 from __future__ import annotations
 
-from ._dense import pderiv, peval, pgcd, pmod, pmul, ppowmod, pquo, trim
-
-
-class MonicPoly:
-    """A monic univariate polynomial tied to its coefficient field."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx, coeffs):
-        coeffs = tuple(coeffs)
-        q = ctx.q
-        for c in coeffs:
-            if not 0 <= c < q:
-                raise ValueError(f"coefficient code {c} out of range for q={q}")
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_full(cls, ctx, full):
-        full = trim(list(full))
-        if not full or full[-1] != 1:
-            raise ValueError("polynomial is not monic")
-        return cls(ctx, full[:-1])
-
-    @classmethod
-    def irreducible(cls, ctx, d):
-        from .ffield import find_irreducible
-        return cls(ctx, find_irreducible(ctx, d)[:-1])
-
-    @property
-    def degree(self):
-        return len(self.coeffs)
-
-    def full(self):
-        """Dense coefficient list including the leading 1."""
-        return list(self.coeffs) + [1]
-
-    def _check(self, other):
-        if not isinstance(other, MonicPoly):
-            raise TypeError("expected a MonicPoly")
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-
-    def mul(self, other):
-        self._check(other)
-        return MonicPoly.from_full(self.ctx, pmul(self.ctx, self.full(), other.full()))
-
-    def mod(self, other):
-        self._check(other)
-        return pmod(self.ctx, self.full(), other.full())
-
-    def gcd(self, other):
-        self._check(other)
-        g = pgcd(self.ctx, self.full(), other.full())
-        return MonicPoly.from_full(self.ctx, g)
-
-    def derivative(self):
-        return pderiv(self.ctx, self.full())
-
-    def eval(self, x):
-        return peval(self.ctx, self.full(), x)
-
-    def __eq__(self, other):
-        return (isinstance(other, MonicPoly)
-                and self.ctx == other.ctx and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        terms = [f"T^{self.degree}"]
-        for k in range(self.degree - 1, -1, -1):
-            c = self.coeffs[k]
-            if c:
-                terms.append(f"{c}*T^{k}" if k else str(c))
-        return " + ".join(terms)
+from ._dense import pderiv, pgcd, pmod, ppowmod, pquo, trim
 
 
 def _pth_root_poly(K, full):
@@ -126,27 +51,28 @@ def _sfd_accumulate(K, full, mult, out):
         _sfd_accumulate(K, _pth_root_poly(K, c), mult * K.p, out)
 
 
-def squarefree_decompose(f: MonicPoly) -> list:
-    """[(g, k)] with f = prod g^k, the g square-free, monic and coprime.
+def squarefree_decompose(K, full) -> list:
+    """[(g, k)] with f = prod g^k for the monic f with coefficient list
+    full over K: the g square-free, monic, coprime full lists.
 
-    Deterministic order: by multiplicity, then by coefficient tuple.
+    Deterministic order: by multiplicity, then by coefficients.
     """
-    if f.degree < 1:
+    if len(full) < 2:
         return []
     out: dict = {}
-    _sfd_accumulate(f.ctx, f.full(), 1, out)
+    _sfd_accumulate(K, full, 1, out)
     items = sorted(out.items(), key=lambda kv: (kv[1], kv[0]))
-    return [(MonicPoly.from_full(f.ctx, list(g)), k) for g, k in items]
+    return [(list(g), k) for g, k in items]
 
 
-def is_squarefree(f: MonicPoly) -> bool:
+def is_squarefree(K, full) -> bool:
     """gcd(f, f') test; a vanishing derivative means a p-th power factor."""
-    if f.degree < 1:
+    if len(full) < 2:
         return True
-    d = f.derivative()
+    d = pderiv(K, full)
     if not d:
         return False
-    return len(pgcd(f.ctx, f.full(), d)) == 1
+    return len(pgcd(K, full, d)) == 1
 
 
 def _ddf_degree_counts(K, q, g):

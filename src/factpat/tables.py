@@ -59,8 +59,7 @@ def window_coeffs(q, n, k, w):
     """A monic (c_0, ..., c_(n-1), 1) of degree n whose depth-k window has
     index w; the coefficients below the window are 0."""
     full = [0] * n + [1]
-    for t in range(1, k + 1):
-        w, full[n - t] = divmod(w, q)
+    full[n - k:n] = reversed(_to_vec(w, q, k))
     return full
 
 

@@ -40,7 +40,7 @@ from .errors import CountingIdentityError
 from .family import LinearFamily, pattern_tally
 from .ffield import _to_vec, mat_rank
 from .patterns import Pattern, pattern_stats
-from .poly import MonicPoly, squarefree_decompose
+from .poly import squarefree_decompose
 
 # how many violating vectors the Jacobian probe records
 MAX_RECORDED = 10
@@ -229,10 +229,9 @@ def _double_collision(sys_: SymSystem, x) -> bool:
     read from the square-free decomposition G(x) = prod g_k^k: some g_k
     with k >= 4 is not constant, or the g_k with k >= 2 have total
     degree at least 2."""
-    parts = squarefree_decompose(MonicPoly.from_full(sys_.fam.ctx,
-                                                     g_coeffs(sys_, x)))
+    parts = squarefree_decompose(sys_.fam.ctx, g_coeffs(sys_, x))
     return (any(k >= 4 for _, k in parts)
-            or sum(f.degree for f, k in parts if k >= 2) >= 2)
+            or sum(len(g) - 1 for g, k in parts if k >= 2) >= 2)
 
 
 def _jacobian(sys_: SymSystem, x, e):

@@ -145,7 +145,7 @@ def test_members_match_brute_filter(p, n, r, rows, alpha):
         warnings.simplefilter("ignore")
         fam = new_family(ctx, n, r, rows, alpha)
     expected = set(_brute_members(ctx, n, r, rows, alpha))
-    got = [tuple(f.full()) for f in enumerate_members(fam)]
+    got = [tuple(f) for f in enumerate_members(fam)]
     assert len(got) == len(set(got)) == fam.size
     assert set(got) == expected
     assert all(fam.contains_coeffs(list(f)) for f in got)
@@ -154,7 +154,7 @@ def test_members_match_brute_filter(p, n, r, rows, alpha):
 def test_contains_rejects_non_members():
     F5 = make_field(5)
     fam = new_family(F5, 4, 3, [[2]], [3])
-    members = {tuple(f.full()) for f in enumerate_members(fam)}
+    members = {tuple(f) for f in enumerate_members(fam)}
     rejected = 0
     for tail in product(range(5), repeat=4):
         full = list(tail) + [1]
@@ -167,8 +167,8 @@ def test_contains_rejects_non_members():
 def test_member_stream_is_deterministic_and_chunked():
     F5 = make_field(5)
     fam = new_family(F5, 4, 3, [[2]], [3])
-    once = [tuple(f.full()) for f in enumerate_members(fam)]
-    again = [tuple(f.full()) for f in enumerate_members(fam)]
+    once = [tuple(f) for f in enumerate_members(fam)]
+    again = [tuple(f) for f in enumerate_members(fam)]
     assert once == again
     # chunks keyed by the leading free coefficient partition the tally
     whole = pattern_tally(fam)
@@ -197,8 +197,7 @@ def test_prescribed_family_pins_coefficients():
     assert fam.prescribed
     assert (fam.m, fam.r, fam.pivots) == (2, 3, (1, 2))
     assert fam.size == 7 ** 3
-    for f in enumerate_members(fam):
-        full = f.full()
+    for full in enumerate_members(fam):
         assert full[5 - 1] == 3 and full[5 - 2] == 4
 
 
@@ -222,7 +221,7 @@ def test_tally_matches_direct_kernel():
     tally = pattern_tally(fam)
     direct: dict[tuple, list] = {}
     for f in enumerate_members(fam):
-        key, sqf = pattern_of_coeffs(F5, f.full())
+        key, sqf = pattern_of_coeffs(F5, f)
         slot = direct.setdefault(key, [0, 0])
         slot[0] += 1
         slot[1] += int(sqf)

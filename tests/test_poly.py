@@ -1,5 +1,6 @@
 """Polynomial machinery: square-free decomposition, distinct-degree
-pattern extraction, and the MonicPoly wrapper.
+pattern extraction, and the dense kernels (pmul, pmod, pgcd, pderiv,
+peval) with find_irreducible, on full coefficient lists.
 
 The reference oracle here is full trial-division factorization: divide
 by every monic polynomial of lower degree using local school-book long
@@ -14,10 +15,10 @@ from itertools import product
 
 import pytest
 
-from factpat.ffield import make_field
+from factpat._dense import pderiv, peval, pgcd, pmod, pmul
+from factpat.ffield import find_irreducible, make_field
 from factpat.patterns import Pattern
-from factpat.poly import (MonicPoly, is_squarefree, pattern_of_coeffs,
-                          squarefree_decompose)
+from factpat.poly import is_squarefree, pattern_of_coeffs, squarefree_decompose
 
 SAMPLE_SEED = 911
 
@@ -129,27 +130,26 @@ def test_pattern_of_linear_and_constant_edge():
 # square-free decomposition
 
 
-def _reassemble(dec):
-    acc = None
+def _reassemble(K, dec):
+    acc = [1]
     for fac, mult in dec:
         for _ in range(mult):
-            acc = fac if acc is None else acc.mul(fac)
+            acc = pmul(K, acc, fac)
     return acc
 
 
 def test_decomposition_reassembles_all_quartics_f5():
     K = make_field(5)
     for full in _monics(K, 4):
-        f = MonicPoly.from_full(K, full)
-        dec = squarefree_decompose(f)
-        assert _reassemble(dec) == f
+        dec = squarefree_decompose(K, full)
+        assert _reassemble(K, dec) == full
         for fac, mult in dec:
-            assert mult >= 1 and fac.degree >= 1
-            assert is_squarefree(fac)
+            assert mult >= 1 and len(fac) >= 2
+            assert is_squarefree(K, fac)
         # components of a square-free decomposition are pairwise coprime
         for i in range(len(dec)):
             for j in range(i + 1, len(dec)):
-                assert dec[i][0].gcd(dec[j][0]).degree == 0
+                assert pgcd(K, dec[i][0], dec[j][0]) == [1]
 
 
 def test_decomposition_reassembles_sampled_char2():
@@ -157,36 +157,35 @@ def test_decomposition_reassembles_sampled_char2():
     rng = random.Random(SAMPLE_SEED + 1)
     for _ in range(150):
         full = [rng.randrange(K.q) for _ in range(6)] + [1]
-        f = MonicPoly.from_full(K, full)
-        dec = squarefree_decompose(f)
-        assert _reassemble(dec) == f
-        assert all(is_squarefree(fac) for fac, _ in dec)
+        dec = squarefree_decompose(K, full)
+        assert _reassemble(K, dec) == full
+        assert all(is_squarefree(K, fac) for fac, _ in dec)
 
 
 def test_decomposition_handles_pth_powers():
     # (T + a)^p has identically-zero derivative; the p-th-root recursion
     # must still recover the base factor with multiplicity p.
     K = make_field(5)
-    lin = MonicPoly.from_full(K, (3, 1))
+    lin = [3, 1]
     f = lin
     for _ in range(4):
-        f = f.mul(lin)
-    assert squarefree_decompose(f) == [(lin, 5)]
+        f = pmul(K, f, lin)
+    assert squarefree_decompose(K, f) == [(lin, 5)]
 
     K2 = make_field(2, 2)
-    quad = MonicPoly.irreducible(K2, 2)
-    g = quad.mul(quad)
-    assert squarefree_decompose(g) == [(quad, 2)]
+    quad = list(find_irreducible(K2, 2))
+    g = pmul(K2, quad, quad)
+    assert squarefree_decompose(K2, g) == [(quad, 2)]
 
 
 def test_decomposition_multiplicity_spectrum():
     K = make_field(5)
-    a = MonicPoly.from_full(K, (4, 1))           # T - 1
-    b = MonicPoly.from_full(K, (3, 1))           # T - 2
-    f = a.mul(a).mul(b)
-    assert squarefree_decompose(f) == [(b, 1), (a, 2)]
-    assert pattern_of_coeffs(K, f.full())[0] == (3, 0, 0)
-    assert not is_squarefree(f)
+    a = [4, 1]                                  # T - 1
+    b = [3, 1]                                  # T - 2
+    f = pmul(K, pmul(K, a, a), b)
+    assert squarefree_decompose(K, f) == [(b, 1), (a, 2)]
+    assert pattern_of_coeffs(K, f)[0] == (3, 0, 0)
+    assert not is_squarefree(K, f)
 
 
 def test_is_squarefree_against_oracle_f9():
@@ -195,74 +194,56 @@ def test_is_squarefree_against_oracle_f9():
     for _ in range(120):
         full = [rng.randrange(K.q) for _ in range(4)] + [1]
         _, sqf = _brute_pattern(K, full)
-        assert is_squarefree(MonicPoly.from_full(K, full)) == sqf
+        assert is_squarefree(K, full) == sqf
 
 
 # ---------------------------------------------------------------------------
-# MonicPoly wrapper behaviour
-
-
-def test_from_full_requires_monic():
-    K = make_field(5)
-    with pytest.raises(ValueError):
-        MonicPoly.from_full(K, (1, 2, 3))
-    MonicPoly.from_full(K, (1, 2, 1))
+# dense kernels and find_irreducible against local arithmetic
 
 
 def test_mul_and_mod_match_local_arithmetic():
     K = make_field(7)
     rng = random.Random(SAMPLE_SEED + 3)
     for _ in range(60):
-        f = MonicPoly(K, tuple(rng.randrange(7) for _ in range(4)))
-        g = MonicPoly(K, tuple(rng.randrange(7) for _ in range(2)))
-        prod = f.mul(g)
+        a = [rng.randrange(7) for _ in range(4)] + [1]
+        b = [rng.randrange(7) for _ in range(2)] + [1]
         # local convolution check
-        a, b = f.full(), g.full()
         conv = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 conv[i + j] = K.add(conv[i + j], K.mul(ca, cb))
-        assert prod.full() == conv
-        _, rem = _poly_divmod(K, f.full(), g.full())
+        assert pmul(K, a, b) == conv
+        _, rem = _poly_divmod(K, a, b)
         while rem and rem[-1] == 0:
             rem.pop()
-        assert f.mod(g) == rem
+        assert pmod(K, a, b) == rem
 
 
 def test_gcd_is_monic_common_divisor():
     K = make_field(5)
-    a = MonicPoly.from_full(K, (4, 1))
-    b = MonicPoly.from_full(K, (3, 1))
-    f = a.mul(a).mul(b)
-    g = a.mul(a).mul(a)
-    h = f.gcd(g)
-    assert h == a.mul(a)
-    assert f.gcd(MonicPoly.from_full(K, (2, 0, 1))).degree == 0
+    a = [4, 1]
+    b = [3, 1]
+    a2 = pmul(K, a, a)
+    f = pmul(K, a2, b)
+    g = pmul(K, a2, a)
+    assert pgcd(K, f, g) == a2
+    assert pgcd(K, f, [2, 0, 1]) == [1]
 
 
 def test_derivative_and_eval():
     K = make_field(5)
-    f = MonicPoly.from_full(K, (1, 2, 3, 1))   # T^3 + 3T^2 + 2T + 1
-    assert f.derivative() == [2, 1, 3]         # 3T^2 + 6T + 2 mod 5
+    f = [1, 2, 3, 1]                            # T^3 + 3T^2 + 2T + 1
+    assert pderiv(K, f) == [2, 1, 3]            # 3T^2 + 6T + 2 mod 5
     for a in range(5):
         expected = (a ** 3 + 3 * a ** 2 + 2 * a + 1) % 5
-        assert f.eval(a) == expected
-
-
-def test_equality_hash_and_degree():
-    K = make_field(5)
-    f = MonicPoly.from_full(K, (1, 2, 1))
-    g = MonicPoly(K, (1, 2))
-    assert f == g and hash(f) == hash(g)
-    assert f.degree == 2
-    assert f != MonicPoly(K, (1, 3))
+        assert peval(K, f, a) == expected
 
 
 def test_irreducible_classmethod_is_irreducible():
     K = make_field(5)
     for d in (2, 3):
-        f = MonicPoly.irreducible(K, d)
-        assert f.degree == d
-        assert _brute_factor(K, f.full()) == [(tuple(f.full()), 1)]
-        assert pattern_of_coeffs(K, f.full())[0] == tuple(
+        f = find_irreducible(K, d)
+        assert len(f) == d + 1 and f[-1] == 1
+        assert _brute_factor(K, f) == [(f, 1)]
+        assert pattern_of_coeffs(K, f)[0] == tuple(
             1 if k == d - 1 else 0 for k in range(d))

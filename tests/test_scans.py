@@ -64,7 +64,7 @@ def test_G_scan_matches_build_G_on_a_bank_without_zech_tables(ps, n, data):
     bank = ContextBank.shared(K)
     for pat in enumerate_patterns(n):
         want = [(x, is_type_lambda(x, pat),
-                 window_index(K.q, build_G(pat, x, oracle).full(), k))
+                 window_index(K.q, build_G(pat, x, oracle), k))
                 for x in vectors]
         assert list(walk_G(pat, bank, k)) == want, pat.label()
         rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
@@ -135,7 +135,7 @@ def test_rational_zeros_match_brute_force_filter(ps, n, data):
         for x in product(range(K.q), repeat=n):
             if not any(eval_R(sys_, x)):
                 # E_k = (-1)^k c_(n-k) of G(x), from the conjugate products
-                full = build_G(pat, x, bank).full()
+                full = build_G(pat, x, bank)
                 want.append((x, [1] + [K.neg(full[n - k]) if k % 2
                                        else full[n - k]
                                        for k in range(1, sys_.nr + 1)]))
@@ -255,8 +255,8 @@ def test_coincidence_and_double_collision_match_oracles(ps, n, data):
         v_eq = 0
         for x, _ in rational_zeros(sys_):
             g = build_G(pat, x, bank)
-            assert _coincident(sys_, x) == (not is_squarefree(g)), x
-            v_eq += not is_squarefree(g)
+            assert _coincident(sys_, x) == (not is_squarefree(K, g)), x
+            v_eq += not is_squarefree(K, g)
             roots = _root_multiplicities(sys_, x)
             double = (any(e >= 4 for _, e in roots)
                       or sum(d for d, e in roots if e >= 2) >= 2)
@@ -477,7 +477,8 @@ def test_variety_pass_at_n7_needs_no_common_layer():
 
 def test_window_layer_limit_fails_before_any_scan(monkeypatch, tmp_path):
     # at (11, 6) the window layer F_(11^6) of pattern 6 is itself over the
-    # order limit: the family descriptor fails before anything is scanned
+    # order limit: run_verify tables it, and fails, before anything is
+    # tallied or scanned
     for name in ("census_tally", "walk_G", "sym_system", "variety_pass"):
         monkeypatch.setattr(census, name, _refuse)
     cfg = RunConfig(p=11, n=6, r=3, rows=((1, 0, 0),), alpha=(0,))

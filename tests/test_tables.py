@@ -130,15 +130,19 @@ def test_census_tally_table_path_when_codimension_is_small(monkeypatch):
     assert census_tally(fam, workers=2) == want
 
 
-def test_tower_limit_fails_before_the_tally(monkeypatch, tmp_path):
-    monkeypatch.setattr(census, "census_tally", _refuse)
+def test_census_and_bounds_run_past_the_order_limit(tmp_path):
+    # the order limit bounds a layer's Zech tables; the descriptor builds
+    # the layers F_(11^6) and F_(101^5) but no tables
     cfg = RunConfig(p=11, n=6, r=3, rows=((1, 0, 0),), alpha=(0,))
-    with pytest.raises(ValueError, match="exceeds the 1048576 limit"):
-        run_census(cfg)
-    ini = tmp_path / "big.ini"
-    ini.write_text("[field]\np = 11\n\n[family]\nn = 6\nr = 3\n"
-                   "rows = 1 0 0\nalpha = 0\n")
-    assert cli.main(["census", "--config", str(ini)]) == 2
+    rep = run_census(cfg)
+    assert rep["overall_pass"]
+    assert sum(row["count"] for row in rep["rows"]) == 11 ** 5
+    for command, p, n, rows in (("census", 11, 6, "1 0 0"),
+                                ("bounds", 101, 5, "1 0")):
+        ini = tmp_path / f"q{p}n{n}.ini"
+        ini.write_text(f"[field]\np = {p}\n\n[family]\nn = {n}\nr = 3\n"
+                       f"rows = {rows}\nalpha = 0\n")
+        assert cli.main([command, "--config", str(ini)]) == 0
 
 
 @pytest.fixture
