@@ -26,18 +26,21 @@ A run is described by an INI config:
 budget is one limit, MEMBER_BUDGET (10^8) by default: no run tallies a
 family of more members, builds the q^n-monic table of run_global or
 run_verify past it, or scans more vectors of F_q^n in one walk; past it
-the run raises BudgetError.
+the run raises BudgetError.  A census reads its family's table only if
+the table's q^n monics are within it, and else takes the kernel path,
+which the member count bounds.
 
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
 no floats or timestamps appear.
 
 Counts come from one of two exact paths.  The pattern table (see
-tables.py) multiplies irreducibles and bins the products by their top
-window; run_global reads it at depth 0, run_verify at depth n for its
-per-polynomial lookups (depth 0 when only the variety section runs), and
-census_tally at depth n - r for families of small codimension (see
-census_tally).  run_global's and run_verify's tables are built per call;
+tables.py) counts the monics by top window and pattern without factoring
+them, by a search that multiplies irreducibles or, for p > k where it is
+cheaper, through the characters of the window group; run_global reads it
+at depth 0, run_verify at depth n for its per-polynomial lookups (depth
+0 when only the variety section runs), and census_tally at depth n - r
+for families of small codimension (see census_tally).  run_global's and run_verify's tables are built per call;
 the census table depends only on (q, n, r), so tables.family_tally keeps
 it in the field's shared ContextBank, and a process holds one table per
 (field, n, depth) it has tallied.  Other families run the census kernel
@@ -224,13 +227,16 @@ def _reference_ci(fam) -> dict:
 
 # -- member tally -----------------------------------------------------------
 
-# The census kernel takes 67-235 us per member and the pattern table
+# The census kernel takes 67-235 us per member and the table's search
 # 0.6-4.4 us per monic of degree n (ten families with q <= 13, n <= 8 on
 # Python 3.11), so the break-even codimension q^m ran from 36 to 332,
 # median about 120.  census_tally reads the table when
 # q^n <= TABLE_RATIO * |A|, that is q^m <= TABLE_RATIO, and the table's
 # q^(n-r) windows are no more than the members, so that each table's
 # memory stays within a constant per member of the family that built it.
+# The table's character route (tables.pattern_table) only lowers its
+# cost, so the ratio errs towards the kernel.  Like the other q^n tables,
+# the census table is built only within the budget.
 # The table is kept for the process (tables.family_tally), one per
 # (field, n, depth) tallied, and shared by every family at that point.
 TABLE_RATIO = 128
@@ -246,16 +252,17 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
     """Pattern tally over the members: counts tuple -> [total, squarefree].
 
     Families of small codimension (q^n <= TABLE_RATIO * |A|) with no more
-    windows than members (q^(n-r) <= |A|) are read off the pattern table;
-    the others run the kernel member by member, chunked by the leading
-    free coefficient when workers > 1, in a pool of at most as many
-    processes as chunks and as CPUs this process may run on.  Merge
-    order is fixed, so the result is independent of the path and of the
-    worker count."""
+    windows than members (q^(n-r) <= |A|) are read off the pattern table,
+    if its q^n monics are within the budget; the others run the kernel
+    member by member, chunked by the leading free coefficient when
+    workers > 1, in a pool of at most as many processes as chunks and as
+    CPUs this process may run on.  Merge order is fixed, so the result is
+    independent of the path and of the worker count."""
     if fam.size > budget:
         raise BudgetError(f"family size {fam.size} exceeds budget {budget}")
     q, size = fam.q, fam.size
-    if q ** fam.n <= TABLE_RATIO * size and q ** (fam.n - fam.r) <= size:
+    if (q ** fam.n <= min(TABLE_RATIO * size, budget)
+            and q ** (fam.n - fam.r) <= size):
         return family_tally(fam)
     if workers <= 1 or fam.n - fam.m == 0:
         return pattern_tally(fam, budget=budget)

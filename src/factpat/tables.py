@@ -1,4 +1,4 @@
-"""Pattern tables built by multiplying irreducibles instead of factoring.
+"""Pattern tables: monics counted by window and pattern without factoring.
 
 The depth-k window of a monic f = T^n + c_(n-1) T^(n-1) + ... + c_0 is
 (c_(n-1), ..., c_(n-k)): the coefficients of X^1 .. X^k in the reversed
@@ -9,21 +9,48 @@ no gcd.  A window is stored as its index sum c_(n-t) q^(t-1), t = 1..k,
 so truncating a window to a smaller depth j is the index mod q^j.
 
 pattern_table(K, n, k) counts the monics of degree n by window, pattern
-and square-freeness without factoring any of them.  A depth-first search
-runs over the multisets of monic irreducibles of degree below n with
-total degree n, taking irreducibles in nondecreasing index order: the
-multiset gives the pattern, a repeated index makes the product
-non-square-free, and the product of the windows places it.  Every window
-is shared by exactly q^(n-k) monics, so the degree-n irreducibles with a
-window are what the composites leave over.  The same search at degree d
-and depth min(d, k) gives, for each degree d below n, how many
-irreducibles have each window; a factor that can only come last is taken
-once per window with that multiplicity.
+and square-freeness without factoring any of them, by one of two routes.
+
+The search (_search_table, any field and depth) runs depth-first over
+the multisets of monic irreducibles of degree below n with total degree
+n, taking irreducibles in nondecreasing index order: the multiset gives
+the pattern, a repeated index makes the product non-square-free, and the
+product of the windows places it.  Every window is shared by exactly
+q^(n-k) monics, so the degree-n irreducibles with a window are what the
+composites leave over.  The same search at degree d and depth min(d, k)
+gives, for each degree d below n, how many irreducibles have each
+window; a factor that can only come last is taken once per window with
+that multiplicity.  It costs about q^n window products.
+
+The characters (_character_table, p > k; D. R. Hayes, Trans. AMS 117,
+1965) work in the window group G_k = (1 + X F_q[X]) / X^(k+1), of order
+q^k.  For p > k the truncated logarithm maps G_k onto F_q^k = F_p^(sk)
+as an additive group, and the base-p digits of an index are its F_p
+coordinates, so the characters are zeta^<b, log g>, one per index b.
+Each monic's character value is the product of its factors', so the
+transform of a pattern's counts is a product over degrees of symmetric
+functions of the prime sums, which the L-functions of the characters
+give (see _character_table); one inverse transform per pattern and
+square-freeness reads the counts back through the logarithm.  It costs
+about (2P + k) k q^(k+1) operations, with no factor of q^n.
+
+pattern_table takes the characters iff p > k and that cost is below 8
+q^n (its comment has the measured constants), so every depth-0 table
+and the census tables take them, and the search stays for p <= k and
+where it is cheaper.  Each route is the other's test oracle.  The
+characters are exact: all arithmetic is mod one prime l = 1 (mod p),
+l > 2 q^n, proven prime by trial division (ffield._is_prime), with zeta
+of order p in F_l.  Reduction mod l is a ring map from Z[zeta_p], where
+the true transforms lie; the divisions are by integers up to n and by
+q^k, all below l and so units mod l; and each count lies in 0..q^n,
+below l, so its residue is the count.
 
 k = 0 gives the unconstrained census, k = n - r the windows a linear
-family constrains, and k = n one entry per polynomial.  Live state while
-a table is built is the recursion (depth below n), the windows of the
-irreducibles below degree n, and one flat array of q^k * P * 2 counts.
+family constrains, and k = n one entry per polynomial.  The table is one
+flat array of q^k * P * 2 counts.  The search's live state besides it is
+the recursion (depth below n) and the windows of the irreducibles below
+degree n; the characters' is a few dozen lists of q^k residues, each
+dropped once used (a 2.4 MB peak for the 0.22 MB table at (11, 6, 3)).
 The table at depth n - r serves every family at (q, n, r), so
 family_tally keeps it in the shared ContextBank of its field, keyed by
 (n, k), until ffield._SHARED_BANKS is cleared; the tables that
@@ -40,9 +67,9 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from operator import mul
+from operator import mul, sub
 
-from .ffield import ContextBank, _to_vec
+from .ffield import ContextBank, _is_prime, _to_vec
 from .patterns import enumerate_patterns
 
 
@@ -188,6 +215,23 @@ def pattern_table(K, n, k):
     (P patterns in all), and which are square-free iff sq is 1."""
     if not 0 <= k <= n:
         raise ValueError("window depth must lie in 0..n")
+    # The search takes about 0.2-2.3 us per monic, q^n in all; the
+    # characters about 0.06-0.16 us per operation, (2P + k) k q^(k+1) in
+    # all (up to k + 2P transforms of k passes over q^k entries, each a
+    # sum of p products).  Measured on the 158 tables with q <= 13 prime,
+    # p > k and q^n <= 3 * 10^5 on Python 3.11: with the factor 8 below
+    # the rule picked the slower route by 5.6 ms in all, with 4 by 211 ms
+    # (at (5, 7, 4) and (11, 5, 3)).  At k = 0 the characters cost only
+    # the patterns, so they are always taken.
+    npat = len(enumerate_patterns(n))
+    if K.p > k and (2 * npat + k) * k * K.q ** (k + 1) < 8 * K.q ** n:
+        return _character_table(K, n, k)
+    return _search_table(K, n, k)
+
+
+def _search_table(K, n, k):
+    """pattern_table by the depth-first search over the products of
+    irreducibles; any field and depth."""
     q = K.q
     keys = _pattern_keys(n)
     npat = len(keys)
@@ -201,6 +245,150 @@ def pattern_table(K, n, k):
         at = w * width
         counts[at + width - 1] = per_window - sum(counts[at:at + width])
     return counts
+
+
+def _modulus(p, bound):
+    """(l, zeta): the least prime l = 1 (mod p) above bound, proven prime
+    by trial division, and an element zeta of order p in F_l."""
+    l = bound - bound % p + 1
+    while l <= bound or not _is_prime(l):
+        l += p
+    g = 2
+    while pow(g, (l - 1) // p, l) == 1:
+        g += 1
+    return l, pow(g, (l - 1) // p, l)
+
+
+def _log_indices(K, k):
+    """logs[w]: the truncated logarithm of window w as an element of
+    F_q^k, indexed like a window.  Its coefficients solve
+    t l_t = t g_t - sum_(j<t) j l_j g_(t-j), which needs 1/t for t <= k."""
+    q, add, mul = K.q, K.add, K.mul
+    qpow = [q ** t for t in range(k)]
+    num = [K.of_int(t) for t in range(k + 1)]
+    neg_inv = [0] + [K.neg(K.inv(num[t])) for t in range(1, k + 1)]
+    out = []
+    for w in range(q ** k):
+        g = (1,) + _to_vec(w, q, k)
+        jl = [0] * (k + 1)          # j * l_j
+        v = 0
+        for t in range(1, k + 1):
+            acc = 0
+            for j in range(1, t):
+                acc = add(acc, mul(jl[j], g[t - j]))
+            lt = add(g[t], mul(neg_inv[t], acc))
+            jl[t] = mul(num[t], lt)
+            v += lt * qpow[t - 1]
+        out.append(v)
+    return out
+
+
+def _transform(f, rows, digits, l):
+    """sum_v zeta^<b, v> f[v] mod l at every index b, where <b, v> pairs
+    the base-p digits of b and v and rows[u][x] = zeta^(u x).  Each pass
+    transforms the top digit and moves it to the bottom, so after one
+    pass per digit every digit is transformed and back in its place."""
+    p = len(rows)
+    m = len(f) // p
+    for _ in range(digits):
+        f = [sum(map(mul, row, col)) % l
+             for col in zip(*[f[x * m:(x + 1) * m] for x in range(p)])
+             for row in rows]
+    return f
+
+
+def _scaled(p, digits, j):
+    """The index of j b at every index b: each base-p digit times j."""
+    idx = [0]
+    for i in range(digits):
+        step = p ** i
+        idx = [x + j * y % p * step for y in range(p) for x in idx]
+    return idx
+
+
+def _character_table(K, n, k):
+    """pattern_table through the characters of the window group; p > k.
+
+    chi_b(g) = zeta^<b, log g> runs over the characters of G_k as b runs
+    over the q^k indices.  a_d(chi), the sum of chi over the monics of
+    degree d, is the transform of the windows below q^d pushed through
+    the logarithm for d <= k, and 0 for d > k unless chi is trivial.  The
+    log-derivative gives c_N = N a_N - sum_(j<N) a_j c_(N-j), and
+    c_N(chi) = sum_(d | N) d pi_d(chi^(N/d)) the prime sums pi_d, where
+    chi_b^j = chi_(j b).  Per degree d, Newton's identities turn the
+    power sums pi_d(chi^i) into h_m and e_m; per pattern the inverse
+    transforms of prod_d h_(c_d) and prod_d e_(c_d) are the total and
+    the square-free counts at each log g.  All of it is mod l."""
+    q, p = K.q, K.p
+    size = q ** k
+    digits = K.s * k
+    l, zeta = _modulus(p, 2 * q ** n)
+    logs = _log_indices(K, k)
+    fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
+    scale = {j % p: _scaled(p, digits, j) for j in range(n + 1)}
+    a = []
+    for d in range(1, k + 1):
+        hit = [0] * size
+        for w in range(q ** d):
+            hit[logs[w]] = 1
+        a.append(_transform(hit, fwd, digits, l))
+    c = {}
+    pi = [None]
+    for N in range(1, n + 1):
+        acc = [N * x for x in a[N - 1]] if N <= k else [0] * size
+        for j in range(1, min(N - 1, k) + 1):
+            acc = [s - x * y for s, x, y in zip(acc, a[j - 1], c[N - j])]
+        acc[0] = q ** N             # the trivial character
+        acc = c[N] = [s % l for s in acc]
+        c.pop(N - k, None)          # the recurrence reads the last k only
+        for d in range(1, N):
+            if N % d == 0:
+                pd = pi[d]
+                acc = [s - d * pd[i] for s, i in zip(acc, scale[N // d % p])]
+        inv = pow(N, -1, l)
+        pi.append([s * inv % l for s in acc])
+    del a, c
+    # h[d][m] and e[d][m]: the complete and the elementary symmetric
+    # functions of degree m in chi(P), P irreducible of degree d
+    ones = [1] * size
+    h, e = {}, {}
+    for d in range(1, n + 1):
+        power = [None] + [[pi[d][i] for i in scale[j % p]]
+                          for j in range(1, n // d + 1)]
+        hd, ed = [ones], [ones]
+        for m in range(1, n // d + 1):
+            hs, es = [0] * size, [0] * size
+            for i in range(1, m + 1):
+                hs = [s + x * y for s, x, y in zip(hs, power[i], hd[m - i])]
+                sign = 1 if i % 2 else -1
+                es = [s + sign * x * y
+                      for s, x, y in zip(es, power[i], ed[m - i])]
+            inv = pow(m, -1, l)
+            hd.append([s * inv % l for s in hs])
+            ed.append([s * inv % l for s in es])
+        h[d], e[d] = hd, ed
+    del pi, power
+    back = [row[:1] + row[:0:-1] for row in fwd]    # zeta^(-u x)
+    unit = pow(size, -1, l)
+
+    def at_windows(parts, sym):
+        prod = ones
+        for d, cd in parts:
+            prod = [x * y % l for x, y in zip(prod, sym[d][cd])]
+        prod = _transform(prod, back, digits, l)
+        return [prod[v] * unit % l for v in logs]
+
+    pats = enumerate_patterns(n)
+    width = 2 * len(pats)
+    table = array("q", bytes(8 * size * width))
+    for i, pat in enumerate(pats):
+        parts = [(d, cd) for d, cd in enumerate(pat.counts, 1) if cd]
+        total = at_windows(parts, h)
+        sqf = (total if all(cd == 1 for _, cd in parts)
+               else at_windows(parts, e))
+        table[2 * i + 1::width] = array("q", sqf)
+        table[2 * i::width] = array("q", map(sub, total, sqf))
+    return table
 
 
 def tally_windows(n, counts, windows):

@@ -1,12 +1,14 @@
-"""Every import in the engine's modules is used, every private name the
-engine defines is read, and the only cache the engine keeps is one that
-a single clear empties.
+"""Every import in the engine's modules is used and is relative or from
+the standard library, every private name the engine defines is read,
+and the only cache the engine keeps is one that a single clear empties.
 
 No linter ships with the engine, so this walks each module's syntax tree
 with the standard library alone: a name bound by an import (at module
 level or inside a function) must be read somewhere in the module.
 `__init__.py` is exempt, since it imports only to re-export, and so is
-`from __future__ import ...`.  A private name (one leading underscore)
+`from __future__ import ...`.  Every absolute import names a module in
+sys.stdlib_module_names, so the engine runs where only Python is
+installed, although numpy may be installed too.  A private name (one leading underscore)
 defined at module level, or as a method, must be read somewhere in the
 engine: loaded as a name or attribute, or imported by another module.
 The one module-level container is ffield._SHARED_BANKS, which holds the
@@ -21,6 +23,7 @@ two routes, also where the oracles keep values.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import factpat
@@ -54,6 +57,38 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\n"
                      "def f():\n    from sys import path\n    return loads\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "dumps"), (4, "path")]
+
+
+def _outside_stdlib(tree):
+    """(line, module) of each absolute import of a module outside the
+    standard library."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(out)
+
+
+def test_the_engine_imports_only_the_standard_library():
+    found = {p.name: _outside_stdlib(ast.parse(p.read_text()))
+             for p in sorted(SRC.glob("*.py"))}
+    assert len(found) > 1
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_a_third_party_import():
+    tree = ast.parse("import numpy as np\nimport os.path, json\n"
+                     "from . import poly\nfrom .ffield import make_field\n"
+                     "from numpy.fft import fft\nfrom __future__ import x\n"
+                     "def f():\n    import scipy.linalg\n")
+    assert _outside_stdlib(tree) == [(1, "numpy"), (5, "numpy.fft"),
+                                     (8, "scipy.linalg")]
 
 
 def _private(name):

@@ -1,17 +1,21 @@
-"""Pattern tables built by multiplying irreducibles, checked against the
-census kernel that factors every polynomial on its own.
+"""Pattern tables, by the search over products of irreducibles and by the
+characters of the window group, checked against each other and against
+the census kernel that factors every polynomial on its own.
 
 Oracles: pattern_of_coeffs over all q^n monics (binned by window at
-every depth), pattern_tally over random linear and prescribed families,
-and the kernel path of census_tally with and without workers.  The
-family tables kept in the shared ContextBank are checked for reuse, for
-a rebuild once the banks are cleared, and for staying unwritten.
+every depth, for both routes), the other route on every small table
+where both apply, the closed forms of the global counts past the
+search's reach, pattern_tally over random linear and prescribed
+families, and the kernel path of census_tally with and without workers.
+The family tables kept in the shared ContextBank are checked for reuse,
+for a rebuild once the banks are cleared, and for staying unwritten.
 """
 
 from __future__ import annotations
 
 import warnings
 from itertools import combinations, product
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,9 +26,10 @@ from factpat.census import (RunConfig, census_tally, run_census, run_global,
                             run_verify)
 from factpat.family import new_family, pattern_tally, prescribed_family
 from factpat.ffield import make_field
-from factpat.patterns import enumerate_patterns
+from factpat.patterns import enumerate_patterns, irreducible_count
 from factpat.poly import pattern_of_coeffs
-from factpat.tables import (family_tally, pattern_table, window_coeffs,
+from factpat.tables import (_character_table, _modulus, _search_table,
+                            family_tally, pattern_table, window_coeffs,
                             window_index)
 
 # (p, s) for q in {2, 3, 4, 5, 7, 8, 9}: prime fields, extensions, char 2
@@ -49,7 +54,71 @@ def test_table_matches_kernel_at_every_depth(ps, n):
     K = make_field(*ps)
     assume(K.q ** n <= 3000)
     for k in range(n + 1):      # k = 0 is the global census, k = n per poly
-        assert list(pattern_table(K, n, k)) == _kernel_table(K, n, k), k
+        want = _kernel_table(K, n, k)
+        assert list(_search_table(K, n, k)) == want, k
+        if K.p > k:
+            assert list(_character_table(K, n, k)) == want, k
+
+
+def test_routes_agree_on_every_small_table():
+    # every table with p > k and q^n <= 2 * 10^4, for the primes below 14
+    # and F_9, F_25, F_27, F_49
+    fields = [(p, 1) for p in (2, 3, 5, 7, 11, 13)] + [(3, 2), (5, 2),
+                                                       (3, 3), (7, 2)]
+    cases = [(p, s, n, k) for p, s in fields
+             for n in range(1, 15) if p ** (s * n) <= 2 * 10 ** 4
+             for k in range(min(n, p - 1) + 1)]
+    assert len(cases) == 154
+    for p, s, n, k in cases:
+        K = make_field(p, s)
+        assert _search_table(K, n, k) == _character_table(K, n, k), \
+            (K.q, n, k)
+
+
+@pytest.mark.parametrize("q, n, k", [(13, 7, 3), (31, 5, 2)])
+def test_character_table_meets_the_closed_forms(q, n, k):
+    # 13^7 and 31^5 monics are past the search's reach; summed over the
+    # windows, the table is the global census, which has closed forms
+    table = _character_table(make_field(q), n, k)
+    pats = enumerate_patterns(n)
+    width = 2 * len(pats)
+    assert len(table) == q ** k * width
+    irr = [irreducible_count(q, d) for d in range(1, n + 1)]
+    for i, pat in enumerate(pats):
+        sqf = sum(table[2 * i + 1::width])
+        total = sqf + sum(table[2 * i::width])
+        parts = [(irr[d], c) for d, c in enumerate(pat.counts) if c]
+        assert total == prod(comb(m + c - 1, c) for m, c in parts), pat
+        assert sqf == prod(comb(m, c) for m, c in parts), pat
+    assert all(sum(table[at:at + width]) == q ** (n - k)
+               for at in range(0, len(table), width))
+    assert sum(table[width - 1::width]) == irreducible_count(q, n)
+
+
+@pytest.mark.parametrize("p, s, n", [(2, 1, 13), (3, 1, 9), (7, 1, 6),
+                                     (5, 2, 3), (13, 1, 7), (101, 1, 5)])
+def test_modulus_is_a_prime_with_a_pth_root_of_unity(p, s, n):
+    bound = 2 * (p ** s) ** n
+    l, zeta = _modulus(p, bound)
+    assert l > bound and l % p == 1
+    assert all(l % d for d in range(2, isqrt(l) + 1))
+    assert zeta != 1 and pow(zeta, p, l) == 1      # order p, as p is prime
+
+
+def test_workload_tables_take_the_named_route(monkeypatch):
+    # the census grid's tables and every depth-0 table by characters; the
+    # verify depth-n tables, where p <= k, by the search
+    by_characters = [(7, 1, 5, 2), (7, 1, 6, 3), (11, 1, 5, 2), (3, 1, 9, 0),
+                     (2, 3, 5, 0), (2, 1, 13, 0), (7, 1, 5, 0)]
+    by_search = [(5, 1, 5, 5), (2, 3, 4, 4)]
+    for refused, cases in (("_search_table", by_characters),
+                           ("_character_table", by_search)):
+        with monkeypatch.context() as patch:
+            patch.setattr(tables, refused, _refuse)
+            for p, s, n, k in cases:
+                K = make_field(p, s)
+                assert len(pattern_table(K, n, k)) \
+                    == K.q ** k * 2 * len(enumerate_patterns(n))
 
 
 def _draw_family(K, n, data):
@@ -128,6 +197,17 @@ def test_census_tally_table_path_when_codimension_is_small(monkeypatch):
     want = pattern_tally(fam)
     monkeypatch.setattr(census, "pattern_tally", _refuse)
     assert census_tally(fam, workers=2) == want
+
+
+def test_census_table_counts_against_the_budget(monkeypatch):
+    # within the table rule but for its 13^4 monics, past a budget that
+    # the family's 13^3 members are within
+    fam = _unit_row_families(13, 4, 1, 1, 1)[0]
+    assert fam.size == 13 ** 3 and 13 ** 4 <= census.TABLE_RATIO * fam.size
+    assert fam.size <= 10 ** 4 < 13 ** 4
+    want = pattern_tally(fam)
+    monkeypatch.setattr(census, "family_tally", _refuse)
+    assert census_tally(fam, budget=10 ** 4) == want
 
 
 def test_census_and_bounds_run_past_the_order_limit(tmp_path):
