@@ -53,15 +53,16 @@ run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
 yields each x in itertools.product order with the window index of G(x):
 at depth n the correspondence section reads each polynomial's pattern
 slot from the table by that index, and in the same walk the membership
-check reads the family's window flags at that index mod q^(n - r), the
-depth-(n - r) window; at depth n - r the variety keeps the windows where
-its reduced system vanishes.  So each section walks each pattern once,
-and reports are those of a per-point scan; one variety pass per pattern
-gives both the counting identity and the Jacobian probe.  The walk works
-in the layers F_(q^i) of the window sizes i <= n alone, with their Zech
-tables (ffield.ExtCtx.ensure_fast).  Those tables are what the order
-limit bounds, so run_verify builds the largest, F_(q^n), before anything
-is tallied or scanned.  run_census and run_bounds build the layers for
+check and the variety pass read the family's window flags and the zeros
+of the reduced system at that index mod q^(n - r), the depth-(n - r)
+window.  So a full verify walks each pattern once, and the variety alone
+walks it once at depth n - r; reports are those of a per-point scan, and
+one variety pass per pattern gives both the counting identity and the
+Jacobian probe.  The walk tables each window size's entries once per
+Frobenius orbit, in the layers F_(q^i) of the window sizes i <= n alone,
+with their Zech tables (ffield.ExtCtx.ensure_fast).  Those tables are
+what the order limit bounds, so run_verify builds the largest, F_(q^n),
+before anything is tallied or scanned.  run_census and run_bounds build the layers for
 the descriptor but no tables, so the order limit does not apply to them.
 """
 
@@ -82,7 +83,7 @@ from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
 from .tables import family_tally, pattern_table, tally_windows
-from .variety import identity_failure, sym_system, variety_pass
+from .variety import _Pass, identity_failure, sym_system, variety_pass
 
 ENGINE_TAG = "factpat 0.1.0"
 
@@ -417,14 +418,19 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     gtally = tally_windows(n, table, range(q ** depth))
     ok_flags = []
     sq_grouped = Fraction(0)
+    rows = {name: [] for name in ("correspondence", "variety")
+            if name in sections}
     if "correspondence" in sections:
         # slot[w] = 2 * (pattern index) + (square-free) of the polynomial
         # with index w: the one nonzero entry of its row
         width = 2 * len(patterns)
         slot = [table[w * width:(w + 1) * width].index(1)
                 for w in range(q ** n)]
-        rows = []
-        for i, pat in enumerate(patterns):
+    for i, pat in enumerate(patterns):
+        sys_ = sym_system(fam, pat, bank) if "variety" in rows else None
+        # with both sections the variety rides on the depth-n walk
+        fused = _Pass(sys_) if sys_ and "correspondence" in rows else None
+        if "correspondence" in sections:
             stats = pattern_stats(pat)
             type_pattern_ok = True
             type_pattern_bad = None
@@ -434,6 +440,8 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             # G(x), by its index in the table
             for x, t, g in walk_G(pat, bank, n, budget=cfg.budget):
                 member.add(x, t, g)
+                if fused is not None:
+                    fused.add(x, t, g)
                 matches = slot[g] >> 1 == i
                 if t != matches and type_pattern_ok:
                     type_pattern_ok = False
@@ -453,7 +461,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             mem_ok, mem_bad = member.result()
             typed_sqfree = sum(fib.get(c, 0) for c in sq_polys)
             sq_grouped += Fraction(typed_sqfree, stats.weight)
-            rows.append({
+            rows["correspondence"].append({
                 "lambda": pat.label(),
                 "typed": sum(fib.values()),
                 "untyped": untyped,
@@ -469,13 +477,10 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                     {**mem_bad, "x": list(mem_bad["x"])},
             })
             ok_flags += [type_pattern_ok, fiber_ok, mem_ok]
-        report["correspondence"] = rows
-    if "variety" in sections:
-        rows = []
-        for pat in patterns:
-            sys_ = sym_system(fam, pat, bank)
+        if "variety" in sections:
             # counts and probe from one scan of the rational zeros
-            pc, probe = variety_pass(sys_, cfg.budget, member_tally)
+            pc, probe = (variety_pass(sys_, cfg.budget, member_tally)
+                         if fused is None else fused.result(member_tally))
             detail = identity_failure(pc, pat)
             row = {
                 "lambda": pat.label(),
@@ -494,11 +499,11 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                 row.update({"v_total": pc.v_total, "v_eq": pc.v_eq,
                             "v_neq": pc.v_neq, "a_sq": pc.a_sq,
                             "a_nsq": pc.a_nsq})
-            rows.append(row)
+            rows["variety"].append(row)
             ok_flags.append(detail is None)
             if fam.ctx.p > 2:
                 ok_flags.append(probe.ok)
-        report["variety"] = rows
+    report.update(rows)
     # Exact cross identities from the unconstrained table and the member tally.
     partition_total = sum(gtally.get(pat.counts, (0, 0))[0]
                           for pat in patterns)

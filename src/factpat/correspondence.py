@@ -18,16 +18,19 @@ exactly w (the pattern weight) typed vectors.
 All scans over F_q^n go through one walk, walk_G, which yields each x
 in itertools.product order with its typed flag and the depth-k window
 index of G(x) (tables.window_index): k = n for the correspondence section
-of run_verify, whose membership check (_Membership) reads the depth-(n - r)
-window off that index, and k = n - r for the variety's rational_zeros,
-whose constraints are linear conditions on that window.
+of run_verify, whose membership check (_Membership) and, with both
+sections, variety pass (variety._Pass) read the depth-(n - r) window off
+that index, and k = n - r for the variety alone, whose constraints are
+linear conditions on that window.
 A window's polynomial depends only on its own q^i coordinates, so for
-each window size i below n the walk tables the top digits of the q^i
-window polynomials once per call (a window of size n is streamed), and
-multiplies windows with the truncated product of tables._multiplier.
-The orbit of a window vector is F_q-linear in its coordinates, so the
-walk takes it as the sum of two orbits read from half tables, one over
-the first ceil(i/2) coordinates and one over the last floor(i/2).
+each window size i the walk tables the top digits of the q^i window
+polynomials once per call, and multiplies windows with the truncated
+product of tables._multiplier.  A rotation of a window's coordinates
+maps its element to a conjugate, with the same polynomial, so the table
+forms one entry per Frobenius orbit, about q^i / i of them; the orbit of
+a window vector is F_q-linear in its coordinates, so it is the sum of
+two orbits read from half tables, one over the first ceil(i/2)
+coordinates and one over the last floor(i/2).
 Every first counterexample is the same x as in a per-point scan.
 build_G, is_type_lambda and variety.eval_R stay as the per-point
 oracles; build_G and eval_R form each orbit as the conjugate-matrix
@@ -182,35 +185,42 @@ def _half_orbits(ctx, cols):
     return half
 
 
-def _window_entries(ctx, k):
-    """(coordinates, (typed, digits)) for every coordinate vector of the
-    layer F_(q^i) in product order.  The orbit is F_q-linear in the
-    coordinates, so it is the sum of the orbits of the first ceil(i/2)
-    and of the last floor(i/2) coordinates, each read from a half table
-    (_half_orbits).  The digits are the top c_(i-1), ..., c_(i-d) of the
-    window polynomial, d = min(i, k): the signed E values (-1)^t E_t of
-    the orbit.  Typed is read from the orbit: conj is a basis, so the
-    conjugates are distinct exactly when the cyclic shifts of the
-    coordinates are (_full_shifts)."""
+def _window_table(ctx, k):
+    """The entry (typed, digits) of each coordinate vector of F_(q^i), by
+    its code in product order: the top d = min(i, k) digits of the window
+    polynomial, (-1)^t E_t of the orbit, and typed iff the orbit's values
+    are distinct (conj is a basis: iff the cyclic shifts are, _full_shifts).
+    A is circulant, so a left rotation of the coordinates, on codes
+    c -> c q mod (q^i - 1), maps alpha to sigma^(-1)(alpha): one entry is
+    formed per rotation class, from two half-table orbits (_half_orbits),
+    checked to descend, and stored at every code of the class; equal
+    entries are one object.  An A that is not the circulant of its first
+    row raises GaloisDescentError."""
     ctx.ensure_fast()
+    A, i, q = ctx.A, ctx.i, ctx.q
+    if any(row != A[0][t:] + A[0][:t] for t, row in enumerate(A)):
+        raise GaloisDescentError("the conjugate matrix is not circulant")
     add, neg = ctx.add, ctx.base.neg
-    i = ctx.i
     d = min(i, k)
     m = (i + 1) // 2
     high, low = _half_orbits(ctx, range(m)), _half_orbits(ctx, range(m, i))
-    orbits = (list(map(add, a, b)) for a in high for b in low)
-    for coords, orbit in zip(product(range(ctx.q), repeat=i), orbits):
-        e = _window_esym(ctx, orbit, d)
-        yield coords, (len(set(orbit)) == i, tuple(
-            [neg(e[t]) if t % 2 else e[t] for t in range(1, d + 1)]))
-
-
-def _window_table(ctx, k):
-    """The entries of a layer without their coordinates, in product
-    order; equal entries (conjugate windows, and at depth k < i every
-    window with the same top digits) are one object."""
+    top = q ** i - 1
+    table = [None] * (top + 1)
     shared = {}
-    return [shared.setdefault(e, e) for _, e in _window_entries(ctx, k)]
+    for c in range(top + 1):
+        if table[c] is not None:
+            continue
+        a, b = divmod(c, len(low))
+        orbit = list(map(add, high[a], low[b]))
+        e = _window_esym(ctx, orbit, d)
+        entry = (len(set(orbit)) == i, tuple(
+            [neg(e[t]) if t % 2 else e[t] for t in range(1, d + 1)]))
+        entry = table[c] = shared.setdefault(entry, entry)
+        r = c * q % top if c < top else c
+        while r != c:
+            table[r] = entry
+            r = r * q % top
+    return table
 
 
 def _stored(q, size, table):
@@ -225,10 +235,11 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
 
     G(x) is the product of its windows' polynomials, and the depth-k
     window of a product is the product of its factors' windows.  So for
-    each window size below n the windows of all q^i window vectors are
-    tabled once per call, formed in the window's layer and checked to
-    descend to F_q (GaloisDescentError otherwise); a window of size n is
-    streamed, since none of its entries is reused.
+    each window size the windows of all q^i window vectors are tabled
+    once per call (_window_table), formed in the window's layer and
+    checked to descend to F_q (GaloisDescentError otherwise).  A size-n
+    table, q^n references like one of that layer's Zech lists, is not
+    kept past the walk.
     The walk nests one loop per window in layout order, which is product
     order, plans each outer prefix once, and places each x with one
     truncated product (tables._multiplier).
@@ -240,9 +251,6 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
     tables = {}
     levels = []
     for size, _ in layout(pattern):
-        if size == n:
-            levels.append(partial(_window_entries, bank.get(size), k))
-            continue
         if size not in tables:
             tables[size] = _window_table(bank.get(size), k)
         levels.append(partial(_stored, bank.base.q, size, tables[size]))

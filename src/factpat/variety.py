@@ -19,12 +19,16 @@ Two exact facts drive the verification:
   times over, or two values each repeated).  For p = 2 the probe is
   informational.
 
-Both are read from one scan, rational_zeros.  R depends on x only
-through the depth-(n - r) window of G(x), whose digits are the signed
-E_1..E_(n-r), so R is evaluated once per window index and the rational
-zeros are the x that correspondence.walk_G passes at that depth.
-run_verify takes the counts and the probe from a single pass
-(variety_pass); count_points and jacobian_probe read the same scan.
+Both are read from one pass, _Pass, fed one x at a time.  R depends on
+x only through the depth-(n - r) window of G(x), whose digits are the
+signed E_1..E_(n-r), so R is evaluated once per window index, and the
+rational zeros are the x whose window index, at depth n - r or read mod
+q^(n - r) off a deeper one, is a zero.  With both verify sections,
+run_verify feeds the pass from the correspondence's depth-n walk, so
+each pattern is walked once; variety_pass (and count_points and
+jacobian_probe through it) feeds it from its own walk at depth n - r,
+which passes only the zeros.  The probe reads the Jacobian one window's
+columns at a time and stops at full rank.
 eval_R and g_coeffs stay as the per-point oracles; they form each
 window vector's E values once per pattern (see _esym).
 """
@@ -125,6 +129,31 @@ def g_coeffs(sys_: SymSystem, x):
             for j in range(n)] + [1]
 
 
+def _zero_windows(sys_: SymSystem):
+    """{w: E_0..E_(n-r)} over the depth-(n - r) windows w (their digits
+    are (-1)^t E_t) where R vanishes."""
+    K, nr = sys_.fam.ctx, sys_.nr
+    zeros = {}
+    for w in range(K.q ** nr):
+        e = [1] + [K.neg(c) if t % 2 else c
+                   for t, c in enumerate(_to_vec(w, K.q, nr), start=1)]
+        if not any(_residues(sys_, e)):
+            zeros[w] = e
+    return zeros
+
+
+def _zero_walk(sys_: SymSystem, budget: int):
+    """(walk, zeros): the walk at depth n - r that passes only the x whose
+    window is a zero of R, and those zeros (see _zero_windows)."""
+    flags = bytearray(sys_.fam.q ** sys_.nr)
+    # the walk checks its budget now and reads the flags only when iterated
+    scan = walk_G(sys_.pattern, sys_.bank, sys_.nr, flags, budget)
+    zeros = _zero_windows(sys_)
+    for w in zeros:
+        flags[w] = 1
+    return scan, zeros
+
+
 def rational_zeros(sys_: SymSystem, budget: int = SCAN_BUDGET):
     """Every rational zero x of R, in product order, as (x, e) with
     e = E_0..E_(n-r) of the root values of x (as eval_R forms them).
@@ -133,17 +162,7 @@ def rational_zeros(sys_: SymSystem, budget: int = SCAN_BUDGET):
     digits are (-1)^t E_t.  So R is evaluated once per window index, and
     the walk at that depth passes only the x whose window is a zero.
     """
-    K, nr = sys_.fam.ctx, sys_.nr
-    flags = bytearray(K.q ** nr)
-    # the walk checks its budget now and reads the flags only when iterated
-    scan = walk_G(sys_.pattern, sys_.bank, nr, flags, budget)
-    zeros = {}
-    for w in range(len(flags)):
-        e = [1] + [K.neg(c) if t % 2 else c
-                   for t, c in enumerate(_to_vec(w, K.q, nr), start=1)]
-        if not any(_residues(sys_, e)):
-            zeros[w] = e
-            flags[w] = 1
+    scan, zeros = _zero_walk(sys_, budget)
     return ((x, zeros[w]) for x, _, w in scan)
 
 
@@ -176,13 +195,6 @@ class PointCounts:
         return self.a_sq * self.weight == self.v_neq
 
 
-def _point_counts(sys_, v_total, v_eq, member_tally) -> PointCounts:
-    if member_tally is None:
-        member_tally = pattern_tally(sys_.fam)
-    cnt, sq = member_tally.get(sys_.pattern.counts, (0, 0))
-    return PointCounts(v_total, v_eq, v_total - v_eq, sq, cnt - sq, sys_.weight)
-
-
 def identity_failure(counts: PointCounts, pattern: Pattern):
     """None if w * a_sq == v_neq, else what CountingIdentityError says."""
     if counts.identity_holds:
@@ -199,11 +211,7 @@ def count_points(sys_: SymSystem, budget: int = SCAN_BUDGET,
     Raises CountingIdentityError if w * a_sq != v_neq; that identity has
     no tolerance.
     """
-    v_total = v_eq = 0
-    for x, _ in rational_zeros(sys_, budget):
-        v_total += 1
-        v_eq += _coincident(sys_, x)
-    counts = _point_counts(sys_, v_total, v_eq, member_tally)
+    counts, _ = variety_pass(sys_, budget, member_tally)
     failure = identity_failure(counts, sys_.pattern)
     if failure is not None:
         raise CountingIdentityError(failure)
@@ -234,19 +242,20 @@ def _double_collision(sys_: SymSystem, x) -> bool:
             or sum(len(g) - 1 for g, k in parts if k >= 2) >= 2)
 
 
-def _jacobian(sys_: SymSystem, x, e):
-    """Rows over F_q with the rank of the Jacobian of R in x, at a zero x
-    with symmetric values e.
+def _full_rank(sys_: SymSystem, x, e) -> bool:
+    """True iff the Jacobian of R in x has rank m at the zero x with
+    symmetric values e, read one window's columns at a time.
 
     dR_j/dx_h for coordinate h of window w is Tr(theta^(q^h) v_j), where
     v_j = sum_k c'_(j,k) E_(k-1)(y - alpha) in the window's layer, with
     alpha the window's element (E~_t = E_t - alpha E~_(t-1) drops it).
     The trace pairing is non-degenerate, so the digits of v_j, which
     differ from those entries by an invertible map per window, give the
-    same rank.
+    same rank.  More columns cannot lower it, so it stops at rank m.
     """
+    K, m = sys_.fam.ctx, sys_.fam.m
     rows = [[] for _ in sys_.terms]
-    minus_one = sys_.fam.ctx.neg(1)     # the same code in every layer
+    minus_one = K.neg(1)                # the same code in every layer
     for start, size, ctx in sys_.windows:
         add, mul = ctx.add, ctx.mul
         alpha = _orbit(ctx, ctx.A[:1], x[start:start + size])[0]
@@ -260,21 +269,34 @@ def _jacobian(sys_: SymSystem, x, e):
                 if omit[k - 1]:
                     v = add(v, mul(c, omit[k - 1]))
             row.extend(ctx.to_vec(v))
-    return rows
+        if mat_rank(K, rows) == m:
+            return True
+    return False
 
 
-class _Probe:
-    """The Jacobian probe's tallies, fed one rational zero at a time."""
+class _Pass:
+    """The point counts and the Jacobian probe's tallies, fed the walk one
+    x at a time like correspondence._Membership: the x whose depth-(n - r)
+    window is a zero of R are the rational zeros."""
 
-    def __init__(self, sys_: SymSystem):
+    def __init__(self, sys_: SymSystem, zeros=None):
         self.sys_ = sys_
-        self.points = self.deficient = self.confirmed = self.violations = 0
+        self.zeros = _zero_windows(sys_) if zeros is None else zeros
+        self.modulus = sys_.fam.q ** sys_.nr
+        self.points = self.v_eq = self.deficient = 0
+        self.confirmed = self.violations = 0
         self.bad = []
 
-    def add(self, x, e):
-        self.points += 1
+    def add(self, x, typed, w):
+        """w is the window index of G(x) at depth n - r or deeper: the
+        depth-(n - r) window is its index mod q^(n - r) (see tables)."""
+        e = self.zeros.get(w % self.modulus)
+        if e is None:
+            return
         sys_ = self.sys_
-        if mat_rank(sys_.fam.ctx, _jacobian(sys_, x, e)) == sys_.fam.m:
+        self.points += 1
+        self.v_eq += _coincident(sys_, x)
+        if _full_rank(sys_, x, e):
             return
         self.deficient += 1
         if _double_collision(sys_, x):
@@ -284,31 +306,36 @@ class _Probe:
             if len(self.bad) < MAX_RECORDED:
                 self.bad.append(tuple(x))
 
-    def report(self) -> ProbeReport:
-        scope = "p>2" if self.sys_.fam.ctx.p > 2 else "informational (p=2)"
-        return ProbeReport(scope, self.points, self.deficient, self.confirmed,
-                           self.violations, tuple(self.bad))
+    def result(self, member_tally=None):
+        """(PointCounts, ProbeReport); the counting identity is not
+        enforced here (see identity_failure)."""
+        sys_, points = self.sys_, self.points
+        if member_tally is None:
+            member_tally = pattern_tally(sys_.fam)
+        cnt, sq = member_tally.get(sys_.pattern.counts, (0, 0))
+        scope = "p>2" if sys_.fam.ctx.p > 2 else "informational (p=2)"
+        return (PointCounts(points, self.v_eq, points - self.v_eq, sq,
+                            cnt - sq, sys_.weight),
+                ProbeReport(scope, points, self.deficient, self.confirmed,
+                            self.violations, tuple(self.bad)))
 
 
 def jacobian_probe(sys_: SymSystem, budget: int = SCAN_BUDGET) -> ProbeReport:
     """Scan the rational zeros of R; wherever the Jacobian in x drops
     below full rank, check the double-collision condition on the root
     values.  Points violating it are recorded as counterexamples (none
-    are expected for p > 2)."""
-    probe = _Probe(sys_)
-    for x, e in rational_zeros(sys_, budget):
-        probe.add(x, e)
-    return probe.report()
+    are expected for p > 2).  The probe reads no member census, so an
+    empty tally stands in for it."""
+    return variety_pass(sys_, budget, {})[1]
 
 
 def variety_pass(sys_: SymSystem, budget: int = SCAN_BUDGET,
                  member_tally=None):
-    """count_points and jacobian_probe from one scan of the rational
-    zeros: (PointCounts, ProbeReport).  The counting identity is not
-    enforced here; see identity_failure."""
-    probe = _Probe(sys_)
-    v_eq = 0
-    for x, e in rational_zeros(sys_, budget):
-        probe.add(x, e)
-        v_eq += _coincident(sys_, x)
-    return _point_counts(sys_, probe.points, v_eq, member_tally), probe.report()
+    """count_points and jacobian_probe from one walk at depth n - r that
+    passes only the rational zeros: (PointCounts, ProbeReport).  The
+    counting identity is not enforced here; see identity_failure."""
+    scan, zeros = _zero_walk(sys_, budget)
+    acc = _Pass(sys_, zeros)
+    for x, typed, w in scan:
+        acc.add(x, typed, w)
+    return acc.result(member_tally)

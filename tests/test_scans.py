@@ -5,18 +5,22 @@ and walks F_q^n window by window; rational_zeros (variety) is that walk
 at depth n - r, filtered by the windows where the system vanishes.
 Oracles: build_G with window_index on a fresh bank with no Zech tables,
 a brute-force filter of eval_R over every x with the E values of
-build_G, and, for the walk's window entries (orbits summed from two half
-tables), the per-vector conjugate-matrix orbit _orbit.
+build_G, and, for the walk's window tables (one entry per rotation
+class, its orbit summed from two half tables), the per-vector
+conjugate-matrix orbit _orbit, _full_shifts and _window_poly, with the
+number of entries formed held to the necklace count.
 The probe's per-zero verdicts are held to a Jacobian interpolated from
 eval_R along coordinate lines, to the square-freeness of build_G, and to
 root multiplicities read from each window's minimal polynomial.  Also
-here: the descent traps reached through the scans (a corrupted column
-of A in either half of the split), the pinned bytes of
-five verify reports, the walks run_verify makes (one per pattern and
-section), its membership cells against verify_membership_equivalence
-(also where eval_R is made to lie), the variety at n = 7 that once
-needed F_(5^12), and the fail-fast on a window layer over the order
-limit.
+here: the descent traps reached through the scans (a corrupted entry of
+A in either half of the split, an A that is not circulant, a circulant
+A of wrong conjugates), the pinned bytes of five verify reports, the
+walks run_verify makes (one per pattern, at depth n when the
+correspondence runs), the variety rows of a full verify against those
+of the variety alone and of variety_pass, its membership cells against
+verify_membership_equivalence (also where eval_R is made to lie), the
+variety at n = 7 that once needed F_(5^12), and the fail-fast on a
+window layer over the order limit.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from factpat.ffield import ContextBank, ExtCtx, make_field, mat_rank
 from factpat.patterns import Pattern, enumerate_patterns
 from factpat.poly import is_squarefree
 from factpat.tables import window_index
-from factpat.variety import (_coincident, _double_collision, _jacobian,
+from factpat.variety import (_coincident, _double_collision, _full_rank,
                              count_points, eval_R, jacobian_probe,
                              rational_zeros, sym_system, variety_pass)
 
@@ -73,29 +77,54 @@ def test_G_scan_matches_build_G_on_a_bank_without_zech_tables(ps, n, data):
             entry for entry in want if flags[entry[2]]], pat.label()
 
 
-# (q, i) layers: i = 1, F_2, extension base fields, odd and even i
-LAYERS = ((2, 1), (2, 5), (3, 4), (4, 3), (5, 3), (7, 2), (9, 2))
+# every layer with q^i <= 4 * 10^3 over F_3, F_4, F_5, F_7, F_8, F_9, and
+# those with 2^i <= 256 over F_2
+TABLE_LAYERS = [(ps, i) for ps in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                   (2, 3), (3, 2))
+                for i in range(1, 9)
+                if (ps[0] ** ps[1]) ** i <= (256 if ps == (2, 1) else 4000)]
 
 
-@pytest.mark.parametrize("q, i", LAYERS)
-def test_window_entries_match_the_per_vector_orbit(q, i):
-    # the walk takes each orbit as the sum of two half-table orbits; the
-    # oracle forms it per vector as the conjugate-matrix product
-    K = make_field(*{4: (2, 2), 9: (3, 2)}.get(q, (q, 1)))
+@pytest.mark.parametrize("ps, i", TABLE_LAYERS,
+                         ids=[f"{p ** s}-{i}" for (p, s), i in TABLE_LAYERS])
+def test_window_entries_match_the_per_vector_orbit(ps, i):
+    # the walk forms one entry per rotation class, its orbit summed from
+    # two half tables; the oracle forms every vector's orbit as the
+    # conjugate-matrix product, its type from the cyclic shifts, and its
+    # digits from the conjugate product _window_poly
+    K = make_field(*ps)
     ctx = ContextBank.shared(K).get(i)
-    vectors = list(product(range(q), repeat=i))
+    vectors = list(product(range(K.q), repeat=i))
+    oracle = [(correspondence._full_shifts(coords),
+               correspondence._window_poly(ctx, coords)) for coords in vectors]
+    assert [typed for typed, _ in oracle] == [
+        is_type_lambda(coords, Pattern(i, (0,) * (i - 1) + (1,)))
+        for coords in vectors]
     for k in range(1, i + 1):
-        want = []
-        for coords in vectors:
-            o = correspondence._orbit(ctx, ctx.A, coords)
-            e = correspondence._window_esym(ctx, o, min(i, k))
-            want.append((coords, (len(set(o)) == i, tuple(
-                K.neg(e[t]) if t % 2 else e[t]
-                for t in range(1, min(i, k) + 1)))))
-        got = list(correspondence._window_entries(ctx, k))
-        assert got == want, k
-        assert all(typed == correspondence._full_shifts(coords)
-                   for coords, (typed, _) in got)
+        want = [(typed, tuple(poly[i - t] for t in range(1, min(i, k) + 1)))
+                for typed, poly in oracle]
+        assert correspondence._window_table(ctx, k) == want, k
+
+
+@pytest.mark.parametrize("ps, i, necklaces", [((5, 1), 5, 629),
+                                              ((2, 3), 4, 1044),
+                                              ((7, 1), 5, 3367)])
+def test_window_table_forms_one_entry_per_necklace(monkeypatch, ps, i,
+                                                   necklaces):
+    # (1/i) sum over d | i of phi(d) q^(i/d) rotation classes, not q^i
+    real = correspondence._window_esym
+    formed = []
+
+    def counting_esym(ctx, orbit, upto):
+        formed.append(orbit)
+        return real(ctx, orbit, upto)
+
+    monkeypatch.setattr(correspondence, "_window_esym", counting_esym)
+    K = make_field(*ps)
+    table = correspondence._window_table(ContextBank.shared(K).get(i), i)
+    assert len(formed) == necklaces
+    assert len(table) == K.q ** i
+    assert len({id(entry) for entry in table}) <= necklaces
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +229,7 @@ def _probe_against_interpolation(fam):
         deficient = 0
         for x, e in rational_zeros(sys_):
             rank = mat_rank(K, _interpolated_jacobian(sys_, x))
-            assert mat_rank(K, _jacobian(sys_, x, e)) == rank, (pat.label(), x)
+            assert _full_rank(sys_, x, e) == (rank == fam.m), (pat.label(), x)
             deficient += rank < fam.m
         assert jacobian_probe(sys_).rank_deficient == deficient
         total += deficient
@@ -291,20 +320,58 @@ def _bank_with_non_base_shift():
     return bank
 
 
-@pytest.mark.parametrize("pat", [Pattern(2, (0, 1)),       # streamed window
-                                 Pattern(3, (1, 1, 0))])   # stored window
+def _bank_with_circulant_bad_conjugates(i):
+    # conj[1] off by one, and A rebuilt as the circulant of the wrong conj:
+    # only the descent check can see it
+    base = make_field(5)
+    bank = ContextBank(base)
+    bad = ExtCtx(base, i)
+    conj = list(bad.conj)
+    conj[1] = bad.add(conj[1], 1)
+    bad.conj = tuple(conj)
+    bad.A = tuple(tuple(conj[(k + h) % i] for h in range(i)) for k in range(i))
+    bank.override(i, bad)
+    return bank
+
+
+@pytest.mark.parametrize("pat", [Pattern(2, (0, 1)),       # window of size n
+                                 Pattern(3, (1, 1, 0))])   # window below n
 def test_corrupted_conjugate_table_trips_the_walk(pat):
     with pytest.raises(GaloisDescentError):
         list(walk_G(pat, _bank_with_bad_conjugates(), pat.n))
 
 
 @pytest.mark.parametrize("h", [0, 2])          # in the first, second half
-@pytest.mark.parametrize("pat", [Pattern(3, (0, 0, 1)),      # streamed
-                                 Pattern(4, (1, 0, 1, 0))])  # stored
+@pytest.mark.parametrize("pat", [Pattern(3, (0, 0, 1)),      # size n
+                                 Pattern(4, (1, 0, 1, 0))])  # below n
 def test_corrupted_conjugate_column_trips_the_walk_in_either_half(pat, h):
-    # F_(5^3): the walk's half tables split the columns of A as {0, 1}, {2}
+    # F_(5^3): the half tables split the columns of A as {0, 1}, {2}; an
+    # entry off in either leaves A no circulant, which the walk refuses
     with pytest.raises(GaloisDescentError):
         list(walk_G(pat, _bank_with_bad_conjugates(3, h), pat.n))
+
+
+@pytest.mark.parametrize("pat", [Pattern(2, (0, 1)), Pattern(3, (1, 1, 0)),
+                                 Pattern(3, (0, 0, 1)),
+                                 Pattern(4, (1, 0, 1, 0))])
+def test_non_circulant_conjugate_matrix_raises_before_the_walk_yields(pat):
+    i = max(size for size, _ in correspondence.layout(pat))
+    yielded = []
+    with pytest.raises(GaloisDescentError, match="not circulant"):
+        for step in walk_G(pat, _bank_with_bad_conjugates(i, 1), pat.n):
+            yielded.append(step)
+    assert yielded == []
+
+
+@pytest.mark.parametrize("pat", [Pattern(2, (0, 1)), Pattern(3, (1, 1, 0)),
+                                 Pattern(3, (0, 0, 1)),
+                                 Pattern(4, (1, 0, 1, 0))])
+def test_circulant_wrong_conjugates_trip_the_descent_check(pat):
+    # E_1 = Tr(alpha) stays in F_q (the shift adds sum(x) to it); E_2 not
+    i = max(size for size, _ in correspondence.layout(pat))
+    bank = _bank_with_circulant_bad_conjugates(i)
+    with pytest.raises(GaloisDescentError, match="E_2"):
+        list(walk_G(pat, bank, pat.n))
 
 
 @pytest.mark.parametrize("n, pat", [(2, Pattern(2, (0, 1))),
@@ -381,8 +448,9 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
 @pytest.mark.parametrize("sections", [BOTH, ("correspondence",),
                                       ("variety",)])
 def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
-    # the membership check rides on the correspondence walk: P walks at
-    # depth n for the correspondence, P at depth n - r for the variety
+    # the membership check and, with both sections, the variety ride on
+    # the correspondence walk: P walks at depth n and none at depth n - r;
+    # the variety alone takes P walks at depth n - r
     real = correspondence.walk_G
     depths = []
 
@@ -396,10 +464,77 @@ def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
     cfg = RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,))
     rep = run_verify(cfg, sections=sections)
     npat = len(enumerate_patterns(4))
-    want = ([4] * npat if "correspondence" in sections else []) + (
-        [2] * npat if "variety" in sections else [])
+    want = [4] * npat if "correspondence" in sections else [2] * npat
     assert depths == want
     assert rep["overall_pass"] is True
+
+
+def _variety_routes(cfg):
+    """The variety rows of a full verify, of a variety-only verify, and
+    of variety_pass per pattern (as run_verify renders them)."""
+    field = make_field(cfg.p, cfg.s)
+    fam = build_family(cfg, field)
+    bank = ContextBank.shared(field)
+    tally = census.census_tally(fam)
+    alone = []
+    for pat in enumerate_patterns(cfg.n):
+        pc, probe = variety_pass(sym_system(fam, pat, bank),
+                                 member_tally=tally)
+        alone.append((pc.v_total, pc.v_eq, pc.a_sq, probe.points_on_variety,
+                      probe.rank_deficient, probe.confirmed, probe.violations,
+                      [list(c) for c in probe.counterexamples]))
+    routes = [run_verify(cfg, sections)["variety"]
+              for sections in (BOTH, ("variety",))]
+    rows = [[(row["v_total"], row["v_eq"], row["a_sq"],
+              *(row["probe"][key] for key in (
+                  "points_on_variety", "rank_deficient", "confirmed",
+                  "violations", "counterexamples")))
+             for row in route] for route in routes]
+    return routes, rows, alone
+
+
+def _fused_against_separate(cfg):
+    """Hold the variety rows of a full verify to those of a variety-only
+    verify and of variety_pass; return variety_pass's.  The probe is made
+    to count about a third of the zeros as deficient violations, so that
+    its counterexamples fill up, in walk order."""
+    real = variety._full_rank
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(variety, "_full_rank", lambda sys_, x, e: (
+            sum((h + 1) * c for h, c in enumerate(x)) % 3 != 0
+            and real(sys_, x, e)))
+        mp.setattr(variety, "_double_collision", lambda sys_, x: False)
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        (full, alone_run), (full_rows, alone_rows), alone = _variety_routes(cfg)
+    assert full == alone_run
+    assert full_rows == alone_rows == alone
+    return alone
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(2, 4), st.data())
+def test_fused_variety_rows_match_the_separate_walks(ps, n, data):
+    q = ps[0] ** ps[1]
+    assume(q ** n <= 729)
+    r = data.draw(st.integers(1, n - 1), label="r")
+    m = data.draw(st.integers(1, n - r), label="m")
+    rows = tuple(tuple(data.draw(st.integers(0, q - 1))
+                       for _ in range(n - r)) for _ in range(m))
+    alpha = tuple(data.draw(st.integers(0, q - 1)) for _ in range(m))
+    cfg = RunConfig(p=ps[0], s=ps[1], n=n, r=r, rows=rows, alpha=alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        try:
+            build_family(cfg, make_field(*ps))
+        except ValueError:                  # dependent rows
+            assume(False)
+    _fused_against_separate(cfg)
+
+
+def test_fused_probe_records_counterexamples_in_walk_order():
+    alone = _fused_against_separate(
+        RunConfig(p=5, n=4, r=2, rows=((1, 3),), alpha=(2,)))
+    assert max(len(row[-1]) for row in alone) == variety.MAX_RECORDED
 
 
 MEMBERSHIP_CFGS = [
