@@ -23,10 +23,11 @@ A run is described by an INI config:
     format = json          ; json | csv
     out = report.json      ; the CLI exits 2 if it cannot write it
 
-budget is one limit, MEMBER_BUDGET (10^8) by default: no run tallies a
-family of more members, builds the q^n-monic table of run_global or
-run_verify past it, or scans more vectors of F_q^n in one walk; past it
-the run raises BudgetError.  A census reads its family's table only if
+budget is one limit, MEMBER_BUDGET (10^8) by default, also for the scans
+called directly: no run tallies a family of more members, builds the
+q^n-monic table of run_global or run_verify past it, or scans more
+vectors of F_q^n in one walk; past it the run raises BudgetError.  A
+census reads its family's table only if
 the table's q^n monics are within it, and else takes the kernel path,
 which the member count bounds.
 
@@ -268,7 +269,9 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
     if workers <= 1 or fam.n - fam.m == 0:
         return pattern_tally(fam, budget=budget)
     chunks = list(range(fam.q))
-    size = min(workers, len(chunks), len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)   # not on macOS, Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    size = min(workers, len(chunks), cpus)
     with multiprocessing.Pool(size) as pool:
         parts = pool.map(_chunk_task, [(fam, c, budget) for c in chunks])
     merged: dict[tuple, list] = {}
@@ -427,46 +430,43 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         slot = [table[w * width:(w + 1) * width].index(1)
                 for w in range(q ** n)]
     for i, pat in enumerate(patterns):
-        sys_ = sym_system(fam, pat, bank) if "variety" in rows else None
-        # with both sections the variety rides on the depth-n walk
-        fused = _Pass(sys_) if sys_ and "correspondence" in rows else None
+        # one system per pattern for the membership check and the variety
+        # pass; with both sections the variety rides on the depth-n walk
+        sys_ = sym_system(fam, pat, bank)
+        fused = _Pass(sys_) if len(rows) == 2 else None
         if "correspondence" in sections:
-            stats = pattern_stats(pat)
-            type_pattern_ok = True
-            type_pattern_bad = None
+            type_bad = None
             fib: dict[int, int] = {}
             untyped = 0
-            member = _Membership(fam, pat, bank)
+            member = _Membership(sys_)
             # G(x), by its index in the table
             for x, t, g in walk_G(pat, bank, n, budget=cfg.budget):
                 member.add(x, t, g)
                 if fused is not None:
                     fused.add(x, t, g)
                 matches = slot[g] >> 1 == i
-                if t != matches and type_pattern_ok:
-                    type_pattern_ok = False
-                    type_pattern_bad = {"x": list(x), "typed": t,
-                                        "pattern_matches": matches}
+                if t != matches and type_bad is None:
+                    type_bad = {"x": list(x), "typed": t,
+                                "pattern_matches": matches}
                 if t:
                     fib[g] = fib.get(g, 0) + 1
                 else:
                     untyped += 1
             sq_polys = [w for w, s in enumerate(slot) if s == 2 * i + 1]
-            fiber_ok = (len(fib) >= len(sq_polys)
-                        and all(fib.get(c, 0) == stats.weight for c in sq_polys))
+            fiber_ok = all(fib.get(c, 0) == sys_.weight for c in sq_polys)
             nsq_sizes: dict[int, int] = {}
             for c, cnt in fib.items():
                 if not slot[c] & 1:
                     nsq_sizes[cnt] = nsq_sizes.get(cnt, 0) + 1
             mem_ok, mem_bad = member.result()
             typed_sqfree = sum(fib.get(c, 0) for c in sq_polys)
-            sq_grouped += Fraction(typed_sqfree, stats.weight)
+            sq_grouped += Fraction(typed_sqfree, sys_.weight)
             rows["correspondence"].append({
                 "lambda": pat.label(),
                 "typed": sum(fib.values()),
                 "untyped": untyped,
-                "type_pattern_ok": type_pattern_ok,
-                "type_pattern_counterexample": type_pattern_bad,
+                "type_pattern_ok": type_bad is None,
+                "type_pattern_counterexample": type_bad,
                 "squarefree_polys": len(sq_polys),
                 "squarefree_fiber_ok": fiber_ok,
                 "nonsquarefree_fiber_sizes":
@@ -476,7 +476,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                     None if mem_bad is None else
                     {**mem_bad, "x": list(mem_bad["x"])},
             })
-            ok_flags += [type_pattern_ok, fiber_ok, mem_ok]
+            ok_flags += [type_bad is None, fiber_ok, mem_ok]
         if "variety" in sections:
             # counts and probe from one scan of the rational zeros
             pc, probe = (variety_pass(sys_, cfg.budget, member_tally)

@@ -21,7 +21,9 @@ index of G(x) (tables.window_index): k = n for the correspondence section
 of run_verify, whose membership check (_Membership) and, with both
 sections, variety pass (variety._Pass) read the depth-(n - r) window off
 that index, and k = n - r for the variety alone, whose constraints are
-linear conditions on that window.
+linear conditions on that window.  A walk over more than its budget of
+vectors, by default the run's one limit family.MEMBER_BUDGET, raises
+BudgetError before any is formed.
 A window's polynomial depends only on its own q^i coordinates, so for
 each window size i the walk tables the top digits of the q^i window
 polynomials once per call, and multiplies windows with the truncated
@@ -44,10 +46,9 @@ from itertools import product
 
 from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
+from .family import MEMBER_BUDGET
 from .patterns import Pattern
 from .tables import _multiplier, family_windows
-
-SCAN_BUDGET = 10 ** 7
 
 
 def layout(pattern: Pattern) -> tuple:
@@ -228,7 +229,7 @@ def _stored(q, size, table):
 
 
 def walk_G(pattern: Pattern, bank, k: int, flags=None,
-           budget: int = SCAN_BUDGET):
+           budget: int = MEMBER_BUDGET):
     """Every x in F_q^n in product order, as (x, typed, w) with w the
     depth-k window index of G(x) (see tables.window_index); with flags,
     only the x with flags[w] set.
@@ -276,13 +277,13 @@ def _walk(levels, level, mult, flags, xs, rows, typed):
 
 class _Membership:
     """The membership check, fed the walk one x at a time: at every typed
-    x, the family's window flags against the per-point oracle eval_R, up
-    to the first x where they disagree."""
+    x, the family's window flags against the per-point oracle eval_R on
+    the pattern's system, up to the first x where they disagree."""
 
-    def __init__(self, fam, pattern: Pattern, bank):
-        from .variety import eval_R, sym_system
-        self.eval_R, self.sys_ = eval_R, sym_system(fam, pattern, bank)
-        self.inside, self.bad = family_windows(fam), None
+    def __init__(self, sys_):
+        from .variety import eval_R
+        self.eval_R, self.sys_ = eval_R, sys_
+        self.inside, self.bad = family_windows(sys_.fam), None
 
     def add(self, x, typed, w):
         """w is the window index of G(x) at depth n - r or deeper: the
@@ -299,13 +300,14 @@ class _Membership:
 
 
 def verify_membership_equivalence(fam, pattern: Pattern, bank,
-                                  budget: int = SCAN_BUDGET):
+                                  budget: int = MEMBER_BUDGET):
     """Check, over every typed vector, that G(x) lies in the family iff
     the reduced symmetric system vanishes at x, walking at depth n - r
     (see _Membership).  Returns (ok, counterexample): None or a dict with
     the offending vector and both verdicts."""
+    from .variety import sym_system
     scan = walk_G(pattern, bank, fam.n - fam.r, budget=budget)
-    check = _Membership(fam, pattern, bank)
+    check = _Membership(sym_system(fam, pattern, bank))
     for x, typed, w in scan:
         check.add(x, typed, w)
         if check.bad is not None:

@@ -294,7 +294,7 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _hypotheses(fam, checks):
+def _hypotheses(checks):
     failed = [msg for ok, msg in checks if not ok]
     return (not failed, "; ".join(failed))
 
@@ -307,7 +307,7 @@ def bound_fp1(fam: LinearFamily, pattern: Pattern) -> BoundReport:
     pivot excess.  Requires p > 2, q > n and 3 <= r <= n - m.
     """
     n, m, q = fam.n, fam.m, fam.q
-    ok, reason = _hypotheses(fam, [
+    ok, reason = _hypotheses([
         (fam.ctx.p > 2, "p>2 required"),
         (q > n, "q>n required"),
         (fam.r >= 3, "3<=r required"),
@@ -330,7 +330,7 @@ def bound_fp2(fam: LinearFamily, pattern: Pattern) -> BoundReport:
     m + 2 <= r <= n - m, with no restriction on the characteristic.
     """
     n, m, q = fam.n, fam.m, fam.q
-    ok, reason = _hypotheses(fam, [
+    ok, reason = _hypotheses([
         (q > n, "q>n required"),
         (fam.r >= m + 2, "m+2<=r required"),
         (fam.r <= n - m, "r<=n-m required"),

@@ -20,13 +20,13 @@ pow_/of_int on codes) so the dense polynomial kernels and the matrix
 helpers below work over either layer.  Both layers are a base field
 extended by a monic modulus, so they share one digit arithmetic
 (_Digits): the codec, digit-by-digit add and neg, the multiply by
-reduction rows and square-and-multiply.  What stays per layer is the
-fast path in front of it.  Prime fields and base layers of order up to
-_TABLE_MAX_PRIME and _TABLE_MAX_EXT carry flat add/mul tables; extension
-layers optionally carry discrete-log (Zech) tables, built lazily
-(ensure_fast), which turn their arithmetic into table lookups for
-exhaustive scans.  A layer of any order can be built; only its tables
-are limited, to layers of order at most ORDER_LIMIT.
+reduction rows, square-and-multiply and the Fermat inverse.  What stays
+per layer is the fast path in front of it.  Prime fields and base layers
+of order up to _TABLE_MAX_PRIME and _TABLE_MAX_EXT carry flat add/mul
+tables; extension layers optionally carry discrete-log (Zech) tables,
+built lazily (ensure_fast), which turn their add and mul into table
+lookups for exhaustive scans.  A layer of any order can be built; only
+its tables are limited, to layers of order at most ORDER_LIMIT.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class _Digits:
     self._coef with self._radix elements, a code holds self._width digits
     over F, h is monic with non-leading coefficients self.modulus, and
     self._red holds its reduction rows.  Each layer puts its own fast
-    path in front of add, neg, mul and pow_."""
+    path in front of add and mul, and the base layer also in front of
+    neg and inv (a Fermat power); pow_ is square-and-multiply over mul."""
 
     def to_vec(self, a):
         return _to_vec(a, self._radix, self._width)
@@ -121,6 +122,11 @@ class _Digits:
         if a == 0 or b == 0:
             return 0
         return self.from_vec(self._mul_digits(self.to_vec(a), self.to_vec(b)))
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow_(a, self._radix ** self._width - 2)
 
     def pow_(self, a, e):
         if e < 0:
@@ -228,12 +234,10 @@ class FieldParams(_Digits):
         return super().mul(a, b)
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
         t = self._invt
-        if t is not None:
+        if t is not None and a:
             return t[a]
-        return self.pow_(a, self.q - 2)
+        return super().inv(a)
 
     def of_int(self, k):
         return k % self.p
@@ -441,19 +445,6 @@ class ExtCtx(_Digits):
             log = self._log
             return exp[(log[x] + log[y]) % (self.order - 1)]
         return super().mul(x, y)
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            M = self.order - 1
-            return self._exp[(M - self._log[x]) % M]
-        return self.pow_(x, self.order - 2)
-
-    def pow_(self, x, e):
-        if self._exp is None or x == 0:
-            return super().pow_(x, e)
-        return self._exp[(self._log[x] * e) % (self.order - 1)]
 
     def frobenius(self, x, k=1):
         """The k-th power of the relative Frobenius x -> x^q."""

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ffield import _prime_factors
+
 MAX_N = 40
 MAX_CENSUS_N = 8
 
@@ -130,20 +132,8 @@ def symmetric_group_census(n: int) -> dict:
 
 
 def _mobius(n):
-    if n == 1:
-        return 1
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
+    primes = _prime_factors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def irreducible_count(q: int, n: int) -> int:

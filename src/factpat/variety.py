@@ -27,7 +27,8 @@ q^(n - r) off a deeper one, is a zero.  With both verify sections,
 run_verify feeds the pass from the correspondence's depth-n walk, so
 each pattern is walked once; variety_pass (and count_points and
 jacobian_probe through it) feeds it from its own walk at depth n - r,
-which passes only the zeros.  The probe reads the Jacobian one window's
+which passes only the zeros; each scan's budget defaults to the run's,
+family.MEMBER_BUDGET.  The probe reads the Jacobian one window's
 columns at a time and stops at full rank.
 eval_R and g_coeffs stay as the per-point oracles; they form each
 window vector's E values once per pattern (see _esym).
@@ -38,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._dense import pmul
-from .correspondence import (SCAN_BUDGET, _orbit, _window_esym, layout,
-                             walk_G)
+from .correspondence import _orbit, _window_esym, layout, walk_G
 from .errors import CountingIdentityError
-from .family import LinearFamily, pattern_tally
+from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
 from .ffield import _to_vec, mat_rank
 from .patterns import Pattern, pattern_stats
 from .poly import squarefree_decompose
@@ -154,7 +154,7 @@ def _zero_walk(sys_: SymSystem, budget: int):
     return scan, zeros
 
 
-def rational_zeros(sys_: SymSystem, budget: int = SCAN_BUDGET):
+def rational_zeros(sys_: SymSystem, budget: int = MEMBER_BUDGET):
     """Every rational zero x of R, in product order, as (x, e) with
     e = E_0..E_(n-r) of the root values of x (as eval_R forms them).
 
@@ -203,7 +203,7 @@ def identity_failure(counts: PointCounts, pattern: Pattern):
             f"for pattern {pattern.label()}")
 
 
-def count_points(sys_: SymSystem, budget: int = SCAN_BUDGET,
+def count_points(sys_: SymSystem, budget: int = MEMBER_BUDGET,
                  member_tally=None) -> PointCounts:
     """Exhaustive point count of the variety, split by root coincidence,
     against the independent member census for the same pattern.
@@ -320,7 +320,8 @@ class _Pass:
                             self.violations, tuple(self.bad)))
 
 
-def jacobian_probe(sys_: SymSystem, budget: int = SCAN_BUDGET) -> ProbeReport:
+def jacobian_probe(sys_: SymSystem,
+                   budget: int = MEMBER_BUDGET) -> ProbeReport:
     """Scan the rational zeros of R; wherever the Jacobian in x drops
     below full rank, check the double-collision condition on the root
     values.  Points violating it are recorded as counterexamples (none
@@ -329,7 +330,7 @@ def jacobian_probe(sys_: SymSystem, budget: int = SCAN_BUDGET) -> ProbeReport:
     return variety_pass(sys_, budget, {})[1]
 
 
-def variety_pass(sys_: SymSystem, budget: int = SCAN_BUDGET,
+def variety_pass(sys_: SymSystem, budget: int = MEMBER_BUDGET,
                  member_tally=None):
     """count_points and jacobian_probe from one walk at depth n - r that
     passes only the rational zeros: (PointCounts, ProbeReport).  The

@@ -214,6 +214,15 @@ def test_census_tally_pool_is_capped_by_chunks_and_cpus(
     assert sizes == [want]
 
 
+def test_census_tally_pools_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the pool is sized by
+    # os.cpu_count() there, and the tally is the one-worker tally
+    cfg = _demo_cfg(p=13, n=4, r=2, rows=((1, 0), (0, 1)), alpha=(0, 0))
+    fam = build_family(cfg, make_field(cfg.p, cfg.s))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert census_tally(fam, workers=2) == census_tally(fam, workers=1)
+
+
 def test_reports_are_byte_identical_between_runs():
     cfg = _demo_cfg()
     a = render_json(run_census(cfg))

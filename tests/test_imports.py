@@ -8,7 +8,9 @@ level or inside a function) must be read somewhere in the module.
 `__init__.py` is exempt, since it imports only to re-export, and so is
 `from __future__ import ...`.  Every absolute import names a module in
 sys.stdlib_module_names, so the engine runs where only Python is
-installed, although numpy may be installed too.  A private name (one leading underscore)
+installed, although numpy may be installed too.  Every parameter of a
+module-level function is read in its body; methods are exempt, since
+the accumulators share one add(x, typed, w).  A private name (one leading underscore)
 defined at module level, or as a method, must be read somewhere in the
 engine: loaded as a name or attribute, or imported by another module.
 The one module-level container is ffield._SHARED_BANKS, which holds the
@@ -57,6 +59,40 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\n"
                      "def f():\n    from sys import path\n    return loads\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "dumps"), (4, "path")]
+
+
+def _unused_params(tree):
+    """(line, function, parameter) of each parameter of a module-level
+    function that its body never reads."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            arg for arg in (a.vararg, a.kwarg) if arg is not None]
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, arg.arg) for arg in params
+                if arg.arg not in read]
+    return out
+
+
+def test_every_parameter_of_an_engine_function_is_read():
+    found = {p.name: _unused_params(ast.parse(p.read_text()))
+             for p in sorted(SRC.glob("*.py"))}
+    assert len(found) > 1
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_an_unused_parameter():
+    tree = ast.parse("def f(a, b, *args, c=1, **kw):\n"
+                     "    def g(d):\n        return a + c\n    return g\n"
+                     "def h(x, /, y):\n    return lambda: y\n"
+                     "class C:\n    def add(self, x, typed, w):\n"
+                     "        pass\n")
+    assert _unused_params(tree) == [(1, "f", "b"), (1, "f", "args"),
+                                    (1, "f", "kw"), (5, "h", "x")]
 
 
 def _outside_stdlib(tree):

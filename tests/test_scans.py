@@ -26,6 +26,7 @@ window layer over the order limit.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
 import warnings
 from itertools import product
@@ -40,7 +41,8 @@ from factpat.census import (RunConfig, build_family, render_json,
 from factpat.correspondence import (build_G, is_type_lambda,
                                     verify_membership_equivalence, walk_G)
 from factpat.errors import GaloisDescentError
-from factpat.family import new_family, pattern_tally, prescribed_family
+from factpat.family import (MEMBER_BUDGET, new_family, pattern_tally,
+                            prescribed_family)
 from factpat._dense import pmul
 from factpat.ffield import ContextBank, ExtCtx, make_field, mat_rank
 from factpat.patterns import Pattern, enumerate_patterns
@@ -394,7 +396,9 @@ def test_corrupted_embedding_layer_trips_point_scans(n, pat):
 # (pattern 2 3 then needed the common layer F_(5^6)) before the variety
 # dropped its common layer, the last (r = 0 over F_9: the variety walks
 # at depth n with odd-characteristic signs and extension-field digits)
-# before both scans became one walk
+# before both scans became one walk, and the last two (the correspondence
+# alone, and an m = 2 family whose probe finds rank-deficient zeros)
+# before a pattern's membership check and variety pass shared one system
 BOTH = ("correspondence", "variety")
 PINNED_VERIFY = [
     (RunConfig(p=5, n=3, r=2, rows=((2,),), alpha=(1,)), BOTH,
@@ -407,6 +411,10 @@ PINNED_VERIFY = [
      "0e18eb21e1fd062c32a1b59c426be2fdb0f02f25aa1916b893c1475de5705ead"),
     (RunConfig(p=3, s=2, n=3, mode="prescribed", indices=(3,), alpha=(2,)),
      BOTH, "47a239853adfe91b00cebca284d12af00228e844ae4475fee6aeaf57759349b9"),
+    (RunConfig(p=5, n=4, r=2, rows=((1, 3),), alpha=(2,)), ("correspondence",),
+     "da4f64ab62455925c864c690ef3197453cd1d8df4f58560a0a6fe631da2edf11"),
+    (RunConfig(p=5, n=4, r=1, rows=((1, 0, 2), (0, 1, 3)), alpha=(0, 1)), BOTH,
+     "d255b19d68f8cca9a42acb66da6782b596a6aee1637e64a2020db6b16df3b1d7"),
 ]
 
 
@@ -427,7 +435,7 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
     real = correspondence.walk_G
 
     def lying_walk(pattern, bank, k, flags=None,
-                   budget=correspondence.SCAN_BUDGET):
+                   budget=MEMBER_BUDGET):
         for step, (x, t, w) in enumerate(real(pattern, bank, k, flags, budget)):
             lie = step == flip and pattern.counts == (3, 0, 0)
             yield x, (not t if lie else t), w
@@ -450,23 +458,43 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
 def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
     # the membership check and, with both sections, the variety ride on
     # the correspondence walk: P walks at depth n and none at depth n - r;
-    # the variety alone takes P walks at depth n - r
-    real = correspondence.walk_G
-    depths = []
+    # the variety alone takes P walks at depth n - r.  Either way each
+    # pattern's symmetric system is built once, and both checks share it
+    real_walk, real_system = correspondence.walk_G, variety.sym_system
+    depths, systems = [], []
 
     def counting_walk(pattern, bank, k, flags=None,
-                      budget=correspondence.SCAN_BUDGET):
+                      budget=MEMBER_BUDGET):
         depths.append(k)
-        return real(pattern, bank, k, flags, budget)
+        return real_walk(pattern, bank, k, flags, budget)
+
+    def counting_system(fam, pattern, bank):
+        systems.append(pattern)
+        return real_system(fam, pattern, bank)
 
     for module in (census, correspondence, variety):
         monkeypatch.setattr(module, "walk_G", counting_walk)
+    for module in (census, variety):
+        monkeypatch.setattr(module, "sym_system", counting_system)
     cfg = RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,))
     rep = run_verify(cfg, sections=sections)
-    npat = len(enumerate_patterns(4))
-    want = [4] * npat if "correspondence" in sections else [2] * npat
-    assert depths == want
+    patterns = enumerate_patterns(4)
+    depth = 4 if "correspondence" in sections else 2
+    assert depths == [depth] * len(patterns)
+    assert systems == patterns
     assert rep["overall_pass"] is True
+
+
+def test_every_scan_defaults_to_the_one_run_budget():
+    # direct API calls get the budget a run defaults to
+    scans = (correspondence.walk_G,
+             correspondence.verify_membership_equivalence,
+             variety.rational_zeros, variety.variety_pass,
+             variety.count_points, variety.jacobian_probe)
+    for scan in scans:
+        default = inspect.signature(scan).parameters["budget"].default
+        assert default == MEMBER_BUDGET, scan.__name__
+    assert not hasattr(correspondence, "SCAN_BUDGET")
 
 
 def _variety_routes(cfg):
