@@ -66,7 +66,7 @@ def pdivmod(K, a, b):
     if da < db:
         return [], r
     sub, mul = K.sub, K.mul
-    lead_inv = K.inv(b[-1])
+    lead_inv = 1 if b[-1] == 1 else K.inv(b[-1])
     quo = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
         c = r[db + k]

@@ -73,7 +73,7 @@ import configparser
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .correspondence import _Membership, walk_G
@@ -271,8 +271,8 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
     chunks = list(range(fam.q))
     affinity = getattr(os, "sched_getaffinity", None)   # not on macOS, Windows
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    size = min(workers, len(chunks), cpus)
-    with multiprocessing.Pool(size) as pool:
+    processes = min(workers, len(chunks), cpus)
+    with multiprocessing.Pool(processes) as pool:
         parts = pool.map(_chunk_task, [(fam, c, budget) for c in chunks])
     merged: dict[tuple, list] = {}
     for part in parts:
@@ -486,14 +486,8 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                 "lambda": pat.label(),
                 "identity_ok": detail is None,
                 "identity_detail": detail,
-                "probe": {
-                    "scope": probe.scope,
-                    "points_on_variety": probe.points_on_variety,
-                    "rank_deficient": probe.rank_deficient,
-                    "confirmed": probe.confirmed,
-                    "violations": probe.violations,
-                    "counterexamples": [list(c) for c in probe.counterexamples],
-                },
+                "probe": {**asdict(probe), "counterexamples":
+                          [list(c) for c in probe.counterexamples]},
             }
             if detail is None:
                 row.update({"v_total": pc.v_total, "v_eq": pc.v_eq,

@@ -26,8 +26,8 @@ vectors, by default the run's one limit family.MEMBER_BUDGET, raises
 BudgetError before any is formed.
 A window's polynomial depends only on its own q^i coordinates, so for
 each window size i the walk tables the top digits of the q^i window
-polynomials once per call, and multiplies windows with the truncated
-product of tables._multiplier.  A rotation of a window's coordinates
+polynomials once per call, and multiplies windows through the start,
+extend and place of tables._multiplier.  A rotation of a window's coordinates
 maps its element to a conjugate, with the same polynomial, so the table
 forms one entry per Frobenius orbit, about q^i / i of them; the orbit of
 a window vector is F_q-linear in its coordinates, so it is the sum of
@@ -42,7 +42,7 @@ product _orbit, and read nothing of the walk.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
+from itertools import accumulate, product
 
 from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
@@ -54,14 +54,8 @@ from .tables import _multiplier, family_windows
 def layout(pattern: Pattern) -> tuple:
     """The windows ((size, start), ...) in increasing (size, copy) order;
     they tile 0..n-1 in order."""
-    windows = []
-    start = 0
-    for i, c in enumerate(pattern.counts, start=1):
-        for _ in range(c):
-            windows.append((i, start))
-            start += i
-    assert start == pattern.n
-    return tuple(windows)
+    sizes = pattern.sizes()
+    return tuple(zip(sizes, accumulate(sizes, initial=0)))
 
 
 def _full_shifts(win) -> bool:
@@ -242,8 +236,8 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
     table, q^n references like one of that layer's Zech lists, is not
     kept past the walk.
     The walk nests one loop per window in layout order, which is product
-    order, plans each outer prefix once, and places each x with one
-    truncated product (tables._multiplier).
+    order, extends the product of each outer prefix once, and places each
+    x with one truncated product (tables._multiplier).
     """
     n = pattern.n
     total = bank.base.q ** n
@@ -255,19 +249,18 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
         if size not in tables:
             tables[size] = _window_table(bank.get(size), k)
         levels.append(partial(_stored, bank.base.q, size, tables[size]))
-    mult = _multiplier(bank.base, k)
-    return _walk(levels, 0, mult, flags, (), mult[0](()), True)
+    start, extend, place = _multiplier(bank.base, k)
+    return _walk(levels, 0, extend, place, flags, (), start, True)
 
 
-def _walk(levels, level, mult, flags, xs, rows, typed):
+def _walk(levels, level, extend, place, flags, xs, rows, typed):
     """The walk below window `level`: levels[level]() yields that
     window's entries; xs, rows (the planned window product) and typed
     belong to the outer windows."""
-    plan, times, place = mult
     if level < len(levels) - 1:
         for coords, (t, b) in levels[level]():
-            yield from _walk(levels, level + 1, mult, flags, xs + coords,
-                             plan(times(rows, b)), typed and t)
+            yield from _walk(levels, level + 1, extend, place, flags,
+                             xs + coords, extend(rows, b), typed and t)
         return
     for coords, (t, b) in levels[level]():
         w = place(rows, b)

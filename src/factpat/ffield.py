@@ -204,9 +204,6 @@ class FieldParams(_Digits):
         if self.q <= limit:
             self._build_tables()
 
-    def elements(self):
-        return range(self.q)
-
     # -- scalar protocol -----------------------------------------------
 
     def add(self, a, b):
@@ -237,6 +234,8 @@ class FieldParams(_Digits):
         t = self._invt
         if t is not None and a:
             return t[a]
+        if self.s == 1 and a:
+            return pow(a, self.p - 2, self.p)
         return super().inv(a)
 
     def of_int(self, k):
@@ -411,9 +410,6 @@ class ExtCtx(_Digits):
         self._red = self._reduction_rows()
         self._exp = self._log = self._zech = None
         self._init_normal_basis()
-
-    def elements(self):
-        return range(self.order)
 
     def in_base(self, x):
         """True iff x lies in F_q (codes below q, the constant digits)."""

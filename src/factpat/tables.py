@@ -56,11 +56,12 @@ family_tally keeps it in the shared ContextBank of its field, keyed by
 (n, k), until ffield._SHARED_BANKS is cleared; the tables that
 run_global and run_verify read are built per call and dropped.
 
-The verify scans share the window product _multiplier: G(x) is the
-product of its windows' conjugate products, so correspondence.walk_G
-places each x at its depth-k window index with the same truncated
-product, and family_windows flags the indices inside a family for
-family_tally and for the membership check.
+The search and correspondence.walk_G multiply windows through one
+interface, _multiplier's (start, extend, place).  G(x) is the product
+of its windows' conjugate products, so the walk places each x at its
+depth-k window index with the same truncated product, and
+family_windows flags the indices inside a family for family_tally and
+for the membership check.
 """
 
 from __future__ import annotations
@@ -91,12 +92,13 @@ def window_coeffs(q, n, k, w):
 
 
 def _multiplier(K, k):
-    """(plan, times, place) for products of windows mod X^(k+1).
+    """(start, extend, place) for products of windows mod X^(k+1).
 
     A window is a tuple of digits (c_1, c_2, ...), trimmed to at most k.
-    plan(a) turns a into rows: digit t of a*b is a_t + sum_j a_(t-j) b_j,
-    j = 1..t, with a_0 = 1.  times(rows, b) is a*b as a digit tuple of
-    length k, place(rows, b) its index.
+    A product a is carried as its plan, rows from which digit t of a*b is
+    a_t + sum_j a_(t-j) b_j, j = 1..t, with a_0 = 1.  start is the plan of
+    the empty product, extend(rows, b) the plan of a*b and place(rows, b)
+    the index of a*b.
     """
     q = K.q
     qpow = [q ** t for t in range(k)]
@@ -109,9 +111,9 @@ def _multiplier(K, k):
     if K.s == 1:
         p = q
 
-        def times(rows, b):
-            return tuple([(at + sum(map(mul, row, b))) % p
-                          for at, row, _ in rows])
+        def extend(rows, b):
+            return plan(tuple([(at + sum(map(mul, row, b))) % p
+                               for at, row, _ in rows]))
 
         def place(rows, b):
             w = 0
@@ -127,8 +129,8 @@ def _multiplier(K, k):
                     at = add(at, kmul(x, y))
             return at
 
-        def times(rows, b):
-            return tuple([digit(at, row, b) for at, row, _ in rows])
+        def extend(rows, b):
+            return plan(tuple([digit(at, row, b) for at, row, _ in rows]))
 
         def place(rows, b):
             w = 0
@@ -136,19 +138,21 @@ def _multiplier(K, k):
                 w += digit(at, row, b) * qp
             return w
 
-    return plan, times, place
+    return plan(()), extend, place
 
 
-def _composites(K, n, k, hist, slot_of, width):
-    """Counts of the products of irreducibles of degree below n with total
-    degree n, at index window * width + slot_of[pattern key][square-free].
+def _search(K, n, k, hist, slot_of, width):
+    """Counts of the monics of degree n at index window * width + slot:
+    the products of irreducibles of degree below n at slot
+    slot_of[pattern key][square-free], and in each window's last slot the
+    rest of its q^(n-k) monics, the irreducibles of degree n.
 
     hist[d][w] is the number of degree-d irreducibles whose window at
     depth min(d, k) has index w; a pattern key is
     sum counts[d-1] * (n+1)^(d-1).
     """
     q = K.q
-    plan, times, place = _multiplier(K, k)
+    start, extend, place = _multiplier(K, k)
     unit = [(n + 1) ** (d - 1) for d in range(n + 1)]
     # every factor window has an index below q^min(k, n-1)
     digits = [_to_vec(w, q, k) for w in range(q ** min(k, n - 1))]
@@ -180,11 +184,14 @@ def _composites(K, n, k, hist, slot_of, width):
             sub = key + unit[d]
             rep = j0 if d == d0 else -1
             for j in range(max(rep, 0), len(lst)):
-                walk(d, j, rem - d, plan(times(rows, lst[j])), sub,
+                walk(d, j, rem - d, extend(rows, lst[j]), sub,
                      sq and j != rep)
 
-    walk(1, -1, n, plan(()), 0, 1)
+    walk(1, -1, n, start, 0, 1)
     del walk    # it refers to itself; free its lists now, not at the next gc
+    per_window = q ** (n - k)
+    for at in range(0, len(counts), width):
+        counts[at + width - 1] = per_window - sum(counts[at:at + width])
     return counts
 
 
@@ -195,16 +202,12 @@ def _pattern_keys(n):
 
 def _irreducible_hist(K, n, k):
     """Degree d -> array whose entry w counts the monic irreducibles of
-    degree d with window index w at depth min(d, k), for d = 1 .. n-1."""
+    degree d with window index w at depth min(d, k), for d = 1 .. n-1:
+    the search at width 1, whose last slot is its only one."""
     hist = {}
     for d in range(1, n):
-        depth = min(d, k)
         zero = {key: (0, 0) for key in _pattern_keys(d)}
-        hit = _composites(K, d, depth, hist, zero, 1)
-        per_window = K.q ** (d - depth)
-        for w, c in enumerate(hit):
-            hit[w] = per_window - c
-        hist[d] = hit
+        hist[d] = _search(K, d, min(d, k), hist, zero, 1)
     return hist
 
 
@@ -231,20 +234,12 @@ def pattern_table(K, n, k):
 
 def _search_table(K, n, k):
     """pattern_table by the depth-first search over the products of
-    irreducibles; any field and depth."""
-    q = K.q
+    irreducibles; any field and depth.  The last slot is the last pattern,
+    the irreducibles, always square-free."""
     keys = _pattern_keys(n)
-    npat = len(keys)
     slot_of = {key: (2 * i, 2 * i + 1) for i, key in enumerate(keys)}
-    hist = _irreducible_hist(K, n, k)
-    counts = _composites(K, n, k, hist, slot_of, 2 * npat)
-    # the degree-n irreducibles: the last pattern, always square-free
-    per_window = q ** (n - k)
-    width = 2 * npat
-    for w in range(q ** k):
-        at = w * width
-        counts[at + width - 1] = per_window - sum(counts[at:at + width])
-    return counts
+    return _search(K, n, k, _irreducible_hist(K, n, k), slot_of,
+                   2 * len(keys))
 
 
 def _modulus(p, bound):

@@ -13,11 +13,13 @@ import math
 import multiprocessing
 import time
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from factpat.census import (RunConfig, _chunk_task, render_json, run_census,
-                            run_global, run_verify)
+from factpat.census import (TABLE_RATIO, RunConfig, _chunk_task,
+                            build_family, render_json, run_census, run_global,
+                            run_verify)
 from factpat.family import (MEMBER_BUDGET, bound_fp1, bound_fp2,
                             bound_nonsquarefree, new_family, pattern_tally)
 from factpat.ffield import ContextBank, make_field
@@ -248,12 +250,15 @@ def test_criterion_09_jacobian_probe_clean():
 def test_criterion_10_reports_byte_identical():
     census_cfg = RunConfig(p=5, s=1, n=4, mode="linear", r=3,
                            rows=((1,),), alpha=(0,))
-    one = render_json(run_census(census_cfg))
-    again = render_json(run_census(census_cfg))
-    workers2 = render_json(run_census(
-        RunConfig(p=5, s=1, n=4, mode="linear", r=3, rows=((1,),),
-                  alpha=(0,), workers=2)))
-    assert one == again == workers2
+    assert render_json(run_census(census_cfg)) == render_json(
+        run_census(census_cfg))
+    # workers split the kernel path alone, which a family takes when
+    # q^m > TABLE_RATIO: compare one and two workers there
+    kernel = RunConfig(p=13, n=4, r=2, rows=((1, 0), (0, 1)), alpha=(0, 0))
+    fam = build_family(kernel, _field(13))
+    assert fam.q ** fam.m > TABLE_RATIO
+    assert (render_json(run_census(kernel))
+            == render_json(run_census(replace(kernel, workers=2))))
     verify_cfg = RunConfig(p=5, s=1, n=3, r=2, rows=((1,),), alpha=(0,))
     assert (render_json(run_verify(verify_cfg))
             == render_json(run_verify(verify_cfg)))

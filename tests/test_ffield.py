@@ -99,8 +99,10 @@ def test_modulus_is_minimal_in_code_order():
             assert has_root, f"smaller irreducible {digits} missed for ({p},{s})"
 
 
-# (3, 5) and (2, 8) are over _TABLE_MAX_EXT: no flat tables
-@pytest.mark.parametrize("p,s", [(5, 1), (3, 2), (2, 3), (5, 2), (3, 5), (2, 8)])
+# (3, 5) and (2, 8) are over _TABLE_MAX_EXT and 1031 over
+# _TABLE_MAX_PRIME: no flat tables
+@pytest.mark.parametrize("p,s", [(5, 1), (3, 2), (2, 3), (5, 2), (3, 5), (2, 8),
+                                 (1031, 1)])
 def test_field_axioms_sampled(p, s):
     field = make_field(p, s)
     q = field.q
@@ -147,6 +149,9 @@ def test_inverse_of_zero_raises():
     ext = make_field(3, 2)
     with pytest.raises(ZeroDivisionError):
         ext.inv(0)
+    untabled = make_field(1031)
+    with pytest.raises(ZeroDivisionError):
+        untabled.inv(0)
 
 
 @pytest.mark.parametrize("p,s", [(3, 2), (2, 3), (5, 2)])
@@ -173,7 +178,7 @@ def test_frobenius_is_field_automorphism(p, s):
 
 def test_pow_matches_repeated_multiplication():
     field = make_field(3, 2)
-    for a in field.elements():
+    for a in range(field.q):
         acc = 1
         for e in range(1, 8):
             acc = field.mul(acc, a)
@@ -182,7 +187,7 @@ def test_pow_matches_repeated_multiplication():
 
 def test_vec_roundtrip_and_of_int():
     field = make_field(3, 2)
-    for x in field.elements():
+    for x in range(field.q):
         assert field.from_vec(field.to_vec(x)) == x
     prime = make_field(7)
     for k in range(-10, 30):
@@ -242,7 +247,7 @@ def test_find_irreducible_over_extension_base():
     field = make_field(3, 2)
     full = find_irreducible(field, 2)
     assert len(full) == 3 and full[-1] == 1
-    for a in field.elements():
+    for a in range(field.q):
         value = 0
         for c in reversed(full):
             value = field.add(field.mul(value, a), c)

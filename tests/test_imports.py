@@ -19,13 +19,20 @@ of a fresh one, so no function is memoized with functools either.
 The walk's functions in correspondence read none of the per-point
 oracles, and the oracles in correspondence and variety read none of the
 walk's functions, so the tests that hold the walk to an oracle compare
-two routes, also where the oracles keep values.
+two routes, also where the oracles keep values.  Every dotted reference
+module.name (such as tables.family_tally or ffield.ExtCtx.ensure_fast)
+in the engine's docstrings and comments and in README.md resolves, so
+the docs name no engine name that is gone.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 import factpat
@@ -308,3 +315,59 @@ def test_the_check_sees_an_oracle_reading_the_walk():
     assert _walk_reads(trees) == [("_esym", "_stored"),
                                   ("_window_poly", "_half_orbits"),
                                   ("build_G", "walk_G")]
+
+
+_DOTTED = re.compile(r"\b(?:factpat\.)?([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*)+)")
+
+
+def _doc_text(source):
+    """The docstrings and the comments of one module's source."""
+    tree = ast.parse(source)
+    docs = [ast.get_docstring(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    comments = [tok.string for tok in tokenize.generate_tokens(
+        io.StringIO(source).readline) if tok.type == tokenize.COMMENT]
+    return "\n".join([d for d in docs if d] + comments)
+
+
+def _stale_names(text, modules):
+    """Each dotted reference module.name[.attr] in text, with module one
+    of the given modules, that does not resolve; file names module.py are
+    not references."""
+    stale = []
+    for match in _DOTTED.finditer(text):
+        head, path = match.group(1), match.group(2).split(".")[1:]
+        if head not in modules or path == ["py"]:
+            continue
+        obj = modules[head]
+        for name in path:
+            if not hasattr(obj, name):
+                stale.append(match.group(0))
+                break
+            obj = getattr(obj, name)
+    return stale
+
+
+def _engine_modules():
+    return {p.stem: importlib.import_module(f"factpat.{p.stem}")
+            for p in SRC.glob("*.py") if p.stem != "__init__"}
+
+
+def test_every_engine_name_in_the_docs_resolves():
+    modules = _engine_modules()
+    texts = {p.name: _doc_text(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    texts["README.md"] = (SRC.parent.parent / "README.md").read_text()
+    found = {name: _stale_names(text, modules) for name, text in texts.items()}
+    assert len(found) > 2
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_a_stale_name_in_the_docs():
+    source = ('"""Reads tables.family_tally and tables.pattern_tables."""\n'
+              "def f():\n    # see ffield.ExtCtx.ensure_fast, census.py and\n"
+              "    # ffield.ExtCtx.ensure_slow; factpat.variety.no_pass\n"
+              '    """Like cli.main, e.g. poly.kernel."""\n')
+    assert _stale_names(_doc_text(source), _engine_modules()) == [
+        "tables.pattern_tables", "poly.kernel", "ffield.ExtCtx.ensure_slow",
+        "factpat.variety.no_pass"]
