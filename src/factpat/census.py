@@ -60,11 +60,12 @@ window.  So a full verify walks each pattern once, and the variety alone
 walks it once at depth n - r; reports are those of a per-point scan, and
 one variety pass per pattern gives both the counting identity and the
 Jacobian probe.  The walk tables each window size's entries once per
-Frobenius orbit, in the layers F_(q^i) of the window sizes i <= n alone,
-with their Zech tables (ffield.ExtCtx.ensure_fast).  Those tables are
-what the order limit bounds, so run_verify builds the largest, F_(q^n),
-before anything is tallied or scanned.  run_census and run_bounds build the layers for
-the descriptor but no tables, so the order limit does not apply to them.
+Frobenius orbit and once per run (correspondence.Plan), in the layers
+F_(q^i) of the window sizes i <= n alone, with their Zech tables
+(ffield.ExtCtx.ensure_fast).  Those tables are what the order limit
+bounds, so run_verify builds the largest, F_(q^n), before anything is
+tallied or scanned.  run_census and run_bounds build the layers for the
+descriptor but no tables, so the order limit does not apply to them.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .correspondence import _Membership, walk_G
+from .correspondence import Plan, _Membership, walk_G
 from .errors import BudgetError
 from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
                      bound_fp2, bound_nonsquarefree, bound_reference_ci,
@@ -110,8 +111,13 @@ def _parse_ints(text):
 
 
 def parse_config(path) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:   # on one line, as the CLI prints it
+        raise ValueError(f"malformed config file {path}: "
+                         + " ".join(str(exc).split())) from None
     if not read:
         raise ValueError(f"cannot read config file {path}")
     if "field" not in cp or "p" not in cp["field"]:
@@ -400,7 +406,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     identities for every pattern of the configured degree."""
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
-    bank = ContextBank.shared(field)
+    plan = Plan(ContextBank.shared(field))      # dropped with the call
     n = fam.n
     q = field.q
     report: dict = {
@@ -412,7 +418,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     patterns = enumerate_patterns(n)
     # the scans table every layer they use, up to F_(q^n); tabling that
     # one first fails a layer over the order limit before any tally or scan
-    bank.get(n).ensure_fast()
+    plan.get(n).ensure_fast()
     member_tally = census_tally(fam, cfg.budget, cfg.workers)
     # one entry per polynomial where the correspondence looks them up,
     # else only the pattern totals
@@ -432,7 +438,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     for i, pat in enumerate(patterns):
         # one system per pattern for the membership check and the variety
         # pass; with both sections the variety rides on the depth-n walk
-        sys_ = sym_system(fam, pat, bank)
+        sys_ = sym_system(fam, pat, plan)
         fused = _Pass(sys_) if len(rows) == 2 else None
         if "correspondence" in sections:
             type_bad = None
@@ -440,7 +446,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             untyped = 0
             member = _Membership(sys_)
             # G(x), by its index in the table
-            for x, t, g in walk_G(pat, bank, n, budget=cfg.budget):
+            for x, t, g in walk_G(pat, plan, n, budget=cfg.budget):
                 member.add(x, t, g)
                 if fused is not None:
                     fused.add(x, t, g)

@@ -26,13 +26,13 @@ vectors, by default the run's one limit family.MEMBER_BUDGET, raises
 BudgetError before any is formed.
 A window's polynomial depends only on its own q^i coordinates, so for
 each window size i the walk tables the top digits of the q^i window
-polynomials once per call, and multiplies windows through the start,
-extend and place of tables._multiplier.  A rotation of a window's coordinates
-maps its element to a conjugate, with the same polynomial, so the table
-forms one entry per Frobenius orbit, about q^i / i of them; the orbit of
-a window vector is F_q-linear in its coordinates, so it is the sum of
-two orbits read from half tables, one over the first ceil(i/2)
-coordinates and one over the last floor(i/2).
+polynomials once per run (see Plan), and multiplies windows through the
+start, extend and place of tables._multiplier.  A rotation of a window's
+coordinates maps its element to a conjugate, with the same polynomial,
+so the table forms one entry per Frobenius orbit, about q^i / i of them;
+the orbit of a window vector is F_q-linear in its coordinates, so it is
+the sum of two orbits read from half tables, one over the first
+ceil(i/2) coordinates and one over the last floor(i/2).
 Every first counterexample is the same x as in a per-point scan.
 build_G, is_type_lambda and variety.eval_R stay as the per-point
 oracles; build_G and eval_R form each orbit as the conjugate-matrix
@@ -222,6 +222,17 @@ def _stored(q, size, table):
     return zip(product(range(q), repeat=size), table)
 
 
+class Plan:
+    """What the walks and oracles of one run share, in place of its
+    ContextBank: for windows below size n, the walk's tables by (size,
+    depth), and the oracles' E values by (coords, upto) and elements by
+    coords.  run_verify makes one per call, other callers one per use."""
+
+    def __init__(self, bank):
+        self.base, self.get = bank.base, bank.get
+        self.tables, self.values, self.alphas = {}, {}, {}
+
+
 def walk_G(pattern: Pattern, bank, k: int, flags=None,
            budget: int = MEMBER_BUDGET):
     """Every x in F_q^n in product order, as (x, typed, w) with w the
@@ -231,7 +242,7 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
     G(x) is the product of its windows' polynomials, and the depth-k
     window of a product is the product of its factors' windows.  So for
     each window size the windows of all q^i window vectors are tabled
-    once per call (_window_table), formed in the window's layer and
+    once per plan (_window_table), formed in the window's layer and
     checked to descend to F_q (GaloisDescentError otherwise).  A size-n
     table, q^n references like one of that layer's Zech lists, is not
     kept past the walk.
@@ -243,13 +254,15 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
     total = bank.base.q ** n
     if total > budget:
         raise BudgetError(f"scan size {total} exceeds budget {budget}")
-    tables = {}
+    plan = bank if isinstance(bank, Plan) else Plan(bank)
     levels = []
     for size, _ in layout(pattern):
-        if size not in tables:
-            tables[size] = _window_table(bank.get(size), k)
-        levels.append(partial(_stored, bank.base.q, size, tables[size]))
-    start, extend, place = _multiplier(bank.base, k)
+        table = (plan.tables.get((size, k))
+                 or _window_table(plan.get(size), k))
+        if size < n:    # no other pattern has a size-n window
+            plan.tables[size, k] = table
+        levels.append(partial(_stored, plan.base.q, size, table))
+    start, extend, place = _multiplier(plan.base, k)
     return _walk(levels, 0, extend, place, flags, (), start, True)
 
 

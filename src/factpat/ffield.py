@@ -518,7 +518,10 @@ class ExtCtx(_Digits):
 
     def ensure_fast(self):
         """Build the exp/log/Zech tables, once: three lists of about
-        q^i entries, so a layer over ORDER_LIMIT raises ValueError here."""
+        q^i entries, so a layer over ORDER_LIMIT raises ValueError here.
+        exp steps by the F_q-linear x -> gen x: the images of a code's
+        low ceil(i/2) and high floor(i/2) digits come from two tables, and
+        one digit-wise add in the base field (flat where it is) sums them."""
         if self._exp is not None:
             return
         if self.order > ORDER_LIMIT:
@@ -534,23 +537,23 @@ class ExtCtx(_Digits):
                 break
         if gen is None:  # pragma: no cover - the unit group is cyclic
             raise RuntimeError("no generator found")
-        exp = [0] * M
-        log = [-1] * self.order
-        gd = self.to_vec(gen)
-        cur = list(self.to_vec(1))
+        q, i, badd, bmul = self.q, self.i, self.base.add, self.base.mul
+        # column j of the map's matrix: the digits of gen v^j
+        cols = [self._mul_digits(self.to_vec(gen), self.to_vec(q ** j))
+                for j in range(i)]
+        high, low = [(0,) * i], [(0,) * i]      # in code order
+        for j, col in enumerate(cols):
+            images = low if j < (i + 1) // 2 else high
+            images[:] = [tuple(map(badd, [bmul(c, d) for d in col], y))
+                         for c in range(q) for y in images]
+        exp, log, code = [0] * M, [-1] * self.order, 1
         for k in range(M):
-            code = self.from_vec(cur)
             exp[k] = code
             log[code] = k
-            cur = self._mul_digits(cur, gd)
-        q = self.q
-        badd = self.base.add
-        zech = [0] * M
-        for k in range(M):
-            s = exp[k]
-            d0 = s % q
-            s2 = s - d0 + badd(d0, 1)
-            zech[k] = log[s2] if s2 else -1
+            a, b = divmod(code, len(low))
+            code = self.from_vec(list(map(badd, high[a], low[b])))
+        # log(s + 1), adding 1 to the constant digit; log[0] = -1 for s = -1
+        zech = [log[s - s % q + badd(s % q, 1)] for s in exp]
         self._exp, self._log, self._zech = exp, log, zech
 
     def __eq__(self, other):

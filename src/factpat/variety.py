@@ -30,16 +30,16 @@ jacobian_probe through it) feeds it from its own walk at depth n - r,
 which passes only the zeros; each scan's budget defaults to the run's,
 family.MEMBER_BUDGET.  The probe reads the Jacobian one window's
 columns at a time and stops at full rank.
-eval_R and g_coeffs stay as the per-point oracles; they form each
-window vector's E values once per pattern (see _esym).
+eval_R and g_coeffs stay as the per-point oracles; they keep window
+values in the plan the run's systems share (correspondence.Plan), as
+the probe keeps window elements, and reuse leading windows' products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._dense import pmul
-from .correspondence import _orbit, _window_esym, layout, walk_G
+from .correspondence import Plan, _orbit, _window_esym, layout, walk_G
 from .errors import CountingIdentityError
 from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
 from .ffield import _to_vec, mat_rank
@@ -54,18 +54,20 @@ MAX_RECORDED = 10
 class SymSystem:
     fam: LinearFamily
     pattern: Pattern
-    bank: object              # the ContextBank of the window layers
+    bank: Plan                # the run's window layers and stores
     windows: tuple            # ((start, size, layer F_(q^size)), ...)
     terms: tuple              # per row j: ((k, coeff), ...) nonzero entries
     nr: int                   # n - r, number of symmetric values used
     weight: int               # pattern weight w
     kept: dict                # (coords, upto) -> a window's E_0..E_upto
+    prefix: dict              # upto -> [(window, product through it)]
 
 
 def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
     """The window layers (with their fast tables) and the reduced row data."""
     if pattern.n != fam.n:
         raise ValueError("pattern degree must match the family degree")
+    bank = bank if isinstance(bank, Plan) else Plan(bank)
     windows = []
     for size, start in layout(pattern):
         ctx = bank.get(size)
@@ -74,24 +76,35 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
     terms = tuple(tuple((k + 1, c) for k, c in enumerate(srow) if c)
                   for srow in fam.srows)
     return SymSystem(fam, pattern, bank, tuple(windows), terms, fam.n - fam.r,
-                     pattern_stats(pattern).weight, {})
+                     pattern_stats(pattern).weight, bank.values, {})
 
 
 def _esym(sys_: SymSystem, x, upto):
-    """E_0..E_upto of all root values of x, window by window.  Each
-    window vector's E values are formed once per system and kept, except
-    for a window of size n, which no other x shares."""
+    """E_0..E_upto of all root values of x, the windows' product mod
+    X^(upto+1).  Each window vector's E values are kept in the plan, but
+    for a window of size n, which no other x shares; the products through
+    the last x's leading windows are kept, for the x that repeat them."""
     K, kept, x = sys_.fam.ctx, sys_.kept, tuple(x)
-    e = None
-    for start, size, ctx in sys_.windows:
+    add, mul = K.add, K.mul
+    prods = sys_.prefix.setdefault(upto, [])
+    for w, (start, size, ctx) in enumerate(sys_.windows):
         coords = x[start:start + size]
-        ew = kept.get((coords, upto))
-        if ew is None:
-            ew = _window_esym(ctx, _orbit(ctx, ctx.A, coords), upto)
-            if size < sys_.fam.n:
-                kept[coords, upto] = ew
-        e = ew if e is None else pmul(K, e, ew)[:upto + 1]
-    return e
+        if w < len(prods) and prods[w][0] == coords:
+            continue
+        del prods[w:]
+        ew = kept.get((coords, upto)) or _window_esym(
+            ctx, _orbit(ctx, ctx.A, coords), upto)
+        if size < sys_.fam.n:
+            kept[coords, upto] = ew
+        if prods:
+            a = prods[-1][1]
+            e = list(a)
+            for t in range(1, min(size, upto) + 1):
+                for u in range(t, upto + 1):
+                    e[u] = add(e[u], mul(ew[t], a[u - t]))
+            ew = e
+        prods.append((coords, ew))
+    return prods[-1][1]
 
 
 def _residues(sys_: SymSystem, e):
@@ -254,11 +267,15 @@ def _full_rank(sys_: SymSystem, x, e) -> bool:
     same rank.  More columns cannot lower it, so it stops at rank m.
     """
     K, m = sys_.fam.ctx, sys_.fam.m
+    alphas = sys_.bank.alphas
     rows = [[] for _ in sys_.terms]
     minus_one = K.neg(1)                # the same code in every layer
     for start, size, ctx in sys_.windows:
         add, mul = ctx.add, ctx.mul
-        alpha = _orbit(ctx, ctx.A[:1], x[start:start + size])[0]
+        coords = tuple(x[start:start + size])
+        alpha = alphas.get(coords) or _orbit(ctx, ctx.A[:1], coords)[0]
+        if size < sys_.fam.n:
+            alphas[coords] = alpha
         neg_alpha = mul(minus_one, alpha)
         omit = [1]
         for t in range(1, sys_.nr):

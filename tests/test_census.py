@@ -422,6 +422,43 @@ def test_cli_error_paths(tmp_path):
     assert proc3.returncode == 2, proc3.stderr
 
 
+# INI text that configparser cannot read (no section header, an unclosed
+# section header, a key given twice in one section), and a value with a
+# "%", which is read as text and then fails as a number; each with what
+# the one line on stderr must name
+MALFORMED_INI = {
+    "headless": ("p = 5\n[family]\nn = 4\n", "malformed config file"),
+    "unclosed": (CONFIG_TEXT.replace("[family]", "[family"),
+                 "malformed config file"),
+    "duplicate": (CONFIG_TEXT.replace("p = 5\n", "p = 5\np = 7\n"),
+                  "malformed config file"),
+    "percent": (CONFIG_TEXT.replace("alpha = 0", "alpha = 0%"), "'0%'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_INI))
+def test_cli_malformed_config_exits_2(tmp_path, capsys, kind):
+    # a malformed file is a configuration error, not a failed check
+    text, named = MALFORMED_INI[kind]
+    ini = tmp_path / f"{kind}.ini"
+    ini.write_text(text)
+    assert cli.main(["census", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("factpat: ") and err.count("\n") == 1
+    assert named in err
+    if named == "malformed config file":
+        assert str(ini) in err
+
+
+def test_cli_malformed_config_prints_no_traceback(tmp_path):
+    ini = tmp_path / "duplicate.ini"
+    ini.write_text(MALFORMED_INI["duplicate"][0])
+    proc = _run_cli(["census", "--config", str(ini)], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("factpat: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     cfgfile = tmp_path / "demo.ini"

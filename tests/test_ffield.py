@@ -1,5 +1,6 @@
 """Field-tower tests: prime/extension arithmetic, irreducible search,
-normal bases, Frobenius, embeddings, and the shared context bank.
+normal bases, Frobenius, embeddings, the Zech tables, and the shared
+context bank.
 
 Oracles are computed inside this module with deliberately naive code
 (root scans, brute independence checks, digit-by-digit arithmetic) so
@@ -403,6 +404,36 @@ def test_fast_tables_on_the_two_element_layer():
             assert slow.add(a, b) == fast.add(a, b)
             assert slow.mul(a, b) == fast.mul(a, b)
     assert fast.inv(1) == 1 and fast.frobenius(1) == 1
+
+
+def _reference_zech(ctx):
+    """exp, log and Zech lists the schoolbook way: the first code of full
+    multiplicative order, and one digit-vector product by it per step."""
+    M = ctx.order - 1
+    gen = next(g for g in range(1, ctx.order)
+               if all(ctx.pow_(g, M // f) != 1 for f in range(2, M + 1)
+                      if M % f == 0 and all(f % d for d in range(2, f))))
+    exp, log = [], [-1] * ctx.order
+    cur = ctx.to_vec(1)
+    for k in range(M):
+        exp.append(ctx.from_vec(cur))
+        log[exp[-1]] = k
+        cur = ctx._mul_digits(cur, ctx.to_vec(gen))
+    zech = [log[ctx.add(e, 1)] if ctx.add(e, 1) else -1 for e in exp]
+    return exp, log, zech
+
+
+# F_(5^5), F_(8^4) and F_(4^3) over flat-tabled bases; F_1031 has no
+# flat tables, so its steps go through the base's arithmetic
+@pytest.mark.parametrize("p, s, i", [(5, 1, 5), (2, 3, 4), (2, 2, 3),
+                                     (1031, 1, 1)])
+def test_zech_tables_match_the_schoolbook_steps(p, s, i):
+    base = make_field(p, s)
+    assert (base._addt is None) == (p == 1031)
+    want = _reference_zech(ExtCtx(base, i))
+    fast = ExtCtx(base, i)
+    fast.ensure_fast()
+    assert (fast._exp, fast._log, fast._zech) == want
 
 
 def test_extension_axioms_sampled_char2():

@@ -16,8 +16,10 @@ here: the descent traps reached through the scans (a corrupted entry of
 A in either half of the split, an A that is not circulant, a circulant
 A of wrong conjugates), the pinned bytes of five verify reports, the
 walks run_verify makes (one per pattern, at depth n when the
-correspondence runs), the variety rows of a full verify against those
-of the variety alone and of variety_pass, its membership cells against
+correspondence runs) and the window tables they read (one per size and
+depth in a run, built again by the next run), the variety rows of a
+full verify against those of the variety alone and of variety_pass, its
+membership cells against
 verify_membership_equivalence (also where eval_R is made to lie), the
 variety at n = 7 that once needed F_(5^12), and the fail-fast on a
 window layer over the order limit.
@@ -483,6 +485,27 @@ def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
     assert depths == [depth] * len(patterns)
     assert systems == patterns
     assert rep["overall_pass"] is True
+
+
+@pytest.mark.parametrize("sections", [BOTH, ("correspondence",),
+                                      ("variety",)])
+def test_verify_tables_each_window_once_per_run(monkeypatch, sections):
+    # every walk of a run reads its plan: one _window_table per window
+    # size and depth, and the next run builds them again
+    real = correspondence._window_table
+    built = []
+
+    def counting_table(ctx, k):
+        built.append((ctx.i, k))
+        return real(ctx, k)
+
+    monkeypatch.setattr(correspondence, "_window_table", counting_table)
+    cfg = RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,))
+    depth = 4 if "correspondence" in sections else 2
+    for _ in range(2):
+        built.clear()
+        assert run_verify(cfg, sections=sections)["overall_pass"] is True
+        assert sorted(built) == [(i, depth) for i in range(1, 5)]
 
 
 def test_every_scan_defaults_to_the_one_run_budget():

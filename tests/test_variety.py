@@ -5,7 +5,8 @@ and the Jacobian rank probe.
 Independent oracles: combinations-based symmetric sums, Vieta expansion
 through the conjugate-product polynomial, and frozen exhaustive counts
 for the canonical trace-zero quartic family over F_5.  The window E
-values a system keeps are held to a fresh system per call.
+values a system keeps, and the window values and prefix products that
+the systems of one plan share, are held to a fresh system per call.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from itertools import combinations, product
 
 import pytest
 
-from factpat.correspondence import _absorb, build_G
+from factpat.correspondence import Plan, _absorb, build_G
 from factpat.errors import (BudgetError, CountingIdentityError,
                             GaloisDescentError)
 from factpat.family import new_family, pattern_tally
 from factpat.ffield import ContextBank, ExtCtx, make_field
 from factpat.patterns import Pattern, enumerate_patterns, pattern_stats
-from factpat.variety import (PointCounts, count_points, eval_R, g_coeffs,
-                             jacobian_probe, sym_system)
+from factpat.variety import (PointCounts, _full_rank, count_points, eval_R,
+                             g_coeffs, jacobian_probe, rational_zeros,
+                             sym_system)
 
 SAMPLE_SEED = 77
 
@@ -162,6 +164,29 @@ def test_kept_window_values_do_not_depend_on_order(p, n):
         fresh = [(eval_R(sym_system(fam, pat, bank), x),
                   g_coeffs(sym_system(fam, pat, bank), x)) for x in xs]
         assert forward == backward == swapped == fresh, pat.label()
+
+
+@pytest.mark.parametrize("p, n", [(5, 4), (7, 3)])
+def test_window_values_shared_by_a_plan_match_fresh_systems(p, n):
+    # the systems of one run share its plan's window values; each keeps
+    # its own prefix products.  Interleaved in any order, eval_R, g_coeffs
+    # and the probe's rank give what a fresh system per call gives
+    bank, fam = _kept_family(p, n)
+    plan = Plan(bank)
+    calls = []
+    for pat in enumerate_patterns(n):
+        sys_ = sym_system(fam, pat, plan)
+        assert sys_.kept is plan.values and sys_.bank is plan
+        calls += [(sys_, oracle, (x,)) for oracle in (eval_R, g_coeffs)
+                  for x in product(range(p), repeat=n)]
+        calls += [(sys_, _full_rank, (x, e))
+                  for x, e in rational_zeros(sym_system(fam, pat, bank))]
+    random.Random(SAMPLE_SEED + 5).shuffle(calls)
+    for sys_, oracle, args in calls:
+        fresh = sym_system(fam, sys_.pattern, bank)
+        assert oracle(sys_, *args) == oracle(fresh, *args), (
+            sys_.pattern.label(), oracle.__name__, args)
+    assert plan.values and plan.alphas
 
 
 def test_kept_window_values_are_bounded():
