@@ -105,6 +105,11 @@ class RunConfig:
     fmt: str = "json"
     out: str | None = None
 
+    def check_limits(self) -> None:
+        for name in ("workers", "budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 def _parse_ints(text):
     return tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -142,8 +147,7 @@ def parse_config(path) -> RunConfig:
         run = cp["run"]
         cfg.budget = int(run.get("budget", cfg.budget))
         cfg.workers = int(run.get("workers", "1"))
-        if cfg.workers < 1:
-            raise ValueError("workers must be >= 1")
+        cfg.check_limits()
         cfg.fmt = run.get("format", "json").strip()
         if cfg.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {cfg.fmt!r}")

@@ -51,10 +51,9 @@ def _load_config(args) -> census.RunConfig:
         cfg.fmt = args.format
     if args.workers is not None:
         cfg.workers = args.workers
-    if cfg.workers < 1:
-        raise ValueError("workers must be >= 1")
     if args.budget is not None:
         cfg.budget = args.budget
+    cfg.check_limits()
     if args.out is not None:
         cfg.out = args.out
     return cfg

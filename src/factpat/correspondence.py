@@ -27,12 +27,13 @@ BudgetError before any is formed.
 A window's polynomial depends only on its own q^i coordinates, so for
 each window size i the walk tables the top digits of the q^i window
 polynomials once per run (see Plan), and multiplies windows through the
-start, extend and place of tables._multiplier.  A rotation of a window's
-coordinates maps its element to a conjugate, with the same polynomial,
-so the table forms one entry per Frobenius orbit, about q^i / i of them;
-the orbit of a window vector is F_q-linear in its coordinates, so it is
-the sum of two orbits read from half tables, one over the first
-ceil(i/2) coordinates and one over the last floor(i/2).
+start, extend and place of tables._multiplier, the last window's once
+per distinct entry and prefix.  Rotating a window's coordinates maps
+its element to a conjugate, with the same polynomial, so the table
+forms one entry per Frobenius orbit, about q^i / i of them; the orbit
+of a window vector is F_q-linear in its coordinates, so it is the sum
+of two orbits read from half tables, over the first ceil(i/2) and the
+last floor(i/2) coordinates.
 Every first counterexample is the same x as in a per-point scan.
 build_G, is_type_lambda and variety.eval_R stay as the per-point
 oracles; build_G and eval_R form each orbit as the conjugate-matrix
@@ -248,7 +249,7 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
     kept past the walk.
     The walk nests one loop per window in layout order, which is product
     order, extends the product of each outer prefix once, and places each
-    x with one truncated product (tables._multiplier).
+    distinct last-window entry once per prefix (tables._multiplier).
     """
     n = pattern.n
     total = bank.base.q ** n
@@ -269,14 +270,17 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
 def _walk(levels, level, extend, place, flags, xs, rows, typed):
     """The walk below window `level`: levels[level]() yields that
     window's entries; xs, rows (the planned window product) and typed
-    belong to the outer windows."""
+    belong to the outer windows; the last window places each b once."""
     if level < len(levels) - 1:
         for coords, (t, b) in levels[level]():
             yield from _walk(levels, level + 1, extend, place, flags,
                              xs + coords, extend(rows, b), typed and t)
         return
+    placed = {}
     for coords, (t, b) in levels[level]():
-        w = place(rows, b)
+        w = placed.get(b)
+        if w is None:
+            w = placed[b] = place(rows, b)
         if flags is None or flags[w]:
             yield xs + coords, typed and t, w
 

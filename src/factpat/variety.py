@@ -28,8 +28,8 @@ run_verify feeds the pass from the correspondence's depth-n walk, so
 each pattern is walked once; variety_pass (and count_points and
 jacobian_probe through it) feeds it from its own walk at depth n - r,
 which passes only the zeros; each scan's budget defaults to the run's,
-family.MEMBER_BUDGET.  The probe reads the Jacobian one window's
-columns at a time and stops at full rank.
+family.MEMBER_BUDGET.  The probe reduces the Jacobian's columns one at
+a time against the pivots found so far and stops at full rank.
 eval_R and g_coeffs stay as the per-point oracles; they keep window
 values in the plan the run's systems share (correspondence.Plan), as
 the probe keeps window elements, and reuse leading windows' products.
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from .correspondence import Plan, _orbit, _window_esym, layout, walk_G
 from .errors import CountingIdentityError
 from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
-from .ffield import _to_vec, mat_rank
+from .ffield import _to_vec
 from .patterns import Pattern, pattern_stats
 from .poly import squarefree_decompose
 
@@ -257,18 +257,21 @@ def _double_collision(sys_: SymSystem, x) -> bool:
 
 def _full_rank(sys_: SymSystem, x, e) -> bool:
     """True iff the Jacobian of R in x has rank m at the zero x with
-    symmetric values e, read one window's columns at a time.
+    symmetric values e, read one column at a time.
 
     dR_j/dx_h for coordinate h of window w is Tr(theta^(q^h) v_j), where
     v_j = sum_k c'_(j,k) E_(k-1)(y - alpha) in the window's layer, with
     alpha the window's element (E~_t = E_t - alpha E~_(t-1) drops it).
     The trace pairing is non-degenerate, so the digits of v_j, which
     differ from those entries by an invertible map per window, give the
-    same rank.  More columns cannot lower it, so it stops at rank m.
+    same rank, column rank being row rank.  Each digit column is reduced
+    by the pivots in the order found; a nonzero rest, scaled to 1 at its
+    first nonzero entry, is a new pivot.
     """
     K, m = sys_.fam.ctx, sys_.fam.m
+    bsub, bmul = K.sub, K.mul
     alphas = sys_.bank.alphas
-    rows = [[] for _ in sys_.terms]
+    basis = []                          # (pivot, column with a 1 there)
     minus_one = K.neg(1)                # the same code in every layer
     for start, size, ctx in sys_.windows:
         add, mul = ctx.add, ctx.mul
@@ -280,14 +283,18 @@ def _full_rank(sys_: SymSystem, x, e) -> bool:
         omit = [1]
         for t in range(1, sys_.nr):
             omit.append(add(e[t], mul(neg_alpha, omit[-1])))
-        for row, tm in zip(rows, sys_.terms):
-            v = 0
-            for k, c in tm:
-                if omit[k - 1]:
-                    v = add(v, mul(c, omit[k - 1]))
-            row.extend(ctx.to_vec(v))
-        if mat_rank(K, rows) == m:
-            return True
+        vs = _orbit(ctx, sys_.fam.srows, omit)   # v_j, one per row
+        for col in zip(*map(ctx.to_vec, vs)):
+            for p, piv in basis:
+                if col[p]:
+                    col = [bsub(a, bmul(col[p], b)) for a, b in zip(col, piv)]
+            for p, a in enumerate(col):
+                if a:
+                    if len(basis) == m - 1:     # the m-th pivot
+                        return True
+                    inv = K.inv(a)
+                    basis.append((p, [bmul(inv, b) for b in col]))
+                    break
     return False
 
 

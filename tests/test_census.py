@@ -115,6 +115,10 @@ def test_parse_config_errors(tmp_path):
         bad.write_text(CONFIG_TEXT.replace("workers = 1", f"workers = {workers}"))
         with pytest.raises(ValueError, match="workers must be >= 1"):
             parse_config(bad)
+    for budget in (0, -3):
+        bad.write_text(CONFIG_TEXT.replace("budget = 2000000", f"budget = {budget}"))
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            parse_config(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +470,15 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     assert cli.main(["census", "--config", str(cfgfile),
                      "--workers", workers]) == 2
     assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["census", "bounds"])
+def test_cli_rejects_budget_below_one(tmp_path, capsys, command):
+    # a budget below 1 is a configuration error, not an oversized family
+    cfgfile = tmp_path / "demo.ini"
+    cfgfile.write_text(CONFIG_TEXT)
+    assert cli.main([command, "--config", str(cfgfile), "--budget", "-3"]) == 2
+    assert "budget must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_large_prime_at_once(tmp_path, capsys):

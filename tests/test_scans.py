@@ -10,14 +10,16 @@ class, its orbit summed from two half tables), the per-vector
 conjugate-matrix orbit _orbit, _full_shifts and _window_poly, with the
 number of entries formed held to the necklace count.
 The probe's per-zero verdicts are held to a Jacobian interpolated from
-eval_R along coordinate lines, to the square-freeness of build_G, and to
-root multiplicities read from each window's minimal polynomial.  Also
+eval_R along coordinate lines, to the rank of its digit rows formed
+whole, to the square-freeness of build_G, and to root multiplicities
+read from each window's minimal polynomial.  Also
 here: the descent traps reached through the scans (a corrupted entry of
 A in either half of the split, an A that is not circulant, a circulant
 A of wrong conjugates), the pinned bytes of five verify reports, the
 walks run_verify makes (one per pattern, at depth n when the
-correspondence runs) and the window tables they read (one per size and
-depth in a run, built again by the next run), the variety rows of a
+correspondence runs), the window tables they read (one per size and
+depth in a run, built again by the next run) and their placements (one
+per distinct last-window entry and prefix), the variety rows of a
 full verify against those of the variety alone and of variety_pass, its
 membership cells against
 verify_membership_equivalence (also where eval_R is made to lie), the
@@ -256,6 +258,70 @@ def test_probe_jacobian_matches_interpolation_at_deficient_zeros():
         warnings.simplefilter("ignore")     # q <= n families warn by design
         fam = new_family(make_field(5), 5, 3, [[1, 0], [0, 1]], [0, 0])
     assert _probe_against_interpolation(fam) == 5 * len(enumerate_patterns(5))
+
+
+def _digit_rows(sys_, x, e):
+    """The Jacobian's digit rows at a zero, every window's columns
+    concatenated: row j holds the digits of v_j of each window (see
+    _full_rank), with the window's element formed afresh."""
+    K = sys_.fam.ctx
+    rows = [[] for _ in sys_.terms]
+    for start, size, ctx in sys_.windows:
+        alpha = correspondence._orbit(ctx, ctx.A[:1], x[start:start + size])[0]
+        omit = [1]
+        for t in range(1, sys_.nr):
+            omit.append(ctx.sub(e[t], ctx.mul(alpha, omit[-1])))
+        for row, tm in zip(rows, sys_.terms):
+            v = 0
+            for k, c in tm:
+                v = ctx.add(v, ctx.mul(c, omit[k - 1]))
+            row.extend(ctx.to_vec(v))
+    return rows
+
+
+def _needs_two_pivots(K, rows):
+    """True iff some column, in the span of the columns before it, which
+    span two dimensions, is nonzero at the first pivot (the first nonzero
+    entry of the first nonzero column) and not a multiple of that column:
+    reducing it takes both pivots."""
+    cols = [list(c) for c in zip(*rows)]
+    first = next(c for c in cols if any(c))
+    p0 = next(j for j, a in enumerate(first) if a)
+
+    def rank(cs):
+        return mat_rank(K, [list(r) for r in zip(*cs)])
+
+    return any(rank(cols[:j]) == rank(cols[:j + 1]) == 2 and c[p0]
+               and rank([first, c]) == 2 for j, c in enumerate(cols) if j)
+
+
+@pytest.mark.parametrize("r, rows, alpha, ranks", [
+    (3, [[1, 0], [0, 1]], [0, 0], {1: 35, 2: 840}),
+    (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3], {2: 18, 3: 147})])
+def test_full_rank_matches_rank_of_the_concatenated_digit_rows(r, rows, alpha,
+                                                                ranks):
+    # the probe reduces one digit column at a time against the pivots
+    # found so far; its verdict is the rank of all the rows at once
+    K = make_field(5)
+    bank = ContextBank.shared(K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        fam = new_family(K, 5, r, rows, alpha)
+    seen = {}
+    for pat in enumerate_patterns(5):
+        sys_ = sym_system(fam, pat, bank)
+        for x, e in rational_zeros(sys_):
+            rank = mat_rank(K, _digit_rows(sys_, x, e))
+            assert _full_rank(sys_, x, e) == (rank == fam.m), (pat.label(), x)
+            seen[rank] = seen.get(rank, 0) + 1
+    assert seen == ranks
+    if fam.m == 3:
+        sys_ = sym_system(fam, Pattern(5, (5, 0, 0, 0, 0)), bank)
+        x, e = next((x, e) for x, e in rational_zeros(sys_)
+                    if x == (1, 1, 1, 4, 4))
+        digit_rows = _digit_rows(sys_, x, e)
+        assert mat_rank(K, digit_rows) == 2 and not _full_rank(sys_, x, e)
+        assert _needs_two_pivots(K, digit_rows)
 
 
 def _root_multiplicities(sys_, x):
@@ -506,6 +572,44 @@ def test_verify_tables_each_window_once_per_run(monkeypatch, sections):
         built.clear()
         assert run_verify(cfg, sections=sections)["overall_pass"] is True
         assert sorted(built) == [(i, depth) for i in range(1, 5)]
+
+
+@pytest.mark.parametrize("sections", [BOTH, ("variety",)])
+def test_walk_places_each_distinct_last_window_entry_once_per_prefix(
+        monkeypatch, sections):
+    # the last window of a walk places each distinct entry (its top digits)
+    # once per prefix of the outer windows: q^(n - i) prefixes times the
+    # distinct depth-k digits of the q^i window polynomials of size i,
+    # read from _window_poly.  Both sections walk at depth n, the variety
+    # alone at depth n - r with flags
+    real = correspondence._multiplier
+    placed = []
+
+    def counting_multiplier(K, k):
+        start, extend, place = real(K, k)
+        placed.append(0)
+
+        def counting_place(rows, b):
+            placed[-1] += 1
+            return place(rows, b)
+
+        return start, extend, counting_place
+
+    monkeypatch.setattr(correspondence, "_multiplier", counting_multiplier)
+    p, n = 5, 4
+    cfg = RunConfig(p=p, n=n, r=2, rows=((1, 0),), alpha=(0,))
+    assert run_verify(cfg, sections=sections)["overall_pass"] is True
+    depth = n if "correspondence" in sections else n - 2
+    bank = ContextBank.shared(make_field(p))
+    want = []
+    for pat in enumerate_patterns(n):
+        i = pat.sizes()[-1]
+        digits = {tuple(correspondence._window_poly(bank.get(i), coords)[::-1]
+                        [1:min(i, depth) + 1])
+                  for coords in product(range(p), repeat=i)}
+        want.append(p ** (n - i) * len(digits))
+    assert placed == want
+    assert sum(want) < len(want) * p ** n
 
 
 def test_every_scan_defaults_to_the_one_run_budget():
