@@ -54,12 +54,12 @@ run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
 yields each x in itertools.product order with the window index of G(x):
 at depth n the correspondence section reads each polynomial's pattern
 slot from the table by that index, and in the same walk the membership
-check and the variety pass read the family's window flags and the zeros
-of the reduced system at that index mod q^(n - r), the depth-(n - r)
-window.  So a full verify walks each pattern once, and the variety alone
-walks it once at depth n - r; reports are those of a per-point scan, and
-one variety pass per pattern gives both the counting identity and the
-Jacobian probe.  The walk tables each window size's entries once per
+check reads the family's window flags at that index mod q^(n - r), the
+depth-(n - r) window.  For every section choice the variety section is
+variety.variety_pass, one walk per pattern at depth n - r that passes
+only the zeros of the reduced system and gives both the counting
+identity and the Jacobian probe.  Reports are those of a per-point
+scan.  The walk tables each window size's entries once per
 Frobenius orbit and once per run (correspondence.Plan), in the layers
 F_(q^i) of the window sizes i <= n alone, with their Zech tables
 (ffield.ExtCtx.ensure_fast).  Those tables are what the order limit
@@ -85,7 +85,7 @@ from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
 from .tables import family_tally, pattern_table, tally_windows
-from .variety import _Pass, identity_failure, sym_system, variety_pass
+from .variety import identity_failure, sym_system, variety_pass
 
 ENGINE_TAG = "factpat 0.1.0"
 
@@ -407,7 +407,13 @@ def run_bounds(cfg: RunConfig) -> dict:
 
 def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     """Exhaustive verification of the correspondence and the variety
-    identities for every pattern of the configured degree."""
+    identities for every pattern of the configured degree.  sections
+    names each part to run once: "correspondence", "variety" or both."""
+    sections = tuple(sections)
+    if not 0 < len(sections) == len(
+            {*sections} & {"correspondence", "variety"}):
+        raise ValueError(f"sections {sections!r}: expected distinct names "
+                         "from 'correspondence' and 'variety'")
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
     plan = Plan(ContextBank.shared(field))      # dropped with the call
@@ -431,8 +437,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     gtally = tally_windows(n, table, range(q ** depth))
     ok_flags = []
     sq_grouped = Fraction(0)
-    rows = {name: [] for name in ("correspondence", "variety")
-            if name in sections}
+    rows = {name: [] for name in sections}
     if "correspondence" in sections:
         # slot[w] = 2 * (pattern index) + (square-free) of the polynomial
         # with index w: the one nonzero entry of its row
@@ -440,10 +445,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         slot = [table[w * width:(w + 1) * width].index(1)
                 for w in range(q ** n)]
     for i, pat in enumerate(patterns):
-        # one system per pattern for the membership check and the variety
-        # pass; with both sections the variety rides on the depth-n walk
-        sys_ = sym_system(fam, pat, plan)
-        fused = _Pass(sys_) if len(rows) == 2 else None
+        sys_ = sym_system(fam, pat, plan)      # one for both sections
         if "correspondence" in sections:
             type_bad = None
             fib: dict[int, int] = {}
@@ -452,8 +454,6 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             # G(x), by its index in the table
             for x, t, g in walk_G(pat, plan, n, budget=cfg.budget):
                 member.add(x, t, g)
-                if fused is not None:
-                    fused.add(x, t, g)
                 matches = slot[g] >> 1 == i
                 if t != matches and type_bad is None:
                     type_bad = {"x": list(x), "typed": t,
@@ -489,8 +489,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             ok_flags += [type_bad is None, fiber_ok, mem_ok]
         if "variety" in sections:
             # counts and probe from one scan of the rational zeros
-            pc, probe = (variety_pass(sys_, cfg.budget, member_tally)
-                         if fused is None else fused.result(member_tally))
+            pc, probe = variety_pass(sys_, cfg.budget, member_tally)
             detail = identity_failure(pc, pat)
             row = {
                 "lambda": pat.label(),

@@ -18,12 +18,12 @@ exactly w (the pattern weight) typed vectors.
 All scans over F_q^n go through one walk, walk_G, which yields each x
 in itertools.product order with its typed flag and the depth-k window
 index of G(x) (tables.window_index): k = n for the correspondence section
-of run_verify, whose membership check (_Membership) and, with both
-sections, variety pass (variety._Pass) read the depth-(n - r) window off
-that index, and k = n - r for the variety alone, whose constraints are
-linear conditions on that window.  A walk over more than its budget of
-vectors, by default the run's one limit family.MEMBER_BUDGET, raises
-BudgetError before any is formed.
+of run_verify, whose membership check (_Membership) reads the
+depth-(n - r) window off that index, and k = n - r for the variety
+(variety.variety_pass), whose constraints are linear conditions on that
+window.  A walk over more than its budget of vectors, by default the
+run's one limit family.MEMBER_BUDGET, raises BudgetError before any is
+formed.
 A window's polynomial depends only on its own q^i coordinates, so for
 each window size i the walk tables the top digits of the q^i window
 polynomials once per run (see Plan), and multiplies windows through the

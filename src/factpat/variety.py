@@ -19,17 +19,16 @@ Two exact facts drive the verification:
   times over, or two values each repeated).  For p = 2 the probe is
   informational.
 
-Both are read from one pass, _Pass, fed one x at a time.  R depends on
-x only through the depth-(n - r) window of G(x), whose digits are the
+Both are read from one walk, variety_pass, whatever the verify sections
+(count_points and jacobian_probe are its two halves).  R depends on x
+only through the depth-(n - r) window of G(x), whose digits are the
 signed E_1..E_(n-r), so R is evaluated once per window index, and the
-rational zeros are the x whose window index, at depth n - r or read mod
-q^(n - r) off a deeper one, is a zero.  With both verify sections,
-run_verify feeds the pass from the correspondence's depth-n walk, so
-each pattern is walked once; variety_pass (and count_points and
-jacobian_probe through it) feeds it from its own walk at depth n - r,
-which passes only the zeros; each scan's budget defaults to the run's,
-family.MEMBER_BUDGET.  The probe reduces the Jacobian's columns one at
-a time against the pivots found so far and stops at full rank.
+walk at that depth passes only the x whose window is a zero: the
+rational zeros.  Each scan's budget defaults to the run's,
+family.MEMBER_BUDGET.  The walk's typed flag already says whether some
+window's orbit is short, so the coincidence check compares only windows
+of one size.  The probe reduces the Jacobian's columns one at a time
+against the pivots found so far and stops at full rank.
 eval_R and g_coeffs stay as the per-point oracles; they keep window
 values in the plan the run's systems share (correspondence.Plan), as
 the probe keeps window elements, and reuse leading windows' products.
@@ -179,18 +178,19 @@ def rational_zeros(sys_: SymSystem, budget: int = MEMBER_BUDGET):
     return ((x, zeros[w]) for x, _, w in scan)
 
 
-def _coincident(sys_: SymSystem, x) -> bool:
+def _coincident(sys_: SymSystem, x, typed) -> bool:
     """True iff two root values of x coincide (G(x) is not square-free):
-    a window's element has a short Galois orbit (its coordinates repeat
-    under a cyclic shift), or two windows of one size hold conjugate
-    elements (their coordinates are cyclic shifts of each other)."""
+    x is untyped (a window's element has a short Galois orbit), or two
+    windows of one size hold conjugate elements (their coordinates are
+    cyclic shifts of each other)."""
+    if not typed:
+        return True
     seen = set()
     for start, size, _ in sys_.windows:
         win = x[start:start + size]
-        shifts = {win[k:] + win[:k] for k in range(size)}
-        if len(shifts) < size or not seen.isdisjoint(shifts):
+        if win in seen:
             return True
-        seen |= shifts
+        seen.update(win[k:] + win[:k] for k in range(size))
     return False
 
 
@@ -298,52 +298,6 @@ def _full_rank(sys_: SymSystem, x, e) -> bool:
     return False
 
 
-class _Pass:
-    """The point counts and the Jacobian probe's tallies, fed the walk one
-    x at a time like correspondence._Membership: the x whose depth-(n - r)
-    window is a zero of R are the rational zeros."""
-
-    def __init__(self, sys_: SymSystem, zeros=None):
-        self.sys_ = sys_
-        self.zeros = _zero_windows(sys_) if zeros is None else zeros
-        self.modulus = sys_.fam.q ** sys_.nr
-        self.points = self.v_eq = self.deficient = 0
-        self.confirmed = self.violations = 0
-        self.bad = []
-
-    def add(self, x, typed, w):
-        """w is the window index of G(x) at depth n - r or deeper: the
-        depth-(n - r) window is its index mod q^(n - r) (see tables)."""
-        e = self.zeros.get(w % self.modulus)
-        if e is None:
-            return
-        sys_ = self.sys_
-        self.points += 1
-        self.v_eq += _coincident(sys_, x)
-        if _full_rank(sys_, x, e):
-            return
-        self.deficient += 1
-        if _double_collision(sys_, x):
-            self.confirmed += 1
-        else:
-            self.violations += 1
-            if len(self.bad) < MAX_RECORDED:
-                self.bad.append(tuple(x))
-
-    def result(self, member_tally=None):
-        """(PointCounts, ProbeReport); the counting identity is not
-        enforced here (see identity_failure)."""
-        sys_, points = self.sys_, self.points
-        if member_tally is None:
-            member_tally = pattern_tally(sys_.fam)
-        cnt, sq = member_tally.get(sys_.pattern.counts, (0, 0))
-        scope = "p>2" if sys_.fam.ctx.p > 2 else "informational (p=2)"
-        return (PointCounts(points, self.v_eq, points - self.v_eq, sq,
-                            cnt - sq, sys_.weight),
-                ProbeReport(scope, points, self.deficient, self.confirmed,
-                            self.violations, tuple(self.bad)))
-
-
 def jacobian_probe(sys_: SymSystem,
                    budget: int = MEMBER_BUDGET) -> ProbeReport:
     """Scan the rational zeros of R; wherever the Jacobian in x drops
@@ -357,10 +311,27 @@ def jacobian_probe(sys_: SymSystem,
 def variety_pass(sys_: SymSystem, budget: int = MEMBER_BUDGET,
                  member_tally=None):
     """count_points and jacobian_probe from one walk at depth n - r that
-    passes only the rational zeros: (PointCounts, ProbeReport).  The
-    counting identity is not enforced here; see identity_failure."""
+    passes only the rational zeros: (PointCounts, ProbeReport).  Every
+    verify section choice reads its variety rows from here.  The counting
+    identity is not enforced here; see identity_failure."""
     scan, zeros = _zero_walk(sys_, budget)
-    acc = _Pass(sys_, zeros)
+    points = v_eq = deficient = confirmed = 0
+    bad = []
     for x, typed, w in scan:
-        acc.add(x, typed, w)
-    return acc.result(member_tally)
+        points += 1
+        v_eq += _coincident(sys_, x, typed)
+        if _full_rank(sys_, x, zeros[w]):
+            continue
+        deficient += 1
+        if _double_collision(sys_, x):
+            confirmed += 1
+        elif len(bad) < MAX_RECORDED:
+            bad.append(x)
+    if member_tally is None:
+        member_tally = pattern_tally(sys_.fam)
+    cnt, sq = member_tally.get(sys_.pattern.counts, (0, 0))
+    scope = "p>2" if sys_.fam.ctx.p > 2 else "informational (p=2)"
+    return (PointCounts(points, v_eq, points - v_eq, sq, cnt - sq,
+                        sys_.weight),
+            ProbeReport(scope, points, deficient, confirmed,
+                        deficient - confirmed, tuple(bad)))

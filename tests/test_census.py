@@ -332,6 +332,22 @@ def test_verify_mode_full_and_sectioned():
     assert render_csv(rep).startswith("section,lambda,check,pass,detail\n")
 
 
+@pytest.mark.parametrize("sections", [
+    ("varieties",), ("correspondence", "Variety"), (), [],
+    ("variety", "variety"), ("correspondence", "variety", "correspondence"),
+    "variety"])
+def test_verify_refuses_bad_sections_before_any_work(monkeypatch, sections):
+    # a misspelled, empty or repeated section list would check nothing
+    # but the cross identities and still pass
+    def refuse(*args):
+        raise AssertionError("run_verify started work")
+
+    monkeypatch.setattr(census, "make_field", refuse)
+    cfg = RunConfig(p=5, s=1, n=3, r=2, rows=((1,),), alpha=(0,))
+    with pytest.raises(ValueError, match="sections"):
+        run_verify(cfg, sections=sections)
+
+
 def test_verify_passes_workers_to_the_member_tally(monkeypatch):
     seen = []
     real = census.census_tally

@@ -11,20 +11,21 @@ conjugate-matrix orbit _orbit, _full_shifts and _window_poly, with the
 number of entries formed held to the necklace count.
 The probe's per-zero verdicts are held to a Jacobian interpolated from
 eval_R along coordinate lines, to the rank of its digit rows formed
-whole, to the square-freeness of build_G, and to root multiplicities
-read from each window's minimal polynomial.  Also
-here: the descent traps reached through the scans (a corrupted entry of
-A in either half of the split, an A that is not circulant, a circulant
-A of wrong conjugates), the pinned bytes of five verify reports, the
-walks run_verify makes (one per pattern, at depth n when the
-correspondence runs), the window tables they read (one per size and
-depth in a run, built again by the next run) and their placements (one
-per distinct last-window entry and prefix), the variety rows of a
-full verify against those of the variety alone and of variety_pass, its
-membership cells against
-verify_membership_equivalence (also where eval_R is made to lie), the
-variety at n = 7 that once needed F_(5^12), and the fail-fast on a
-window layer over the order limit.
+whole, to the square-freeness of build_G (with the typed flag from
+is_type_lambda, and a pinned untyped vector with no conjugate windows),
+and to root multiplicities read from each window's minimal polynomial.
+Also here: the descent traps reached through the scans (a corrupted
+entry of A in either half of the split, an A that is not circulant, a
+circulant A of wrong conjugates), the pinned bytes of five verify
+reports, the walks run_verify makes (per pattern, one at depth n when
+the correspondence runs and one at depth n - r when the variety does),
+the window tables they read (one per size and depth in a run, built
+again by the next run) and their placements (one per distinct
+last-window entry and prefix), the variety rows of a full verify
+against those of the variety alone and of variety_pass, its membership
+cells against verify_membership_equivalence (also where eval_R is made
+to lie), the variety at n = 7 that once needed F_(5^12), and the
+fail-fast on a window layer over the order limit.
 """
 
 from __future__ import annotations
@@ -354,13 +355,30 @@ def test_coincidence_and_double_collision_match_oracles(ps, n, data):
         v_eq = 0
         for x, _ in rational_zeros(sys_):
             g = build_G(pat, x, bank)
-            assert _coincident(sys_, x) == (not is_squarefree(K, g)), x
+            typed = is_type_lambda(x, pat)
+            assert _coincident(sys_, x, typed) == (not is_squarefree(K, g)), x
             v_eq += not is_squarefree(K, g)
             roots = _root_multiplicities(sys_, x)
             double = (any(e >= 4 for _, e in roots)
                       or sum(d for d, e in roots if e >= 2) >= 2)
             assert _double_collision(sys_, x) == double, x
         assert count_points(sys_, member_tally=pattern_tally(fam)).v_eq == v_eq
+
+
+def test_untyped_vector_coincides_without_conjugate_windows():
+    # under 1 2 at p = 5, x = (0, 1, 1) has a size-2 window with a short
+    # orbit and no two conjugate windows: only the typed flag says that
+    # two of its root values coincide
+    K = make_field(5)
+    pat = Pattern(3, (1, 1, 0))
+    x = (0, 1, 1)
+    fam = new_family(K, 3, 2, [[1]], [0])
+    sys_ = sym_system(fam, pat, ContextBank.shared(K))
+    assert not is_type_lambda(x, pat)
+    assert not is_squarefree(K, build_G(pat, x, ContextBank(K)))
+    assert _coincident(sys_, x, False)
+    assert not _coincident(sys_, (0, 1, 2), True)
+    assert _coincident(sys_, (0, 1, 2), False)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +542,11 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
 @pytest.mark.parametrize("sections", [BOTH, ("correspondence",),
                                       ("variety",)])
 def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
-    # the membership check and, with both sections, the variety ride on
-    # the correspondence walk: P walks at depth n and none at depth n - r;
-    # the variety alone takes P walks at depth n - r.  Either way each
-    # pattern's symmetric system is built once, and both checks share it
+    # the membership check rides on the correspondence walk, P walks at
+    # depth n; the variety takes P walks of its own at depth n - r, also
+    # with both sections, where each pattern's two walks come in turn.
+    # Either way each pattern's symmetric system is built once, and both
+    # checks share it
     real_walk, real_system = correspondence.walk_G, variety.sym_system
     depths, systems = [], []
 
@@ -547,8 +566,9 @@ def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
     cfg = RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,))
     rep = run_verify(cfg, sections=sections)
     patterns = enumerate_patterns(4)
-    depth = 4 if "correspondence" in sections else 2
-    assert depths == [depth] * len(patterns)
+    per_pattern = [d for name, d in (("correspondence", 4), ("variety", 2))
+                   if name in sections]
+    assert depths == per_pattern * len(patterns)
     assert systems == patterns
     assert rep["overall_pass"] is True
 
@@ -557,7 +577,8 @@ def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
                                       ("variety",)])
 def test_verify_tables_each_window_once_per_run(monkeypatch, sections):
     # every walk of a run reads its plan: one _window_table per window
-    # size and depth, and the next run builds them again
+    # size and depth (depth n for the correspondence, n - r for the
+    # variety), and the next run builds them again
     real = correspondence._window_table
     built = []
 
@@ -567,11 +588,12 @@ def test_verify_tables_each_window_once_per_run(monkeypatch, sections):
 
     monkeypatch.setattr(correspondence, "_window_table", counting_table)
     cfg = RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,))
-    depth = 4 if "correspondence" in sections else 2
+    depths = [d for name, d in (("variety", 2), ("correspondence", 4))
+              if name in sections]
     for _ in range(2):
         built.clear()
         assert run_verify(cfg, sections=sections)["overall_pass"] is True
-        assert sorted(built) == [(i, depth) for i in range(1, 5)]
+        assert sorted(built) == [(i, d) for i in range(1, 5) for d in depths]
 
 
 @pytest.mark.parametrize("sections", [BOTH, ("variety",)])
@@ -580,8 +602,8 @@ def test_walk_places_each_distinct_last_window_entry_once_per_prefix(
     # the last window of a walk places each distinct entry (its top digits)
     # once per prefix of the outer windows: q^(n - i) prefixes times the
     # distinct depth-k digits of the q^i window polynomials of size i,
-    # read from _window_poly.  Both sections walk at depth n, the variety
-    # alone at depth n - r with flags
+    # read from _window_poly.  Per pattern, the correspondence walks at
+    # depth n and then the variety at depth n - r with flags
     real = correspondence._multiplier
     placed = []
 
@@ -599,15 +621,17 @@ def test_walk_places_each_distinct_last_window_entry_once_per_prefix(
     p, n = 5, 4
     cfg = RunConfig(p=p, n=n, r=2, rows=((1, 0),), alpha=(0,))
     assert run_verify(cfg, sections=sections)["overall_pass"] is True
-    depth = n if "correspondence" in sections else n - 2
+    depths = [d for name, d in (("correspondence", n), ("variety", n - 2))
+              if name in sections]
     bank = ContextBank.shared(make_field(p))
     want = []
     for pat in enumerate_patterns(n):
         i = pat.sizes()[-1]
-        digits = {tuple(correspondence._window_poly(bank.get(i), coords)[::-1]
-                        [1:min(i, depth) + 1])
-                  for coords in product(range(p), repeat=i)}
-        want.append(p ** (n - i) * len(digits))
+        for depth in depths:
+            digits = {tuple(correspondence._window_poly(bank.get(i), coords)
+                            [::-1][1:min(i, depth) + 1])
+                      for coords in product(range(p), repeat=i)}
+            want.append(p ** (n - i) * len(digits))
     assert placed == want
     assert sum(want) < len(want) * p ** n
 
