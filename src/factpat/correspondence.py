@@ -36,8 +36,8 @@ of two orbits read from half tables, over the first ceil(i/2) and the
 last floor(i/2) coordinates.
 Every first counterexample is the same x as in a per-point scan.
 build_G, is_type_lambda and variety.eval_R stay as the per-point
-oracles; build_G and eval_R form each orbit as the conjugate-matrix
-product _orbit, and read nothing of the walk.
+oracles, which read nothing of the walk; they form each orbit as the
+product _orbit with the conjugate matrix, or its columns (eval_R at n).
 """
 
 from __future__ import annotations
@@ -123,14 +123,14 @@ def _absorb(K, e, ys):
 
 
 def _window_esym(ctx, orbit, upto):
-    """E_0..E_upto of one window's Galois orbit (see _orbit), formed in
-    its layer F_(q^i) and checked to descend to F_q."""
+    """E_0..E_upto of one window's Galois orbit (see _orbit), a tuple formed
+    in its layer F_(q^i) and checked to descend to F_q."""
     e = _absorb(ctx, [1] + [0] * upto, orbit)
     for t in range(1, upto + 1):
         if e[t] >= ctx.q:
             raise GaloisDescentError(
                 f"symmetric value E_{t} = {e[t]} did not descend to F_q")
-    return e
+    return tuple(e)
 
 
 def _window_poly(ctx, coords):

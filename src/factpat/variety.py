@@ -27,16 +27,19 @@ walk at that depth passes only the x whose window is a zero: the
 rational zeros.  Each scan's budget defaults to the run's,
 family.MEMBER_BUDGET.  The walk's typed flag already says whether some
 window's orbit is short, so the coincidence check compares only windows
-of one size.  The probe reduces the Jacobian's columns one at a time
-against the pivots found so far and stops at full rank.
-eval_R and g_coeffs stay as the per-point oracles; they keep window
-values in the plan the run's systems share (correspondence.Plan), as
-the probe keeps window elements, and reuse leading windows' products.
+of one size, if any.  The probe reduces the Jacobian's columns, kept
+while a window's coordinates repeat, one at a time against the pivots
+found so far and stops at full rank.
+eval_R and g_coeffs stay as the per-point oracles, which read nothing of
+the walk and do their field work once per distinct input: window values
+and elements are kept in the plan (correspondence.Plan), products formed
+once per prefix and last-window value (_esym), R once per E_0..E_(n-r),
+and a size-n orbit stepped from the last x's partial sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .correspondence import Plan, _orbit, _window_esym, layout, walk_G
 from .errors import CountingIdentityError
@@ -59,7 +62,11 @@ class SymSystem:
     nr: int                   # n - r, number of symmetric values used
     weight: int               # pattern weight w
     kept: dict                # (coords, upto) -> a window's E_0..E_upto
-    prefix: dict              # upto -> [(window, product through it)]
+    distinct: bool            # no two windows of one size
+    prefix: dict = field(default_factory=dict)    # upto -> _esym's prefix
+    residues: dict = field(default_factory=dict)  # E_0..E_(n-r) -> R
+    steps: list = field(default_factory=list)     # _stepped_orbit's sums
+    columns: dict = field(default_factory=dict)   # w -> (coords, {e: cols})
 
 
 def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
@@ -75,49 +82,74 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
     terms = tuple(tuple((k + 1, c) for k, c in enumerate(srow) if c)
                   for srow in fam.srows)
     return SymSystem(fam, pattern, bank, tuple(windows), terms, fam.n - fam.r,
-                     pattern_stats(pattern).weight, bank.values, {})
+                     pattern_stats(pattern).weight, bank.values,
+                     len(set(pattern.sizes())) == len(windows))
+
+
+def _stepped_orbit(sys_: SymSystem, ctx, coords):
+    """_orbit(ctx, ctx.A, coords) of the size-n window: scaled columns
+    c * A[k][h] added in coordinate order to the last coords' partial sums."""
+    if not sys_.steps:      # [columns, last coords, partial sums]
+        sys_.steps += [[[tuple(ctx.mul(c, row[h]) for row in ctx.A)
+                         for c in range(ctx.q)] for h in range(ctx.i)],
+                       (), [(0,) * ctx.i]]
+    cols, last, sums = sys_.steps
+    h = next((k for k in range(len(last)) if last[k] != coords[k]), len(last))
+    del sums[h + 1:]
+    for k in range(h, ctx.i):
+        sums.append(tuple(map(ctx.add, sums[-1], cols[k][coords[k]])))
+    sys_.steps[1] = coords
+    return sums[-1]
+
+
+def _window_values(sys_: SymSystem, ctx, coords, upto):
+    """E_0..E_upto of one window's orbit, descent-checked; kept in the
+    plan below size n, where windows repeat across x and patterns."""
+    if ctx.i == sys_.fam.n:
+        return _window_esym(ctx, _stepped_orbit(sys_, ctx, coords), upto)
+    if (coords, upto) not in sys_.kept:
+        sys_.kept[coords, upto] = _window_esym(
+            ctx, _orbit(ctx, ctx.A, coords), upto)
+    return sys_.kept[coords, upto]
+
+
+def _times(K, a, b):
+    """The product of two E_0..E_upto tuples mod X^(upto+1)."""
+    e = list(a)
+    for t in range(1, len(b)):
+        for u in range(t, len(b)):
+            e[u] = K.add(e[u], K.mul(b[t], a[u - t]))
+    return tuple(e)
 
 
 def _esym(sys_: SymSystem, x, upto):
     """E_0..E_upto of all root values of x, the windows' product mod
-    X^(upto+1).  Each window vector's E values are kept in the plan, but
-    for a window of size n, which no other x shares; the products through
-    the last x's leading windows are kept, for the x that repeat them."""
-    K, kept, x = sys_.fam.ctx, sys_.kept, tuple(x)
-    add, mul = K.add, K.mul
-    prods = sys_.prefix.setdefault(upto, [])
-    for w, (start, size, ctx) in enumerate(sys_.windows):
-        coords = x[start:start + size]
-        if w < len(prods) and prods[w][0] == coords:
-            continue
-        del prods[w:]
-        ew = kept.get((coords, upto)) or _window_esym(
-            ctx, _orbit(ctx, ctx.A, coords), upto)
-        if size < sys_.fam.n:
-            kept[coords, upto] = ew
-        if prods:
-            a = prods[-1][1]
-            e = list(a)
-            for t in range(1, min(size, upto) + 1):
-                for u in range(t, upto + 1):
-                    e[u] = add(e[u], mul(ew[t], a[u - t]))
-            ew = e
-        prods.append((coords, ew))
-    return prods[-1][1]
+    X^(upto+1).  The windows before the last are multiplied once per
+    prefix x[:start], the last window's values once per distinct value
+    under it (at most q^min(i, upto) for size i; dropped with the prefix)."""
+    x = tuple(x)
+    start, _, ctx = sys_.windows[-1]
+    held = sys_.prefix.get(upto)
+    if held is None or held[0] != x[:start]:
+        e = (1,) + (0,) * upto
+        for s, i, c in sys_.windows[:-1]:
+            e = _times(sys_.fam.ctx, e,
+                       _window_values(sys_, c, x[s:s + i], upto))
+        held = sys_.prefix[upto] = (x[:start], e, {})
+    ew = _window_values(sys_, ctx, x[start:], upto)
+    if ew not in held[2]:
+        held[2][ew] = _times(sys_.fam.ctx, held[1], ew)
+    return held[2][ew]
 
 
 def _residues(sys_: SymSystem, e):
     """R_j = alpha'_j + sum_k c'_(j,k) E_k for each reduced row j."""
     K = sys_.fam.ctx
-    badd, bmul = K.add, K.mul
     out = []
     for a, tm in zip(sys_.fam.salpha, sys_.terms):
-        acc = a
         for k, c in tm:
-            ek = e[k]
-            if ek:
-                acc = badd(acc, bmul(c, ek))
-        out.append(acc)
+            a = K.add(a, K.mul(c, e[k]))
+        out.append(a)
     return tuple(out)
 
 
@@ -127,9 +159,12 @@ def eval_R(sys_: SymSystem, x):
     Zero everywhere iff the polynomial built from x lies in the family.
     Raises GaloisDescentError if a window's symmetric value fails to be
     Frobenius-fixed (corrupted normal-basis data).  The per-point oracle
-    for rational_zeros.
+    for rational_zeros; formed once per distinct E_0..E_(n-r) (q^(n-r)).
     """
-    return _residues(sys_, _esym(sys_, x, sys_.nr))
+    e = _esym(sys_, x, sys_.nr)
+    if e not in sys_.residues:
+        sys_.residues[e] = _residues(sys_, e)
+    return sys_.residues[e]
 
 
 def g_coeffs(sys_: SymSystem, x):
@@ -147,8 +182,8 @@ def _zero_windows(sys_: SymSystem):
     K, nr = sys_.fam.ctx, sys_.nr
     zeros = {}
     for w in range(K.q ** nr):
-        e = [1] + [K.neg(c) if t % 2 else c
-                   for t, c in enumerate(_to_vec(w, K.q, nr), start=1)]
+        e = (1, *[K.neg(c) if t % 2 else c
+                  for t, c in enumerate(_to_vec(w, K.q, nr), start=1)])
         if not any(_residues(sys_, e)):
             zeros[w] = e
     return zeros
@@ -168,12 +203,8 @@ def _zero_walk(sys_: SymSystem, budget: int):
 
 def rational_zeros(sys_: SymSystem, budget: int = MEMBER_BUDGET):
     """Every rational zero x of R, in product order, as (x, e) with
-    e = E_0..E_(n-r) of the root values of x (as eval_R forms them).
-
-    R depends on x only through the depth-(n - r) window of G(x), whose
-    digits are (-1)^t E_t.  So R is evaluated once per window index, and
-    the walk at that depth passes only the x whose window is a zero.
-    """
+    e = E_0..E_(n-r) of the root values of x (as eval_R forms them),
+    read off the depth-(n - r) walk that passes only the zeros."""
     scan, zeros = _zero_walk(sys_, budget)
     return ((x, zeros[w]) for x, _, w in scan)
 
@@ -182,9 +213,9 @@ def _coincident(sys_: SymSystem, x, typed) -> bool:
     """True iff two root values of x coincide (G(x) is not square-free):
     x is untyped (a window's element has a short Galois orbit), or two
     windows of one size hold conjugate elements (their coordinates are
-    cyclic shifts of each other)."""
-    if not typed:
-        return True
+    cyclic shifts of each other; never where the sizes are distinct)."""
+    if sys_.distinct or not typed:
+        return not typed
     seen = set()
     for start, size, _ in sys_.windows:
         win = x[start:start + size]
@@ -270,21 +301,15 @@ def _full_rank(sys_: SymSystem, x, e) -> bool:
     """
     K, m = sys_.fam.ctx, sys_.fam.m
     bsub, bmul = K.sub, K.mul
-    alphas = sys_.bank.alphas
     basis = []                          # (pivot, column with a 1 there)
-    minus_one = K.neg(1)                # the same code in every layer
-    for start, size, ctx in sys_.windows:
-        add, mul = ctx.add, ctx.mul
+    for w, (start, size, ctx) in enumerate(sys_.windows):
         coords = tuple(x[start:start + size])
-        alpha = alphas.get(coords) or _orbit(ctx, ctx.A[:1], coords)[0]
-        if size < sys_.fam.n:
-            alphas[coords] = alpha
-        neg_alpha = mul(minus_one, alpha)
-        omit = [1]
-        for t in range(1, sys_.nr):
-            omit.append(add(e[t], mul(neg_alpha, omit[-1])))
-        vs = _orbit(ctx, sys_.fam.srows, omit)   # v_j, one per row
-        for col in zip(*map(ctx.to_vec, vs)):
+        held = sys_.columns.get(w)
+        if held is None or held[0] != coords:
+            held = sys_.columns[w] = (coords, {})
+        if e not in held[1]:
+            held[1][e] = _digit_columns(sys_, ctx, coords, e)
+        for col in held[1][e]:
             for p, piv in basis:
                 if col[p]:
                     col = [bsub(a, bmul(col[p], b)) for a, b in zip(col, piv)]
@@ -296,6 +321,21 @@ def _full_rank(sys_: SymSystem, x, e) -> bool:
                     basis.append((p, [bmul(inv, b) for b in col]))
                     break
     return False
+
+
+def _digit_columns(sys_: SymSystem, ctx, coords, e):
+    """One window's Jacobian columns at a zero with symmetric values e,
+    digit h of each v_j (see _full_rank); elements kept below size n."""
+    alpha = sys_.bank.alphas.get(coords)
+    if alpha is None:
+        alpha = _orbit(ctx, ctx.A[:1], coords)[0]
+        if ctx.i < sys_.fam.n:
+            sys_.bank.alphas[coords] = alpha
+    neg_alpha = ctx.neg(alpha)
+    omit = [1]
+    for t in range(1, sys_.nr):
+        omit.append(ctx.add(e[t], ctx.mul(neg_alpha, omit[-1])))
+    return tuple(zip(*map(ctx.to_vec, _orbit(ctx, sys_.fam.srows, omit))))
 
 
 def jacobian_probe(sys_: SymSystem,

@@ -17,7 +17,8 @@ The one module-level container is ffield._SHARED_BANKS, which holds the
 layers and the family tables; clearing it gives a process the cold state
 of a fresh one, so no function is memoized with functools either.
 The walk's functions in correspondence read none of the per-point
-oracles, and the oracles in correspondence and variety read none of the
+oracles, and the oracles in correspondence and variety (with their
+helpers, and the probe's rank and coincidence checks) read none of the
 walk's functions, so the tests that hold the walk to an oracle compare
 two routes, also where the oracles keep values.  Every dotted reference
 module.name (such as tables.family_tally or ffield.ExtCtx.ensure_fast)
@@ -284,7 +285,10 @@ def test_the_check_sees_a_walk_reading_an_oracle():
                                    ("walk_G", "_orbit")]
 
 
-_ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "_esym", "g_coeffs"}
+_ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "_esym", "g_coeffs",
+                     "_window_values", "_stepped_orbit", "_times",
+                     "_residues", "_full_rank", "_digit_columns",
+                     "_coincident"}
 
 
 def _walk_reads(trees):

@@ -21,11 +21,13 @@ reports, the walks run_verify makes (per pattern, one at depth n when
 the correspondence runs and one at depth n - r when the variety does),
 the window tables they read (one per size and depth in a run, built
 again by the next run) and their placements (one per distinct
-last-window entry and prefix), the variety rows of a full verify
-against those of the variety alone and of variety_pass, its membership
-cells against verify_membership_equivalence (also where eval_R is made
-to lie), the variety at n = 7 that once needed F_(5^12), and the
-fail-fast on a window layer over the order limit.
+last-window entry and prefix), the oracles' memos within their bounds
+all through a full verify, the variety rows of a full verify against
+those of the variety alone, of variety_pass and of a brute-force count
+over every x, its membership cells against verify_membership_equivalence
+(also where eval_R is made to lie), the variety at n = 7 that once
+needed F_(5^12), and the fail-fast on a window layer over the order
+limit.
 """
 
 from __future__ import annotations
@@ -636,6 +638,49 @@ def test_walk_places_each_distinct_last_window_entry_once_per_prefix(
     assert sum(want) < len(want) * p ** n
 
 
+def test_oracle_memos_stay_within_their_bounds(monkeypatch):
+    # after every oracle call of a full verify at (5, 5): the dict of the
+    # current prefix holds at most q^min(i, upto) last-window products (i
+    # the last window's size), the residue memo at most q^(n - r) values
+    # of R, and the probe's store at most one entry per zero window for
+    # each window
+    p, n, r = 5, 5, 3
+    real_system, real_esym = variety.sym_system, variety._esym
+    real_rank = variety._full_rank
+    systems, zero_windows = [], {}
+
+    def recording_system(fam, pattern, bank):
+        systems.append(real_system(fam, pattern, bank))
+        return systems[-1]
+
+    def checked_esym(sys_, x, upto):
+        out = real_esym(sys_, x, upto)
+        size = sys_.windows[-1][1]
+        assert len(sys_.prefix[upto][2]) <= p ** min(size, upto)
+        return out
+
+    def checked_rank(sys_, x, e):
+        out = real_rank(sys_, x, e)
+        if id(sys_) not in zero_windows:
+            zero_windows[id(sys_)] = len(variety._zero_windows(sys_))
+        assert all(len(kept) <= zero_windows[id(sys_)]
+                   for _, kept in sys_.columns.values())
+        return out
+
+    monkeypatch.setattr(census, "sym_system", recording_system)
+    monkeypatch.setattr(variety, "_esym", checked_esym)
+    monkeypatch.setattr(variety, "_full_rank", checked_rank)
+    cfg = RunConfig(p=p, n=n, r=r, rows=((1, 0),), alpha=(0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        assert run_verify(cfg)["overall_pass"] is True
+    assert [s.pattern for s in systems] == enumerate_patterns(n)
+    for sys_ in systems:
+        assert 0 < len(sys_.residues) <= p ** (n - r)
+        assert sys_.prefix[n - r][2] and sys_.columns
+    assert len(zero_windows) == len(systems)
+
+
 def test_every_scan_defaults_to_the_one_run_budget():
     # direct API calls get the budget a run defaults to
     scans = (correspondence.walk_G,
@@ -672,11 +717,13 @@ def _variety_routes(cfg):
     return routes, rows, alone
 
 
-def _fused_against_separate(cfg):
-    """Hold the variety rows of a full verify to those of a variety-only
-    verify and of variety_pass; return variety_pass's.  The probe is made
-    to count about a third of the zeros as deficient violations, so that
-    its counterexamples fill up, in walk order."""
+def _verify_rows_against_variety_pass(cfg):
+    """Hold the variety rows of a full verify and of a variety-only
+    verify to variety_pass's, and its v_total and v_eq to a brute-force
+    count over every x (the zeros of eval_R, split by the square-freeness
+    of build_G); return variety_pass's rows.  The probe is made to count
+    about a third of the zeros as deficient violations, so that its
+    counterexamples fill up, in walk order."""
     real = variety._full_rank
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(variety, "_full_rank", lambda sys_, x, e: (
@@ -685,14 +732,23 @@ def _fused_against_separate(cfg):
         mp.setattr(variety, "_double_collision", lambda sys_, x: False)
         warnings.simplefilter("ignore")     # q <= n families warn by design
         (full, alone_run), (full_rows, alone_rows), alone = _variety_routes(cfg)
+        fam = build_family(cfg, make_field(cfg.p, cfg.s))
     assert full == alone_run
     assert full_rows == alone_rows == alone
+    bank = ContextBank(fam.ctx)
+    for pat, row in zip(enumerate_patterns(cfg.n), alone):
+        sys_ = sym_system(fam, pat, bank)
+        zeros = [x for x in product(range(fam.q), repeat=cfg.n)
+                 if not any(eval_R(sys_, x))]
+        v_eq = sum(not is_squarefree(fam.ctx, build_G(pat, x, bank))
+                   for x in zeros)
+        assert row[:2] == (len(zeros), v_eq), pat.label()
     return alone
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(2, 4), st.data())
-def test_fused_variety_rows_match_the_separate_walks(ps, n, data):
+def test_verify_variety_rows_match_variety_pass_and_brute_force(ps, n, data):
     q = ps[0] ** ps[1]
     assume(q ** n <= 729)
     r = data.draw(st.integers(1, n - 1), label="r")
@@ -707,11 +763,11 @@ def test_fused_variety_rows_match_the_separate_walks(ps, n, data):
             build_family(cfg, make_field(*ps))
         except ValueError:                  # dependent rows
             assume(False)
-    _fused_against_separate(cfg)
+    _verify_rows_against_variety_pass(cfg)
 
 
-def test_fused_probe_records_counterexamples_in_walk_order():
-    alone = _fused_against_separate(
+def test_variety_pass_records_counterexamples_in_walk_order():
+    alone = _verify_rows_against_variety_pass(
         RunConfig(p=5, n=4, r=2, rows=((1, 3),), alpha=(2,)))
     assert max(len(row[-1]) for row in alone) == variety.MAX_RECORDED
 

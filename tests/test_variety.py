@@ -7,24 +7,31 @@ through the conjugate-product polynomial, and frozen exhaustive counts
 for the canonical trace-zero quartic family over F_5.  The window E
 values a system keeps, and the window values and prefix products that
 the systems of one plan share, are held to a fresh system per call.
+eval_R and the probe's rank give, in any call order, what they give on
+a fresh system (their prefix products, memos, kept columns and the
+size-n orbit's partial sums in play); the size-n orbit is held to
+_orbit for a clean and a corrupted conjugate matrix, which eval_R must
+refuse; and the probe forms each window element once per plan.
 """
 
 from __future__ import annotations
 
 import random
+import warnings
 from itertools import combinations, product
 
 import pytest
 
-from factpat.correspondence import Plan, _absorb, build_G
+from factpat import variety
+from factpat.correspondence import Plan, _absorb, _orbit, build_G
 from factpat.errors import (BudgetError, CountingIdentityError,
                             GaloisDescentError)
 from factpat.family import new_family, pattern_tally
 from factpat.ffield import ContextBank, ExtCtx, make_field
 from factpat.patterns import Pattern, enumerate_patterns, pattern_stats
-from factpat.variety import (PointCounts, _full_rank, count_points, eval_R,
-                             g_coeffs, jacobian_probe, rational_zeros,
-                             sym_system)
+from factpat.variety import (PointCounts, _full_rank, _stepped_orbit,
+                             count_points, eval_R, g_coeffs, jacobian_probe,
+                             rational_zeros, sym_system)
 
 SAMPLE_SEED = 77
 
@@ -189,6 +196,27 @@ def test_window_values_shared_by_a_plan_match_fresh_systems(p, n):
     assert plan.values and plan.alphas
 
 
+def test_probe_forms_each_window_element_once_per_plan(monkeypatch):
+    # the probe keeps the elements of windows below size n in the plan,
+    # the zero element (code 0) too: each is formed once per plan
+    formed = []
+    real = variety._orbit
+
+    def counting_orbit(ctx, rows, coords):
+        if rows == ctx.A[:1]:
+            formed.append(tuple(coords))
+        return real(ctx, rows, coords)
+
+    monkeypatch.setattr(variety, "_orbit", counting_orbit)
+    bank, fam = _kept_family(5, 4)
+    plan = Plan(bank)
+    for pat in enumerate_patterns(4):
+        jacobian_probe(sym_system(fam, pat, plan))
+    below = [c for c in formed if len(c) < 4]
+    assert len(below) == len(set(below))
+    assert (0,) in below
+
+
 def test_kept_window_values_are_bounded():
     # no window of size n is kept, and at most q^i windows of each size
     # i < n per depth
@@ -206,6 +234,72 @@ def test_kept_window_values_are_bounded():
             assert len(kept) == sum(p ** i for i in sizes)
             assert len(kept) <= sum(p ** i for i in range(n))
         assert {u for _, u in sys_.kept} <= {sys_.nr, n}
+
+
+# (p, n, r, rows, alpha): small families, the last with m = 2
+ORDER_FAMILIES = [(5, 4, 2, [[1, 2]], [1]), (7, 3, 1, [[0, 1]], [3]),
+                  (3, 4, 1, [[1, 0, 2], [0, 1, 1]], [0, 2])]
+
+
+def _layer_with_bad_entry(base, i, k, h):
+    """A bank whose layer F_(q^i) has A[k][h] shifted by a non-base
+    element, so E_1 stops descending wherever x_h is nonzero."""
+    bank = ContextBank(base)
+    bad = ExtCtx(base, i)
+    rows = [list(r) for r in bad.A]
+    rows[k][h] = bad.add(rows[k][h], base.q)
+    bad.A = tuple(tuple(r) for r in rows)
+    bank.override(i, bad)
+    return bank
+
+
+def _nearby_coords(rng, q, n, count):
+    """Random coordinate vectors, each the last with a random suffix
+    redrawn, so that consecutive ones share prefixes of every length."""
+    coords = [0] * n
+    for _ in range(count):
+        for h in range(rng.randrange(n), n):
+            coords[h] = rng.randrange(q)
+        yield tuple(coords)
+
+
+@pytest.mark.parametrize("p, n, r, rows, alpha", ORDER_FAMILIES,
+                         ids=["q5n4", "q7n3", "q3n4-m2"])
+def test_oracles_do_not_depend_on_call_order(p, n, r, rows, alpha):
+    # eval_R at every x and the probe's rank at every zero, in product
+    # order, shuffled (which defeats the prefix products, the memos, the
+    # kept columns and the size-n orbit's partial sums) and on a fresh
+    # system per call
+    K = make_field(p)
+    bank = ContextBank.shared(K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        fam = new_family(K, n, r, rows, alpha)
+    rng = random.Random(SAMPLE_SEED + 7)
+    xs = list(product(range(p), repeat=n))
+    for pat in enumerate_patterns(n):
+        zeros = list(rational_zeros(sym_system(fam, pat, bank)))
+        calls = [(eval_R, (x,)) for x in xs] + [(_full_rank, z) for z in zeros]
+        sys_ = sym_system(fam, pat, bank)
+        ordered = [oracle(sys_, *args) for oracle, args in calls]
+        order = list(range(len(calls)))
+        rng.shuffle(order)
+        sys_ = sym_system(fam, pat, bank)
+        shuffled = {k: calls[k][0](sys_, *calls[k][1]) for k in order}
+        fresh = [oracle(sym_system(fam, pat, bank), *args)
+                 for oracle, args in calls]
+        assert ordered == [shuffled[k] for k in range(len(calls))] == fresh, (
+            pat.label())
+        # the m = 2 family has rank-deficient zeros under every pattern
+        assert fam.m < 2 or not all(ordered[len(xs):]), pat.label()
+    # the size-n orbit, from partial sums, for a clean and a corrupted A
+    for bank_n in (bank, _layer_with_bad_entry(K, n, 1, n - 1)):
+        sys_ = sym_system(fam, Pattern(n, (0,) * (n - 1) + (1,)), bank_n)
+        ctx = sys_.windows[-1][2]
+        walk = xs + rng.sample(xs, len(xs)) + list(
+            _nearby_coords(rng, p, n, 200))
+        assert [_stepped_orbit(sys_, ctx, c) for c in walk] == [
+            tuple(_orbit(ctx, ctx.A, c)) for c in walk]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +355,23 @@ def test_corrupted_embedding_layer_trips_descent_guard():
     with pytest.raises(GaloisDescentError):
         for x in product(range(5), repeat=4):
             eval_R(sys_, x)
+
+
+@pytest.mark.parametrize("k, h", [(0, 1), (1, 2)],
+                         ids=["first-row", "later-column"])
+def test_corrupted_size_n_window_trips_eval_R(k, h):
+    # pattern 3 has one window, of size n: its orbit is summed from the
+    # scaled columns of A, and its E values are descent-checked at every x
+    base = make_field(5)
+    fam = new_family(base, 3, 1, [[1, 0]], [0])
+    sys_ = sym_system(fam, Pattern(3, (0, 0, 1)),
+                      _layer_with_bad_entry(base, 3, k, h))
+    for x in product(range(5), repeat=3):
+        if x[h]:
+            with pytest.raises(GaloisDescentError, match="E_1"):
+                eval_R(sys_, x)
+        else:
+            assert len(eval_R(sys_, x)) == 1
 
 
 # ---------------------------------------------------------------------------
