@@ -337,12 +337,13 @@ def run_census(cfg: RunConfig) -> dict:
     }
 
 
-def _global_table(field: FieldParams, n: int, k: int, budget: int):
-    """The pattern table of all q^n monics of degree n at depth k."""
-    size = field.q ** n
+def _global_table(field: FieldParams, pats, k: int, budget: int):
+    """The pattern table of all q^n monics of degree n at depth k, pats
+    the patterns of degree n."""
+    size = field.q ** pats[0].n
     if size > budget:
         raise BudgetError(f"global census size {size} exceeds budget {budget}")
-    return pattern_table(field, n, k)
+    return pattern_table(field, pats, k)
 
 
 def run_global(cfg: RunConfig) -> dict:
@@ -359,8 +360,9 @@ def run_global(cfg: RunConfig) -> dict:
         raise ValueError("global census needs n >= 1")
     q = field.q
     size = q ** n
-    tally = tally_windows(n, _global_table(field, n, 0, cfg.budget), [0])
-    rows = [_count_row(pat, tally, size)[0] for pat in enumerate_patterns(n)]
+    pats = enumerate_patterns(n)
+    tally = tally_windows(pats, _global_table(field, pats, 0, cfg.budget), [0])
+    rows = [_count_row(pat, tally, size)[0] for pat in pats]
     total = sum(row["count"] for row in rows)
     sq_total = sum(row["sq"] for row in rows)
     # enumerate_patterns ends with the irreducible pattern
@@ -433,8 +435,8 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     # one entry per polynomial where the correspondence looks them up,
     # else only the pattern totals
     depth = n if "correspondence" in sections else 0
-    table = _global_table(field, n, depth, cfg.budget)
-    gtally = tally_windows(n, table, range(q ** depth))
+    table = _global_table(field, patterns, depth, cfg.budget)
+    gtally = tally_windows(patterns, table, range(q ** depth))
     ok_flags = []
     sq_grouped = Fraction(0)
     rows = {name: [] for name in sections}

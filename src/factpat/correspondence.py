@@ -27,13 +27,18 @@ formed.
 A window's polynomial depends only on its own q^i coordinates, so for
 each window size i the walk tables the top digits of the q^i window
 polynomials once per run (see Plan), and multiplies windows through the
-start, extend and place of tables._multiplier, the last window's once
-per distinct entry and prefix.  Rotating a window's coordinates maps
-its element to a conjugate, with the same polynomial, so the table
-forms one entry per Frobenius orbit, about q^i / i of them; the orbit
-of a window vector is F_q-linear in its coordinates, so it is the sum
-of two orbits read from half tables, over the first ceil(i/2) and the
-last floor(i/2) coordinates.
+start, extend and place of tables._multiplier.  The last window's
+entries are placed once per distinct entry and prefix.  With flags, the
+walk keeps only the last-window vectors whose window is flagged and
+yields only those x, so the variety's walk does no work per vector that
+is not a zero; below depth n it keeps them by the depth-k window of the
+prefix's product, of which there are at most q^k, and places once per
+distinct entry and window.  Rotating a window's coordinates maps its element
+to a conjugate, with the same polynomial, so the table forms one entry
+per Frobenius orbit, about q^i / i of them; the orbit of a window
+vector is F_q-linear in its coordinates, so it is the sum of two orbits
+read from half tables, over the first ceil(i/2) and the last floor(i/2)
+coordinates.
 Every first counterexample is the same x as in a per-point scan.
 build_G, is_type_lambda and variety.eval_R stay as the per-point
 oracles, which read nothing of the walk; they form each orbit as the
@@ -43,7 +48,8 @@ product _orbit with the conjugate matrix, or its columns (eval_R at n).
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, chain, compress, product, repeat
+from operator import itemgetter
 
 from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
@@ -113,9 +119,30 @@ def _orbit(K, rows, coords):
 def _absorb(K, e, ys):
     """Absorb the values ys into e in place and return it: if e[t] held
     E_t of some values (t = 0 .. len(e) - 1, e[0] = 1), it then holds E_t
-    of those values and ys.  The one E_k recurrence of the package."""
-    add, mul = K.add, K.mul
+    of those values and ys.  The one E_k recurrence of the package; in a
+    layer with exp/log/Zech lists it reads them directly, as K.add and
+    K.mul do."""
     top = len(e) - 1
+    exp = getattr(K, "_exp", None)
+    if exp is not None:
+        log, zech, m = K._log, K._zech, K.order - 1
+        for y in ys:
+            if not y:
+                continue
+            ly = log[y]
+            for t in range(top, 0, -1):
+                a = e[t - 1]
+                if a:
+                    ya = (ly + log[a]) % m          # log of y * a
+                    b = e[t]
+                    if b:
+                        lb = log[b]
+                        z = zech[(ya - lb) % m]
+                        e[t] = 0 if z < 0 else exp[(lb + z) % m]
+                    else:
+                        e[t] = exp[ya]
+        return e
+    add, mul = K.add, K.mul
     for y in ys:
         for t in range(top, 0, -1):
             e[t] = add(e[t], mul(y, e[t - 1]))
@@ -247,42 +274,84 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
     checked to descend to F_q (GaloisDescentError otherwise).  A size-n
     table, q^n references like one of that layer's Zech lists, is not
     kept past the walk.
-    The walk nests one loop per window in layout order, which is product
-    order, extends the product of each outer prefix once, and places each
-    distinct last-window entry once per prefix (tables._multiplier).
+    The walk extends the product of each prefix of the outer windows once
+    (_prefixes), in product order, and chains one iterator per prefix
+    over the last window (_walk), so no x passes through a Python frame.
+    Each distinct last-window entry is placed (tables._multiplier) once
+    per prefix; a flagged walk keeps only the last-window vectors whose
+    window is flagged, and does no Python work for any other x.  Below
+    depth n it keeps them by the depth-k window of the prefix's product,
+    at most q^k of them, and places once per distinct window.  Flags are
+    read only when the walk is iterated.
     """
     n = pattern.n
     total = bank.base.q ** n
     if total > budget:
         raise BudgetError(f"scan size {total} exceeds budget {budget}")
     plan = bank if isinstance(bank, Plan) else Plan(bank)
+    q = plan.base.q
     levels = []
     for size, _ in layout(pattern):
         table = (plan.tables.get((size, k))
                  or _window_table(plan.get(size), k))
         if size < n:    # no other pattern has a size-n window
             plan.tables[size, k] = table
-        levels.append(partial(_stored, plan.base.q, size, table))
+        levels.append((size, table))
     start, extend, place = _multiplier(plan.base, k)
-    return _walk(levels, 0, extend, place, flags, (), start, True)
+    prefixes = iter([((), True, start)])
+    for size, table in levels[:-1]:
+        prefixes = _prefixes(prefixes, extend,
+                             partial(_stored, q, size, table))
+    # below depth n a flagged walk keeps its placements by prefix window;
+    # an unflagged one, which yields every x, places per prefix, as one
+    # dict of placements per window raised the peak RSS of a (13, 5) walk
+    # at depth 3 by up to 6.9 MiB (pattern 1 2^2)
+    memo = {} if k < n and flags is not None else None
+    return chain.from_iterable(map(
+        partial(_walk, q, *levels[-1], place, flags, memo), prefixes))
 
 
-def _walk(levels, level, extend, place, flags, xs, rows, typed):
-    """The walk below window `level`: levels[level]() yields that
-    window's entries; xs, rows (the planned window product) and typed
-    belong to the outer windows; the last window places each b once."""
-    if level < len(levels) - 1:
-        for coords, (t, b) in levels[level]():
-            yield from _walk(levels, level + 1, extend, place, flags,
-                             xs + coords, extend(rows, b), typed and t)
-        return
-    placed = {}
-    for coords, (t, b) in levels[level]():
-        w = placed.get(b)
-        if w is None:
-            w = placed[b] = place(rows, b)
-        if flags is None or flags[w]:
-            yield xs + coords, typed and t, w
+def _prefixes(prefixes, extend, level):
+    """Each prefix (xs, typed, rows) of the outer windows, rows the plan of
+    their product, extended by every entry of one more window (level())
+    in product order."""
+    for xs, typed, rows in prefixes:
+        for coords, (t, b) in level():
+            yield xs + coords, typed and t, extend(rows, b)
+
+
+def _walk(q, size, table, place, flags, memo, prefix):
+    """The x under one prefix (xs, typed, rows) of the outer windows, as
+    an iterator of (x, typed, w) over the last window (size, table) in
+    product order.
+
+    Each distinct last-window entry is placed once (placed).  With flags,
+    only the last-window vectors whose window is flagged are kept: their
+    selector over the q^size codes (keep), typed flags and windows.  What
+    is formed is kept in memo by the prefix's product window, its k
+    digits, where a memo is given (a flagged walk below depth n), and is
+    formed for each prefix otherwise."""
+    xs, typed, rows = prefix
+    key = tuple([at for at, _, _ in rows])
+    held = None if memo is None else memo.get(key)
+    if held is None:
+        placed = dict.fromkeys(map(itemgetter(1), table))
+        for b in placed:
+            placed[b] = place(rows, b)
+        if flags is None:
+            return zip(map(xs.__add__, product(range(q), repeat=size)),
+                       map(itemgetter(0), table) if typed else repeat(False),
+                       map(placed.__getitem__, map(itemgetter(1), table)))
+        hit = {b: w for b, w in placed.items() if flags[w]}
+        keep = bytes(map(hit.__contains__, map(itemgetter(1), table)))
+        held = (keep, list(compress(map(itemgetter(0), table), keep)),
+                list(map(hit.__getitem__,
+                         compress(map(itemgetter(1), table), keep))))
+        if memo is not None:
+            memo[key] = held
+    keep, ts, ws = held
+    return zip(map(xs.__add__, compress(product(range(q), repeat=size), keep)),
+               ts if typed else repeat(False), ws)
 
 
 class _Membership:

@@ -8,8 +8,10 @@ factors' windows mod X^(k+1): O(k^2) field operations, no division and
 no gcd.  A window is stored as its index sum c_(n-t) q^(t-1), t = 1..k,
 so truncating a window to a smaller depth j is the index mod q^j.
 
-pattern_table(K, n, k) counts the monics of degree n by window, pattern
-and square-freeness without factoring any of them, by one of two routes.
+pattern_table(K, pats, k) counts the monics of degree n by window,
+pattern and square-freeness without factoring any of them, by one of two
+routes; pats is enumerate_patterns(n), which its caller forms once and
+hands down to the route and to tally_windows.
 
 The search (_search_table, any field and depth) runs depth-first over
 the multisets of monic irreducibles of degree below n with total degree
@@ -67,6 +69,7 @@ for the membership check.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from itertools import compress
 from operator import mul, sub
 
@@ -195,9 +198,10 @@ def _search(K, n, k, hist, slot_of, width):
     return counts
 
 
-def _pattern_keys(n):
+def _pattern_keys(pats):
+    n = pats[0].n
     return [sum(c * (n + 1) ** d for d, c in enumerate(pat.counts))
-            for pat in enumerate_patterns(n)]
+            for pat in pats]
 
 
 def _irreducible_hist(K, n, k):
@@ -205,17 +209,19 @@ def _irreducible_hist(K, n, k):
     degree d with window index w at depth min(d, k), for d = 1 .. n-1:
     the search at width 1, whose last slot is its only one."""
     hist = {}
+    zero = defaultdict(lambda: (0, 0))      # every pattern at slot 0
     for d in range(1, n):
-        zero = {key: (0, 0) for key in _pattern_keys(d)}
         hist[d] = _search(K, d, min(d, k), hist, zero, 1)
     return hist
 
 
-def pattern_table(K, n, k):
+def pattern_table(K, pats, k):
     """Counts of the monic degree-n polynomials over K by window, pattern
-    and square-freeness: entry (w * P + i) * 2 + sq is the number whose
-    depth-k window has index w, whose pattern is enumerate_patterns(n)[i]
-    (P patterns in all), and which are square-free iff sq is 1."""
+    and square-freeness, pats = enumerate_patterns(n): entry
+    (w * P + i) * 2 + sq is the number whose depth-k window has index w,
+    whose pattern is pats[i] (P patterns in all), and which are
+    square-free iff sq is 1."""
+    n = pats[0].n
     if not 0 <= k <= n:
         raise ValueError("window depth must lie in 0..n")
     # The search takes about 0.2-2.3 us per monic, q^n in all; the
@@ -226,17 +232,17 @@ def pattern_table(K, n, k):
     # the rule picked the slower route by 5.6 ms in all, with 4 by 211 ms
     # (at (5, 7, 4) and (11, 5, 3)).  At k = 0 the characters cost only
     # the patterns, so they are always taken.
-    npat = len(enumerate_patterns(n))
-    if K.p > k and (2 * npat + k) * k * K.q ** (k + 1) < 8 * K.q ** n:
-        return _character_table(K, n, k)
-    return _search_table(K, n, k)
+    if K.p > k and (2 * len(pats) + k) * k * K.q ** (k + 1) < 8 * K.q ** n:
+        return _character_table(K, pats, k)
+    return _search_table(K, pats, k)
 
 
-def _search_table(K, n, k):
+def _search_table(K, pats, k):
     """pattern_table by the depth-first search over the products of
     irreducibles; any field and depth.  The last slot is the last pattern,
     the irreducibles, always square-free."""
-    keys = _pattern_keys(n)
+    n = pats[0].n
+    keys = _pattern_keys(pats)
     slot_of = {key: (2 * i, 2 * i + 1) for i, key in enumerate(keys)}
     return _search(K, n, k, _irreducible_hist(K, n, k), slot_of,
                    2 * len(keys))
@@ -301,7 +307,7 @@ def _scaled(p, digits, j):
     return idx
 
 
-def _character_table(K, n, k):
+def _character_table(K, pats, k):
     """pattern_table through the characters of the window group; p > k.
 
     chi_b(g) = zeta^<b, log g> runs over the characters of G_k as b runs
@@ -314,7 +320,7 @@ def _character_table(K, n, k):
     power sums pi_d(chi^i) into h_m and e_m; per pattern the inverse
     transforms of prod_d h_(c_d) and prod_d e_(c_d) are the total and
     the square-free counts at each log g.  All of it is mod l."""
-    q, p = K.q, K.p
+    q, p, n = K.q, K.p, pats[0].n
     size = q ** k
     digits = K.s * k
     l, zeta = _modulus(p, 2 * q ** n)
@@ -373,7 +379,6 @@ def _character_table(K, n, k):
         prod = _transform(prod, back, digits, l)
         return [prod[v] * unit % l for v in logs]
 
-    pats = enumerate_patterns(n)
     width = 2 * len(pats)
     table = array("q", bytes(8 * size * width))
     for i, pat in enumerate(pats):
@@ -386,10 +391,10 @@ def _character_table(K, n, k):
     return table
 
 
-def tally_windows(n, counts, windows):
+def tally_windows(pats, counts, windows):
     """pattern_tally-style dict (counts tuple -> [total, square-free]) of a
-    pattern table summed over the given window indices."""
-    pats = enumerate_patterns(n)
+    pattern table with the patterns pats summed over the given window
+    indices."""
     width = 2 * len(pats)
     totals = [0] * width
     for w in windows:
@@ -419,9 +424,10 @@ def family_tally(fam) -> dict:
     (q, n, r) builds it into the field's shared ContextBank and the later
     ones only sum windows; nothing writes to it after it is built."""
     n, k = fam.n, fam.n - fam.r
+    pats = enumerate_patterns(n)
     kept = ContextBank.shared(fam.ctx).family_tables
     counts = kept.get((n, k))
     if counts is None:
-        counts = kept[n, k] = pattern_table(fam.ctx, n, k)
+        counts = kept[n, k] = pattern_table(fam.ctx, pats, k)
     inside = family_windows(fam)
-    return tally_windows(n, counts, compress(range(len(inside)), inside))
+    return tally_windows(pats, counts, compress(range(len(inside)), inside))

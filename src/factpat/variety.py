@@ -23,13 +23,15 @@ Both are read from one walk, variety_pass, whatever the verify sections
 (count_points and jacobian_probe are its two halves).  R depends on x
 only through the depth-(n - r) window of G(x), whose digits are the
 signed E_1..E_(n-r), so R is evaluated once per window index, and the
-walk at that depth passes only the x whose window is a zero: the
-rational zeros.  Each scan's budget defaults to the run's,
-family.MEMBER_BUDGET.  The walk's typed flag already says whether some
-window's orbit is short, so the coincidence check compares only windows
-of one size, if any.  The probe reduces the Jacobian's columns, kept
-while a window's coordinates repeat, one at a time against the pivots
-found so far and stops at full rank.
+walk at that depth yields only the x whose window is a zero, the
+rational zeros, and does no work per vector for the others.  Each
+scan's budget defaults to the run's, family.MEMBER_BUDGET.  The walk's
+typed flag already says whether some window's orbit is short, so the
+coincidence check compares only windows of one size, if any, keeping
+the shifts of the windows before the last while they repeat.  The probe
+reduces the Jacobian's columns, kept while a window's coordinates
+repeat, one at a time against the pivots found so far and stops at full
+rank.
 eval_R and g_coeffs stay as the per-point oracles, which read nothing of
 the walk and do their field work once per distinct input: window values
 and elements are kept in the plan (correspondence.Plan), products formed
@@ -67,6 +69,7 @@ class SymSystem:
     residues: dict = field(default_factory=dict)  # E_0..E_(n-r) -> R
     steps: list = field(default_factory=list)     # _stepped_orbit's sums
     columns: dict = field(default_factory=dict)   # w -> (coords, {e: cols})
+    shifts: list = field(default_factory=list)    # _coincident's, per window
 
 
 def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
@@ -213,16 +216,30 @@ def _coincident(sys_: SymSystem, x, typed) -> bool:
     """True iff two root values of x coincide (G(x) is not square-free):
     x is untyped (a window's element has a short Galois orbit), or two
     windows of one size hold conjugate elements (their coordinates are
-    cyclic shifts of each other; never where the sizes are distinct)."""
+    cyclic shifts of each other; never where the sizes are distinct).
+    The shifts of the windows before the last are kept (SymSystem.shifts)
+    per window with its coordinates, each with those of the windows
+    before it, or None once two of them are conjugate, and dropped from
+    the first window whose coordinates change."""
     if sys_.distinct or not typed:
         return not typed
-    seen = set()
-    for start, size, _ in sys_.windows:
-        win = x[start:start + size]
-        if win in seen:
+    held = sys_.shifts
+    seen = frozenset()
+    *lead, (start, size, _) = sys_.windows
+    for j, (s, i, _) in enumerate(lead):
+        win = x[s:s + i]
+        if j < len(held) and held[j][0] == win:
+            seen = held[j][1]
+        else:
+            del held[j:]
+            if win in seen:
+                seen = None
+            else:
+                seen = seen.union(win[k:] + win[:k] for k in range(i))
+            held.append((win, seen))
+        if seen is None:
             return True
-        seen.update(win[k:] + win[:k] for k in range(size))
-    return False
+    return x[start:start + size] in seen
 
 
 @dataclass(frozen=True)

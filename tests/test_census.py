@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -362,6 +363,49 @@ def test_verify_passes_workers_to_the_member_tally(monkeypatch):
     cfg.workers = 1
     assert render_json(run_verify(cfg, sections=("variety",))) == one
     assert seen == [3, 1]
+
+
+@pytest.mark.parametrize("driver, cfg, sections, tabled", [
+    (run_global, RunConfig(p=3, n=9), None, False),
+    (run_global, RunConfig(p=2, s=3, n=5), None, False),
+    (run_census, RunConfig(p=7, n=5, r=3, rows=((0, 1),), alpha=(4,)),
+     None, True),
+    (run_census, RunConfig(p=13, n=4, r=2, rows=((1, 0), (0, 1)),
+                           alpha=(0, 0)), None, False),
+    # a depth-n table by the search, and a depth-0 one by the characters
+    (run_verify, RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,)),
+     ("correspondence", "variety"), True),
+    (run_verify, RunConfig(p=7, n=4, r=2, rows=((1, 0),), alpha=(3,)),
+     ("variety",), True),
+    (run_verify, RunConfig(p=13, n=3, r=1, rows=((1, 0), (0, 1)),
+                           alpha=(1, 2)), ("correspondence", "variety"),
+     False),
+], ids=["global-3-9", "global-8-5", "census-table", "census-kernel",
+        "verify-both", "verify-variety", "verify-kernel"])
+def test_each_driver_enumerates_the_patterns_once(monkeypatch, driver, cfg,
+                                                  sections, tabled):
+    # the driver forms the pattern list once and hands it to the tables
+    # it builds; a member tally read off the shared table forms its own in
+    # tables.family_tally, whose one-argument form the report pins' path
+    # check stands in for.  Every module that reads enumerate_patterns
+    # gets the counting one, and the banks start empty
+    real = factpat.patterns.enumerate_patterns
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("factpat.")
+                and hasattr(module, "enumerate_patterns")):
+            monkeypatch.setattr(module, "enumerate_patterns", counting)
+    monkeypatch.setattr(factpat.ffield, "_SHARED_BANKS", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        rep = driver(cfg) if sections is None else driver(cfg, sections)
+    assert rep["overall_pass"] is True
+    assert calls == [cfg.n] * (2 if tabled else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,8 @@ def test_the_check_sees_a_module_cache():
                              (8, "squares"), (10, "f"), (15, "g")]
 
 
-_WALK = {"walk_G", "_walk", "_window_table", "_stored", "_half_orbits"}
+_WALK = {"walk_G", "_walk", "_prefixes", "_window_table", "_stored",
+         "_half_orbits"}
 _ORACLES = {"_orbit", "build_G", "_window_poly", "is_type_lambda",
             "_full_shifts", "eval_R"}
 

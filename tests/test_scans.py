@@ -21,10 +21,12 @@ reports, the walks run_verify makes (per pattern, one at depth n when
 the correspondence runs and one at depth n - r when the variety does),
 the window tables they read (one per size and depth in a run, built
 again by the next run) and their placements (one per distinct
-last-window entry and prefix), the oracles' memos within their bounds
-all through a full verify, the variety rows of a full verify against
-those of the variety alone, of variety_pass and of a brute-force count
-over every x, its membership cells against verify_membership_equivalence
+last-window entry and prefix at depth n, and per distinct entry and
+product window of the prefix below it, kept for at most q^(n - r)
+windows), the oracles' memos within their bounds all through a full
+verify, the variety rows of a full verify against those of the variety
+alone, of variety_pass and of a brute-force count over every x, its
+membership cells against verify_membership_equivalence
 (also where eval_R is made to lie), the variety at n = 7 that once
 needed F_(5^12), and the fail-fast on a window layer over the order
 limit.
@@ -598,14 +600,22 @@ def test_verify_tables_each_window_once_per_run(monkeypatch, sections):
         assert sorted(built) == [(i, d) for i in range(1, 5) for d in depths]
 
 
+def _windows_of(K, polys, k):
+    """The distinct depth-k window indices of the monics polys; T^k f has
+    the window of f, so a monic of degree below k is padded with zeros."""
+    return {window_index(K.q, [0] * k + f, k) for f in polys}
+
+
 @pytest.mark.parametrize("sections", [BOTH, ("variety",)])
 def test_walk_places_each_distinct_last_window_entry_once_per_prefix(
         monkeypatch, sections):
-    # the last window of a walk places each distinct entry (its top digits)
-    # once per prefix of the outer windows: q^(n - i) prefixes times the
-    # distinct depth-k digits of the q^i window polynomials of size i,
-    # read from _window_poly.  Per pattern, the correspondence walks at
-    # depth n and then the variety at depth n - r with flags
+    # the last window of a walk places each distinct entry (its top k
+    # digits) once per prefix of the outer windows at depth n, and once
+    # per distinct depth-k window of the prefix products below it: the
+    # product windows and the last-window entries are read from
+    # _window_poly products by window_index.  Per pattern, the
+    # correspondence walks at depth n and then the variety at depth n - r
+    # with flags
     real = correspondence._multiplier
     placed = []
 
@@ -625,28 +635,62 @@ def test_walk_places_each_distinct_last_window_entry_once_per_prefix(
     assert run_verify(cfg, sections=sections)["overall_pass"] is True
     depths = [d for name, d in (("correspondence", n), ("variety", n - 2))
               if name in sections]
-    bank = ContextBank.shared(make_field(p))
+    K = make_field(p)
+    bank = ContextBank.shared(K)
+
+    def polys(size):
+        return [correspondence._window_poly(bank.get(size), coords)
+                for coords in product(range(p), repeat=size)]
+
     want = []
     for pat in enumerate_patterns(n):
-        i = pat.sizes()[-1]
+        *outer, i = pat.sizes()
+        prefixes = [[1]]
+        for size in outer:
+            prefixes = [pmul(K, f, g) for f in prefixes for g in polys(size)]
         for depth in depths:
-            digits = {tuple(correspondence._window_poly(bank.get(i), coords)
-                            [::-1][1:min(i, depth) + 1])
-                      for coords in product(range(p), repeat=i)}
-            want.append(p ** (n - i) * len(digits))
+            entries = len(_windows_of(K, polys(i), depth))
+            if depth == n:
+                want.append(p ** (n - i) * entries)
+            else:
+                want.append(len(_windows_of(K, prefixes, depth)) * entries)
     assert placed == want
     assert sum(want) < len(want) * p ** n
+
+
+def test_flagged_walk_memo_holds_at_most_one_entry_per_window(monkeypatch):
+    # below depth n the walk keeps what it forms for the last window by
+    # the product window of the prefix: never more than q^(n - r) keys,
+    # checked at every prefix of each pattern's variety walk at (5, 5)
+    p, n, r = 5, 5, 3
+    real = correspondence._walk
+    sizes = []
+
+    def checked_walk(q, size, table, place, flags, memo, prefix):
+        out = real(q, size, table, place, flags, memo, prefix)
+        assert flags is not None and len(memo) <= p ** (n - r)
+        sizes.append(len(memo))
+        return out
+
+    monkeypatch.setattr(correspondence, "_walk", checked_walk)
+    cfg = RunConfig(p=p, n=n, r=r, rows=((1, 0),), alpha=(0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        assert run_verify(cfg, sections=("variety",))["overall_pass"] is True
+    assert len(sizes) > p ** (n - r) and max(sizes) > 1
 
 
 def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     # after every oracle call of a full verify at (5, 5): the dict of the
     # current prefix holds at most q^min(i, upto) last-window products (i
     # the last window's size), the residue memo at most q^(n - r) values
-    # of R, and the probe's store at most one entry per zero window for
-    # each window
+    # of R, the probe's store at most one entry per zero window for
+    # each window, and the coincidence check's one entry per window
+    # before the last, holding the shifts of that window and those before
+    # it (or None)
     p, n, r = 5, 5, 3
     real_system, real_esym = variety.sym_system, variety._esym
-    real_rank = variety._full_rank
+    real_rank, real_coincident = variety._full_rank, variety._coincident
     systems, zero_windows = [], {}
 
     def recording_system(fam, pattern, bank):
@@ -667,9 +711,19 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
                    for _, kept in sys_.columns.values())
         return out
 
+    def checked_coincident(sys_, x, typed):
+        out = real_coincident(sys_, x, typed)
+        sizes = [size for _, size, _ in sys_.windows]
+        assert len(sys_.shifts) < len(sizes)
+        for j, (win, seen) in enumerate(sys_.shifts):
+            assert len(win) == sizes[j]
+            assert seen is None or len(seen) <= sum(sizes[:j + 1])
+        return out
+
     monkeypatch.setattr(census, "sym_system", recording_system)
     monkeypatch.setattr(variety, "_esym", checked_esym)
     monkeypatch.setattr(variety, "_full_rank", checked_rank)
+    monkeypatch.setattr(variety, "_coincident", checked_coincident)
     cfg = RunConfig(p=p, n=n, r=r, rows=((1, 0),), alpha=(0,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # q <= n families warn by design
@@ -678,6 +732,7 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     for sys_ in systems:
         assert 0 < len(sys_.residues) <= p ** (n - r)
         assert sys_.prefix[n - r][2] and sys_.columns
+        assert bool(sys_.shifts) != sys_.distinct
     assert len(zero_windows) == len(systems)
 
 

@@ -53,11 +53,12 @@ def _kernel_table(K, n, k):
 def test_table_matches_kernel_at_every_depth(ps, n):
     K = make_field(*ps)
     assume(K.q ** n <= 3000)
+    pats = enumerate_patterns(n)
     for k in range(n + 1):      # k = 0 is the global census, k = n per poly
         want = _kernel_table(K, n, k)
-        assert list(_search_table(K, n, k)) == want, k
+        assert list(_search_table(K, pats, k)) == want, k
         if K.p > k:
-            assert list(_character_table(K, n, k)) == want, k
+            assert list(_character_table(K, pats, k)) == want, k
 
 
 def test_routes_agree_on_every_small_table():
@@ -71,7 +72,8 @@ def test_routes_agree_on_every_small_table():
     assert len(cases) == 154
     for p, s, n, k in cases:
         K = make_field(p, s)
-        assert _search_table(K, n, k) == _character_table(K, n, k), \
+        pats = enumerate_patterns(n)
+        assert _search_table(K, pats, k) == _character_table(K, pats, k), \
             (K.q, n, k)
 
 
@@ -79,8 +81,8 @@ def test_routes_agree_on_every_small_table():
 def test_character_table_meets_the_closed_forms(q, n, k):
     # 13^7 and 31^5 monics are past the search's reach; summed over the
     # windows, the table is the global census, which has closed forms
-    table = _character_table(make_field(q), n, k)
     pats = enumerate_patterns(n)
+    table = _character_table(make_field(q), pats, k)
     width = 2 * len(pats)
     assert len(table) == q ** k * width
     irr = [irreducible_count(q, d) for d in range(1, n + 1)]
@@ -117,8 +119,9 @@ def test_workload_tables_take_the_named_route(monkeypatch):
             patch.setattr(tables, refused, _refuse)
             for p, s, n, k in cases:
                 K = make_field(p, s)
-                assert len(pattern_table(K, n, k)) \
-                    == K.q ** k * 2 * len(enumerate_patterns(n))
+                pats = enumerate_patterns(n)
+                assert len(pattern_table(K, pats, k)) \
+                    == K.q ** k * 2 * len(pats)
 
 
 def _draw_family(K, n, data):
@@ -233,9 +236,9 @@ def built(monkeypatch):
     calls = []
     build = tables.pattern_table
 
-    def counting(K, n, k):
-        calls.append((K.q, n, k))
-        return build(K, n, k)
+    def counting(K, pats, k):
+        calls.append((K.q, pats[0].n, k))
+        return build(K, pats, k)
 
     monkeypatch.setattr(tables, "pattern_table", counting)
     return calls

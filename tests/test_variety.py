@@ -2,7 +2,9 @@
 affine system on root values, exact point counts split by coincidence,
 and the Jacobian rank probe.
 
-Independent oracles: combinations-based symmetric sums, Vieta expansion
+Independent oracles: combinations-based symmetric sums (and, for the
+E_k recurrence through a layer's Zech lists, the same recurrence through
+the schoolbook methods of a layer without them), Vieta expansion
 through the conjugate-product polynomial, and frozen exhaustive counts
 for the canonical trace-zero quartic family over F_5.  The window E
 values a system keeps, and the window values and prefix products that
@@ -88,6 +90,26 @@ def test_elementary_symmetric_in_extension_layer():
                     term = ctx.mul(term, v)
                 acc = ctx.add(acc, term)
             assert _esym_k(ctx, k, ys) == acc
+
+
+@pytest.mark.parametrize("p, s, i", [(2, 1, 1), (2, 1, 3), (5, 1, 2),
+                                     (2, 2, 2), (3, 1, 3)])
+def test_absorb_through_the_zech_lists_matches_the_field_methods(p, s, i):
+    # a layer with exp/log/Zech lists against a fresh one without them
+    # (the same codes, schoolbook arithmetic); each draw also holds a
+    # value and its negative, so that sums cancel to 0
+    base = make_field(p, s)
+    slow, fast = ExtCtx(base, i), ExtCtx(base, i)
+    fast.ensure_fast()
+    assert slow._exp is None and fast._exp is not None
+    rng = random.Random(SAMPLE_SEED + i)
+    for _ in range(40):
+        ys = [rng.randrange(fast.order) for _ in range(rng.randrange(6))]
+        ys += [0, *(slow.neg(y) for y in ys[:2])]
+        rng.shuffle(ys)
+        top = rng.randrange(len(ys) + 2)
+        assert _absorb(fast, [1] + [0] * top, ys) \
+            == _absorb(slow, [1] + [0] * top, ys)
 
 
 def test_elementary_symmetric_edges():
