@@ -54,15 +54,16 @@ run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
 yields each x in itertools.product order with the window index of G(x):
 at depth n the correspondence section reads each polynomial's pattern
 slot from the table by that index, and in the same walk the membership
-check reads the family's window flags at that index mod q^(n - r), the
-depth-(n - r) window.  For every section choice the variety section is
+check compares the family's window flags at that index mod q^(n - r),
+the depth-(n - r) window, with the block oracle variety.zero_block's,
+one block per prefix of the outer windows.  For every section choice the variety section is
 variety.variety_pass, one walk per pattern at depth n - r that passes
 only the zeros of the reduced system and gives both the counting
 identity and the Jacobian probe.  Reports are those of a per-point
-scan.  The walk tables each window size's entries once per
-Frobenius orbit and once per run (correspondence.Plan), in the layers
-F_(q^i) of the window sizes i <= n alone, with their Zech tables
-(ffield.ExtCtx.ensure_fast).  Those tables are what the order limit
+scan.  The walk tables each window size's entries once per class
+under rotation and scaling by F_q^* and once per run
+(correspondence.Plan), in the layers F_(q^i) of the window sizes
+i <= n alone, with their Zech tables (ffield.ExtCtx.ensure_fast).  Those tables are what the order limit
 bounds, so run_verify builds the largest, F_(q^n), before anything is
 tallied or scanned.  run_census and run_bounds build the layers for the
 descriptor but no tables, so the order limit does not apply to them.
@@ -442,10 +443,14 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     rows = {name: [] for name in sections}
     if "correspondence" in sections:
         # slot[w] = 2 * (pattern index) + (square-free) of the polynomial
-        # with index w: the one nonzero entry of its row
+        # with index w: the one nonzero entry of its row; sq_polys[i] the
+        # square-free polynomials of pattern i, in one pass
         width = 2 * len(patterns)
-        slot = [table[w * width:(w + 1) * width].index(1)
-                for w in range(q ** n)]
+        slot, sq_polys = [], [[] for _ in patterns]
+        for w in range(q ** n):
+            slot.append(table[w * width:(w + 1) * width].index(1))
+            if slot[-1] & 1:
+                sq_polys[slot[-1] >> 1].append(w)
     for i, pat in enumerate(patterns):
         sys_ = sym_system(fam, pat, plan)      # one for both sections
         if "correspondence" in sections:
@@ -464,14 +469,13 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                     fib[g] = fib.get(g, 0) + 1
                 else:
                     untyped += 1
-            sq_polys = [w for w, s in enumerate(slot) if s == 2 * i + 1]
-            fiber_ok = all(fib.get(c, 0) == sys_.weight for c in sq_polys)
+            fiber_ok = all(fib.get(c, 0) == sys_.weight for c in sq_polys[i])
             nsq_sizes: dict[int, int] = {}
             for c, cnt in fib.items():
                 if not slot[c] & 1:
                     nsq_sizes[cnt] = nsq_sizes.get(cnt, 0) + 1
             mem_ok, mem_bad = member.result()
-            typed_sqfree = sum(fib.get(c, 0) for c in sq_polys)
+            typed_sqfree = sum(fib.get(c, 0) for c in sq_polys[i])
             sq_grouped += Fraction(typed_sqfree, sys_.weight)
             rows["correspondence"].append({
                 "lambda": pat.label(),
@@ -479,7 +483,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                 "untyped": untyped,
                 "type_pattern_ok": type_bad is None,
                 "type_pattern_counterexample": type_bad,
-                "squarefree_polys": len(sq_polys),
+                "squarefree_polys": len(sq_polys[i]),
                 "squarefree_fiber_ok": fiber_ok,
                 "nonsquarefree_fiber_sizes":
                     [[k, v] for k, v in sorted(nsq_sizes.items())],

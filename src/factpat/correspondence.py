@@ -34,15 +34,16 @@ yields only those x, so the variety's walk does no work per vector that
 is not a zero; below depth n it keeps them by the depth-k window of the
 prefix's product, of which there are at most q^k, and places once per
 distinct entry and window.  Rotating a window's coordinates maps its element
-to a conjugate, with the same polynomial, so the table forms one entry
-per Frobenius orbit, about q^i / i of them; the orbit of a window
-vector is F_q-linear in its coordinates, so it is the sum of two orbits
-read from half tables, over the first ceil(i/2) and the last floor(i/2)
-coordinates.
+to a conjugate, with the same polynomial, and scaling them by s in
+F_q^* scales each E_t by s^t, so the table forms one entry per class
+under rotation and scaling, about q^i / (i (q - 1)) of them; the orbit
+of a window vector is F_q-linear in its coordinates, so it is the sum
+of two orbits read from half tables, over the first ceil(i/2) and the
+last floor(i/2) coordinates.
 Every first counterexample is the same x as in a per-point scan.
-build_G, is_type_lambda and variety.eval_R stay as the per-point
-oracles, which read nothing of the walk; they form each orbit as the
-product _orbit with the conjugate matrix, or its columns (eval_R at n).
+build_G, is_type_lambda, variety.eval_R and the membership check's
+block oracle variety.zero_block read nothing of the walk; they form each
+orbit as the product _orbit with the conjugate matrix, or its columns.
 """
 
 from __future__ import annotations
@@ -208,25 +209,41 @@ def _half_orbits(ctx, cols):
     return half
 
 
+def _scaled_codes(K, s, width):
+    """The code of s * v for each vector v of F_q^width, by the code of v
+    (both in product order)."""
+    scale = [K.mul(s, c) for c in range(K.q)]
+    codes = [0]
+    for _ in range(width):
+        codes = [code * K.q + t for code in codes for t in scale]
+    return codes
+
+
 def _window_table(ctx, k):
     """The entry (typed, digits) of each coordinate vector of F_(q^i), by
     its code in product order: the top d = min(i, k) digits of the window
     polynomial, (-1)^t E_t of the orbit, and typed iff the orbit's values
     are distinct (conj is a basis: iff the cyclic shifts are, _full_shifts).
     A is circulant, so a left rotation of the coordinates, on codes
-    c -> c q mod (q^i - 1), maps alpha to sigma^(-1)(alpha): one entry is
-    formed per rotation class, from two half-table orbits (_half_orbits),
-    checked to descend, and stored at every code of the class; equal
+    c -> c q mod (q^i - 1), maps alpha to sigma^(-1)(alpha), and s * v
+    for s in F_q^* has the orbit scaled by s, its digits s^t (-1)^t E_t
+    (in F_q iff E_t is): one entry is formed per class under rotation and
+    scaling, from two half-table orbits (_half_orbits), checked to
+    descend, and stored, scaled, at every code of the class; equal
     entries are one object.  An A that is not the circulant of its first
     row raises GaloisDescentError."""
     ctx.ensure_fast()
     A, i, q = ctx.A, ctx.i, ctx.q
     if any(row != A[0][t:] + A[0][:t] for t, row in enumerate(A)):
         raise GaloisDescentError("the conjugate matrix is not circulant")
-    add, neg = ctx.add, ctx.base.neg
+    base = ctx.base
+    add, neg, mul = ctx.add, base.neg, base.mul
     d = min(i, k)
     m = (i + 1) // 2
     high, low = _half_orbits(ctx, range(m)), _half_orbits(ctx, range(m, i))
+    # per s in F_q^*: the scaled codes of each half, and s^1 .. s^d
+    scalings = [(_scaled_codes(base, s, m), _scaled_codes(base, s, i - m),
+                 list(accumulate(repeat(s, d), mul))) for s in range(1, q)]
     top = q ** i - 1
     table = [None] * (top + 1)
     shared = {}
@@ -236,13 +253,18 @@ def _window_table(ctx, k):
         a, b = divmod(c, len(low))
         orbit = list(map(add, high[a], low[b]))
         e = _window_esym(ctx, orbit, d)
-        entry = (len(set(orbit)) == i, tuple(
-            [neg(e[t]) if t % 2 else e[t] for t in range(1, d + 1)]))
-        entry = table[c] = shared.setdefault(entry, entry)
-        r = c * q % top if c < top else c
-        while r != c:
-            table[r] = entry
-            r = r * q % top
+        typed = len(set(orbit)) == i
+        digits = [neg(e[t]) if t % 2 else e[t] for t in range(1, d + 1)]
+        for hs, ls, powers in scalings:
+            sc = hs[a] * len(low) + ls[b]
+            if table[sc] is not None:
+                continue
+            entry = (typed, tuple(map(mul, powers, digits)))
+            entry = table[sc] = shared.setdefault(entry, entry)
+            r = sc * q % top if sc < top else sc
+            while r != sc:
+                table[r] = entry
+                r = r * q % top
     return table
 
 
@@ -355,24 +377,29 @@ def _walk(q, size, table, place, flags, memo, prefix):
 
 
 class _Membership:
-    """The membership check, fed the walk one x at a time: at every typed
-    x, the family's window flags against the per-point oracle eval_R on
-    the pattern's system, up to the first x where they disagree."""
+    """The membership check, fed every x of the walk in product order: at
+    every typed x, the family's window flag against the block oracle
+    variety.zero_block at the same position of its prefix's block, up to
+    the first x where they disagree."""
 
     def __init__(self, sys_):
-        from .variety import eval_R
-        self.eval_R, self.sys_ = eval_R, sys_
+        from .variety import zero_block
+        self.zero_block, self.sys_ = zero_block, sys_
         self.inside, self.bad = family_windows(sys_.fam), None
+        start, size, _ = sys_.windows[-1]
+        self.start, self.span, self.at = start, sys_.fam.q ** size, 0
 
     def add(self, x, typed, w):
         """w is the window index of G(x) at depth n - r or deeper: the
         depth-(n - r) window is its index mod q^(n - r) (see tables)."""
-        if typed and self.bad is None:
-            in_family = bool(self.inside[w % len(self.inside)])
-            on_variety = not any(self.eval_R(self.sys_, x))
-            if in_family != on_variety:
-                self.bad = {"x": x, "in_family": in_family,
-                            "on_variety": on_variety}
+        if self.bad is None:
+            at, self.at = self.at, (self.at + 1) % self.span
+            if not at:
+                self.block = self.zero_block(self.sys_, x[:self.start])
+            in_family = self.inside[w % len(self.inside)]
+            if typed and in_family != self.block[at]:
+                self.bad = {"x": x, "in_family": bool(in_family),
+                            "on_variety": bool(self.block[at])}
 
     def result(self):
         return self.bad is None, self.bad

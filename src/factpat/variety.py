@@ -32,16 +32,19 @@ the shifts of the windows before the last while they repeat.  The probe
 reduces the Jacobian's columns, kept while a window's coordinates
 repeat, one at a time against the pivots found so far and stops at full
 rank.
-eval_R and g_coeffs stay as the per-point oracles, which read nothing of
-the walk and do their field work once per distinct input: window values
-and elements are kept in the plan (correspondence.Plan), products formed
-once per prefix and last-window value (_esym), R once per E_0..E_(n-r),
+eval_R and g_coeffs stay as the per-point oracles, and zero_block, the
+membership check's oracle, gives R's zero flags of every last-window
+vector under one prefix of the outer windows.  They read nothing of the
+walk and do their field work once per distinct input: window values and
+elements are kept in the plan (correspondence.Plan), products formed
+once per prefix and last-window value (_held), R once per E_0..E_(n-r),
 and a size-n orbit stepped from the last x's partial sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .correspondence import Plan, _orbit, _window_esym, layout, walk_G
 from .errors import CountingIdentityError
@@ -65,11 +68,12 @@ class SymSystem:
     weight: int               # pattern weight w
     kept: dict                # (coords, upto) -> a window's E_0..E_upto
     distinct: bool            # no two windows of one size
-    prefix: dict = field(default_factory=dict)    # upto -> _esym's prefix
+    prefix: dict = field(default_factory=dict)    # upto -> _held's prefix
     residues: dict = field(default_factory=dict)  # E_0..E_(n-r) -> R
     steps: list = field(default_factory=list)     # _stepped_orbit's sums
     columns: dict = field(default_factory=dict)   # w -> (coords, {e: cols})
     shifts: list = field(default_factory=list)    # _coincident's, per window
+    last: tuple = ()          # zero_block's last-window values, distinct
 
 
 def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
@@ -110,50 +114,69 @@ def _window_values(sys_: SymSystem, ctx, coords, upto):
     plan below size n, where windows repeat across x and patterns."""
     if ctx.i == sys_.fam.n:
         return _window_esym(ctx, _stepped_orbit(sys_, ctx, coords), upto)
-    if (coords, upto) not in sys_.kept:
-        sys_.kept[coords, upto] = _window_esym(
+    values = sys_.kept.get((coords, upto))
+    if values is None:
+        values = sys_.kept[coords, upto] = _window_esym(
             ctx, _orbit(ctx, ctx.A, coords), upto)
-    return sys_.kept[coords, upto]
+    return values
 
 
 def _times(K, a, b):
     """The product of two E_0..E_upto tuples mod X^(upto+1)."""
     e = list(a)
     for t in range(1, len(b)):
-        for u in range(t, len(b)):
-            e[u] = K.add(e[u], K.mul(b[t], a[u - t]))
+        if b[t]:
+            for u in range(t, len(b)):
+                e[u] = K.add(e[u], K.mul(b[t], a[u - t]))
     return tuple(e)
+
+
+def _held(sys_: SymSystem, xs, upto):
+    """(xs, e, products, steps) for the prefix xs of the windows before
+    the last, kept per upto while it repeats: e their product mod
+    X^(upto+1), extended from steps (each window with the product up to
+    it) at the first window that changes, and products e times each
+    distinct last-window value under xs (at most q^min(i, upto), size i)."""
+    held = sys_.prefix.get(upto)
+    if held is None or held[0] != xs:
+        steps = [] if held is None else held[3]
+        e = (1,) + (0,) * upto
+        for j, (s, i, c) in enumerate(sys_.windows[:-1]):
+            win = xs[s:s + i]
+            if j < len(steps) and steps[j][0] == win:
+                e = steps[j][1]
+                continue
+            del steps[j:]
+            e = _times(sys_.fam.ctx, e, _window_values(sys_, c, win, upto))
+            steps.append((win, e))
+        held = sys_.prefix[upto] = (xs, e, {}, steps)
+    return held
 
 
 def _esym(sys_: SymSystem, x, upto):
     """E_0..E_upto of all root values of x, the windows' product mod
-    X^(upto+1).  The windows before the last are multiplied once per
-    prefix x[:start], the last window's values once per distinct value
-    under it (at most q^min(i, upto) for size i; dropped with the prefix)."""
+    X^(upto+1), from the prefix's products (_held)."""
     x = tuple(x)
     start, _, ctx = sys_.windows[-1]
-    held = sys_.prefix.get(upto)
-    if held is None or held[0] != x[:start]:
-        e = (1,) + (0,) * upto
-        for s, i, c in sys_.windows[:-1]:
-            e = _times(sys_.fam.ctx, e,
-                       _window_values(sys_, c, x[s:s + i], upto))
-        held = sys_.prefix[upto] = (x[:start], e, {})
+    _, e, products, _ = _held(sys_, x[:start], upto)
     ew = _window_values(sys_, ctx, x[start:], upto)
-    if ew not in held[2]:
-        held[2][ew] = _times(sys_.fam.ctx, held[1], ew)
-    return held[2][ew]
+    if ew not in products:
+        products[ew] = _times(sys_.fam.ctx, e, ew)
+    return products[ew]
 
 
 def _residues(sys_: SymSystem, e):
-    """R_j = alpha'_j + sum_k c'_(j,k) E_k for each reduced row j."""
-    K = sys_.fam.ctx
-    out = []
-    for a, tm in zip(sys_.fam.salpha, sys_.terms):
-        for k, c in tm:
-            a = K.add(a, K.mul(c, e[k]))
-        out.append(a)
-    return tuple(out)
+    """R_j = alpha'_j + sum_k c'_(j,k) E_k for each reduced row j, formed
+    once per distinct E_0..E_(n-r) (at most q^(n-r))."""
+    out = sys_.residues.get(e)
+    if out is None:
+        K, out = sys_.fam.ctx, []
+        for a, tm in zip(sys_.fam.salpha, sys_.terms):
+            for k, c in tm:
+                a = K.add(a, K.mul(c, e[k]))
+            out.append(a)
+        out = sys_.residues[e] = tuple(out)
+    return out
 
 
 def eval_R(sys_: SymSystem, x):
@@ -162,12 +185,28 @@ def eval_R(sys_: SymSystem, x):
     Zero everywhere iff the polynomial built from x lies in the family.
     Raises GaloisDescentError if a window's symmetric value fails to be
     Frobenius-fixed (corrupted normal-basis data).  The per-point oracle
-    for rational_zeros; formed once per distinct E_0..E_(n-r) (q^(n-r)).
+    that tests hold zero_block and the variety's zeros to.
     """
-    e = _esym(sys_, x, sys_.nr)
-    if e not in sys_.residues:
-        sys_.residues[e] = _residues(sys_, e)
-    return sys_.residues[e]
+    return _residues(sys_, _esym(sys_, x, sys_.nr))
+
+
+def zero_block(sys_: SymSystem, prefix) -> bytes:
+    """The block form of eval_R: per vector v of the last window, in
+    product order, 1 iff R vanishes at x = prefix + v, with prefix the
+    coordinates of the windows before it.  The last window's values are
+    listed once per system, the prefix's product formed once (_held) and
+    its product with each distinct last-window value once."""
+    _, size, ctx = sys_.windows[-1]
+    if not sys_.last:
+        values = [_window_values(sys_, ctx, v, sys_.nr)
+                  for v in product(range(sys_.fam.q), repeat=size)]
+        sys_.last = values, tuple(dict.fromkeys(values))
+    values, distinct = sys_.last
+    _, e, products, _ = _held(sys_, tuple(prefix), sys_.nr)
+    products.update((ew, _times(sys_.fam.ctx, e, ew)) for ew in distinct
+                    if ew not in products)
+    flags = {ew: not any(_residues(sys_, products[ew])) for ew in distinct}
+    return bytes(map(flags.__getitem__, values))
 
 
 def g_coeffs(sys_: SymSystem, x):

@@ -16,11 +16,12 @@ engine: loaded as a name or attribute, or imported by another module.
 The one module-level container is ffield._SHARED_BANKS, which holds the
 layers and the family tables; clearing it gives a process the cold state
 of a fresh one, so no function is memoized with functools either.
-The walk's functions in correspondence read none of the per-point
-oracles, and the oracles in correspondence and variety (with their
-helpers, and the probe's rank and coincidence checks) read none of the
-walk's functions, so the tests that hold the walk to an oracle compare
-two routes, also where the oracles keep values.  Every dotted reference
+The walk's functions in correspondence read none of the oracles, and
+the oracles in correspondence and variety (with their helpers, the
+membership check's block oracle zero_block, and the probe's rank and
+coincidence checks) read none of the walk's functions, so the tests
+that hold the walk to an oracle compare two routes, also where the
+oracles keep values.  Every dotted reference
 module.name (such as tables.family_tally or ffield.ExtCtx.ensure_fast)
 in the engine's docstrings and comments and in README.md resolves, so
 the docs name no engine name that is gone.
@@ -256,9 +257,9 @@ def test_the_check_sees_a_module_cache():
 
 
 _WALK = {"walk_G", "_walk", "_prefixes", "_window_table", "_stored",
-         "_half_orbits"}
+         "_half_orbits", "_scaled_codes"}
 _ORACLES = {"_orbit", "build_G", "_window_poly", "is_type_lambda",
-            "_full_shifts", "eval_R"}
+            "_full_shifts", "eval_R", "zero_block"}
 
 
 def _oracle_reads(tree):
@@ -286,10 +287,10 @@ def test_the_check_sees_a_walk_reading_an_oracle():
                                    ("walk_G", "_orbit")]
 
 
-_ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "_esym", "g_coeffs",
-                     "_window_values", "_stepped_orbit", "_times",
-                     "_residues", "_full_rank", "_digit_columns",
-                     "_coincident"}
+_ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "zero_block",
+                     "_esym", "_held", "g_coeffs", "_window_values",
+                     "_stepped_orbit", "_times", "_residues",
+                     "_full_rank", "_digit_columns", "_coincident"}
 
 
 def _walk_reads(trees):

@@ -5,10 +5,11 @@ and walks F_q^n window by window; rational_zeros (variety) is that walk
 at depth n - r, filtered by the windows where the system vanishes.
 Oracles: build_G with window_index on a fresh bank with no Zech tables,
 a brute-force filter of eval_R over every x with the E values of
-build_G, and, for the walk's window tables (one entry per rotation
-class, its orbit summed from two half tables), the per-vector
-conjugate-matrix orbit _orbit, _full_shifts and _window_poly, with the
-number of entries formed held to the necklace count.
+build_G, and, for the walk's window tables (one entry per class under
+rotation and F_q^* scaling, its orbit summed from two half tables), the
+per-vector conjugate-matrix orbit _orbit, _full_shifts and _window_poly,
+with the number of entries formed held to the number of those classes,
+counted by a union of orbits.
 The probe's per-zero verdicts are held to a Jacobian interpolated from
 eval_R along coordinate lines, to the rank of its digit rows formed
 whole, to the square-freeness of build_G (with the typed flag from
@@ -27,7 +28,7 @@ windows), the oracles' memos within their bounds all through a full
 verify, the variety rows of a full verify against those of the variety
 alone, of variety_pass and of a brute-force count over every x, its
 membership cells against verify_membership_equivalence
-(also where eval_R is made to lie), the variety at n = 7 that once
+(also where the block oracle zero_block is made to lie), the variety at n = 7 that once
 needed F_(5^12), and the fail-fast on a window layer over the order
 limit.
 """
@@ -117,12 +118,23 @@ def test_window_entries_match_the_per_vector_orbit(ps, i):
         assert correspondence._window_table(ctx, k) == want, k
 
 
-@pytest.mark.parametrize("ps, i, necklaces", [((5, 1), 5, 629),
-                                              ((2, 3), 4, 1044),
-                                              ((7, 1), 5, 3367)])
-def test_window_table_forms_one_entry_per_necklace(monkeypatch, ps, i,
-                                                   necklaces):
-    # (1/i) sum over d | i of phi(d) q^(i/d) rotation classes, not q^i
+@pytest.mark.parametrize("ps, i", [((5, 1), 5), ((2, 3), 4), ((7, 1), 5),
+                                   ((2, 1), 6)],
+                         ids=["5-5", "8-4", "7-5", "2-6"])
+def test_window_table_forms_one_entry_per_scaled_necklace(monkeypatch, ps, i):
+    # one entry per class of F_q^i under rotation and scaling by F_q^*,
+    # counted here as a union of orbits; over F_2, whose F_q^* is {1}, the
+    # classes are the necklaces, (1/i) sum over d | i of phi(d) q^(i/d)
+    K = make_field(*ps)
+    classes, necklaces, seen = 0, set(), set()
+    for v in product(range(K.q), repeat=i):
+        necklaces.add(min(v[t:] + v[:t] for t in range(i)))
+        if v not in seen:
+            classes += 1
+            for s in range(1, K.q):
+                w = tuple(K.mul(s, c) for c in v)
+                seen.update(w[t:] + w[:t] for t in range(i))
+    assert classes == len(necklaces) if K.q == 2 else classes < len(necklaces)
     real = correspondence._window_esym
     formed = []
 
@@ -131,14 +143,12 @@ def test_window_table_forms_one_entry_per_necklace(monkeypatch, ps, i,
         return real(ctx, orbit, upto)
 
     monkeypatch.setattr(correspondence, "_window_esym", counting_esym)
-    K = make_field(*ps)
     table = correspondence._window_table(ContextBank.shared(K).get(i), i)
-    assert len(formed) == necklaces
+    assert len(formed) == classes
     assert len(table) == K.q ** i
-    assert len({id(entry) for entry in table}) <= necklaces
+    assert len({id(entry) for entry in table}) <= len(necklaces)
 
 
-# ---------------------------------------------------------------------------
 # the point generator against a brute-force filter of eval_R
 
 
@@ -683,15 +693,17 @@ def test_flagged_walk_memo_holds_at_most_one_entry_per_window(monkeypatch):
 def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     # after every oracle call of a full verify at (5, 5): the dict of the
     # current prefix holds at most q^min(i, upto) last-window products (i
-    # the last window's size), the residue memo at most q^(n - r) values
+    # the last window's size), also after each block of the membership
+    # check (zero_block, one per prefix of every pattern), the residue memo at most q^(n - r) values
     # of R, the probe's store at most one entry per zero window for
     # each window, and the coincidence check's one entry per window
     # before the last, holding the shifts of that window and those before
     # it (or None)
     p, n, r = 5, 5, 3
     real_system, real_esym = variety.sym_system, variety._esym
+    real_block = variety.zero_block
     real_rank, real_coincident = variety._full_rank, variety._coincident
-    systems, zero_windows = [], {}
+    systems, zero_windows, blocks = [], {}, []
 
     def recording_system(fam, pattern, bank):
         systems.append(real_system(fam, pattern, bank))
@@ -701,6 +713,14 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
         out = real_esym(sys_, x, upto)
         size = sys_.windows[-1][1]
         assert len(sys_.prefix[upto][2]) <= p ** min(size, upto)
+        return out
+
+    def checked_block(sys_, prefix):
+        out = real_block(sys_, prefix)
+        size = sys_.windows[-1][1]
+        assert len(out) == p ** size
+        assert len(sys_.prefix[n - r][2]) <= p ** min(size, n - r)
+        blocks.append(id(sys_))
         return out
 
     def checked_rank(sys_, x, e):
@@ -722,6 +742,7 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
 
     monkeypatch.setattr(census, "sym_system", recording_system)
     monkeypatch.setattr(variety, "_esym", checked_esym)
+    monkeypatch.setattr(variety, "zero_block", checked_block)
     monkeypatch.setattr(variety, "_full_rank", checked_rank)
     monkeypatch.setattr(variety, "_coincident", checked_coincident)
     cfg = RunConfig(p=p, n=n, r=r, rows=((1, 0),), alpha=(0,))
@@ -734,6 +755,7 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
         assert sys_.prefix[n - r][2] and sys_.columns
         assert bool(sys_.shifts) != sys_.distinct
     assert len(zero_windows) == len(systems)
+    assert set(blocks) == {id(s) for s in systems}
 
 
 def test_every_scan_defaults_to_the_one_run_budget():
@@ -863,18 +885,20 @@ def test_verify_membership_matches_its_own_walk(cfg):
                                                           "q5n4-prescribed"])
 def test_membership_counterexample_is_the_first_flipped_vector(monkeypatch,
                                                                cfg):
-    # eval_R lies at two vectors, typed under every pattern; both routes
-    # must report the first of them in product order
-    real = variety.eval_R
+    # the block oracle lies at two vectors, typed under every pattern; both
+    # routes must report the first of them in product order
+    real = variety.zero_block
     flipped = {(3, 0, 1, 2), (1, 2, 3, 4)}
 
-    def lying_eval_R(sys_, x):
-        out = real(sys_, x)
-        if tuple(x) not in flipped:
-            return out
-        return (0,) * len(out) if any(out) else (1,) * len(out)
+    def lying_zero_block(sys_, prefix):
+        out = bytearray(real(sys_, prefix))
+        for at, v in enumerate(product(range(cfg.p),
+                                       repeat=cfg.n - len(prefix))):
+            if tuple(prefix) + v in flipped:
+                out[at] ^= 1
+        return out
 
-    monkeypatch.setattr(variety, "eval_R", lying_eval_R)
+    monkeypatch.setattr(variety, "zero_block", lying_zero_block)
     for in_verify, alone in _membership_routes(cfg):
         assert in_verify == alone
         assert in_verify[0] is False

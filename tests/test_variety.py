@@ -11,7 +11,9 @@ values a system keeps, and the window values and prefix products that
 the systems of one plan share, are held to a fresh system per call.
 eval_R and the probe's rank give, in any call order, what they give on
 a fresh system (their prefix products, memos, kept columns and the
-size-n orbit's partial sums in play); the size-n orbit is held to
+size-n orbit's partial sums in play), and the membership check's block
+oracle zero_block, its prefixes in any order, flags exactly where
+eval_R on a fresh system vanishes; the size-n orbit is held to
 _orbit for a clean and a corrupted conjugate matrix, which eval_R must
 refuse; and the probe forms each window element once per plan.
 """
@@ -28,7 +30,7 @@ from factpat import variety
 from factpat.correspondence import Plan, _absorb, _orbit, build_G
 from factpat.errors import (BudgetError, CountingIdentityError,
                             GaloisDescentError)
-from factpat.family import new_family, pattern_tally
+from factpat.family import new_family, pattern_tally, prescribed_family
 from factpat.ffield import ContextBank, ExtCtx, make_field
 from factpat.patterns import Pattern, enumerate_patterns, pattern_stats
 from factpat.variety import (PointCounts, _full_rank, _stepped_orbit,
@@ -216,6 +218,37 @@ def test_window_values_shared_by_a_plan_match_fresh_systems(p, n):
         assert oracle(sys_, *args) == oracle(fresh, *args), (
             sys_.pattern.label(), oracle.__name__, args)
     assert plan.values and plan.alphas
+
+
+def _block_families():
+    """A linear m = 1 and m = 2, a prescribed and an F_8 family."""
+    F5, F8 = make_field(5), make_field(2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        return [new_family(F5, 4, 2, [[1, 3]], [2]),
+                new_family(F5, 4, 1, [[1, 0, 2], [0, 1, 4]], [1, 3]),
+                prescribed_family(F5, 4, (1, 3), (2, 1)),
+                new_family(F8, 3, 1, [[1, 5]], [3])]
+
+
+@pytest.mark.parametrize("fam", _block_families(),
+                         ids=["m1", "m2", "prescribed", "F8"])
+def test_zero_block_matches_eval_R_at_every_vector(fam):
+    # the block oracle on one system, its prefixes in shuffled order, flags
+    # the x = prefix + v where eval_R, on a fresh system per call, vanishes
+    bank = ContextBank.shared(fam.ctx)
+    plan = Plan(bank)
+    rng = random.Random(SAMPLE_SEED + 7)
+    for pat in enumerate_patterns(fam.n):
+        sys_ = sym_system(fam, pat, plan)
+        start, size, _ = sys_.windows[-1]
+        prefixes = list(product(range(fam.q), repeat=start))
+        rng.shuffle(prefixes)
+        for prefix in prefixes:
+            want = [not any(eval_R(sym_system(fam, pat, bank), prefix + v))
+                    for v in product(range(fam.q), repeat=size)]
+            assert list(map(bool, variety.zero_block(sys_, prefix))) == want, (
+                pat.label(), prefix)
 
 
 def test_probe_forms_each_window_element_once_per_plan(monkeypatch):
