@@ -32,17 +32,19 @@ coordinates, so the characters are zeta^<b, log g>, one per index b.
 Each monic's character value is the product of its factors', so the
 transform of a pattern's counts is a product over degrees of symmetric
 functions of the prime sums, which the L-functions of the characters
-give (see _character_table); one inverse transform per pattern and
-square-freeness reads the counts back through the logarithm.  It costs
-about (2P + k) k q^(k+1) operations, with no factor of q^n.
+give (see _character_table); the inverse transforms, per pattern and
+square-freeness, read the counts back through the logarithm.  The k
+forward and the up to 2P inverse transforms run as two batches (_batch),
+each vector in a bit field of one int per index, reduced once, when
+read.  It costs about (2P + k) k q^(k+1) operations, no factor of q^n.
 
 pattern_table takes the characters iff p > k and that cost is below 8
 q^n (its comment has the measured constants), so every depth-0 table
 and the census tables take them, and the search stays for p <= k and
 where it is cheaper.  Each route is the other's test oracle.  The
 characters are exact: all arithmetic is mod one prime l = 1 (mod p),
-l > 2 q^n, proven prime by trial division (ffield._is_prime), with zeta
-of order p in F_l.  Reduction mod l is a ring map from Z[zeta_p], where
+l > 2 q^n, proven prime by Miller-Rabin to the bases 2..37, with zeta of
+order p in F_l.  Reduction mod l is a ring map from Z[zeta_p], where
 the true transforms lie; the divisions are by integers up to n and by
 q^k, all below l and so units mod l; and each count lies in 0..q^n,
 below l, so its residue is the count.
@@ -51,8 +53,8 @@ k = 0 gives the unconstrained census, k = n - r the windows a linear
 family constrains, and k = n one entry per polynomial.  The table is one
 flat array of q^k * P * 2 counts.  The search's live state besides it is
 the recursion (depth below n) and the windows of the irreducibles below
-degree n; the characters' is a few dozen lists of q^k residues, each
-dropped once used (a 2.4 MB peak for the 0.22 MB table at (11, 6, 3)).
+degree n; the characters' is a few dozen lists of q^k residues, then the
+packed batch (a 2.3 MB peak for the 0.22 MB table at (11, 6, 3)).
 The table at depth n - r serves every family at (q, n, r), so
 family_tally keeps it in the shared ContextBank of its field, keyed by
 (n, k), until ffield._SHARED_BANKS is cleared; the tables that
@@ -70,10 +72,10 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from itertools import compress
+from itertools import accumulate, compress
 from operator import mul, sub
 
-from .ffield import ContextBank, _is_prime, _to_vec
+from .ffield import ContextBank, _to_vec
 from .patterns import enumerate_patterns
 
 
@@ -226,12 +228,12 @@ def pattern_table(K, pats, k):
         raise ValueError("window depth must lie in 0..n")
     # The search takes about 0.2-2.3 us per monic, q^n in all; the
     # characters about 0.06-0.16 us per operation, (2P + k) k q^(k+1) in
-    # all (up to k + 2P transforms of k passes over q^k entries, each a
-    # sum of p products).  Measured on the 158 tables with q <= 13 prime,
-    # p > k and q^n <= 3 * 10^5 on Python 3.11: with the factor 8 below
-    # the rule picked the slower route by 5.6 ms in all, with 4 by 211 ms
-    # (at (5, 7, 4) and (11, 5, 3)).  At k = 0 the characters cost only
-    # the patterns, so they are always taken.
+    # all (up to k + 2P transforms of k passes over q^k entries).  These
+    # constants were measured before the transforms were batched, on the
+    # 158 tables with q <= 13 prime, p > k and q^n <= 3 * 10^5, Python
+    # 3.11: with the factor 8 below the rule picked the slower route by
+    # 5.6 ms in all, with 4 by 211 ms (at (5, 7, 4) and (11, 5, 3)).  At
+    # k = 0 the characters cost only the patterns, so they always win.
     if K.p > k and (2 * len(pats) + k) * k * K.q ** (k + 1) < 8 * K.q ** n:
         return _character_table(K, pats, k)
     return _search_table(K, pats, k)
@@ -248,12 +250,29 @@ def _search_table(K, pats, k):
                    2 * len(keys))
 
 
+_MR_LIMIT = 318665857834031151167461
+
+
+def _proven_prime(l):
+    """Whether l is prime, for 2 <= l < _MR_LIMIT, where Miller-Rabin to
+    the bases 2..37 is proven (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    s = ((l - 1) & (1 - l)).bit_length() - 1       # l - 1 = d 2^s, d odd
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(b, (l - 1) >> s, l)       # then x^2, x^4, .., x^(2^(s-1))
+        steps = accumulate(range(s - 1), lambda y, _: y * y % l, initial=x)
+        if x != 1 and l - 1 not in steps:
+            return l == b
+    return True
+
+
 def _modulus(p, bound):
     """(l, zeta): the least prime l = 1 (mod p) above bound, proven prime
-    by trial division, and an element zeta of order p in F_l."""
+    by _proven_prime, and an element zeta of order p in F_l."""
     l = bound - bound % p + 1
-    while l <= bound or not _is_prime(l):
+    while l <= bound or not _proven_prime(l):
         l += p
+    if l >= _MR_LIMIT:
+        raise ValueError(f"no modulus above {bound} is proven prime")
     g = 2
     while pow(g, (l - 1) // p, l) == 1:
         g += 1
@@ -284,18 +303,38 @@ def _log_indices(K, k):
     return out
 
 
-def _transform(f, rows, digits, l):
-    """sum_v zeta^<b, v> f[v] mod l at every index b, where <b, v> pairs
-    the base-p digits of b and v and rows[u][x] = zeta^(u x).  Each pass
-    transforms the top digit and moves it to the bottom, so after one
-    pass per digit every digit is transformed and back in its place."""
+def _transform(f, rows, digits):
+    """sum_v zeta^<b, v> f[v], unreduced, at every index b, where <b, v>
+    pairs the base-p digits of b and v and rows[u][x] = zeta^(u x) mod l.
+    Each pass transforms the top digit and moves it to the bottom, so
+    after a pass per digit each is transformed and back in its place."""
     p = len(rows)
     m = len(f) // p
     for _ in range(digits):
-        f = [sum(map(mul, row, col)) % l
+        f = [sum(map(mul, row, col))
              for col in zip(*[f[x * m:(x + 1) * m] for x in range(p)])
              for row in rows]
     return f
+
+
+def _batch(vectors, rows, digits, l, bound, at=None):
+    """The transforms mod l of vectors with entries below bound, read at
+    the indices in at if given, by one _transform of packed ints: vector
+    j has bits j width .. (j + 1) width - 1, width the bit length of
+    bound (p l)^digits, which digits passes of sums of p products with
+    row entries below l stay below, so no field carries into the next."""
+    width = (bound * (len(rows) * l) ** digits).bit_length()
+    vectors = iter(vectors)
+    packed, end = list(next(vectors)), width
+    for vec in vectors:
+        for i, x in enumerate(vec):
+            packed[i] |= x << end
+        end += width
+    out = _transform(packed, rows, digits)
+    out = out if at is None else [out[v] for v in at]
+    mask = (1 << width) - 1
+    return ([(y >> shift & mask) % l for y in out]
+            for shift in range(0, end, width))
 
 
 def _scaled(p, digits, j):
@@ -325,14 +364,14 @@ def _character_table(K, pats, k):
     digits = K.s * k
     l, zeta = _modulus(p, 2 * q ** n)
     logs = _log_indices(K, k)
-    fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
     scale = {j % p: _scaled(p, digits, j) for j in range(n + 1)}
     a = []
-    for d in range(1, k + 1):
-        hit = [0] * size
-        for w in range(q ** d):
-            hit[logs[w]] = 1
-        a.append(_transform(hit, fwd, digits, l))
+    if k:       # at k = 0 the transform is the identity
+        fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
+        at_log = sorted(range(size), key=logs.__getitem__)
+        hits = ([int(w < top) for w in at_log]
+                for top in [q ** d for d in range(1, k + 1)])
+        a = list(_batch(hits, fwd, digits, l, 2))
     c = {}
     pi = [None]
     for N in range(1, n + 1):
@@ -348,7 +387,7 @@ def _character_table(K, pats, k):
                 acc = [s - d * pd[i] for s, i in zip(acc, scale[N // d % p])]
         inv = pow(N, -1, l)
         pi.append([s * inv % l for s in acc])
-    del a, c
+    del a, c, acc
     # h[d][m] and e[d][m]: the complete and the elementary symmetric
     # functions of degree m in chi(P), P irreducible of degree d
     ones = [1] * size
@@ -368,24 +407,28 @@ def _character_table(K, pats, k):
             hd.append([s * inv % l for s in hs])
             ed.append([s * inv % l for s in es])
         h[d], e[d] = hd, ed
-    del pi, power
-    back = [row[:1] + row[:0:-1] for row in fwd]    # zeta^(-u x)
-    unit = pow(size, -1, l)
 
-    def at_windows(parts, sym):
-        prod = ones
-        for d, cd in parts:
-            prod = [x * y % l for x, y in zip(prod, sym[d][cd])]
-        prod = _transform(prod, back, digits, l)
-        return [prod[v] * unit % l for v in logs]
+    def products(h, e):
+        # per pattern prod_d h_(c_d), and prod_d e_(c_d) unless the same,
+        # each over q^k, the inverse transform's scale
+        for pat in pats:
+            for sym in (h,) if max(pat.counts) == 1 else (h, e):
+                prod = [pow(size, -1, l)] * size
+                for d, cd in enumerate(pat.counts, 1):
+                    if cd:
+                        prod = [x * y % l for x, y in zip(prod, sym[d][cd])]
+                yield prod
 
+    counts = products(h, e)
+    del pi, power, h, e, hd, ed, hs, es     # products holds h and e
+    if k:       # they are dropped once packed, before the transform
+        back = [row[:1] + row[:0:-1] for row in fwd]    # zeta^(-u x)
+        counts = _batch(counts, back, digits, l, l, logs)
     width = 2 * len(pats)
     table = array("q", bytes(8 * size * width))
     for i, pat in enumerate(pats):
-        parts = [(d, cd) for d, cd in enumerate(pat.counts, 1) if cd]
-        total = at_windows(parts, h)
-        sqf = (total if all(cd == 1 for _, cd in parts)
-               else at_windows(parts, e))
+        total = next(counts)
+        sqf = total if max(pat.counts) == 1 else next(counts)
         table[2 * i + 1::width] = array("q", sqf)
         table[2 * i::width] = array("q", map(sub, total, sqf))
     return table
@@ -411,10 +454,17 @@ def tally_windows(pats, counts, windows):
 
 def family_windows(fam) -> bytearray:
     """Flag per depth-(n - r) window index: 1 iff the window satisfies the
-    family's equations, so that its monics are members."""
-    n, q, k = fam.n, fam.q, fam.n - fam.r
-    return bytearray(fam.contains_coeffs(window_coeffs(q, n, k, w))
-                     for w in range(q ** k))
+    family's equations, so that its monics are members: each equation's
+    value at every index, one pass per digit as in _scaled."""
+    K, q = fam.ctx, fam.q
+    values = []
+    for row, alpha in zip(fam.rows, fam.alpha):
+        vals = [alpha]
+        for c in row:
+            vals = ([K.add(v, cy) for cy in [K.mul(c, y) for y in range(q)]
+                     for v in vals] if c else vals * q)
+        values.append(vals)
+    return bytearray(not any(at) for at in zip(*values))
 
 
 def family_tally(fam) -> dict:

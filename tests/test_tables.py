@@ -13,9 +13,11 @@ for a rebuild once the banks are cleared, and for staying unwritten.
 
 from __future__ import annotations
 
+import random
 import warnings
 from itertools import combinations, product
 from math import comb, isqrt, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,8 +30,9 @@ from factpat.family import new_family, pattern_tally, prescribed_family
 from factpat.ffield import make_field
 from factpat.patterns import enumerate_patterns, irreducible_count
 from factpat.poly import pattern_of_coeffs
-from factpat.tables import (_character_table, _modulus, _search_table,
-                            family_tally, pattern_table, window_coeffs,
+from factpat.tables import (_MR_LIMIT, _batch, _character_table, _modulus,
+                            _proven_prime, _search_table, family_tally,
+                            family_windows, pattern_table, window_coeffs,
                             window_index)
 
 # (p, s) for q in {2, 3, 4, 5, 7, 8, 9}: prime fields, extensions, char 2
@@ -105,6 +108,126 @@ def test_modulus_is_a_prime_with_a_pth_root_of_unity(p, s, n):
     assert l > bound and l % p == 1
     assert all(l % d for d in range(2, isqrt(l) + 1))
     assert zeta != 1 and pow(zeta, p, l) == 1      # order p, as p is prime
+
+
+def _trial_division_modulus(p, bound):
+    l = bound - bound % p + 1
+    while l <= bound or any(l % d == 0 for d in range(2, isqrt(l) + 1)):
+        l += p
+    return l
+
+
+def test_modulus_matches_trial_division():
+    rng = random.Random(24)
+    primes = [d for d in range(2, 1000) if all(d % e for e in range(2, d))]
+    cases = [(p, rng.randrange(2, 10 ** rng.randint(1, 9)))
+             for p in rng.sample(primes, 40)]
+    cases += [(2, 2), (2, 4), (3, 2), (5, 3), (997, 10 ** 9 - 1)]
+    for p, bound in cases:
+        l, zeta = _modulus(p, bound)
+        assert l == _trial_division_modulus(p, bound), (p, bound)
+        assert zeta != 1 and pow(zeta, p, l) == 1
+    assert [l for l in range(2, 20000) if _proven_prime(l)] \
+        == [l for l in range(2, 20000) if ffield._is_prime(l)]
+
+
+def test_modulus_stops_at_the_proven_limit():
+    # a strong pseudoprime to the bases 2 .. 23 and the least one to the
+    # bases 2 .. 37, which is where the proof ends
+    assert not _proven_prime(3825123056546413051)
+    assert _proven_prime(_MR_LIMIT)
+    assert _MR_LIMIT == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="proven prime"):
+        _modulus(5, _MR_LIMIT - 7)
+
+
+def _direct_transforms(batch, rows, digits, l):
+    """sum_v zeta^<b, v> f[v] mod l at every index b for each f in batch,
+    pairing the base-p digits of b and v one pair at a time, with
+    zeta^e = rows[1][e]."""
+    p = len(rows)
+    vecs = [ffield._to_vec(v, p, digits) for v in range(p ** digits)]
+    powers = [[rows[1][sum(map(mul, b, v)) % p] for v in vecs]
+              for b in vecs]
+    return [[sum(map(mul, at, f)) % l for at in powers] for f in batch]
+
+
+@pytest.mark.parametrize("p, s, k", [(3, 1, 1), (3, 1, 2), (3, 1, 3),
+                                     (3, 1, 4), (5, 1, 1), (5, 1, 2),
+                                     (5, 1, 3), (5, 1, 4), (7, 1, 1),
+                                     (7, 1, 2), (7, 1, 3), (11, 1, 1),
+                                     (11, 1, 2), (13, 1, 1), (13, 1, 2),
+                                     (3, 2, 1), (3, 2, 2), (5, 2, 1),
+                                     (5, 2, 2)])
+def test_batch_matches_the_direct_transform(p, s, k):
+    # the modulus of the n = 7 tables over F_(p^s), whose digits = s k;
+    # a batch of one and of 2P = 30, each led by a vector of the largest
+    # entries (bound - 1), which the field width is sized for
+    digits = s * k
+    size = p ** digits
+    l, zeta = _modulus(p, 2 * p ** (s * 7))
+    fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
+    back = [row[:1] + row[:0:-1] for row in fwd]
+    rng = random.Random(f"{p},{s},{k}")
+    twice_p = 2 * len(enumerate_patterns(7))
+    for rows, bound in ((fwd, 2), (back, l)):
+        batch = [[bound - 1] * size] + [
+            [rng.choice((0, bound - 1, rng.randrange(bound)))
+             for _ in range(size)] for _ in range(twice_p - 1)]
+        want = _direct_transforms(batch, rows, digits, l)
+        assert list(_batch(batch[:1], rows, digits, l, bound)) == want[:1]
+        assert list(_batch(batch, rows, digits, l, bound)) == want
+    # read at given indices, as the inverse batch reads at the logarithms
+    order = rng.sample(range(size), size)
+    assert list(_batch(batch, back, digits, l, l, order)) \
+        == [[out[v] for v in order] for out in want]
+
+
+def test_depth_zero_tables_pack_nothing(monkeypatch):
+    monkeypatch.setattr(tables, "_batch", _refuse)
+    for p, s, n in ((2, 1, 13), (3, 1, 9), (2, 3, 5), (1009, 1, 4)):
+        K = make_field(p, s)
+        pats = enumerate_patterns(n)
+        table = _character_table(K, pats, 0)
+        if K.q ** n <= 10 ** 4:
+            assert table == _search_table(K, pats, 0)
+        else:       # the closed forms, as in the test above
+            assert sum(table) == K.q ** n
+            assert table[-1] == irreducible_count(K.q, n)
+    with pytest.raises(AssertionError, match="must not run"):
+        _character_table(make_field(5), enumerate_patterns(3), 1)
+
+
+def _windows_by_oracle(fam):
+    n, q, k = fam.n, fam.q, fam.n - fam.r
+    return bytearray(fam.contains_coeffs(window_coeffs(q, n, k, w))
+                     for w in range(q ** k))
+
+
+@pytest.mark.parametrize("p, s", [(7, 1), (2, 3), (3, 2), (11, 1)])
+def test_family_windows_match_contains_coeffs(p, s):
+    K = make_field(p, s)
+    q = K.q
+    rng = random.Random(f"windows {p},{s}")
+    families = []
+    for n, r in ((6, 3), (6, 2), (5, 1)):
+        for m in (1, 2, 3):
+            for _ in range(3):
+                # random rows, zero entries common, and nonzero alpha
+                rows = [[rng.choice((0, 0, rng.randrange(1, q)))
+                         for _ in range(n - r)] for _ in range(m)]
+                alpha = [rng.randrange(1, q) for _ in range(m)]
+                try:
+                    families.append(new_family(K, n, r, rows, alpha))
+                except ValueError:      # dependent rows
+                    pass
+    assert {fam.m for fam in families} == {1, 2, 3}
+    for indices in ((1,), (2,), (4,), (1, 3), (2, 3), (1, 2, 4)):
+        values = [rng.randrange(q) for _ in indices]
+        families.append(prescribed_family(K, 6, indices, values))
+    for fam in families:
+        assert family_windows(fam) == _windows_by_oracle(fam), \
+            (fam.rows, fam.alpha)
 
 
 def test_workload_tables_take_the_named_route(monkeypatch):
