@@ -38,12 +38,13 @@ to a conjugate, with the same polynomial, and scaling them by s in
 F_q^* scales each E_t by s^t, so the table forms one entry per class
 under rotation and scaling, about q^i / (i (q - 1)) of them; the orbit
 of a window vector is F_q-linear in its coordinates, so it is the sum
-of two orbits read from half tables, over the first ceil(i/2) and the
-last floor(i/2) coordinates.
+of two orbits from the spans (ffield._span) of the columns of A over
+the first ceil(i/2) and the last floor(i/2) coordinates.
 Every first counterexample is the same x as in a per-point scan.
 build_G, is_type_lambda, variety.eval_R and the membership check's
 block oracle variety.zero_block read nothing of the walk; they form each
-orbit as the product _orbit with the conjugate matrix, or its columns.
+orbit as the product _orbit with the conjugate matrix, or the block's
+orbits as one span of all its columns.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from operator import itemgetter
 from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
 from .family import MEMBER_BUDGET
+from .ffield import _scaled_codes, _span
 from .patterns import Pattern
 from .tables import _multiplier, family_windows
 
@@ -196,29 +198,6 @@ def build_G(pattern: Pattern, x, bank) -> list:
     return out
 
 
-def _half_orbits(ctx, cols):
-    """The Galois orbits (see _orbit) of every coordinate vector that is
-    zero off the coordinates cols, in product order over cols: from the
-    zero orbit, each coordinate h extends every orbit by c times column h
-    of A, for c in 0 .. q-1."""
-    add, mul = ctx.add, ctx.mul
-    half = [(0,) * ctx.i]
-    for h in cols:
-        steps = [[mul(c, row[h]) for row in ctx.A] for c in range(ctx.q)]
-        half = [tuple(map(add, o, s)) for o in half for s in steps]
-    return half
-
-
-def _scaled_codes(K, s, width):
-    """The code of s * v for each vector v of F_q^width, by the code of v
-    (both in product order)."""
-    scale = [K.mul(s, c) for c in range(K.q)]
-    codes = [0]
-    for _ in range(width):
-        codes = [code * K.q + t for code in codes for t in scale]
-    return codes
-
-
 def _window_table(ctx, k):
     """The entry (typed, digits) of each coordinate vector of F_(q^i), by
     its code in product order: the top d = min(i, k) digits of the window
@@ -228,10 +207,10 @@ def _window_table(ctx, k):
     c -> c q mod (q^i - 1), maps alpha to sigma^(-1)(alpha), and s * v
     for s in F_q^* has the orbit scaled by s, its digits s^t (-1)^t E_t
     (in F_q iff E_t is): one entry is formed per class under rotation and
-    scaling, from two half-table orbits (_half_orbits), checked to
-    descend, and stored, scaled, at every code of the class; equal
-    entries are one object.  An A that is not the circulant of its first
-    row raises GaloisDescentError."""
+    scaling, from two half spans of the columns of A (ffield._span),
+    checked to descend, and stored, scaled, at every code of the class;
+    equal entries are one object.  An A that is not the circulant of its
+    first row raises GaloisDescentError."""
     ctx.ensure_fast()
     A, i, q = ctx.A, ctx.i, ctx.q
     if any(row != A[0][t:] + A[0][:t] for t, row in enumerate(A)):
@@ -240,7 +219,9 @@ def _window_table(ctx, k):
     add, neg, mul = ctx.add, base.neg, base.mul
     d = min(i, k)
     m = (i + 1) // 2
-    high, low = _half_orbits(ctx, range(m)), _half_orbits(ctx, range(m, i))
+    cols = list(zip(*A))
+    high, low = (_span(cols[:m], i, q, add, ctx.mul),
+                 _span(cols[m:], i, q, add, ctx.mul))
     # per s in F_q^*: the scaled codes of each half, and s^1 .. s^d
     scalings = [(_scaled_codes(base, s, m), _scaled_codes(base, s, i - m),
                  list(accumulate(repeat(s, d), mul))) for s in range(1, q)]
@@ -275,12 +256,12 @@ def _stored(q, size, table):
 class Plan:
     """What the walks and oracles of one run share, in place of its
     ContextBank: for windows below size n, the walk's tables by (size,
-    depth), and the oracles' E values by (coords, upto) and elements by
-    coords.  run_verify makes one per call, other callers one per use."""
+    depth), and the oracles' E values by (coords, upto).  run_verify
+    makes one per call, other callers one per use."""
 
     def __init__(self, bank):
         self.base, self.get = bank.base, bank.get
-        self.tables, self.values, self.alphas = {}, {}, {}
+        self.tables, self.values = {}, {}
 
 
 def walk_G(pattern: Pattern, bank, k: int, flags=None,

@@ -75,6 +75,28 @@ def _from_vec(digits, radix):
     return code
 
 
+def _span(cols, width, q, add, mul):
+    """sum_j c_j cols[j] for every (c_j) in F_q^len(cols), in product
+    order (the first column most significant), each a width-tuple on
+    whose entries add and mul act: the table of an F_q-linear map over
+    every vector of one coordinate block, from its columns."""
+    out = [(0,) * width]
+    for col in cols:
+        steps = [tuple([mul(c, y) for y in col]) for c in range(q)]
+        out = [tuple(map(add, o, t)) for o in out for t in steps]
+    return out
+
+
+def _scaled_codes(K, s, width):
+    """The code of s * v for each vector v of F_q^width, by the code of v
+    (both in product order)."""
+    scale = [K.mul(s, c) for c in range(K.q)]
+    codes = [0]
+    for _ in range(width):
+        codes = [code * K.q + t for code in codes for t in scale]
+    return codes
+
+
 class _Digits:
     """Polynomial-basis arithmetic of a layer F[v]/(h), shared by both
     layers of the tower: the scalar protocol without tables.  F is
@@ -520,8 +542,9 @@ class ExtCtx(_Digits):
         """Build the exp/log/Zech tables, once: three lists of about
         q^i entries, so a layer over ORDER_LIMIT raises ValueError here.
         exp steps by the F_q-linear x -> gen x: the images of a code's
-        low ceil(i/2) and high floor(i/2) digits come from two tables, and
-        one digit-wise add in the base field (flat where it is) sums them."""
+        low ceil(i/2) and high floor(i/2) digits come from two tables
+        (_span), and one digit-wise add in the base field (flat where it
+        is) sums them."""
         if self._exp is not None:
             return
         if self.order > ORDER_LIMIT:
@@ -538,14 +561,13 @@ class ExtCtx(_Digits):
         if gen is None:  # pragma: no cover - the unit group is cyclic
             raise RuntimeError("no generator found")
         q, i, badd, bmul = self.q, self.i, self.base.add, self.base.mul
-        # column j of the map's matrix: the digits of gen v^j
+        # column j of the map's matrix: the digits of gen v^j; reversed,
+        # so that each half's images come out in code order
         cols = [self._mul_digits(self.to_vec(gen), self.to_vec(q ** j))
-                for j in range(i)]
-        high, low = [(0,) * i], [(0,) * i]      # in code order
-        for j, col in enumerate(cols):
-            images = low if j < (i + 1) // 2 else high
-            images[:] = [tuple(map(badd, [bmul(c, d) for d in col], y))
-                         for c in range(q) for y in images]
+                for j in range(i)][::-1]
+        m = i // 2
+        high, low = (_span(cols[:m], i, q, badd, bmul),
+                     _span(cols[m:], i, q, badd, bmul))
         exp, log, code = [0] * M, [-1] * self.order, 1
         for k in range(M):
             exp[k] = code

@@ -51,10 +51,12 @@ below l, so its residue is the count.
 
 k = 0 gives the unconstrained census, k = n - r the windows a linear
 family constrains, and k = n one entry per polynomial.  The table is one
-flat array of q^k * P * 2 counts.  The search's live state besides it is
-the recursion (depth below n) and the windows of the irreducibles below
-degree n; the characters' is a few dozen lists of q^k residues, then the
-packed batch (a 2.3 MB peak for the 0.22 MB table at (11, 6, 3)).
+flat array of q^k * P * 2 int64 counts, each at most q^(n-k), so
+pattern_table refuses q^(n-k) >= 2^63 with ValueError.  The search's
+live state besides it is the recursion (depth below n) and the windows
+of the irreducibles below degree n; the characters' is a few dozen
+lists of q^k residues, then the packed batch (a 2.3 MB peak for the
+0.22 MB table at (11, 6, 3)).
 The table at depth n - r serves every family at (q, n, r), so
 family_tally keeps it in the shared ContextBank of its field, keyed by
 (n, k), until ffield._SHARED_BANKS is cleared; the tables that
@@ -75,7 +77,7 @@ from collections import defaultdict
 from itertools import accumulate, compress
 from operator import mul, sub
 
-from .ffield import ContextBank, _to_vec
+from .ffield import ContextBank, _scaled_codes, _to_vec
 from .patterns import enumerate_patterns
 
 
@@ -226,6 +228,9 @@ def pattern_table(K, pats, k):
     n = pats[0].n
     if not 0 <= k <= n:
         raise ValueError("window depth must lie in 0..n")
+    if K.q ** (n - k) >= 1 << 63:     # a cell counts up to q^(n-k) monics
+        raise ValueError(f"table cells of up to {K.q}^{n - k} monics "
+                         f"exceed the int64 limit 2^63")
     # The search takes about 0.2-2.3 us per monic, q^n in all; the
     # characters about 0.06-0.16 us per operation, (2P + k) k q^(k+1) in
     # all (up to k + 2P transforms of k passes over q^k entries).  These
@@ -337,15 +342,6 @@ def _batch(vectors, rows, digits, l, bound, at=None):
             for shift in range(0, end, width))
 
 
-def _scaled(p, digits, j):
-    """The index of j b at every index b: each base-p digit times j."""
-    idx = [0]
-    for i in range(digits):
-        step = p ** i
-        idx = [x + j * y % p * step for y in range(p) for x in idx]
-    return idx
-
-
 def _character_table(K, pats, k):
     """pattern_table through the characters of the window group; p > k.
 
@@ -364,7 +360,7 @@ def _character_table(K, pats, k):
     digits = K.s * k
     l, zeta = _modulus(p, 2 * q ** n)
     logs = _log_indices(K, k)
-    scale = {j % p: _scaled(p, digits, j) for j in range(n + 1)}
+    scale = {j % p: _scaled_codes(K, K.of_int(j), k) for j in range(n + 1)}
     a = []
     if k:       # at k = 0 the transform is the identity
         fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
@@ -455,7 +451,7 @@ def tally_windows(pats, counts, windows):
 def family_windows(fam) -> bytearray:
     """Flag per depth-(n - r) window index: 1 iff the window satisfies the
     family's equations, so that its monics are members: each equation's
-    value at every index, one pass per digit as in _scaled."""
+    value at every index, one pass per digit as in _scaled_codes."""
     K, q = fam.ctx, fam.q
     values = []
     for row, alpha in zip(fam.rows, fam.alpha):

@@ -35,21 +35,21 @@ rank.
 eval_R and g_coeffs stay as the per-point oracles, and zero_block, the
 membership check's oracle, gives R's zero flags of every last-window
 vector under one prefix of the outer windows.  They read nothing of the
-walk and do their field work once per distinct input: window values and
-elements are kept in the plan (correspondence.Plan), products formed
+walk and do their field work once per distinct input: window values
+below size n are kept in the plan (correspondence.Plan), products formed
 once per prefix and last-window value (_held), R once per E_0..E_(n-r),
-and a size-n orbit stepped from the last x's partial sums.
+and the last window's orbits listed once per system as one span of the
+columns of its conjugate matrix (ffield._span).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .correspondence import Plan, _orbit, _window_esym, layout, walk_G
 from .errors import CountingIdentityError
 from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
-from .ffield import _to_vec
+from .ffield import _span, _to_vec
 from .patterns import Pattern, pattern_stats
 from .poly import squarefree_decompose
 
@@ -66,11 +66,9 @@ class SymSystem:
     terms: tuple              # per row j: ((k, coeff), ...) nonzero entries
     nr: int                   # n - r, number of symmetric values used
     weight: int               # pattern weight w
-    kept: dict                # (coords, upto) -> a window's E_0..E_upto
     distinct: bool            # no two windows of one size
     prefix: dict = field(default_factory=dict)    # upto -> _held's prefix
     residues: dict = field(default_factory=dict)  # E_0..E_(n-r) -> R
-    steps: list = field(default_factory=list)     # _stepped_orbit's sums
     columns: dict = field(default_factory=dict)   # w -> (coords, {e: cols})
     shifts: list = field(default_factory=list)    # _coincident's, per window
     last: tuple = ()          # zero_block's last-window values, distinct
@@ -89,35 +87,19 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
     terms = tuple(tuple((k + 1, c) for k, c in enumerate(srow) if c)
                   for srow in fam.srows)
     return SymSystem(fam, pattern, bank, tuple(windows), terms, fam.n - fam.r,
-                     pattern_stats(pattern).weight, bank.values,
+                     pattern_stats(pattern).weight,
                      len(set(pattern.sizes())) == len(windows))
-
-
-def _stepped_orbit(sys_: SymSystem, ctx, coords):
-    """_orbit(ctx, ctx.A, coords) of the size-n window: scaled columns
-    c * A[k][h] added in coordinate order to the last coords' partial sums."""
-    if not sys_.steps:      # [columns, last coords, partial sums]
-        sys_.steps += [[[tuple(ctx.mul(c, row[h]) for row in ctx.A)
-                         for c in range(ctx.q)] for h in range(ctx.i)],
-                       (), [(0,) * ctx.i]]
-    cols, last, sums = sys_.steps
-    h = next((k for k in range(len(last)) if last[k] != coords[k]), len(last))
-    del sums[h + 1:]
-    for k in range(h, ctx.i):
-        sums.append(tuple(map(ctx.add, sums[-1], cols[k][coords[k]])))
-    sys_.steps[1] = coords
-    return sums[-1]
 
 
 def _window_values(sys_: SymSystem, ctx, coords, upto):
     """E_0..E_upto of one window's orbit, descent-checked; kept in the
     plan below size n, where windows repeat across x and patterns."""
-    if ctx.i == sys_.fam.n:
-        return _window_esym(ctx, _stepped_orbit(sys_, ctx, coords), upto)
-    values = sys_.kept.get((coords, upto))
+    kept = sys_.bank.values
+    values = kept.get((coords, upto))
     if values is None:
-        values = sys_.kept[coords, upto] = _window_esym(
-            ctx, _orbit(ctx, ctx.A, coords), upto)
+        values = _window_esym(ctx, _orbit(ctx, ctx.A, coords), upto)
+        if ctx.i < sys_.fam.n:
+            kept[coords, upto] = values
     return values
 
 
@@ -132,24 +114,17 @@ def _times(K, a, b):
 
 
 def _held(sys_: SymSystem, xs, upto):
-    """(xs, e, products, steps) for the prefix xs of the windows before
-    the last, kept per upto while it repeats: e their product mod
-    X^(upto+1), extended from steps (each window with the product up to
-    it) at the first window that changes, and products e times each
-    distinct last-window value under xs (at most q^min(i, upto), size i)."""
+    """(xs, e, products) for the prefix xs of the windows before the
+    last, kept per upto while it repeats: e their product mod X^(upto+1),
+    and products e times each distinct last-window value under xs (at
+    most q^min(i, upto), size i)."""
     held = sys_.prefix.get(upto)
     if held is None or held[0] != xs:
-        steps = [] if held is None else held[3]
         e = (1,) + (0,) * upto
-        for j, (s, i, c) in enumerate(sys_.windows[:-1]):
-            win = xs[s:s + i]
-            if j < len(steps) and steps[j][0] == win:
-                e = steps[j][1]
-                continue
-            del steps[j:]
-            e = _times(sys_.fam.ctx, e, _window_values(sys_, c, win, upto))
-            steps.append((win, e))
-        held = sys_.prefix[upto] = (xs, e, {}, steps)
+        for s, i, c in sys_.windows[:-1]:
+            e = _times(sys_.fam.ctx, e,
+                       _window_values(sys_, c, xs[s:s + i], upto))
+        held = sys_.prefix[upto] = (xs, e, {})
     return held
 
 
@@ -158,7 +133,7 @@ def _esym(sys_: SymSystem, x, upto):
     X^(upto+1), from the prefix's products (_held)."""
     x = tuple(x)
     start, _, ctx = sys_.windows[-1]
-    _, e, products, _ = _held(sys_, x[:start], upto)
+    _, e, products = _held(sys_, x[:start], upto)
     ew = _window_values(sys_, ctx, x[start:], upto)
     if ew not in products:
         products[ew] = _times(sys_.fam.ctx, e, ew)
@@ -194,15 +169,16 @@ def zero_block(sys_: SymSystem, prefix) -> bytes:
     """The block form of eval_R: per vector v of the last window, in
     product order, 1 iff R vanishes at x = prefix + v, with prefix the
     coordinates of the windows before it.  The last window's values are
-    listed once per system, the prefix's product formed once (_held) and
-    its product with each distinct last-window value once."""
+    listed once per system, from one span of the columns of its conjugate
+    matrix and each descent-checked, the prefix's product formed once
+    (_held) and its product with each distinct last-window value once."""
     _, size, ctx = sys_.windows[-1]
     if not sys_.last:
-        values = [_window_values(sys_, ctx, v, sys_.nr)
-                  for v in product(range(sys_.fam.q), repeat=size)]
+        values = [_window_esym(ctx, orbit, sys_.nr) for orbit in _span(
+            list(zip(*ctx.A)), size, ctx.q, ctx.add, ctx.mul)]
         sys_.last = values, tuple(dict.fromkeys(values))
     values, distinct = sys_.last
-    _, e, products, _ = _held(sys_, tuple(prefix), sys_.nr)
+    _, e, products = _held(sys_, tuple(prefix), sys_.nr)
     products.update((ew, _times(sys_.fam.ctx, e, ew)) for ew in distinct
                     if ew not in products)
     flags = {ew: not any(_residues(sys_, products[ew])) for ew in distinct}
@@ -381,13 +357,8 @@ def _full_rank(sys_: SymSystem, x, e) -> bool:
 
 def _digit_columns(sys_: SymSystem, ctx, coords, e):
     """One window's Jacobian columns at a zero with symmetric values e,
-    digit h of each v_j (see _full_rank); elements kept below size n."""
-    alpha = sys_.bank.alphas.get(coords)
-    if alpha is None:
-        alpha = _orbit(ctx, ctx.A[:1], coords)[0]
-        if ctx.i < sys_.fam.n:
-            sys_.bank.alphas[coords] = alpha
-    neg_alpha = ctx.neg(alpha)
+    digit h of each v_j (see _full_rank)."""
+    neg_alpha = ctx.neg(_orbit(ctx, ctx.A[:1], coords)[0])
     omit = [1]
     for t in range(1, sys_.nr):
         omit.append(ctx.add(e[t], ctx.mul(neg_alpha, omit[-1])))

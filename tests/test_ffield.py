@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
 
 import pytest
 
 from factpat._dense import pmod, pmul, trim
 from factpat.ffield import (ContextBank, Embedding, ExtCtx, FieldParams,
-                            find_irreducible, make_field, mat_nullspace,
-                            mat_rank)
+                            _span, find_irreducible, make_field,
+                            mat_nullspace, mat_rank)
 
 # Frozen search results.  The library picks the lexicographically least
 # monic irreducible (highest-degree coefficient compared first), so these
@@ -434,6 +435,29 @@ def test_zech_tables_match_the_schoolbook_steps(p, s, i):
     fast = ExtCtx(base, i)
     fast.ensure_fast()
     assert (fast._exp, fast._log, fast._zech) == want
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("entries", ["F7", "F8", "layer"])
+def test_span_is_every_combination_of_its_columns(entries, count):
+    # each vector of coefficients in product order, summed column by
+    # column; a layer's span of the columns of A is its orbit table
+    rng = random.Random(SAMPLE_SEED + count)
+    if entries == "layer":
+        K = ExtCtx(make_field(3), 3)
+        q, width, cols = 3, 3, list(zip(*K.A))[:count]
+    else:
+        K = make_field(7) if entries == "F7" else make_field(2, 3)
+        q, width = K.q, 2
+        cols = [tuple(rng.randrange(K.q) for _ in range(width))
+                for _ in range(count)]
+    want = []
+    for coeffs in product(range(q), repeat=count):
+        acc = [0] * width
+        for c, col in zip(coeffs, cols):
+            acc = [K.add(a, K.mul(c, y)) for a, y in zip(acc, col)]
+        want.append(tuple(acc))
+    assert _span(cols, width, q, K.add, K.mul) == want
 
 
 def test_extension_axioms_sampled_char2():

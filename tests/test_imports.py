@@ -256,8 +256,7 @@ def test_the_check_sees_a_module_cache():
                              (8, "squares"), (10, "f"), (15, "g")]
 
 
-_WALK = {"walk_G", "_walk", "_prefixes", "_window_table", "_stored",
-         "_half_orbits", "_scaled_codes"}
+_WALK = {"walk_G", "_walk", "_prefixes", "_window_table", "_stored"}
 _ORACLES = {"_orbit", "build_G", "_window_poly", "is_type_lambda",
             "_full_shifts", "eval_R", "zero_block"}
 
@@ -289,7 +288,7 @@ def test_the_check_sees_a_walk_reading_an_oracle():
 
 _ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "zero_block",
                      "_esym", "_held", "g_coeffs", "_window_values",
-                     "_stepped_orbit", "_times", "_residues",
+                     "_times", "_residues",
                      "_full_rank", "_digit_columns", "_coincident"}
 
 
@@ -313,13 +312,13 @@ def test_no_oracle_reads_the_walk():
 def test_the_check_sees_an_oracle_reading_the_walk():
     trees = [ast.parse("def walk_G(x):\n    return x\n"
                        "def build_G(x):\n    return walk_G(x)\n"
-                       "def _window_poly(c):\n    return c._half_orbits\n"),
+                       "def _window_poly(c):\n    return c._stored\n"),
              ast.parse("def _esym(s):\n"
                        "    from .correspondence import _stored\n"
                        "def eval_R(s):\n    return _esym(s)\n"
                        "def rational_zeros(s):\n    return walk_G(s)\n")]
     assert _walk_reads(trees) == [("_esym", "_stored"),
-                                  ("_window_poly", "_half_orbits"),
+                                  ("_window_poly", "_stored"),
                                   ("build_G", "walk_G")]
 
 

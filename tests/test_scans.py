@@ -6,7 +6,7 @@ at depth n - r, filtered by the windows where the system vanishes.
 Oracles: build_G with window_index on a fresh bank with no Zech tables,
 a brute-force filter of eval_R over every x with the E values of
 build_G, and, for the walk's window tables (one entry per class under
-rotation and F_q^* scaling, its orbit summed from two half tables), the
+rotation and F_q^* scaling, its orbit summed from two half spans), the
 per-vector conjugate-matrix orbit _orbit, _full_shifts and _window_poly,
 with the number of entries formed held to the number of those classes,
 counted by a union of orbits.
@@ -101,7 +101,7 @@ TABLE_LAYERS = [(ps, i) for ps in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                          ids=[f"{p ** s}-{i}" for (p, s), i in TABLE_LAYERS])
 def test_window_entries_match_the_per_vector_orbit(ps, i):
     # the walk forms one entry per rotation class, its orbit summed from
-    # two half tables; the oracle forms every vector's orbit as the
+    # two half spans; the oracle forms every vector's orbit as the
     # conjugate-matrix product, its type from the cyclic shifts, and its
     # digits from the conjugate product _window_poly
     K = make_field(*ps)
@@ -447,7 +447,7 @@ def test_corrupted_conjugate_table_trips_the_walk(pat):
 @pytest.mark.parametrize("pat", [Pattern(3, (0, 0, 1)),      # size n
                                  Pattern(4, (1, 0, 1, 0))])  # below n
 def test_corrupted_conjugate_column_trips_the_walk_in_either_half(pat, h):
-    # F_(5^3): the half tables split the columns of A as {0, 1}, {2}; an
+    # F_(5^3): the half spans split the columns of A as {0, 1}, {2}; an
     # entry off in either leaves A no circulant, which the walk refuses
     with pytest.raises(GaloisDescentError):
         list(walk_G(pat, _bank_with_bad_conjugates(3, h), pat.n))

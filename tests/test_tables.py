@@ -14,6 +14,7 @@ for a rebuild once the banks are cleared, and for staying unwritten.
 from __future__ import annotations
 
 import random
+import time
 import warnings
 from itertools import combinations, product
 from math import comb, isqrt, prod
@@ -349,6 +350,24 @@ def test_census_and_bounds_run_past_the_order_limit(tmp_path):
         ini.write_text(f"[field]\np = {p}\n\n[family]\nn = {n}\nr = 3\n"
                        f"rows = {rows}\nalpha = 0\n")
         assert cli.main([command, "--config", str(ini)]) == 0
+
+
+# table cells of up to q^(n-k) monics: 101^10 >= 2^63 at k = 0 (global)
+# and at k = 1 (a census at r = 10)
+@pytest.mark.parametrize("command, family", [
+    ("global", "mode = global\nn = 10\n"),
+    ("census", "n = 11\nr = 10\nrows = 1\nalpha = 0\n")])
+def test_cli_refuses_table_counts_past_int64(tmp_path, capsys, command,
+                                              family):
+    ini = tmp_path / f"{command}.ini"
+    ini.write_text(f"[field]\np = 101\n\n[family]\n{family}\n"
+                   f"[run]\nbudget = {10 ** 30}\n")
+    start = time.monotonic()
+    assert cli.main([command, "--config", str(ini)]) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert err == ("factpat: table cells of up to 101^10 monics exceed "
+                   "the int64 limit 2^63\n")
 
 
 @pytest.fixture

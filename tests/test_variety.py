@@ -10,12 +10,12 @@ for the canonical trace-zero quartic family over F_5.  The window E
 values a system keeps, and the window values and prefix products that
 the systems of one plan share, are held to a fresh system per call.
 eval_R and the probe's rank give, in any call order, what they give on
-a fresh system (their prefix products, memos, kept columns and the
-size-n orbit's partial sums in play), and the membership check's block
-oracle zero_block, its prefixes in any order, flags exactly where
-eval_R on a fresh system vanishes; the size-n orbit is held to
+a fresh system (their prefix products, memos and kept columns in play),
+and the membership check's block oracle zero_block, its prefixes in any
+order, flags exactly where eval_R on a fresh system vanishes; its
+size-n orbits, one span of the conjugate matrix's columns, are held to
 _orbit for a clean and a corrupted conjugate matrix, which eval_R must
-refuse; and the probe forms each window element once per plan.
+refuse.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from factpat.correspondence import Plan, _absorb, _orbit, build_G
 from factpat.errors import (BudgetError, CountingIdentityError,
                             GaloisDescentError)
 from factpat.family import new_family, pattern_tally, prescribed_family
-from factpat.ffield import ContextBank, ExtCtx, make_field
+from factpat.ffield import ContextBank, ExtCtx, _span, make_field
 from factpat.patterns import Pattern, enumerate_patterns, pattern_stats
-from factpat.variety import (PointCounts, _full_rank, _stepped_orbit,
-                             count_points, eval_R, g_coeffs, jacobian_probe,
-                             rational_zeros, sym_system)
+from factpat.variety import (PointCounts, _full_rank, count_points, eval_R,
+                             g_coeffs, jacobian_probe, rational_zeros,
+                             sym_system)
 
 SAMPLE_SEED = 77
 
@@ -207,7 +207,7 @@ def test_window_values_shared_by_a_plan_match_fresh_systems(p, n):
     calls = []
     for pat in enumerate_patterns(n):
         sys_ = sym_system(fam, pat, plan)
-        assert sys_.kept is plan.values and sys_.bank is plan
+        assert sys_.bank is plan
         calls += [(sys_, oracle, (x,)) for oracle in (eval_R, g_coeffs)
                   for x in product(range(p), repeat=n)]
         calls += [(sys_, _full_rank, (x, e))
@@ -217,7 +217,7 @@ def test_window_values_shared_by_a_plan_match_fresh_systems(p, n):
         fresh = sym_system(fam, sys_.pattern, bank)
         assert oracle(sys_, *args) == oracle(fresh, *args), (
             sys_.pattern.label(), oracle.__name__, args)
-    assert plan.values and plan.alphas
+    assert plan.values
 
 
 def _block_families():
@@ -251,27 +251,6 @@ def test_zero_block_matches_eval_R_at_every_vector(fam):
                 pat.label(), prefix)
 
 
-def test_probe_forms_each_window_element_once_per_plan(monkeypatch):
-    # the probe keeps the elements of windows below size n in the plan,
-    # the zero element (code 0) too: each is formed once per plan
-    formed = []
-    real = variety._orbit
-
-    def counting_orbit(ctx, rows, coords):
-        if rows == ctx.A[:1]:
-            formed.append(tuple(coords))
-        return real(ctx, rows, coords)
-
-    monkeypatch.setattr(variety, "_orbit", counting_orbit)
-    bank, fam = _kept_family(5, 4)
-    plan = Plan(bank)
-    for pat in enumerate_patterns(4):
-        jacobian_probe(sym_system(fam, pat, plan))
-    below = [c for c in formed if len(c) < 4]
-    assert len(below) == len(set(below))
-    assert (0,) in below
-
-
 def test_kept_window_values_are_bounded():
     # no window of size n is kept, and at most q^i windows of each size
     # i < n per depth
@@ -283,12 +262,13 @@ def test_kept_window_values_are_bounded():
             eval_R(sys_, x)
             g_coeffs(sys_, x)
         sizes = sorted(set(pat.sizes()) - {n})
-        assert {len(c) for c, _ in sys_.kept} == set(sizes), pat.label()
+        values = sys_.bank.values
+        assert {len(c) for c, _ in values} == set(sizes), pat.label()
         for upto in (sys_.nr, n):
-            kept = [c for c, u in sys_.kept if u == upto]
+            kept = [c for c, u in values if u == upto]
             assert len(kept) == sum(p ** i for i in sizes)
             assert len(kept) <= sum(p ** i for i in range(n))
-        assert {u for _, u in sys_.kept} <= {sys_.nr, n}
+        assert {u for _, u in values} <= {sys_.nr, n}
 
 
 # (p, n, r, rows, alpha): small families, the last with m = 2
@@ -308,23 +288,12 @@ def _layer_with_bad_entry(base, i, k, h):
     return bank
 
 
-def _nearby_coords(rng, q, n, count):
-    """Random coordinate vectors, each the last with a random suffix
-    redrawn, so that consecutive ones share prefixes of every length."""
-    coords = [0] * n
-    for _ in range(count):
-        for h in range(rng.randrange(n), n):
-            coords[h] = rng.randrange(q)
-        yield tuple(coords)
-
-
 @pytest.mark.parametrize("p, n, r, rows, alpha", ORDER_FAMILIES,
                          ids=["q5n4", "q7n3", "q3n4-m2"])
 def test_oracles_do_not_depend_on_call_order(p, n, r, rows, alpha):
     # eval_R at every x and the probe's rank at every zero, in product
-    # order, shuffled (which defeats the prefix products, the memos, the
-    # kept columns and the size-n orbit's partial sums) and on a fresh
-    # system per call
+    # order, shuffled (which defeats the prefix products, the memos and
+    # the kept columns) and on a fresh system per call
     K = make_field(p)
     bank = ContextBank.shared(K)
     with warnings.catch_warnings():
@@ -347,14 +316,12 @@ def test_oracles_do_not_depend_on_call_order(p, n, r, rows, alpha):
             pat.label())
         # the m = 2 family has rank-deficient zeros under every pattern
         assert fam.m < 2 or not all(ordered[len(xs):]), pat.label()
-    # the size-n orbit, from partial sums, for a clean and a corrupted A
+    # zero_block's size-n orbits, one span of A's columns, for a clean and
+    # a corrupted A
     for bank_n in (bank, _layer_with_bad_entry(K, n, 1, n - 1)):
-        sys_ = sym_system(fam, Pattern(n, (0,) * (n - 1) + (1,)), bank_n)
-        ctx = sys_.windows[-1][2]
-        walk = xs + rng.sample(xs, len(xs)) + list(
-            _nearby_coords(rng, p, n, 200))
-        assert [_stepped_orbit(sys_, ctx, c) for c in walk] == [
-            tuple(_orbit(ctx, ctx.A, c)) for c in walk]
+        ctx = bank_n.get(n)
+        assert _span(list(zip(*ctx.A)), n, p, ctx.add, ctx.mul) == [
+            tuple(_orbit(ctx, ctx.A, c)) for c in xs]
 
 
 # ---------------------------------------------------------------------------
