@@ -33,7 +33,9 @@ which the member count bounds.
 
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
-no floats or timestamps appear.
+no floats or timestamps appear.  A row's rationals are integers over its
+pattern's weight w (times q where m = n), from the family's bound_terms
+formed once per call, and each bound verdict compares integers.
 
 Counts come from one of two exact paths.  The pattern table (see
 tables.py) counts the monics by top window and pattern without factoring
@@ -77,11 +79,12 @@ import multiprocessing
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import gcd
 
 from .correspondence import Plan, _Membership, walk_G
 from .errors import BudgetError
-from .family import (LinearFamily, MEMBER_BUDGET, _frac_str, bound_fp1,
-                     bound_fp2, bound_nonsquarefree, bound_reference_ci,
+from .family import (LinearFamily, MEMBER_BUDGET, _frac_str,
+                     bound_nonsquarefree, bound_reference_ci, bound_terms,
                      new_family, pattern_tally, prescribed_family)
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
@@ -206,25 +209,37 @@ def _field_header(field: FieldParams) -> dict:
             "base_modulus": list(field.modulus) if field.modulus else None}
 
 
-def _count_row(pat, tally, size):
-    """(row, deviation): a pattern's count cells against its limiting
-    proportion of size, and the deviation as a Fraction."""
+def _ratio(a: int, b: int) -> str:
+    """_frac_str(Fraction(a, b)) for integers a >= 0 and b > 0."""
+    g = gcd(a, b)
+    return f"{a // g}/{b // g}"
+
+
+def _count_row(pat, w, tally, size):
+    """(row, x): the count cells of a pattern of weight w against size / w,
+    its limiting share of size, and x = |w * count - size|, w times the
+    deviation, so that every cell is an integer over w."""
     cnt, sq = tally.get(pat.counts, (0, 0))
-    expected = pattern_stats(pat).proportion * size
-    dev = abs(Fraction(cnt) - expected)
+    x = abs(w * cnt - size)
     return {"lambda": pat.label(), "count": cnt, "sq": sq, "nsq": cnt - sq,
-            "expected": _frac_str(expected), "deviation": _frac_str(dev)}, dev
+            "expected": _ratio(size, w), "deviation": _ratio(x, w)}, x
 
 
-def _bound_cells(fam, pat, dev=None) -> dict:
-    """The fp1 and fp2 cells of a pattern's row; given the deviation (a
-    census), each also carries its verdict, None where it does not apply."""
+def _bound_cells(terms, w, x=None) -> dict:
+    """The fp1 and fp2 cells of a pattern of weight w from its family's
+    bound_terms; given x (a census), each also carries its verdict, None
+    where it does not apply: the exact protocol on x * den against
+    a * sqrt(q) + b, in integers."""
+    q, den, plain, bounds = terms
     cells = {}
-    for tag, b in (("fp1", bound_fp1(fam, pat)), ("fp2", bound_fp2(fam, pat))):
-        cell = {"applicable": b.applicable, "reason": b.reason,
-                "value": b.value_str()}
-        if dev is not None:
-            cell["pass"] = b.allows(dev) if b.applicable else None
+    for tag, ok, reason, a, b in bounds:
+        b += plain * w
+        value = _ratio(b, w * den)
+        cell = {"applicable": ok, "reason": reason, "value": value if not a
+                else f"{_ratio(a, w * den)}*sqrt({q})+{value}"}
+        if x is not None:
+            cell["pass"] = (x * den <= b or (x * den - b) ** 2 <= a * a * q
+                            if ok else None)
         cells[tag] = cell
     return cells
 
@@ -261,7 +276,7 @@ def _chunk_task(args):
 
 
 def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
-                 workers: int = 1) -> dict:
+                 workers: int = 1, pats=None) -> dict:
     """Pattern tally over the members: counts tuple -> [total, squarefree].
 
     Families of small codimension (q^n <= TABLE_RATIO * |A|) with no more
@@ -270,13 +285,14 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
     member by member, chunked by the leading free coefficient when
     workers > 1, in a pool of at most as many processes as chunks and as
     CPUs this process may run on.  Merge order is fixed, so the result is
-    independent of the path and of the worker count."""
+    independent of the path and of the worker count.  pats, the patterns
+    of degree n if the caller has them, goes to the table."""
     if fam.size > budget:
         raise BudgetError(f"family size {fam.size} exceeds budget {budget}")
     q, size = fam.q, fam.size
     if (q ** fam.n <= min(TABLE_RATIO * size, budget)
             and q ** (fam.n - fam.r) <= size):
-        return family_tally(fam)
+        return family_tally(fam, pats)
     if workers <= 1 or fam.n - fam.m == 0:
         return pattern_tally(fam, budget=budget)
     chunks = list(range(fam.q))
@@ -302,11 +318,14 @@ def run_census(cfg: RunConfig) -> dict:
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
     descriptor = family_descriptor(fam)
-    tally = census_tally(fam, cfg.budget, cfg.workers)
+    pats = enumerate_patterns(fam.n)
+    tally = census_tally(fam, cfg.budget, cfg.workers, pats)
+    terms = bound_terms(fam)
     rows = []
-    for pat in enumerate_patterns(fam.n):
-        row, dev = _count_row(pat, tally, fam.size)
-        row.update(_bound_cells(fam, pat, dev))
+    for pat in pats:
+        w = pattern_stats(pat).weight
+        row, x = _count_row(pat, w, tally, fam.size)
+        row.update(_bound_cells(terms, w, x))
         rows.append(row)
     bounds_pass = all(row[b]["pass"] is not False
                       for row in rows for b in ("fp1", "fp2"))
@@ -363,7 +382,8 @@ def run_global(cfg: RunConfig) -> dict:
     size = q ** n
     pats = enumerate_patterns(n)
     tally = tally_windows(pats, _global_table(field, pats, 0, cfg.budget), [0])
-    rows = [_count_row(pat, tally, size)[0] for pat in pats]
+    rows = [_count_row(pat, pattern_stats(pat).weight, tally, size)[0]
+            for pat in pats]
     total = sum(row["count"] for row in rows)
     sq_total = sum(row["sq"] for row in rows)
     # enumerate_patterns ends with the irreducible pattern
@@ -394,7 +414,9 @@ def run_bounds(cfg: RunConfig) -> dict:
     """Bound values and applicability per pattern, with no enumeration."""
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
-    rows = [{"lambda": pat.label(), **_bound_cells(fam, pat)}
+    terms = bound_terms(fam)
+    rows = [{"lambda": pat.label(),
+             **_bound_cells(terms, pattern_stats(pat).weight)}
             for pat in enumerate_patterns(fam.n)]
     return {
         "mode": "bounds",
@@ -432,7 +454,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     # the scans table every layer they use, up to F_(q^n); tabling that
     # one first fails a layer over the order limit before any tally or scan
     plan.get(n).ensure_fast()
-    member_tally = census_tally(fam, cfg.budget, cfg.workers)
+    member_tally = census_tally(fam, cfg.budget, cfg.workers, patterns)
     # one entry per polynomial where the correspondence looks them up,
     # else only the pattern totals
     depth = n if "correspondence" in sections else 0

@@ -12,7 +12,8 @@ deviation bounds are built from.
 
 Bound evaluators return exact rational data; a bound of the shape
 a*sqrt(q) + b is compared against a rational deviation x by the exact
-protocol: pass iff x <= b, or (x - b)^2 <= a^2 * q.
+protocol: pass iff x <= b, or (x - b)^2 <= a^2 * q.  A census reads the
+same bounds from the integers of bound_terms.
 """
 
 from __future__ import annotations
@@ -299,6 +300,31 @@ def _hypotheses(checks):
     return (not failed, "; ".join(failed))
 
 
+def bound_terms(fam: LinearFamily) -> tuple:
+    """What fp1 and fp2 share over a family's patterns: (q, den, plain,
+    bounds), bounds holding (tag, applicable, reason, a, b) per bound.
+    With q^(n-m-1) = num/den (den = q where m = n, else 1) and T = 1/w,
+    w * den times the bound is a * sqrt(q) + b + plain * w, in integers."""
+    n, m, q, r = fam.n, fam.m, fam.q, fam.r
+    d, delta, e = fam.pivot_excess, fam.pivot_product, n - m - 1
+    num, dd = q ** max(e, 0), (d * delta) ** 2
+    q_big, r_cap = (q > n, "q>n required"), (r <= n - m, "r<=n-m required")
+    fp1 = _hypotheses([(fam.ctx.p > 2, "p>2 required"), q_big,
+                       (r >= 3, "3<=r required"), r_cap])
+    fp2 = _hypotheses([q_big, (r >= m + 2, "m+2<=r required"), r_cap])
+    return q, q ** max(-e, 0), n * (n - 1) * num, (
+        ("fp1", *fp1, 2 * d * delta * num, 19 * dd * num),
+        ("fp2", *fp2, 0, 21 * dd * d * num))
+
+
+def _bound_report(fam, pattern, k):
+    q, den, plain, bounds = bound_terms(fam)
+    tag, ok, reason, a, b = bounds[k]
+    w = pattern_stats(pattern).weight
+    return BoundReport(tag, ok, reason, Fraction(a, w * den),
+                       Fraction(b + plain * w, w * den), q)
+
+
 def bound_fp1(fam: LinearFamily, pattern: Pattern) -> BoundReport:
     """The square-root deviation bound for general linear families.
 
@@ -306,21 +332,7 @@ def bound_fp1(fam: LinearFamily, pattern: Pattern) -> BoundReport:
     with T the pattern proportion, delta the pivot product and D the
     pivot excess.  Requires p > 2, q > n and 3 <= r <= n - m.
     """
-    n, m, q = fam.n, fam.m, fam.q
-    ok, reason = _hypotheses([
-        (fam.ctx.p > 2, "p>2 required"),
-        (q > n, "q>n required"),
-        (fam.r >= 3, "3<=r required"),
-        (fam.r <= n - m, "r<=n-m required"),
-    ])
-    t = pattern_stats(pattern).proportion
-    d = fam.pivot_excess
-    delta = fam.pivot_product
-    scale = Fraction(q) ** (n - m - 1)
-    return BoundReport("fp1", ok, reason,
-                       2 * t * d * delta * scale,
-                       (19 * t * d * d * delta * delta + n * (n - 1)) * scale,
-                       q)
+    return _bound_report(fam, pattern, 0)
 
 
 def bound_fp2(fam: LinearFamily, pattern: Pattern) -> BoundReport:
@@ -329,20 +341,7 @@ def bound_fp2(fam: LinearFamily, pattern: Pattern) -> BoundReport:
     Value: q^(n-m-1) * (21 T D^3 delta^2 + n(n-1)); requires q > n and
     m + 2 <= r <= n - m, with no restriction on the characteristic.
     """
-    n, m, q = fam.n, fam.m, fam.q
-    ok, reason = _hypotheses([
-        (q > n, "q>n required"),
-        (fam.r >= m + 2, "m+2<=r required"),
-        (fam.r <= n - m, "r<=n-m required"),
-    ])
-    t = pattern_stats(pattern).proportion
-    d = fam.pivot_excess
-    delta = fam.pivot_product
-    scale = Fraction(q) ** (n - m - 1)
-    return BoundReport("fp2", ok, reason,
-                       Fraction(0),
-                       (21 * t * d ** 3 * delta * delta + n * (n - 1)) * scale,
-                       q)
+    return _bound_report(fam, pattern, 1)
 
 
 def bound_nonsquarefree(fam: LinearFamily):

@@ -463,14 +463,15 @@ def family_windows(fam) -> bytearray:
     return bytearray(not any(at) for at in zip(*values))
 
 
-def family_tally(fam) -> dict:
+def family_tally(fam, pats=None) -> dict:
     """The pattern tally of a linear family from the table at depth n - r:
     the sum over the windows that satisfy the family's equations.  The
     table depends on the field, n and r alone, so the first family at a
     (q, n, r) builds it into the field's shared ContextBank and the later
-    ones only sum windows; nothing writes to it after it is built."""
+    ones only sum windows; nothing writes to it after it is built.  pats
+    is enumerate_patterns(n), formed here if the caller has not."""
     n, k = fam.n, fam.n - fam.r
-    pats = enumerate_patterns(n)
+    pats = pats or enumerate_patterns(n)
     kept = ContextBank.shared(fam.ctx).family_tables
     counts = kept.get((n, k))
     if counts is None:

@@ -14,7 +14,10 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from functools import partial
+from itertools import combinations
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -25,8 +28,10 @@ from factpat.census import (CENSUS_CSV_HEADER, RunConfig, build_family,
                             census_tally, emit_report, family_descriptor,
                             parse_config, render_csv, render_json, run_bounds,
                             run_census, run_global, run_verify)
-from factpat.family import pattern_tally
+from factpat.family import (_frac_str, bound_fp1, bound_fp2, bound_terms,
+                            pattern_tally, prescribed_family)
 from factpat.ffield import make_field
+from factpat.patterns import enumerate_patterns, pattern_stats
 
 CONFIG_TEXT = """\
 ; canonical demo family: trace-zero quartics over F_5
@@ -353,9 +358,9 @@ def test_verify_passes_workers_to_the_member_tally(monkeypatch):
     seen = []
     real = census.census_tally
 
-    def tally(fam, budget, workers=1):
+    def tally(fam, budget, workers=1, *rest):
         seen.append(workers)
-        return real(fam, budget, workers)
+        return real(fam, budget, workers, *rest)
 
     monkeypatch.setattr(census, "census_tally", tally)
     cfg = RunConfig(p=5, s=1, n=3, r=2, rows=((1,),), alpha=(0,), workers=3)
@@ -365,30 +370,28 @@ def test_verify_passes_workers_to_the_member_tally(monkeypatch):
     assert seen == [3, 1]
 
 
-@pytest.mark.parametrize("driver, cfg, sections, tabled", [
-    (run_global, RunConfig(p=3, n=9), None, False),
-    (run_global, RunConfig(p=2, s=3, n=5), None, False),
+@pytest.mark.parametrize("driver, cfg, sections", [
+    (run_global, RunConfig(p=3, n=9), None),
+    (run_global, RunConfig(p=2, s=3, n=5), None),
     (run_census, RunConfig(p=7, n=5, r=3, rows=((0, 1),), alpha=(4,)),
-     None, True),
+     None),
     (run_census, RunConfig(p=13, n=4, r=2, rows=((1, 0), (0, 1)),
-                           alpha=(0, 0)), None, False),
+                           alpha=(0, 0)), None),
     # a depth-n table by the search, and a depth-0 one by the characters
     (run_verify, RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,)),
-     ("correspondence", "variety"), True),
+     ("correspondence", "variety")),
     (run_verify, RunConfig(p=7, n=4, r=2, rows=((1, 0),), alpha=(3,)),
-     ("variety",), True),
+     ("variety",)),
     (run_verify, RunConfig(p=13, n=3, r=1, rows=((1, 0), (0, 1)),
-                           alpha=(1, 2)), ("correspondence", "variety"),
-     False),
+                           alpha=(1, 2)), ("correspondence", "variety")),
 ], ids=["global-3-9", "global-8-5", "census-table", "census-kernel",
         "verify-both", "verify-variety", "verify-kernel"])
 def test_each_driver_enumerates_the_patterns_once(monkeypatch, driver, cfg,
-                                                  sections, tabled):
+                                                  sections):
     # the driver forms the pattern list once and hands it to the tables
-    # it builds; a member tally read off the shared table forms its own in
-    # tables.family_tally, whose one-argument form the report pins' path
-    # check stands in for.  Every module that reads enumerate_patterns
-    # gets the counting one, and the banks start empty
+    # it builds and to the member tally, also where that is read off the
+    # shared table.  Every module that reads enumerate_patterns gets the
+    # counting one, and the banks start empty
     real = factpat.patterns.enumerate_patterns
     calls = []
 
@@ -405,7 +408,78 @@ def test_each_driver_enumerates_the_patterns_once(monkeypatch, driver, cfg,
         warnings.simplefilter("ignore")     # q <= n families warn by design
         rep = driver(cfg) if sections is None else driver(cfg, sections)
     assert rep["overall_pass"] is True
-    assert calls == [cfg.n] * (2 if tabled else 1)
+    assert calls == [cfg.n]
+
+
+@pytest.mark.parametrize("driver, cfg", [
+    (run_census, RunConfig(p=7, n=5, r=3, rows=((0, 1),), alpha=(4,))),
+    (run_census, RunConfig(p=13, n=4, r=2, rows=((1, 0), (0, 1)),
+                           alpha=(0, 0))),
+    (run_bounds, RunConfig(p=5, n=3, mode="prescribed", indices=(1, 2, 3),
+                           alpha=(1, 2, 3))),
+    (run_global, RunConfig(p=2, s=3, n=5)),
+], ids=["census-table", "census-kernel", "bounds", "global"])
+def test_each_driver_weighs_each_pattern_once(monkeypatch, driver, cfg):
+    # a report row reads its pattern's weight once; the bounds' other
+    # constants are the family's, formed once per call
+    real = factpat.patterns.pattern_stats
+    calls = []
+
+    def counting(pat):
+        calls.append(pat)
+        return real(pat)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("factpat.") and hasattr(module, "pattern_stats"):
+            monkeypatch.setattr(module, "pattern_stats", counting)
+    assert driver(cfg)["overall_pass"] is True
+    assert calls == enumerate_patterns(cfg.n)
+
+
+@pytest.mark.parametrize("p, s", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
+def test_integer_rows_match_the_fraction_bounds(p, s):
+    # every family of prescribed positions at n = 4 and 5, so m runs from
+    # 1 to n (q^(n-m-1) = 1/q at m = n) and D = 0 at positions {1}; x, w
+    # times a deviation, sits on both sides of each edge of each bound.
+    # BoundReport.allows and value_str, on Fractions, are the oracle
+    field = make_field(p, s)
+    verdicts = set()
+    for n in (4, 5):
+        for m in range(1, n + 1):
+            for indices in combinations(range(1, n + 1), m):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")     # q <= n warns
+                    fam = prescribed_family(field, n, indices, (0,) * m)
+                terms = bound_terms(fam)
+                q, den, plain, _ = terms
+                for pat in enumerate_patterns(n):
+                    w = pattern_stats(pat).weight
+                    for cnt in (0, fam.size // w, fam.size // w + 1):
+                        row, x = census._count_row(
+                            pat, w, {pat.counts: (cnt, 0)}, fam.size)
+                        dev = abs(cnt - Fraction(fam.size, w))
+                        assert (row["expected"], row["deviation"]) == (
+                            _frac_str(Fraction(fam.size, w)), _frac_str(dev))
+                        assert x == w * dev
+                    # a * sqrt(q) + b over w * den, in integers
+                    edges = set()
+                    for *_, a, b in terms[3]:
+                        b += plain * w
+                        top = b + isqrt(a * a * q)
+                        edges |= {b, b + 1, top, top + 1}
+                    bounds = {"fp1": bound_fp1(fam, pat),
+                              "fp2": bound_fp2(fam, pat)}
+                    for x in {e // den + k for e in edges for k in (0, 1)}:
+                        cells = census._bound_cells(terms, w, x)
+                        for tag, b in bounds.items():
+                            ok = b.allows(Fraction(x, w))
+                            assert cells[tag] == {
+                                "applicable": b.applicable,
+                                "reason": b.reason, "value": b.value_str(),
+                                "pass": ok if b.applicable else None}
+                            verdicts.add((b.applicable, ok))
+    assert verdicts == {(False, False), (False, True), (True, False),
+                        (True, True)}
 
 
 # ---------------------------------------------------------------------------

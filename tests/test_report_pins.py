@@ -1,21 +1,27 @@
-"""Report bytes pinned over thirty configs.
+"""Report bytes pinned over thirty-six configs.
 
-The configs were drawn once from random.Random(17) and are kept here as
+Thirty were drawn once from random.Random(17) and are kept here as
 literals: census on its table and kernel paths, global, bounds, and
 verify with each section choice, over F_2, F_3, F_4, F_5, F_7, F_8, F_9
 and F_13 with n from 2 to 5 (q^n <= 729 for verify), linear and
-prescribed families.  Each PINNED entry holds the sha256 of the JSON
-report and, for the first config of each driver, of the CSV report;
-each EXITS entry holds the message of a config that the CLI ends with
-exit code 2.  A change that claims byte-identical reports keeps every
-digest.
+prescribed families.  Six census and bounds configs at the edges of the
+bound verdicts follow them.  Each PINNED entry holds the sha256 of the
+JSON report and, for the first config of each driver and for the edge
+configs, of the CSV report; each EXITS entry holds the message of a
+config that the CLI ends with exit code 2.  A change that claims
+byte-identical reports keeps every digest, and the last test keeps
+tests/report_bytes.py, the tool that compares the digests of two trees,
+working.
 """
 
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 import warnings
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +136,29 @@ PINNED = [
     ("bounds", RunConfig(p=5, n=3, r=1, rows=((1, 2), (3, 2)), alpha=(1, 4)),
      "6765dcd88f405de4672bc5ebfb3a60e30ed2323c5c3276f7457e7fbfbede87f6",
      None),
+    # the edges of the integer bound verdicts: m = n, where q^(n-m-1) is
+    # 1/q; a unit pivot, D = 0, where fp1 has no sqrt(q) term; and a square
+    # q, where (x - c)^2 = a^2 q can hold with equality
+    ("census", RunConfig(p=5, n=3, mode="prescribed", indices=(1, 2, 3),
+                         alpha=(1, 2, 3)),
+     "898efaf34de6163cc64434dbd86ab06a552bade54ef37045e4eb67bc9a400b85",
+     "b515e4dffd8e8783bb612798c35490e08b9d77d376c3ce38692e387af8ffc874"),
+    ("bounds", RunConfig(p=5, n=3, mode="prescribed", indices=(1, 2, 3),
+                         alpha=(1, 2, 3)),
+     "59ca3ba2a7ef4296a81adfc430a6b2f8936af7f6520016d588f158cde01be013",
+     "bdd4c972ef0fd83e3bf4107d04b3de83b9dd5de973fffa8ed884ffa2a3d4d404"),
+    ("census", RunConfig(p=7, n=5, r=3, rows=((1, 0),), alpha=(2,)),
+     "7c1b2af71dcd869c912d052129027ee5772b0a860d367c393b5f79210c39a786",
+     "63e39354f9c7c31f486dd0a76324328a5b1a0e4665c9a9c6729493bb562108fb"),
+    ("bounds", RunConfig(p=7, n=5, r=3, rows=((1, 0),), alpha=(2,)),
+     "523a6869068564ccac4a3e9d4400648967872d35d4dae97f61008c4d31fe1cb4",
+     "e2c9a075e967ff72d0f45f6cf81dd231feef9de3b4c60024497ea6640635c76e"),
+    ("census", RunConfig(p=3, s=2, n=5, r=3, rows=((1, 1),), alpha=(0,)),
+     "3fb6134730c0c21cdb7b570859518a36578926d36930f2cca85e0c3338ff7f68",
+     "99e54b7f4a195275ed27df95ef6d41ef7f5531041f56826c4bcb1725dd7d0a1d"),
+    ("bounds", RunConfig(p=3, s=2, n=5, r=3, rows=((1, 1),), alpha=(0,)),
+     "1d256c5c2ba6e018ba465a2f183ff0e51f82b7db81b6ca6be932f69e9cbe9159",
+     "4253ba5137ce0dfe2403a7fda130524f6509a56387bb95f2d861758316792a72"),
 ]
 
 EXITS = [
@@ -184,9 +213,9 @@ def test_the_pins_cover_fields_degrees_and_both_census_paths(monkeypatch):
     real_table, real_kernel = census.family_tally, census.pattern_tally
     paths = []
 
-    def table(fam):
+    def table(*args):
         paths.append("table")
-        return real_table(fam)
+        return real_table(*args)
 
     def kernel(fam, **kw):
         paths.append("kernel")
@@ -198,3 +227,27 @@ def test_the_pins_cover_fields_degrees_and_both_census_paths(monkeypatch):
         if driver == "census":
             _run(driver, cfg)
     assert set(paths) == {"table", "kernel"}
+
+
+def test_report_bytes_names_the_config_that_differs(tmp_path):
+    # the gate behind every byte-identity claim: equal lines exit 0, and a
+    # changed digest exits 1 naming its config
+    tool = [sys.executable, str(Path(__file__).with_name("report_bytes.py")),
+            "--seed", "0", "--count", "4"]
+    first = subprocess.run(tool, capture_output=True, text=True, check=True)
+    lines = first.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["0", "1", "2", "3"]
+    same = tmp_path / "same.txt"
+    same.write_text(first.stdout)
+    again = subprocess.run(tool + ["--against", str(same)],
+                           capture_output=True, text=True)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == first.stdout
+    k, driver, sha, cfg = lines[2].split(" ", 3)
+    lines[2] = " ".join([k, driver, "0" * len(sha), cfg])
+    changed = tmp_path / "changed.txt"
+    changed.write_text("\n".join(lines) + "\n")
+    differs = subprocess.run(tool + ["--against", str(changed)],
+                             capture_output=True, text=True)
+    assert differs.returncode == 1
+    assert differs.stderr.startswith("config 2 differs:")
