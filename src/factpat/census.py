@@ -27,9 +27,8 @@ budget is one limit, MEMBER_BUDGET (10^8) by default, also for the scans
 called directly: no run tallies a family of more members, builds the
 q^n-monic table of run_global or run_verify past it, or scans more
 vectors of F_q^n in one walk; past it the run raises BudgetError.  A
-census reads its family's table only if
-the table's q^n monics are within it, and else takes the kernel path,
-which the member count bounds.
+census reads its family's table only if the table's q^n monics are
+within it, and else takes the kernel path, which the member count bounds.
 
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
@@ -43,14 +42,15 @@ them, by a search that multiplies irreducibles or, for p > k where it is
 cheaper, through the characters of the window group; run_global reads it
 at depth 0, run_verify at depth n for its per-polynomial lookups (depth
 0 when only the variety section runs), and census_tally at depth n - r
-for families of small codimension (see census_tally).  run_global's and run_verify's tables are built per call;
-the census table depends only on (q, n, r), so tables.family_tally keeps
-it in the field's shared ContextBank, and a process holds one table per
-(field, n, depth) it has tallied.  Other families run the census kernel
-(poly.pattern_of_coeffs) member by member.  workers applies only
-to that kernel path: it partitions the member stream by the leading free
-coefficient, and tallies merge by addition, so every path and worker
-count emits identical bytes.
+where the table's estimated time (tables.table_cost) is at most the
+kernel's (see census_tally).  run_global's and run_verify's tables are
+built per call; the census table depends only on (q, n, r), so
+tables.family_tally keeps it in the field's shared ContextBank, and a
+process holds one table per (field, n, depth) it has tallied.  Other
+families run the census kernel (poly.pattern_of_coeffs) member by
+member.  workers applies only to that kernel path: it partitions the
+member stream by the leading free coefficient, and tallies merge by
+addition, so every path and worker count emits identical bytes.
 
 run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
 yields each x in itertools.product order with the window index of G(x):
@@ -88,7 +88,7 @@ from .family import (LinearFamily, MEMBER_BUDGET, _frac_str,
                      new_family, pattern_tally, prescribed_family)
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
-from .tables import family_tally, pattern_table, tally_windows
+from .tables import family_tally, pattern_table, table_cost, tally_windows
 from .variety import identity_failure, sym_system, variety_pass
 
 ENGINE_TAG = "factpat 0.1.0"
@@ -255,19 +255,12 @@ def _reference_ci(fam) -> dict:
 
 # -- member tally -----------------------------------------------------------
 
-# The census kernel takes 67-235 us per member and the table's search
-# 0.6-4.4 us per monic of degree n (ten families with q <= 13, n <= 8 on
-# Python 3.11), so the break-even codimension q^m ran from 36 to 332,
-# median about 120.  census_tally reads the table when
-# q^n <= TABLE_RATIO * |A|, that is q^m <= TABLE_RATIO, and the table's
-# q^(n-r) windows are no more than the members, so that each table's
-# memory stays within a constant per member of the family that built it.
-# The table's character route (tables.pattern_table) only lowers its
-# cost, so the ratio errs towards the kernel.  Like the other q^n tables,
-# the census table is built only within the budget.
-# The table is kept for the process (tables.family_tally), one per
-# (field, n, depth) tallied, and shared by every family at that point.
-TABLE_RATIO = 128
+# The census kernel (poly.pattern_of_coeffs) takes about KERNEL_NS per
+# member: 18-69 us on the 124 families of tests/report_bytes.py's 200
+# seed-0 configs and the benchmark's workloads (q <= 13, n <= 6), and
+# 61-129 us on larger ones up to (31, 5, 3) with m = 2 (nproc 2, Python
+# 3.11).  census_tally weighs it against tables.table_cost.
+KERNEL_NS = 60_000
 
 
 def _chunk_task(args):
@@ -279,20 +272,23 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
                  workers: int = 1, pats=None) -> dict:
     """Pattern tally over the members: counts tuple -> [total, squarefree].
 
-    Families of small codimension (q^n <= TABLE_RATIO * |A|) with no more
-    windows than members (q^(n-r) <= |A|) are read off the pattern table,
-    if its q^n monics are within the budget; the others run the kernel
-    member by member, chunked by the leading free coefficient when
-    workers > 1, in a pool of at most as many processes as chunks and as
-    CPUs this process may run on.  Merge order is fixed, so the result is
+    A family is read off the pattern table if its q^n monics are within
+    the budget, it has no more windows than members (q^(n-r) <= |A|, so
+    the table's memory is within a constant per member), and the table's
+    estimated time (tables.table_cost) is at most the kernel's,
+    KERNEL_NS per member; the others run the kernel member by
+    member, chunked by the leading free coefficient when workers > 1, in
+    a pool of at most as many processes as chunks and as CPUs this
+    process may run on.  Merge order is fixed, so the result is
     independent of the path and of the worker count.  pats, the patterns
-    of degree n if the caller has them, goes to the table."""
+    of degree n, is formed here for the table if the caller has not."""
     if fam.size > budget:
         raise BudgetError(f"family size {fam.size} exceeds budget {budget}")
-    q, size = fam.q, fam.size
-    if (q ** fam.n <= min(TABLE_RATIO * size, budget)
-            and q ** (fam.n - fam.r) <= size):
-        return family_tally(fam, pats)
+    q, n, size = fam.q, fam.n, fam.size
+    if q ** n <= budget and q ** (n - fam.r) <= size:
+        pats = pats or enumerate_patterns(n)
+        if table_cost(fam.ctx, n, n - fam.r, len(pats))[0] <= KERNEL_NS * size:
+            return family_tally(fam, pats)
     if workers <= 1 or fam.n - fam.m == 0:
         return pattern_tally(fam, budget=budget)
     chunks = list(range(fam.q))
@@ -381,7 +377,7 @@ def run_global(cfg: RunConfig) -> dict:
     q = field.q
     size = q ** n
     pats = enumerate_patterns(n)
-    tally = tally_windows(pats, _global_table(field, pats, 0, cfg.budget), [0])
+    tally = tally_windows(pats, _global_table(field, pats, 0, cfg.budget))
     rows = [_count_row(pat, pattern_stats(pat).weight, tally, size)[0]
             for pat in pats]
     total = sum(row["count"] for row in rows)
@@ -459,7 +455,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     # else only the pattern totals
     depth = n if "correspondence" in sections else 0
     table = _global_table(field, patterns, depth, cfg.budget)
-    gtally = tally_windows(patterns, table, range(q ** depth))
+    gtally = tally_windows(patterns, table)
     ok_flags = []
     sq_grouped = Fraction(0)
     rows = {name: [] for name in sections}

@@ -38,10 +38,10 @@ forward and the up to 2P inverse transforms run as two batches (_batch),
 each vector in a bit field of one int per index, reduced once, when
 read.  It costs about (2P + k) k q^(k+1) operations, no factor of q^n.
 
-pattern_table takes the characters iff p > k and that cost is below 8
-q^n (its comment has the measured constants), so every depth-0 table
-and the census tables take them, and the search stays for p <= k and
-where it is cheaper.  Each route is the other's test oracle.  The
+table_cost prices each route by these counts, each times a measured
+constant; pattern_table takes the characters iff p > k and they cost
+less, so every depth-0 table takes them, and census_tally weighs the same
+estimate against the kernel.  Each route is the other's test oracle.  The
 characters are exact: all arithmetic is mod one prime l = 1 (mod p),
 l > 2 q^n, proven prime by Miller-Rabin to the bases 2..37, with zeta of
 order p in F_l.  Reduction mod l is a ring map from Z[zeta_p], where
@@ -74,7 +74,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
 from operator import mul, sub
 
 from .ffield import ContextBank, _scaled_codes, _to_vec
@@ -219,6 +219,26 @@ def _irreducible_hist(K, n, k):
     return hist
 
 
+# The search takes about SEARCH_NS per monic and the characters about
+# CHARACTER_NS per operation: over the 107 tables with q <= 13 prime,
+# 1 <= k < p and q^n <= 3 * 10^5 (nproc 2, Python 3.11), the 15 that take
+# over 5 ms cost 0.56-2.16 us per monic by the search and 22-37 ns per
+# operation by the characters.  With these the rule picks the slower
+# route of the 107 by 1.3 ms in all, each time on a table under 1 ms.
+SEARCH_NS, CHARACTER_NS = 1000, 30
+
+
+def table_cost(K, n, k, P):
+    """(ns, characters): the estimated time in ns of pattern_table at
+    depth k for the P patterns of degree n over K, and whether it takes
+    the characters, which need p > k; at k = 0 they cost nothing here."""
+    search = SEARCH_NS * K.q ** n
+    characters = CHARACTER_NS * (2 * P + k) * k * K.q ** (k + 1)
+    if K.p > k and characters < search:
+        return characters, True
+    return search, False
+
+
 def pattern_table(K, pats, k):
     """Counts of the monic degree-n polynomials over K by window, pattern
     and square-freeness, pats = enumerate_patterns(n): entry
@@ -231,15 +251,7 @@ def pattern_table(K, pats, k):
     if K.q ** (n - k) >= 1 << 63:     # a cell counts up to q^(n-k) monics
         raise ValueError(f"table cells of up to {K.q}^{n - k} monics "
                          f"exceed the int64 limit 2^63")
-    # The search takes about 0.2-2.3 us per monic, q^n in all; the
-    # characters about 0.06-0.16 us per operation, (2P + k) k q^(k+1) in
-    # all (up to k + 2P transforms of k passes over q^k entries).  These
-    # constants were measured before the transforms were batched, on the
-    # 158 tables with q <= 13 prime, p > k and q^n <= 3 * 10^5, Python
-    # 3.11: with the factor 8 below the rule picked the slower route by
-    # 5.6 ms in all, with 4 by 211 ms (at (5, 7, 4) and (11, 5, 3)).  At
-    # k = 0 the characters cost only the patterns, so they always win.
-    if K.p > k and (2 * len(pats) + k) * k * K.q ** (k + 1) < 8 * K.q ** n:
+    if table_cost(K, n, k, len(pats))[1]:
         return _character_table(K, pats, k)
     return _search_table(K, pats, k)
 
@@ -430,16 +442,18 @@ def _character_table(K, pats, k):
     return table
 
 
-def tally_windows(pats, counts, windows):
+def tally_windows(pats, counts, flags=None):
     """pattern_tally-style dict (counts tuple -> [total, square-free]) of a
-    pattern table with the patterns pats summed over the given window
-    indices."""
+    pattern table with the patterns pats summed over the window indices
+    whose flag is 1, or over every window if flags is None: per slot its
+    strided column, or, as a family flags only q^(n-r-m) of its q^(n-r)
+    windows, the flagged windows' rows summed column by column."""
     width = 2 * len(pats)
-    totals = [0] * width
-    for w in windows:
-        at = w * width
-        for s in range(width):
-            totals[s] += counts[at + s]
+    if flags is None:
+        totals = [sum(counts[s::width]) for s in range(width)]
+    else:
+        totals = list(map(sum, zip(*[counts[w * width:(w + 1) * width]
+                                     for w in compress(count(), flags)])))
     out = {}
     for i, pat in enumerate(pats):
         nsq, sq = totals[2 * i], totals[2 * i + 1]
@@ -476,5 +490,4 @@ def family_tally(fam, pats=None) -> dict:
     counts = kept.get((n, k))
     if counts is None:
         counts = kept[n, k] = pattern_table(fam.ctx, pats, k)
-    inside = family_windows(fam)
-    return tally_windows(pats, counts, compress(range(len(inside)), inside))
+    return tally_windows(pats, counts, family_windows(fam))

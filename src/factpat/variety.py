@@ -35,11 +35,11 @@ rank.
 eval_R and g_coeffs stay as the per-point oracles, and zero_block, the
 membership check's oracle, gives R's zero flags of every last-window
 vector under one prefix of the outer windows.  They read nothing of the
-walk and do their field work once per distinct input: window values
-below size n are kept in the plan (correspondence.Plan), products formed
-once per prefix and last-window value (_held), R once per E_0..E_(n-r),
-and the last window's orbits listed once per system as one span of the
-columns of its conjugate matrix (ffield._span).
+walk.  Window values below size n are kept in the plan
+(correspondence.Plan), R is formed once per E_0..E_(n-r), and the last
+window's orbits are listed once per system as one span of the columns
+of its conjugate matrix (ffield._span); the windows' products are formed
+per call, zero_block's prefix product (_prefix_esym) once per block.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class SymSystem:
     nr: int                   # n - r, number of symmetric values used
     weight: int               # pattern weight w
     distinct: bool            # no two windows of one size
-    prefix: dict = field(default_factory=dict)    # upto -> _held's prefix
     residues: dict = field(default_factory=dict)  # E_0..E_(n-r) -> R
     columns: dict = field(default_factory=dict)   # w -> (coords, {e: cols})
     shifts: list = field(default_factory=list)    # _coincident's, per window
@@ -113,31 +112,22 @@ def _times(K, a, b):
     return tuple(e)
 
 
-def _held(sys_: SymSystem, xs, upto):
-    """(xs, e, products) for the prefix xs of the windows before the
-    last, kept per upto while it repeats: e their product mod X^(upto+1),
-    and products e times each distinct last-window value under xs (at
-    most q^min(i, upto), size i)."""
-    held = sys_.prefix.get(upto)
-    if held is None or held[0] != xs:
-        e = (1,) + (0,) * upto
-        for s, i, c in sys_.windows[:-1]:
-            e = _times(sys_.fam.ctx, e,
-                       _window_values(sys_, c, xs[s:s + i], upto))
-        held = sys_.prefix[upto] = (xs, e, {})
-    return held
+def _prefix_esym(sys_: SymSystem, xs, upto):
+    """The product mod X^(upto+1) of the E_0..E_upto of the windows before
+    the last, whose coordinates are the prefix xs."""
+    e = (1,) + (0,) * upto
+    for s, i, c in sys_.windows[:-1]:
+        e = _times(sys_.fam.ctx, e, _window_values(sys_, c, xs[s:s + i], upto))
+    return e
 
 
 def _esym(sys_: SymSystem, x, upto):
     """E_0..E_upto of all root values of x, the windows' product mod
-    X^(upto+1), from the prefix's products (_held)."""
+    X^(upto+1)."""
     x = tuple(x)
     start, _, ctx = sys_.windows[-1]
-    _, e, products = _held(sys_, x[:start], upto)
-    ew = _window_values(sys_, ctx, x[start:], upto)
-    if ew not in products:
-        products[ew] = _times(sys_.fam.ctx, e, ew)
-    return products[ew]
+    return _times(sys_.fam.ctx, _prefix_esym(sys_, x[:start], upto),
+                  _window_values(sys_, ctx, x[start:], upto))
 
 
 def _residues(sys_: SymSystem, e):
@@ -170,18 +160,17 @@ def zero_block(sys_: SymSystem, prefix) -> bytes:
     product order, 1 iff R vanishes at x = prefix + v, with prefix the
     coordinates of the windows before it.  The last window's values are
     listed once per system, from one span of the columns of its conjugate
-    matrix and each descent-checked, the prefix's product formed once
-    (_held) and its product with each distinct last-window value once."""
+    matrix and each descent-checked, the prefix's product formed once and
+    its product with each distinct last-window value once."""
     _, size, ctx = sys_.windows[-1]
     if not sys_.last:
         values = [_window_esym(ctx, orbit, sys_.nr) for orbit in _span(
             list(zip(*ctx.A)), size, ctx.q, ctx.add, ctx.mul)]
         sys_.last = values, tuple(dict.fromkeys(values))
     values, distinct = sys_.last
-    _, e, products = _held(sys_, tuple(prefix), sys_.nr)
-    products.update((ew, _times(sys_.fam.ctx, e, ew)) for ew in distinct
-                    if ew not in products)
-    flags = {ew: not any(_residues(sys_, products[ew])) for ew in distinct}
+    e = _prefix_esym(sys_, tuple(prefix), sys_.nr)
+    flags = {ew: not any(_residues(sys_, _times(sys_.fam.ctx, e, ew)))
+             for ew in distinct}
     return bytes(map(flags.__getitem__, values))
 
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from factpat.census import (TABLE_RATIO, RunConfig, _chunk_task,
+from factpat.census import (KERNEL_NS, RunConfig, _chunk_task,
                             build_family, render_json, run_census, run_global,
                             run_verify)
 from factpat.family import (MEMBER_BUDGET, bound_fp1, bound_fp2,
@@ -25,7 +25,7 @@ from factpat.family import (MEMBER_BUDGET, bound_fp1, bound_fp2,
 from factpat.ffield import ContextBank, make_field
 from factpat.patterns import (Pattern, enumerate_patterns, irreducible_count,
                               pattern_stats, symmetric_group_census)
-from factpat.tables import family_tally
+from factpat.tables import family_tally, table_cost
 from factpat.variety import count_points, jacobian_probe, sym_system
 
 _CACHE: dict = {}
@@ -252,13 +252,18 @@ def test_criterion_10_reports_byte_identical():
                            rows=((1,),), alpha=(0,))
     assert render_json(run_census(census_cfg)) == render_json(
         run_census(census_cfg))
-    # workers split the kernel path alone, which a family takes when
-    # q^m > TABLE_RATIO: compare one and two workers there
-    kernel = RunConfig(p=13, n=4, r=2, rows=((1, 0), (0, 1)), alpha=(0, 0))
-    fam = build_family(kernel, _field(13))
-    assert fam.q ** fam.m > TABLE_RATIO
-    assert (render_json(run_census(kernel))
-            == render_json(run_census(replace(kernel, workers=2))))
+    # workers split the kernel path alone, which a family takes when its
+    # table costs more than the kernel: compare one and two workers there
+    kernel = RunConfig(p=3, n=8, r=4, rows=((1, 0, 0, 0), (0, 1, 0, 0),
+                                            (0, 0, 1, 0), (0, 0, 0, 1)),
+                       alpha=(0,) * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n warns by design
+        fam = build_family(kernel, _field(3))
+        cost, _ = table_cost(fam.ctx, 8, 4, len(enumerate_patterns(8)))
+        assert cost > KERNEL_NS * fam.size
+        assert (render_json(run_census(kernel))
+                == render_json(run_census(replace(kernel, workers=2))))
     verify_cfg = RunConfig(p=5, s=1, n=3, r=2, rows=((1,),), alpha=(0,))
     assert (render_json(run_verify(verify_cfg))
             == render_json(run_verify(verify_cfg)))

@@ -172,20 +172,26 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the table path was taken")
 
 
+_KERNEL_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 def test_census_tally_parallel_merge_matches_serial(monkeypatch):
-    demo = _demo_cfg()                  # q^m = 5: the table path
-    # q^m = 169 > TABLE_RATIO: the kernel path, on a real 2-worker pool
-    kernel = _demo_cfg(p=13, n=4, r=2, rows=((1, 0), (0, 1)), alpha=(0, 0))
-    for cfg in (demo, kernel):
-        fam = build_family(cfg, make_field(cfg.p, cfg.s))
-        if cfg is kernel:
-            monkeypatch.setattr(census, "family_tally", _refuse)
-        serial = census_tally(fam, workers=1)
-        parallel = census_tally(fam, workers=2)
-        assert serial == parallel == pattern_tally(fam)
-        one = render_json(run_census(cfg))
-        cfg.workers = 2
-        assert render_json(run_census(cfg)) == one
+    demo = _demo_cfg()                  # the table path
+    # the search over 3^8 monics costs more than the kernel on 3^4
+    # members: the kernel path, on a real 2-worker pool
+    kernel = _demo_cfg(p=3, n=8, r=4, rows=_KERNEL_ROWS, alpha=(0,) * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n warns by design
+        for cfg in (demo, kernel):
+            fam = build_family(cfg, make_field(cfg.p, cfg.s))
+            if cfg is kernel:
+                monkeypatch.setattr(census, "family_tally", _refuse)
+            serial = census_tally(fam, workers=1)
+            parallel = census_tally(fam, workers=2)
+            assert serial == parallel == pattern_tally(fam)
+            one = render_json(run_census(cfg))
+            cfg.workers = 2
+            assert render_json(run_census(cfg)) == one
 
 
 class _RecordingPool:
@@ -208,13 +214,15 @@ class _RecordingPool:
 @pytest.mark.parametrize("p,n,r,rows,cpus,want", [
     # one chunk per field element: 1021 chunks, 4 CPUs
     (1021, 2, 1, ((1,),), 4, 4),
-    # 13 chunks, 64 CPUs
-    (13, 4, 2, ((1, 0), (0, 1)), 64, 13),
+    # 3 chunks, 64 CPUs
+    (3, 8, 4, _KERNEL_ROWS, 64, 3),
 ])
 def test_census_tally_pool_is_capped_by_chunks_and_cpus(
         monkeypatch, p, n, r, rows, cpus, want):
     cfg = _demo_cfg(p=p, n=n, r=r, rows=rows, alpha=(0,) * len(rows))
-    fam = build_family(cfg, make_field(cfg.p, cfg.s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n warns by design
+        fam = build_family(cfg, make_field(cfg.p, cfg.s))
     sizes = []
     monkeypatch.setattr(census.multiprocessing, "Pool",
                         partial(_RecordingPool, sizes))
@@ -227,8 +235,10 @@ def test_census_tally_pool_is_capped_by_chunks_and_cpus(
 def test_census_tally_pools_without_sched_getaffinity(monkeypatch):
     # macOS and Windows have no os.sched_getaffinity: the pool is sized by
     # os.cpu_count() there, and the tally is the one-worker tally
-    cfg = _demo_cfg(p=13, n=4, r=2, rows=((1, 0), (0, 1)), alpha=(0, 0))
-    fam = build_family(cfg, make_field(cfg.p, cfg.s))
+    cfg = _demo_cfg(p=3, n=8, r=4, rows=_KERNEL_ROWS, alpha=(0,) * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n warns by design
+        fam = build_family(cfg, make_field(cfg.p, cfg.s))
     monkeypatch.delattr(os, "sched_getaffinity")
     assert census_tally(fam, workers=2) == census_tally(fam, workers=1)
 

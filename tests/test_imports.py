@@ -287,7 +287,7 @@ def test_the_check_sees_a_walk_reading_an_oracle():
 
 
 _ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "zero_block",
-                     "_esym", "_held", "g_coeffs", "_window_values",
+                     "_esym", "_prefix_esym", "g_coeffs", "_window_values",
                      "_times", "_residues",
                      "_full_rank", "_digit_columns", "_coincident"}
 

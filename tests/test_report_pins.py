@@ -1,4 +1,4 @@
-"""Report bytes pinned over thirty-six configs.
+"""Report bytes pinned over thirty-eight configs.
 
 Thirty were drawn once from random.Random(17) and are kept here as
 literals: census on its table and kernel paths, global, bounds, and
@@ -7,11 +7,11 @@ and F_13 with n from 2 to 5 (q^n <= 729 for verify), linear and
 prescribed families.  Six census and bounds configs at the edges of the
 bound verdicts follow them.  Each PINNED entry holds the sha256 of the
 JSON report and, for the first config of each driver and for the edge
-configs, of the CSV report; each EXITS entry holds the message of a
-config that the CLI ends with exit code 2.  A change that claims
-byte-identical reports keeps every digest, and the last test keeps
-tests/report_bytes.py, the tool that compares the digests of two trees,
-working.
+configs, of the CSV report.  TABLE_ROUTE pins two larger censuses, each
+read off the table.  Each EXITS entry holds the message of a config that
+the CLI ends with exit code 2.  A change that claims byte-identical
+reports keeps every digest, and the last test keeps tests/report_bytes.py,
+the tool that compares the digests of two trees, working.
 """
 
 from __future__ import annotations
@@ -173,6 +173,17 @@ EXITS = [
 ]
 
 
+# census at q = 31 and at n = 6 with m = 2, where the table takes a few
+# hundredths of a second and the kernel seconds: the JSON digests as the
+# kernel made them
+TABLE_ROUTE = [
+    (RunConfig(p=31, n=5, r=3, rows=((1, 0), (0, 1)), alpha=(0, 0)),
+     "63dcf9e990d30b1d1005e3069edfc85c3cff5243da9b12bca188c4edfeb8c5e3"),
+    (RunConfig(p=13, n=6, r=3, rows=((1, 0, 0), (0, 1, 0)), alpha=(0, 0)),
+     "e01451067d94fc87d0f856472d23a54916a4b9d9fc8c9f10b46aff4ca940e03c"),
+]
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -198,6 +209,17 @@ def test_exit_messages_pinned(driver, cfg, message):
     with pytest.raises((ValueError, BudgetError)) as info:
         _run(driver, cfg)
     assert str(info.value) == message
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the kernel path was taken")
+
+
+@pytest.mark.parametrize("cfg, json_digest", TABLE_ROUTE,
+                         ids=["31-5-3", "13-6-3"])
+def test_large_censuses_read_the_table(monkeypatch, cfg, json_digest):
+    monkeypatch.setattr(census, "pattern_tally", _refuse)
+    assert _sha(render_json(run_census(cfg))) == json_digest
 
 
 def test_the_pins_cover_fields_degrees_and_both_census_paths(monkeypatch):

@@ -691,16 +691,15 @@ def test_flagged_walk_memo_holds_at_most_one_entry_per_window(monkeypatch):
 
 
 def test_oracle_memos_stay_within_their_bounds(monkeypatch):
-    # after every oracle call of a full verify at (5, 5): the dict of the
-    # current prefix holds at most q^min(i, upto) last-window products (i
-    # the last window's size), also after each block of the membership
-    # check (zero_block, one per prefix of every pattern), the residue memo at most q^(n - r) values
-    # of R, the probe's store at most one entry per zero window for
-    # each window, and the coincidence check's one entry per window
-    # before the last, holding the shifts of that window and those before
-    # it (or None)
+    # after every oracle call of a full verify at (5, 5): each block of
+    # the membership check (zero_block, one per prefix of every pattern)
+    # flags every last-window vector, the residue memo holds at most
+    # q^(n - r) values of R, the probe's store at most one entry per zero
+    # window for each window, and the coincidence check's one entry per
+    # window before the last, holding the shifts of that window and those
+    # before it (or None)
     p, n, r = 5, 5, 3
-    real_system, real_esym = variety.sym_system, variety._esym
+    real_system = variety.sym_system
     real_block = variety.zero_block
     real_rank, real_coincident = variety._full_rank, variety._coincident
     systems, zero_windows, blocks = [], {}, []
@@ -709,17 +708,9 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
         systems.append(real_system(fam, pattern, bank))
         return systems[-1]
 
-    def checked_esym(sys_, x, upto):
-        out = real_esym(sys_, x, upto)
-        size = sys_.windows[-1][1]
-        assert len(sys_.prefix[upto][2]) <= p ** min(size, upto)
-        return out
-
     def checked_block(sys_, prefix):
         out = real_block(sys_, prefix)
-        size = sys_.windows[-1][1]
-        assert len(out) == p ** size
-        assert len(sys_.prefix[n - r][2]) <= p ** min(size, n - r)
+        assert len(out) == p ** sys_.windows[-1][1]
         blocks.append(id(sys_))
         return out
 
@@ -741,7 +732,6 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
         return out
 
     monkeypatch.setattr(census, "sym_system", recording_system)
-    monkeypatch.setattr(variety, "_esym", checked_esym)
     monkeypatch.setattr(variety, "zero_block", checked_block)
     monkeypatch.setattr(variety, "_full_rank", checked_rank)
     monkeypatch.setattr(variety, "_coincident", checked_coincident)
@@ -752,7 +742,7 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     assert [s.pattern for s in systems] == enumerate_patterns(n)
     for sys_ in systems:
         assert 0 < len(sys_.residues) <= p ** (n - r)
-        assert sys_.prefix[n - r][2] and sys_.columns
+        assert sys_.columns
         assert bool(sys_.shifts) != sys_.distinct
     assert len(zero_windows) == len(systems)
     assert set(blocks) == {id(s) for s in systems}

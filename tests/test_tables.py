@@ -248,6 +248,23 @@ def test_workload_tables_take_the_named_route(monkeypatch):
                     == K.q ** k * 2 * len(pats)
 
 
+def test_pattern_table_routes_by_table_cost(monkeypatch):
+    # the characters at (7, 6, 4) and (5, 6, 4), where they are faster but
+    # cost more than 8 q^n operations; the search at (13, 4, 3), where it
+    # is faster
+    for refused, cases in (("_search_table", [(7, 6, 4), (5, 6, 4)]),
+                           ("_character_table", [(13, 4, 3)])):
+        with monkeypatch.context() as patch:
+            patch.setattr(tables, refused, _refuse)
+            for q, n, k in cases:
+                K = make_field(q)
+                pats = enumerate_patterns(n)
+                assert tables.table_cost(K, n, k, len(pats))[1] \
+                    == (refused == "_search_table")
+                assert len(pattern_table(K, pats, k)) \
+                    == q ** k * 2 * len(pats)
+
+
 def _draw_family(K, n, data):
     """A random linear or prescribed family of at most 2500 members."""
     q = K.q
@@ -306,9 +323,20 @@ def _refuse(*args, **kw):
     raise AssertionError("this path must not run")
 
 
+def _table_by_cost(fam):
+    """Whether tables.table_cost prices fam's table at most at the
+    kernel's time for its members."""
+    n, k = fam.n, fam.n - fam.r
+    cost, _ = tables.table_cost(fam.ctx, n, k, len(enumerate_patterns(n)))
+    return cost <= census.KERNEL_NS * fam.size
+
+
 def test_census_tally_kernel_path_for_large_codimension_or_table(monkeypatch):
-    large_codim = _family(5, 6, 2, 4)
-    assert large_codim.q ** large_codim.m > census.TABLE_RATIO
+    # within the budget and with as many members as windows, so the cost
+    # alone sends it to the kernel: the search over 3^8 monics
+    large_codim = _family(3, 8, 4, 4)
+    assert large_codim.q ** 4 == large_codim.size
+    assert not _table_by_cost(large_codim)
     constant_term = prescribed_family(make_field(7), 4, (4,), (3,))
     assert constant_term.q ** (4 - constant_term.r) > constant_term.size
     wants = [pattern_tally(fam) for fam in (large_codim, constant_term)]
@@ -320,17 +348,17 @@ def test_census_tally_kernel_path_for_large_codimension_or_table(monkeypatch):
 
 def test_census_tally_table_path_when_codimension_is_small(monkeypatch):
     fam = _family(7, 5, 3, 1)
-    assert fam.q ** fam.m <= census.TABLE_RATIO
+    assert _table_by_cost(fam)
     want = pattern_tally(fam)
     monkeypatch.setattr(census, "pattern_tally", _refuse)
     assert census_tally(fam, workers=2) == want
 
 
 def test_census_table_counts_against_the_budget(monkeypatch):
-    # within the table rule but for its 13^4 monics, past a budget that
+    # priced for the table but for its 13^4 monics, past a budget that
     # the family's 13^3 members are within
     fam = _unit_row_families(13, 4, 1, 1, 1)[0]
-    assert fam.size == 13 ** 3 and 13 ** 4 <= census.TABLE_RATIO * fam.size
+    assert fam.size == 13 ** 3 and _table_by_cost(fam)
     assert fam.size <= 10 ** 4 < 13 ** 4
     want = pattern_tally(fam)
     monkeypatch.setattr(census, "family_tally", _refuse)
