@@ -22,5 +22,5 @@ from .patterns import (Pattern, PatternStats, cycle_pattern,
                        symmetric_group_census)
 from .poly import pattern_of_coeffs, squarefree_decompose
 from .variety import (PointCounts, ProbeReport, SymSystem, count_points,
-                      eval_R, g_coeffs, jacobian_probe, rational_zeros,
-                      sym_system, variety_pass)
+                      eval_R, jacobian_probe, rational_zeros, sym_system,
+                      variety_pass)

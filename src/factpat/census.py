@@ -115,8 +115,17 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _parse_ints(text):
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _int(sec, key, literal) -> int:
+    """int(literal) of config value sec[key], or a ValueError naming it."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise ValueError(f"[{sec.name}] {key}: {literal!r} is not an "
+                         "integer") from None
+
+
+def _parse_ints(sec, key, text):
+    return tuple(_int(sec, key, tok) for tok in text.replace(",", " ").split())
 
 
 def parse_config(path) -> RunConfig:
@@ -132,25 +141,26 @@ def parse_config(path) -> RunConfig:
     if "field" not in cp or "p" not in cp["field"]:
         raise ValueError("config needs a [field] section with p")
     fld = cp["field"]
-    cfg = RunConfig(p=int(fld["p"]), s=int(fld.get("s", "1")))
+    cfg = RunConfig(p=_int(fld, "p", fld["p"]),
+                    s=_int(fld, "s", fld.get("s", "1")))
     if "family" in cp:
         fam = cp["family"]
-        cfg.n = int(fam.get("n", "0"))
+        cfg.n = _int(fam, "n", fam.get("n", "0"))
         cfg.mode = fam.get("mode", "linear").strip()
         if cfg.mode not in ("linear", "prescribed", "global"):
             raise ValueError(f"unknown mode {cfg.mode!r}")
-        cfg.r = int(fam.get("r", "0"))
+        cfg.r = _int(fam, "r", fam.get("r", "0"))
         if "rows" in fam:
-            cfg.rows = tuple(_parse_ints(line)
+            cfg.rows = tuple(_parse_ints(fam, "rows", line)
                              for line in fam["rows"].splitlines() if line.strip())
         if "alpha" in fam:
-            cfg.alpha = _parse_ints(fam["alpha"])
+            cfg.alpha = _parse_ints(fam, "alpha", fam["alpha"])
         if "indices" in fam:
-            cfg.indices = _parse_ints(fam["indices"])
+            cfg.indices = _parse_ints(fam, "indices", fam["indices"])
     if "run" in cp:
         run = cp["run"]
-        cfg.budget = int(run.get("budget", cfg.budget))
-        cfg.workers = int(run.get("workers", "1"))
+        cfg.budget = _int(run, "budget", run.get("budget", cfg.budget))
+        cfg.workers = _int(run, "workers", run.get("workers", "1"))
         cfg.check_limits()
         cfg.fmt = run.get("format", "json").strip()
         if cfg.fmt not in ("json", "csv"):
@@ -313,8 +323,8 @@ def run_census(cfg: RunConfig) -> dict:
     """Pattern census of a family with bound verdicts per pattern."""
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
+    pats = enumerate_patterns(fam.n)    # refuses n > MAX_N before the layers
     descriptor = family_descriptor(fam)
-    pats = enumerate_patterns(fam.n)
     tally = census_tally(fam, cfg.budget, cfg.workers, pats)
     terms = bound_terms(fam)
     rows = []

@@ -256,7 +256,7 @@ def _stored(q, size, table):
 class Plan:
     """What the walks and oracles of one run share, in place of its
     ContextBank: for windows below size n, the walk's tables by (size,
-    depth), and the oracles' E values by (coords, upto).  run_verify
+    depth), and the oracles' E_0..E_(n-r) by coordinates.  run_verify
     makes one per call, other callers one per use."""
 
     def __init__(self, bank):

@@ -32,21 +32,22 @@ the shifts of the windows before the last while they repeat.  The probe
 reduces the Jacobian's columns, kept while a window's coordinates
 repeat, one at a time against the pivots found so far and stops at full
 rank.
-eval_R and g_coeffs stay as the per-point oracles, and zero_block, the
-membership check's oracle, gives R's zero flags of every last-window
-vector under one prefix of the outer windows.  They read nothing of the
-walk.  Window values below size n are kept in the plan
-(correspondence.Plan), R is formed once per E_0..E_(n-r), and the last
-window's orbits are listed once per system as one span of the columns
-of its conjugate matrix (ffield._span); the windows' products are formed
-per call, zero_block's prefix product (_prefix_esym) once per block.
+eval_R stays as the per-point oracle, and zero_block, the membership
+check's oracle, gives R's zero flags of every last-window vector under
+one prefix of the outer windows.  They read nothing of the walk.  Window
+values below size n are kept in the plan (correspondence.Plan), R is
+formed once per E_0..E_(n-r), and the last window's orbits are listed
+once per system as one span of the columns of its conjugate matrix
+(ffield._span); the windows' products are formed per call, zero_block's
+prefix product (_prefix_esym) once per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .correspondence import Plan, _orbit, _window_esym, layout, walk_G
+from .correspondence import (Plan, _orbit, _window_esym, build_G, layout,
+                             walk_G)
 from .errors import CountingIdentityError
 from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
 from .ffield import _span, _to_vec
@@ -90,20 +91,20 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
                      len(set(pattern.sizes())) == len(windows))
 
 
-def _window_values(sys_: SymSystem, ctx, coords, upto):
-    """E_0..E_upto of one window's orbit, descent-checked; kept in the
+def _window_values(sys_: SymSystem, ctx, coords):
+    """E_0..E_(n-r) of one window's orbit, descent-checked; kept in the
     plan below size n, where windows repeat across x and patterns."""
     kept = sys_.bank.values
-    values = kept.get((coords, upto))
+    values = kept.get(coords)
     if values is None:
-        values = _window_esym(ctx, _orbit(ctx, ctx.A, coords), upto)
+        values = _window_esym(ctx, _orbit(ctx, ctx.A, coords), sys_.nr)
         if ctx.i < sys_.fam.n:
-            kept[coords, upto] = values
+            kept[coords] = values
     return values
 
 
 def _times(K, a, b):
-    """The product of two E_0..E_upto tuples mod X^(upto+1)."""
+    """The product of two E_0..E_(n-r) tuples mod X^(n-r+1)."""
     e = list(a)
     for t in range(1, len(b)):
         if b[t]:
@@ -112,22 +113,13 @@ def _times(K, a, b):
     return tuple(e)
 
 
-def _prefix_esym(sys_: SymSystem, xs, upto):
-    """The product mod X^(upto+1) of the E_0..E_upto of the windows before
+def _prefix_esym(sys_: SymSystem, xs):
+    """The product mod X^(n-r+1) of the E_0..E_(n-r) of the windows before
     the last, whose coordinates are the prefix xs."""
-    e = (1,) + (0,) * upto
+    e = (1,) + (0,) * sys_.nr
     for s, i, c in sys_.windows[:-1]:
-        e = _times(sys_.fam.ctx, e, _window_values(sys_, c, xs[s:s + i], upto))
+        e = _times(sys_.fam.ctx, e, _window_values(sys_, c, xs[s:s + i]))
     return e
-
-
-def _esym(sys_: SymSystem, x, upto):
-    """E_0..E_upto of all root values of x, the windows' product mod
-    X^(upto+1)."""
-    x = tuple(x)
-    start, _, ctx = sys_.windows[-1]
-    return _times(sys_.fam.ctx, _prefix_esym(sys_, x[:start], upto),
-                  _window_values(sys_, ctx, x[start:], upto))
 
 
 def _residues(sys_: SymSystem, e):
@@ -148,11 +140,16 @@ def eval_R(sys_: SymSystem, x):
     """The m reduced constraint values at x, as base-field codes.
 
     Zero everywhere iff the polynomial built from x lies in the family.
+    R is read off E_0..E_(n-r) of all root values of x, the product of
+    the windows' ones mod X^(n-r+1).
     Raises GaloisDescentError if a window's symmetric value fails to be
     Frobenius-fixed (corrupted normal-basis data).  The per-point oracle
     that tests hold zero_block and the variety's zeros to.
     """
-    return _residues(sys_, _esym(sys_, x, sys_.nr))
+    x = tuple(x)
+    start, _, ctx = sys_.windows[-1]
+    return _residues(sys_, _times(sys_.fam.ctx, _prefix_esym(sys_, x[:start]),
+                                  _window_values(sys_, ctx, x[start:])))
 
 
 def zero_block(sys_: SymSystem, prefix) -> bytes:
@@ -168,19 +165,10 @@ def zero_block(sys_: SymSystem, prefix) -> bytes:
             list(zip(*ctx.A)), size, ctx.q, ctx.add, ctx.mul)]
         sys_.last = values, tuple(dict.fromkeys(values))
     values, distinct = sys_.last
-    e = _prefix_esym(sys_, tuple(prefix), sys_.nr)
+    e = _prefix_esym(sys_, tuple(prefix))
     flags = {ew: not any(_residues(sys_, _times(sys_.fam.ctx, e, ew)))
              for ew in distinct}
     return bytes(map(flags.__getitem__, values))
-
-
-def g_coeffs(sys_: SymSystem, x):
-    """Full coefficient list of the degree-n image of x, via the
-    symmetric route: c_(n-k) = (-1)^k E_k.  Cross-checks build_G."""
-    K, n = sys_.fam.ctx, sys_.fam.n
-    e = _esym(sys_, x, n)
-    return [K.neg(e[n - j]) if (n - j) % 2 else e[n - j]
-            for j in range(n)] + [1]
 
 
 def _zero_windows(sys_: SymSystem):
@@ -299,10 +287,11 @@ class ProbeReport:
 
 def _double_collision(sys_: SymSystem, x) -> bool:
     """Some root value occurs four times, or two distinct values repeat,
-    read from the square-free decomposition G(x) = prod g_k^k: some g_k
-    with k >= 4 is not constant, or the g_k with k >= 2 have total
-    degree at least 2."""
-    parts = squarefree_decompose(sys_.fam.ctx, g_coeffs(sys_, x))
+    read from the square-free decomposition prod g_k^k of G(x) as
+    correspondence.build_G forms it: some g_k with k >= 4 is not
+    constant, or the g_k with k >= 2 have total degree at least 2."""
+    parts = squarefree_decompose(sys_.fam.ctx,
+                                 build_G(sys_.pattern, x, sys_.bank))
     return (any(k >= 4 for _, k in parts)
             or sum(len(g) - 1 for g, k in parts if k >= 2) >= 2)
 

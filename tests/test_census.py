@@ -584,13 +584,96 @@ MALFORMED_INI = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(MALFORMED_INI))
+_LINEAR = "r = 3\nrows =\n    1\nalpha = 0\n"
+
+
+def _linear(body):
+    """CONFIG_TEXT with its linear family's r, rows and alpha as body."""
+    return CONFIG_TEXT.replace(_LINEAR, body)
+
+
+def _prescribed(body):
+    """CONFIG_TEXT with a prescribed family's indices and alpha as body."""
+    return _linear(body).replace("mode = linear", "mode = prescribed")
+
+
+# (command, config text, what its one error line names) of a readable
+# file whose values are not a valid run
+CONFIG_ERRORS = {
+    "mode": ("census", CONFIG_TEXT.replace("mode = linear", "mode = cubic"),
+             "unknown mode 'cubic'"),
+    "format": ("census", CONFIG_TEXT.replace("format = json", "format = xml"),
+               "unknown format 'xml'"),
+    "n-1": ("census", CONFIG_TEXT.replace("n = 4", "n = 1"),
+            "family needs n >= 2"),
+    "n-41": ("census", CONFIG_TEXT.replace("n = 4", "n = 41")
+             .replace("r = 3", "r = 40"), "degree must be in 1..40"),
+    "no-indices": ("census", _prescribed("alpha = 0\n"),
+                   "prescribed mode needs indices"),
+    "no-rows": ("census", _linear("r = 3\nalpha = 0\n"),
+                "linear mode needs rows"),
+    "census-global": ("census",
+                      CONFIG_TEXT.replace("mode = linear", "mode = global"),
+                      "mode 'global' does not define a family"),
+    "global-n0": ("global", CONFIG_TEXT.replace("mode = linear",
+                                                "mode = global")
+                  .replace("n = 4\n", ""), "global census needs n >= 1"),
+    "row-length": ("census", _linear("r = 3\nrows = 1 2\nalpha = 0\n"),
+                   "rows must have n-r = 1 entries"),
+    "alpha-count": ("census", _linear("r = 3\nrows = 1\nalpha = 0 1\n"),
+                    "alpha must have one entry per row"),
+    "many-rows": ("census",
+                  _linear("r = 3\nrows =\n    1\n    2\nalpha = 0 1\n"),
+                  "more constraints than window coefficients"),
+    "dependent": ("census",
+                  _linear("r = 2\nrows =\n    1 2\n    2 4\nalpha = 0 1\n"),
+                  "constraint rows are linearly dependent"),
+    "r-0": ("census", _linear("r = 0\nrows = 1 0 0 0\nalpha = 0\n"),
+            "need 1 <= r <= n-1"),
+    "r-4": ("census", _linear("r = 4\nrows = 1\nalpha = 0\n"),
+            "need 1 <= r <= n-1"),
+    "row-value": ("census", _linear("r = 3\nrows = 5\nalpha = 0\n"),
+                  "row entry 5 out of range"),
+    "alpha-value": ("census", _linear("r = 3\nrows = 1\nalpha = 5\n"),
+                    "alpha entry 5 out of range"),
+    "prescribed-value": ("census",
+                         _prescribed("indices = 1 2\nalpha = 0 5\n"),
+                         "prescribed value 5 out of range"),
+    "unsorted": ("census", _prescribed("indices = 2 1\nalpha = 0 0\n"),
+                 "indices must be strictly increasing"),
+    "index-0": ("census", _prescribed("indices = 0 1\nalpha = 0 0\n"),
+                "indices must lie in 1..n"),
+    "index-5": ("census", _prescribed("indices = 1 5\nalpha = 0 0\n"),
+                "indices must lie in 1..n"),
+    "value-count": ("census", _prescribed("indices = 1 2\nalpha = 0\n"),
+                    "one value per prescribed index required"),
+    "p-6": ("census", CONFIG_TEXT.replace("p = 5", "p = 6"),
+            "p = 6 is not prime"),
+    "s-0": ("census", CONFIG_TEXT.replace("\ns = 1\n", "\ns = 0\n"),
+            "s must be >= 1"),
+    "int-field": ("census", CONFIG_TEXT.replace("p = 5", "p = five"),
+                  "[field] p: 'five' is not an integer"),
+    "int-family": ("census", CONFIG_TEXT.replace("n = 4", "n = 4.0"),
+                   "[family] n: '4.0' is not an integer"),
+    "int-rows": ("census", _linear("r = 3\nrows =\n    1x\nalpha = 0\n"),
+                 "[family] rows: '1x' is not an integer"),
+    "int-run": ("census", CONFIG_TEXT.replace("workers = 1", "workers = one"),
+                "[run] workers: 'one' is not an integer"),
+}
+CONFIG_CASES = {**{kind: ("census", *case)
+                   for kind, case in MALFORMED_INI.items()}, **CONFIG_ERRORS}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_CASES))
 def test_cli_malformed_config_exits_2(tmp_path, capsys, kind):
-    # a malformed file is a configuration error, not a failed check
-    text, named = MALFORMED_INI[kind]
+    # a malformed file, or one whose values are not a valid run, is a
+    # configuration error, not a failed check
+    command, text, named = CONFIG_CASES[kind]
     ini = tmp_path / f"{kind}.ini"
     ini.write_text(text)
-    assert cli.main(["census", "--config", str(ini)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        assert cli.main([command, "--config", str(ini)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("factpat: ") and err.count("\n") == 1
     assert named in err

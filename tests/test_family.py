@@ -170,16 +170,22 @@ def test_member_stream_is_deterministic_and_chunked():
     once = [tuple(f) for f in enumerate_members(fam)]
     again = [tuple(f) for f in enumerate_members(fam)]
     assert once == again
-    # chunks keyed by the leading free coefficient partition the tally
-    whole = pattern_tally(fam)
-    merged: dict[tuple, list] = {}
-    for first in range(5):
-        part = pattern_tally(fam, first=first)
-        for key, (tot, sq) in part.items():
-            slot = merged.setdefault(key, [0, 0])
-            slot[0] += tot
-            slot[1] += sq
-    assert merged == whole
+    # chunks keyed by the leading free coefficient partition the tally;
+    # a family with no free coefficient (m = n) has its one member in
+    # chunk 0 and none in the others
+    single = prescribed_family(F5, 3, (1, 2, 3), (2, 0, 4))
+    for family in (fam, single):
+        parts = [pattern_tally(family, first=first) for first in range(5)]
+        merged: dict[tuple, list] = {}
+        for part in parts:
+            for key, (tot, sq) in part.items():
+                slot = merged.setdefault(key, [0, 0])
+                slot[0] += tot
+                slot[1] += sq
+        assert merged == pattern_tally(family)
+    assert single.size == 1     # parts are now its chunks
+    assert [sum(tot for tot, _ in part.values()) for part in parts] == [
+        1, 0, 0, 0, 0]
 
 
 def test_budget_guard():

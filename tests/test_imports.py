@@ -10,18 +10,19 @@ level or inside a function) must be read somewhere in the module.
 sys.stdlib_module_names, so the engine runs where only Python is
 installed, although numpy may be installed too.  Every parameter of a
 module-level function is read in its body; methods are exempt, since
-the accumulators share one add(x, typed, w).  A private name (one leading underscore)
-defined at module level, or as a method, must be read somewhere in the
-engine: loaded as a name or attribute, or imported by another module.
+a class's callers fix their signatures.  A private name (one leading
+underscore) defined at module level, or as a method, must be read
+somewhere in the engine: loaded as a name or attribute, or imported by
+another module.
 The one module-level container is ffield._SHARED_BANKS, which holds the
 layers and the family tables; clearing it gives a process the cold state
 of a fresh one, so no function is memoized with functools either.
 The walk's functions in correspondence read none of the oracles, and
 the oracles in correspondence and variety (with their helpers, the
-membership check's block oracle zero_block, and the probe's rank and
-coincidence checks) read none of the walk's functions, so the tests
-that hold the walk to an oracle compare two routes, also where the
-oracles keep values.  Every dotted reference
+membership check's block oracle zero_block, and the probe's rank,
+coincidence and double-collision checks) read none of the walk's
+functions, so the tests that hold the walk to an oracle compare two
+routes, also where the oracles keep values.  Every dotted reference
 module.name (such as tables.family_tally or ffield.ExtCtx.ensure_fast)
 in the engine's docstrings and comments and in README.md resolves, so
 the docs name no engine name that is gone.
@@ -287,9 +288,9 @@ def test_the_check_sees_a_walk_reading_an_oracle():
 
 
 _ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "zero_block",
-                     "_esym", "_prefix_esym", "g_coeffs", "_window_values",
-                     "_times", "_residues",
-                     "_full_rank", "_digit_columns", "_coincident"}
+                     "_prefix_esym", "_window_values", "_times", "_residues",
+                     "_full_rank", "_digit_columns", "_coincident",
+                     "_double_collision"}
 
 
 def _walk_reads(trees):
@@ -313,11 +314,11 @@ def test_the_check_sees_an_oracle_reading_the_walk():
     trees = [ast.parse("def walk_G(x):\n    return x\n"
                        "def build_G(x):\n    return walk_G(x)\n"
                        "def _window_poly(c):\n    return c._stored\n"),
-             ast.parse("def _esym(s):\n"
+             ast.parse("def _prefix_esym(s):\n"
                        "    from .correspondence import _stored\n"
-                       "def eval_R(s):\n    return _esym(s)\n"
+                       "def eval_R(s):\n    return _prefix_esym(s)\n"
                        "def rational_zeros(s):\n    return walk_G(s)\n")]
-    assert _walk_reads(trees) == [("_esym", "_stored"),
+    assert _walk_reads(trees) == [("_prefix_esym", "_stored"),
                                   ("_window_poly", "_stored"),
                                   ("build_G", "walk_G")]
 

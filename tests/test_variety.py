@@ -34,8 +34,7 @@ from factpat.family import new_family, pattern_tally, prescribed_family
 from factpat.ffield import ContextBank, ExtCtx, _span, make_field
 from factpat.patterns import Pattern, enumerate_patterns, pattern_stats
 from factpat.variety import (PointCounts, _full_rank, count_points, eval_R,
-                             g_coeffs, jacobian_probe, rational_zeros,
-                             sym_system)
+                             jacobian_probe, rational_zeros, sym_system)
 
 SAMPLE_SEED = 77
 
@@ -137,14 +136,30 @@ def test_system_layers_and_weights():
         assert len(sys_.windows) == len(pat.sizes())
 
 
+def _rows_at_G(fam, coeffs):
+    """The reduced rows at E_k = (-1)^k c_(n-k), c the full coefficient
+    list of a monic degree-n polynomial (Vieta)."""
+    K, n = fam.ctx, fam.n
+    out = []
+    for a, srow in zip(fam.salpha, fam.srows):
+        for k, c in enumerate(srow, start=1):
+            e = K.neg(coeffs[n - k]) if k % 2 else coeffs[n - k]
+            a = K.add(a, K.mul(c, e))
+        out.append(a)
+    return tuple(out)
+
+
 def test_vieta_route_matches_conjugate_product_exhaustive_n3():
+    # the prescribed family with r = 0 checks every E_k, E_1..E_n
     F5 = make_field(5)
     bank = ContextBank.shared(F5)
-    fam = new_family(F5, 3, 2, [[1]], [0])
-    for pat in enumerate_patterns(3):
-        sys_ = sym_system(fam, pat, bank)
-        for x in product(range(5), repeat=3):
-            assert g_coeffs(sys_, x) == build_G(pat, x, bank)
+    for fam in (new_family(F5, 3, 2, [[1]], [0]),
+                prescribed_family(F5, 3, (1, 2, 3), (2, 0, 4))):
+        for pat in enumerate_patterns(3):
+            sys_ = sym_system(fam, pat, bank)
+            for x in product(range(5), repeat=3):
+                assert eval_R(sys_, x) == _rows_at_G(fam,
+                                                     build_G(pat, x, bank))
 
 
 def test_vieta_route_matches_conjugate_product_sampled_n4():
@@ -155,7 +170,7 @@ def test_vieta_route_matches_conjugate_product_sampled_n4():
         sys_ = sym_system(fam, pat, bank)
         for _ in range(120):
             x = tuple(rng.randrange(5) for _ in range(4))
-            assert g_coeffs(sys_, x) == build_G(pat, x, bank)
+            assert eval_R(sys_, x) == _rows_at_G(fam, build_G(pat, x, bank))
 
 
 def test_eval_R_vanishes_exactly_on_family_members():
@@ -167,7 +182,7 @@ def test_eval_R_vanishes_exactly_on_family_members():
         for x in product(range(5), repeat=3):
             residues = eval_R(sys_, x)
             assert len(residues) == fam.m
-            coeffs = g_coeffs(sys_, x)
+            coeffs = build_G(pat, x, bank)
             assert (all(v == 0 for v in residues)
                     == fam.contains_coeffs(coeffs))
 
@@ -185,22 +200,17 @@ def test_kept_window_values_do_not_depend_on_order(p, n):
     xs = list(product(range(p), repeat=n))
     for pat in enumerate_patterns(n):
         sys_ = sym_system(fam, pat, bank)
-        forward = [(eval_R(sys_, x), g_coeffs(sys_, x)) for x in xs]
+        forward = [eval_R(sys_, x) for x in xs]
         sys_ = sym_system(fam, pat, bank)
-        backward = [(eval_R(sys_, x), g_coeffs(sys_, x))
-                    for x in reversed(xs)][::-1]
-        sys_ = sym_system(fam, pat, bank)
-        swapped = [g_coeffs(sys_, x) for x in xs]
-        swapped = [(eval_R(sys_, x), g) for x, g in zip(xs, swapped)]
-        fresh = [(eval_R(sym_system(fam, pat, bank), x),
-                  g_coeffs(sym_system(fam, pat, bank), x)) for x in xs]
-        assert forward == backward == swapped == fresh, pat.label()
+        backward = [eval_R(sys_, x) for x in reversed(xs)][::-1]
+        fresh = [eval_R(sym_system(fam, pat, bank), x) for x in xs]
+        assert forward == backward == fresh, pat.label()
 
 
 @pytest.mark.parametrize("p, n", [(5, 4), (7, 3)])
 def test_window_values_shared_by_a_plan_match_fresh_systems(p, n):
     # the systems of one run share its plan's window values; each keeps
-    # its own prefix products.  Interleaved in any order, eval_R, g_coeffs
+    # its own prefix products.  Interleaved in any order, eval_R, zero_block
     # and the probe's rank give what a fresh system per call gives
     bank, fam = _kept_family(p, n)
     plan = Plan(bank)
@@ -208,8 +218,10 @@ def test_window_values_shared_by_a_plan_match_fresh_systems(p, n):
     for pat in enumerate_patterns(n):
         sys_ = sym_system(fam, pat, plan)
         assert sys_.bank is plan
-        calls += [(sys_, oracle, (x,)) for oracle in (eval_R, g_coeffs)
-                  for x in product(range(p), repeat=n)]
+        start = sys_.windows[-1][0]
+        calls += [(sys_, eval_R, (x,)) for x in product(range(p), repeat=n)]
+        calls += [(sys_, variety.zero_block, (xs,))
+                  for xs in product(range(p), repeat=start)]
         calls += [(sys_, _full_rank, (x, e))
                   for x, e in rational_zeros(sym_system(fam, pat, bank))]
     random.Random(SAMPLE_SEED + 5).shuffle(calls)
@@ -253,22 +265,19 @@ def test_zero_block_matches_eval_R_at_every_vector(fam):
 
 def test_kept_window_values_are_bounded():
     # no window of size n is kept, and at most q^i windows of each size
-    # i < n per depth
+    # i < n, each with E_0..E_(n-r)
     p, n = 5, 4
     bank, fam = _kept_family(p, n)
     for pat in enumerate_patterns(n):
         sys_ = sym_system(fam, pat, bank)
         for x in product(range(p), repeat=n):
             eval_R(sys_, x)
-            g_coeffs(sys_, x)
         sizes = sorted(set(pat.sizes()) - {n})
         values = sys_.bank.values
-        assert {len(c) for c, _ in values} == set(sizes), pat.label()
-        for upto in (sys_.nr, n):
-            kept = [c for c, u in values if u == upto]
-            assert len(kept) == sum(p ** i for i in sizes)
-            assert len(kept) <= sum(p ** i for i in range(n))
-        assert {u for _, u in values} <= {sys_.nr, n}
+        assert {len(c) for c in values} == set(sizes), pat.label()
+        assert len(values) == sum(p ** i for i in sizes)
+        assert len(values) <= sum(p ** i for i in range(n))
+        assert {len(e) for e in values.values()} <= {sys_.nr + 1}
 
 
 # (p, n, r, rows, alpha): small families, the last with m = 2
