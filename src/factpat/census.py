@@ -33,8 +33,8 @@ within it, and else takes the kernel path, which the member count bounds.
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
 no floats or timestamps appear.  A row's rationals are integers over its
-pattern's weight w (times q where m = n), from the family's bound_terms
-formed once per call, and each bound verdict compares integers.
+pattern's weight w, and discr's over 1, times q where m = n, from the
+family's bound_terms formed once per call; verdicts compare integers.
 
 Counts come from one of two exact paths.  The pattern table (see
 tables.py) counts the monics by top window and pattern without factoring
@@ -83,9 +83,9 @@ from math import gcd
 
 from .correspondence import Plan, _Membership, walk_G
 from .errors import BudgetError
-from .family import (LinearFamily, MEMBER_BUDGET, _frac_str,
-                     bound_nonsquarefree, bound_reference_ci, bound_terms,
-                     new_family, pattern_tally, prescribed_family)
+from .family import (LinearFamily, MEMBER_BUDGET, bound_reference_ci,
+                     bound_terms, new_family, pattern_tally,
+                     prescribed_family)
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
 from .tables import family_tally, pattern_table, table_cost, tally_windows
@@ -254,8 +254,15 @@ def _bound_cells(terms, w, x=None) -> dict:
     return cells
 
 
-def _int_or_frac(v):
-    return v if isinstance(v, int) else _frac_str(v)
+def _discr_cell(fam, terms, nsq=None) -> dict:
+    """n(n-1) q^(n-m-1) = plain / den from bound_terms; given nsq (a
+    census), also its verdict in integers, None where q <= n."""
+    q, den, plain, _ = terms
+    cell = {"applicable": q > fam.n,
+            "value": plain // den if plain % den == 0 else _ratio(plain, den)}
+    if nsq is not None:
+        cell["pass"] = nsq * den <= plain if cell["applicable"] else None
+    return cell
 
 
 def _reference_ci(fam) -> dict:
@@ -323,7 +330,7 @@ def run_census(cfg: RunConfig) -> dict:
     """Pattern census of a family with bound verdicts per pattern."""
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
-    pats = enumerate_patterns(fam.n)    # refuses n > MAX_N before the layers
+    pats = enumerate_patterns(fam.n)
     descriptor = family_descriptor(fam)
     tally = census_tally(fam, cfg.budget, cfg.workers, pats)
     terms = bound_terms(fam)
@@ -339,10 +346,8 @@ def run_census(cfg: RunConfig) -> dict:
     sq_total = sum(row["sq"] for row in rows)
     nsq_total = total - sq_total
     sum_ok = total == fam.size
-    discr_applicable = fam.q > fam.n
-    discr_value = bound_nonsquarefree(fam)
-    discr_pass = (nsq_total <= discr_value) if discr_applicable else None
-    overall = bounds_pass and sum_ok and discr_pass is not False
+    discr = _discr_cell(fam, terms, nsq_total)
+    overall = bounds_pass and sum_ok and discr["pass"] is not False
     return {
         "mode": "census",
         "engine": ENGINE_TAG,
@@ -353,9 +358,7 @@ def run_census(cfg: RunConfig) -> dict:
             "sq": sq_total,
             "nsq": nsq_total,
             "family_size": fam.size,
-            "discr": {"applicable": discr_applicable,
-                      "value": _int_or_frac(discr_value),
-                      "pass": discr_pass},
+            "discr": discr,
         },
         "reference_ci": _reference_ci(fam),
         "checks": {"sum_matches_family_size": sum_ok},
@@ -429,8 +432,7 @@ def run_bounds(cfg: RunConfig) -> dict:
         "engine": ENGINE_TAG,
         "family": family_descriptor(fam),
         "rows": rows,
-        "discr": {"applicable": fam.q > fam.n,
-                  "value": _int_or_frac(bound_nonsquarefree(fam))},
+        "discr": _discr_cell(fam, terms),
         "reference_ci": _reference_ci(fam),
         "overall_pass": True,
     }

@@ -256,8 +256,9 @@ def _stored(q, size, table):
 class Plan:
     """What the walks and oracles of one run share, in place of its
     ContextBank: for windows below size n, the walk's tables by (size,
-    depth), and the oracles' E_0..E_(n-r) by coordinates.  run_verify
-    makes one per call, other callers one per use."""
+    depth), and the block oracle's E_0..E_(n-r) listings by (size, n - r)
+    (variety._window_values).  run_verify makes one per call, other
+    callers one per use."""
 
     def __init__(self, bank):
         self.base, self.get = bank.base, bank.get

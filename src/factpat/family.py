@@ -25,7 +25,7 @@ from itertools import product
 
 from .errors import BudgetError
 from .ffield import FieldParams, rref
-from .patterns import Pattern, pattern_stats
+from .patterns import MAX_N, Pattern, pattern_stats
 from .poly import pattern_of_coeffs
 
 MEMBER_BUDGET = 10 ** 8
@@ -118,6 +118,8 @@ def new_family(ctx: FieldParams, n: int, r: int, rows, alpha,
     """Build a family from m affine rows over the window (c_(n-1), ..., c_r)."""
     if n < 2:
         raise ValueError("degree must be >= 2")
+    if n > MAX_N:       # as the pattern enumeration does, before any warning
+        raise ValueError(f"degree must be in 1..{MAX_N}")
     if not prescribed and not 1 <= r <= n - 1:
         raise ValueError("need 1 <= r <= n-1")
     if prescribed and not 0 <= r <= n - 1:
@@ -142,14 +144,14 @@ def new_family(ctx: FieldParams, n: int, r: int, rows, alpha,
     for a in alpha:
         if not 0 <= a < q:
             raise ValueError(f"alpha entry {a} out of range")
-    if q <= n:
-        warnings.warn(f"q = {q} <= n = {n}: the deviation bounds do not apply",
-                      stacklevel=2)
     # Z_k = (-1)^k c_(n-k): flip signs of the odd columns.
     neg = ctx.neg
     crows = [tuple(neg(c) if (k % 2 == 1) else c for k, c in enumerate(row, start=1))
              for row in rows]
     srows, salpha, pivots = _reduce_rows(ctx, crows, alpha, ncols, m)
+    if q <= n:      # only a family that is built warns
+        warnings.warn(f"q = {q} <= n = {n}: the deviation bounds do not apply",
+                      stacklevel=2)
     return LinearFamily(ctx, n, m, r, rows, alpha, srows, salpha, pivots,
                         prescribed=prescribed)
 

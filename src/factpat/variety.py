@@ -32,14 +32,12 @@ the shifts of the windows before the last while they repeat.  The probe
 reduces the Jacobian's columns, kept while a window's coordinates
 repeat, one at a time against the pivots found so far and stops at full
 rank.
-eval_R stays as the per-point oracle, and zero_block, the membership
-check's oracle, gives R's zero flags of every last-window vector under
-one prefix of the outer windows.  They read nothing of the walk.  Window
-values below size n are kept in the plan (correspondence.Plan), R is
-formed once per E_0..E_(n-r), and the last window's orbits are listed
-once per system as one span of the columns of its conjugate matrix
-(ffield._span); the windows' products are formed per call, zero_block's
-prefix product (_prefix_esym) once per block.
+eval_R stays as the per-point oracle and keeps nothing but R per
+E_0..E_(n-r); zero_block, the membership check's oracle, gives R's zero
+flags of every last-window vector under one prefix of the outer windows,
+read off one listing per window size in the plan (correspondence.Plan),
+one span of the columns of its layer's conjugate matrix (ffield._span).
+Neither reads the walk.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .correspondence import (Plan, _orbit, _window_esym, build_G, layout,
                              walk_G)
 from .errors import CountingIdentityError
 from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
-from .ffield import _span, _to_vec
+from .ffield import _from_vec, _span, _to_vec
 from .patterns import Pattern, pattern_stats
 from .poly import squarefree_decompose
 
@@ -71,7 +69,6 @@ class SymSystem:
     residues: dict = field(default_factory=dict)  # E_0..E_(n-r) -> R
     columns: dict = field(default_factory=dict)   # w -> (coords, {e: cols})
     shifts: list = field(default_factory=list)    # _coincident's, per window
-    last: tuple = ()          # zero_block's last-window values, distinct
 
 
 def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
@@ -91,16 +88,18 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
                      len(set(pattern.sizes())) == len(windows))
 
 
-def _window_values(sys_: SymSystem, ctx, coords):
-    """E_0..E_(n-r) of one window's orbit, descent-checked; kept in the
-    plan below size n, where windows repeat across x and patterns."""
-    kept = sys_.bank.values
-    values = kept.get(coords)
-    if values is None:
-        values = _window_esym(ctx, _orbit(ctx, ctx.A, coords), sys_.nr)
-        if ctx.i < sys_.fam.n:
-            kept[coords] = values
-    return values
+def _window_values(sys_: SymSystem, ctx):
+    """(values, distinct): E_0..E_(n-r) of every vector of one window
+    size's coordinates, in product order, from one span of the columns of
+    its layer's conjugate matrix (ffield._span), each descent-checked, and
+    the distinct ones; listed once per plan, window size and n - r."""
+    key = ctx.i, sys_.nr
+    held = sys_.bank.values.get(key)
+    if held is None:
+        values = [_window_esym(ctx, orbit, sys_.nr) for orbit in _span(
+            list(zip(*ctx.A)), ctx.i, ctx.q, ctx.add, ctx.mul)]
+        held = sys_.bank.values[key] = values, tuple(dict.fromkeys(values))
+    return held
 
 
 def _times(K, a, b):
@@ -111,15 +110,6 @@ def _times(K, a, b):
             for u in range(t, len(b)):
                 e[u] = K.add(e[u], K.mul(b[t], a[u - t]))
     return tuple(e)
-
-
-def _prefix_esym(sys_: SymSystem, xs):
-    """The product mod X^(n-r+1) of the E_0..E_(n-r) of the windows before
-    the last, whose coordinates are the prefix xs."""
-    e = (1,) + (0,) * sys_.nr
-    for s, i, c in sys_.windows[:-1]:
-        e = _times(sys_.fam.ctx, e, _window_values(sys_, c, xs[s:s + i]))
-    return e
 
 
 def _residues(sys_: SymSystem, e):
@@ -141,32 +131,33 @@ def eval_R(sys_: SymSystem, x):
 
     Zero everywhere iff the polynomial built from x lies in the family.
     R is read off E_0..E_(n-r) of all root values of x, the product of
-    the windows' ones mod X^(n-r+1).
+    the windows' ones mod X^(n-r+1), each window's formed from its orbit
+    (_orbit) at every call; nothing is kept but R per E value.
     Raises GaloisDescentError if a window's symmetric value fails to be
     Frobenius-fixed (corrupted normal-basis data).  The per-point oracle
     that tests hold zero_block and the variety's zeros to.
     """
-    x = tuple(x)
-    start, _, ctx = sys_.windows[-1]
-    return _residues(sys_, _times(sys_.fam.ctx, _prefix_esym(sys_, x[:start]),
-                                  _window_values(sys_, ctx, x[start:])))
+    K, e = sys_.fam.ctx, (1,) + (0,) * sys_.nr
+    for s, i, ctx in sys_.windows:
+        e = _times(K, e, _window_esym(ctx, _orbit(ctx, ctx.A, x[s:s + i]),
+                                      sys_.nr))
+    return _residues(sys_, e)
 
 
 def zero_block(sys_: SymSystem, prefix) -> bytes:
     """The block form of eval_R: per vector v of the last window, in
     product order, 1 iff R vanishes at x = prefix + v, with prefix the
-    coordinates of the windows before it.  The last window's values are
-    listed once per system, from one span of the columns of its conjugate
-    matrix and each descent-checked, the prefix's product formed once and
-    its product with each distinct last-window value once."""
-    _, size, ctx = sys_.windows[-1]
-    if not sys_.last:
-        values = [_window_esym(ctx, orbit, sys_.nr) for orbit in _span(
-            list(zip(*ctx.A)), size, ctx.q, ctx.add, ctx.mul)]
-        sys_.last = values, tuple(dict.fromkeys(values))
-    values, distinct = sys_.last
-    e = _prefix_esym(sys_, tuple(prefix))
-    flags = {ew: not any(_residues(sys_, _times(sys_.fam.ctx, e, ew)))
+    coordinates of the windows before it.  Every window's E values are
+    read from its size's listing in the plan (_window_values), an outer
+    window's at its index in product order (first coordinate most
+    significant), the prefix's product formed once and its product with
+    each distinct last-window value once."""
+    K, e = sys_.fam.ctx, (1,) + (0,) * sys_.nr
+    for s, i, ctx in sys_.windows[:-1]:
+        at = _from_vec(prefix[s:s + i][::-1], ctx.q)
+        e = _times(K, e, _window_values(sys_, ctx)[0][at])
+    values, distinct = _window_values(sys_, sys_.windows[-1][2])
+    flags = {ew: not any(_residues(sys_, _times(K, e, ew)))
              for ew in distinct}
     return bytes(map(flags.__getitem__, values))
 

@@ -28,8 +28,9 @@ from factpat.census import (CENSUS_CSV_HEADER, RunConfig, build_family,
                             census_tally, emit_report, family_descriptor,
                             parse_config, render_csv, render_json, run_bounds,
                             run_census, run_global, run_verify)
-from factpat.family import (_frac_str, bound_fp1, bound_fp2, bound_terms,
-                            pattern_tally, prescribed_family)
+from factpat.family import (_frac_str, bound_fp1, bound_fp2,
+                            bound_nonsquarefree, bound_terms, pattern_tally,
+                            prescribed_family)
 from factpat.ffield import make_field
 from factpat.patterns import enumerate_patterns, pattern_stats
 
@@ -324,6 +325,38 @@ def test_bounds_mode_reports_formulas_without_enumeration():
     assert row["fp1"]["value"] == "300/1"
     assert "pass" not in row["fp1"]
     assert rep["discr"]["value"] == 300
+
+
+@pytest.mark.parametrize("p, s, n", [(5, 1, 4), (3, 2, 4), (5, 1, 5),
+                                     (3, 1, 2)],
+                         ids=["F5-n4", "F9-n4", "F5-n5", "F3-n2"])
+def test_discr_cell_matches_the_fraction_reference(p, s, n):
+    # census and bounds read n(n-1) q^(n-m-1) off bound_terms' integers;
+    # for every prescribed index set, value and verdict must be those of
+    # family.bound_nonsquarefree: also at m = n (q^(n-m-1) = 1/q), where
+    # 5 divides 5 * 4 at (5, 5) and the value stays an integer, and at
+    # the tie nsq = 2 = n(n-1) of c_0 = 1 over F_3, which passes
+    field = make_field(p, s)
+    ties = []
+    for m in range(1, n + 1):
+        for indices in combinations(range(1, n + 1), m):
+            cfg = RunConfig(p=p, s=s, n=n, mode="prescribed",
+                            indices=indices, alpha=(1,) * m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # q <= n families warn
+                ref = bound_nonsquarefree(build_family(cfg, field))
+                census_rep, bounds_rep = run_census(cfg), run_bounds(cfg)
+            value = ref if isinstance(ref, int) else _frac_str(ref)
+            totals = census_rep["totals"]
+            applicable = field.q > n
+            assert bounds_rep["discr"] == {"applicable": applicable,
+                                           "value": value}, indices
+            assert totals["discr"] == {
+                "applicable": applicable, "value": value,
+                "pass": totals["nsq"] <= ref if applicable else None}, indices
+            if applicable and totals["nsq"] == ref:
+                ties.append(indices)
+    assert ties == ([(2,)] if (p, n) == (3, 2) else [])
 
 
 def test_verify_mode_full_and_sectioned():
@@ -688,6 +721,34 @@ def test_cli_malformed_config_prints_no_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("factpat: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+# (command, config text, its one error line) of a q <= n family that
+# would warn that the bounds do not apply, were it built
+UNBUILT_FAMILIES = {
+    "census-n41": ("census", _prescribed("indices = 1\nalpha = 0\n")
+                   .replace("n = 4", "n = 41"),
+                   "factpat: degree must be in 1..40\n"),
+    "bounds-n41": ("bounds", _prescribed("indices = 1\nalpha = 0\n")
+                   .replace("n = 4", "n = 41"),
+                   "factpat: degree must be in 1..40\n"),
+    "census-dependent-q3": (
+        "census", _linear("r = 2\nrows =\n    1 2\n    2 1\nalpha = 0 1\n")
+        .replace("p = 5", "p = 3"),
+        "factpat: constraint rows are linearly dependent\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNBUILT_FAMILIES))
+def test_cli_refuses_an_unbuilt_family_without_warning(tmp_path, kind):
+    # a family that is refused is never built, so, run in a fresh
+    # process, stderr holds the one refusal line and no q <= n warning
+    command, text, line = UNBUILT_FAMILIES[kind]
+    ini = tmp_path / f"{kind}.ini"
+    ini.write_text(text)
+    proc = _run_cli([command, "--config", str(ini)], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == line
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -288,9 +288,8 @@ def test_the_check_sees_a_walk_reading_an_oracle():
 
 
 _ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "zero_block",
-                     "_prefix_esym", "_window_values", "_times", "_residues",
-                     "_full_rank", "_digit_columns", "_coincident",
-                     "_double_collision"}
+                     "_window_values", "_times", "_residues", "_full_rank",
+                     "_digit_columns", "_coincident", "_double_collision"}
 
 
 def _walk_reads(trees):
@@ -314,12 +313,12 @@ def test_the_check_sees_an_oracle_reading_the_walk():
     trees = [ast.parse("def walk_G(x):\n    return x\n"
                        "def build_G(x):\n    return walk_G(x)\n"
                        "def _window_poly(c):\n    return c._stored\n"),
-             ast.parse("def _prefix_esym(s):\n"
+             ast.parse("def _window_values(s):\n"
                        "    from .correspondence import _stored\n"
-                       "def eval_R(s):\n    return _prefix_esym(s)\n"
+                       "def eval_R(s):\n    return _window_values(s)\n"
                        "def rational_zeros(s):\n    return walk_G(s)\n")]
-    assert _walk_reads(trees) == [("_prefix_esym", "_stored"),
-                                  ("_window_poly", "_stored"),
+    assert _walk_reads(trees) == [("_window_poly", "_stored"),
+                                  ("_window_values", "_stored"),
                                   ("build_G", "walk_G")]
 
 

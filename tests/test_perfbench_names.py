@@ -6,8 +6,10 @@ when the per-layer metrics are taken.  This imports perfbench/layers.py,
 instruments the engine and restores it, and walks each perfbench
 module's syntax tree: every attribute read off a factpat module, every
 name imported from one, and every keyword or positional count that a
-call into factpat passes must fit the engine as it is.  perfbench is
-read, never edited.
+call into factpat passes must fit the engine as it is.  Every
+workload's seed-0 reports must also pass the benchmark's own check,
+their sha256 equal to the one pinned in perfbench/digests.json, so a
+drift in report bytes shows here.  perfbench is read, never edited.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import ast
 import importlib
 import inspect
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import factpat
+from factpat import census
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,6 +65,21 @@ def test_workload_drivers_resolve(perfbench_modules):
     for w in workloads.WORKLOADS:
         for call in workloads.calls_for(w, 0):
             assert callable(getattr(factpat.census, call.driver)), call.key
+
+
+def test_seed_zero_reports_match_the_pinned_digests(perfbench_modules):
+    workloads = importlib.import_module("workloads")
+    pinned = workloads.load_digests()
+    keys = []
+    for w in workloads.WORKLOADS:
+        for call in workloads.calls_for(w, 0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # q <= n families warn
+                rep = call.run()
+            assert workloads.check(call, rep, census.render_json(rep), 0,
+                                   pinned) is None, call.key
+            keys.append(call.key)
+    assert sorted(keys) == sorted(pinned) and len(keys) == 18
 
 
 def _module_aliases(tree):

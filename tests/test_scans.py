@@ -693,7 +693,8 @@ def test_flagged_walk_memo_holds_at_most_one_entry_per_window(monkeypatch):
 def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     # after every oracle call of a full verify at (5, 5): each block of
     # the membership check (zero_block, one per prefix of every pattern)
-    # flags every last-window vector, the residue memo holds at most
+    # flags every last-window vector, the plan holds one listing of the
+    # q^i windows of each size i, the residue memo holds at most
     # q^(n - r) values of R, the probe's store at most one entry per zero
     # window for each window, and the coincidence check's one entry per
     # window before the last, holding the shifts of that window and those
@@ -711,6 +712,12 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     def checked_block(sys_, prefix):
         out = real_block(sys_, prefix)
         assert len(out) == p ** sys_.windows[-1][1]
+        listings = sys_.bank.values
+        assert {(size, n - r) for _, size, _ in sys_.windows} <= set(listings)
+        assert {i for i, _ in listings} <= set(range(1, n + 1))
+        for (i, _), (values, distinct) in listings.items():
+            assert len(values) == p ** i
+            assert len(distinct) <= min(p ** i, p ** (n - r))
         blocks.append(id(sys_))
         return out
 

@@ -6,16 +6,15 @@ Independent oracles: combinations-based symmetric sums (and, for the
 E_k recurrence through a layer's Zech lists, the same recurrence through
 the schoolbook methods of a layer without them), Vieta expansion
 through the conjugate-product polynomial, and frozen exhaustive counts
-for the canonical trace-zero quartic family over F_5.  The window E
-values a system keeps, and the window values and prefix products that
-the systems of one plan share, are held to a fresh system per call.
-eval_R and the probe's rank give, in any call order, what they give on
-a fresh system (their prefix products, memos and kept columns in play),
-and the membership check's block oracle zero_block, its prefixes in any
-order, flags exactly where eval_R on a fresh system vanishes; its
-size-n orbits, one span of the conjugate matrix's columns, are held to
-_orbit for a clean and a corrupted conjugate matrix, which eval_R must
-refuse.
+for the canonical trace-zero quartic family over F_5.  The window
+listings that the systems of one plan share, one per window size, which
+zero_block keeps and eval_R never reads, are held to a fresh system per
+call.  eval_R and the probe's rank give, in any call order, what they
+give on a fresh system (their memos and kept columns in play), and the
+membership check's block oracle zero_block, its prefixes in any order,
+flags exactly where eval_R on a fresh system vanishes; the span its
+listings come from, of the conjugate matrix's columns, is held to _orbit
+for a clean and a corrupted conjugate matrix, which eval_R must refuse.
 """
 
 from __future__ import annotations
@@ -194,8 +193,8 @@ def _kept_family(p, n):
 
 @pytest.mark.parametrize("p, n", [(5, 4), (7, 3)])
 def test_kept_window_values_do_not_depend_on_order(p, n):
-    # each system keeps its windows' E values: the oracles must give the
-    # same values in either order, and as on a fresh system per call
+    # eval_R keeps only R per E value: it must give the same values in
+    # either order, and as on a fresh system per call
     bank, fam = _kept_family(p, n)
     xs = list(product(range(p), repeat=n))
     for pat in enumerate_patterns(n):
@@ -209,9 +208,9 @@ def test_kept_window_values_do_not_depend_on_order(p, n):
 
 @pytest.mark.parametrize("p, n", [(5, 4), (7, 3)])
 def test_window_values_shared_by_a_plan_match_fresh_systems(p, n):
-    # the systems of one run share its plan's window values; each keeps
-    # its own prefix products.  Interleaved in any order, eval_R, zero_block
-    # and the probe's rank give what a fresh system per call gives
+    # the systems of one run share its plan's window listings.
+    # Interleaved in any order, eval_R, zero_block and the probe's rank
+    # give what a fresh system per call gives
     bank, fam = _kept_family(p, n)
     plan = Plan(bank)
     calls = []
@@ -263,21 +262,45 @@ def test_zero_block_matches_eval_R_at_every_vector(fam):
                 pat.label(), prefix)
 
 
+def test_a_plan_shared_by_two_families_keeps_each_ones_listings():
+    # families with n - r = 1 and 3 share one plan, interleaved pattern
+    # by pattern: each block still flags exactly where eval_R vanishes
+    bank, _ = _kept_family(5, 4)
+    plan = Plan(bank)
+    fams = [new_family(bank.base, 4, 3, [[1]], [0]),
+            new_family(bank.base, 4, 1, [[1, 0, 2]], [1])]
+    for pat in enumerate_patterns(4):
+        for fam in fams:
+            sys_ = sym_system(fam, pat, plan)
+            start, size, _ = sys_.windows[-1]
+            for prefix in product(range(5), repeat=start):
+                want = [not any(eval_R(sys_, prefix + v))
+                        for v in product(range(5), repeat=size)]
+                assert list(map(bool, variety.zero_block(sys_, prefix))) == (
+                    want), (fam.r, pat.label(), prefix)
+    assert {nr for _, nr in plan.values} == {1, 3}
+
+
 def test_kept_window_values_are_bounded():
-    # no window of size n is kept, and at most q^i windows of each size
-    # i < n, each with E_0..E_(n-r)
+    # eval_R keeps nothing in the plan; zero_block keeps one listing per
+    # window size of its system, E_0..E_(n-r) of each of the q^i vectors
+    # of size i, in product order, with the distinct ones
     p, n = 5, 4
     bank, fam = _kept_family(p, n)
     for pat in enumerate_patterns(n):
-        sys_ = sym_system(fam, pat, bank)
+        plan = Plan(bank)
+        sys_ = sym_system(fam, pat, plan)
         for x in product(range(p), repeat=n):
             eval_R(sys_, x)
-        sizes = sorted(set(pat.sizes()) - {n})
-        values = sys_.bank.values
-        assert {len(c) for c in values} == set(sizes), pat.label()
-        assert len(values) == sum(p ** i for i in sizes)
-        assert len(values) <= sum(p ** i for i in range(n))
-        assert {len(e) for e in values.values()} <= {sys_.nr + 1}
+        assert plan.values == {}, pat.label()
+        for prefix in product(range(p), repeat=sys_.windows[-1][0]):
+            variety.zero_block(sys_, prefix)
+        assert set(plan.values) == {(i, sys_.nr) for i in pat.sizes()}, (
+            pat.label())
+        for (i, _), (values, distinct) in plan.values.items():
+            assert len(values) == p ** i
+            assert {len(e) for e in values} == {sys_.nr + 1}
+            assert distinct == tuple(dict.fromkeys(values))
 
 
 # (p, n, r, rows, alpha): small families, the last with m = 2
@@ -325,8 +348,8 @@ def test_oracles_do_not_depend_on_call_order(p, n, r, rows, alpha):
             pat.label())
         # the m = 2 family has rank-deficient zeros under every pattern
         assert fam.m < 2 or not all(ordered[len(xs):]), pat.label()
-    # zero_block's size-n orbits, one span of A's columns, for a clean and
-    # a corrupted A
+    # zero_block's orbits of every size-n vector, one span of A's
+    # columns, for a clean and a corrupted A
     for bank_n in (bank, _layer_with_bad_entry(K, n, 1, n - 1)):
         ctx = bank_n.get(n)
         assert _span(list(zip(*ctx.A)), n, p, ctx.add, ctx.mul) == [
