@@ -223,7 +223,8 @@ def _window_table(ctx, k):
     high, low = (_span(cols[:m], i, q, add, ctx.mul),
                  _span(cols[m:], i, q, add, ctx.mul))
     # per s in F_q^*: the scaled codes of each half, and s^1 .. s^d
-    scalings = [(_scaled_codes(base, s, m), _scaled_codes(base, s, i - m),
+    scalings = [(_scaled_codes(base, [s] * m),
+                 _scaled_codes(base, [s] * (i - m)),
                  list(accumulate(repeat(s, d), mul))) for s in range(1, q)]
     top = q ** i - 1
     table = [None] * (top + 1)

@@ -87,12 +87,12 @@ def _span(cols, width, q, add, mul):
     return out
 
 
-def _scaled_codes(K, s, width):
-    """The code of s * v for each vector v of F_q^width, by the code of v
-    (both in product order)."""
-    scale = [K.mul(s, c) for c in range(K.q)]
+def _scaled_codes(K, scalars):
+    """The code of (s_1 v_1, ..., s_w v_w) for each vector v of F_q^w, by
+    the code of v (both in product order), scalars = (s_1, ..., s_w)."""
     codes = [0]
-    for _ in range(width):
+    for s in scalars:
+        scale = [K.mul(s, c) for c in range(K.q)]
         codes = [code * K.q + t for code in codes for t in scale]
     return codes
 

@@ -37,6 +37,8 @@ square-freeness, read the counts back through the logarithm.  The k
 forward and the up to 2P inverse transforms run as two batches (_batch),
 each vector in a bit field of one int per index, reduced once, when
 read.  It costs about (2P + k) k q^(k+1) operations, no factor of q^n.
+All but the transforms run once per class of indices (_classes) under
+f(T) -> u^(-n) f(uT), u in F_p^*, which keeps every pattern.
 
 table_cost prices each route by these counts, each times a measured
 constant; pattern_table takes the characters iff p > k and they cost
@@ -55,8 +57,8 @@ flat array of q^k * P * 2 int64 counts, each at most q^(n-k), so
 pattern_table refuses q^(n-k) >= 2^63 with ValueError.  The search's
 live state besides it is the recursion (depth below n) and the windows
 of the irreducibles below degree n; the characters' is a few dozen
-lists of q^k residues, then the packed batch (a 2.3 MB peak for the
-0.22 MB table at (11, 6, 3)).
+lists of one residue per class, then the packed batch of q^k ints (a
+0.82 MB peak for the 0.23 MB table at (11, 6, 3)).
 The table at depth n - r serves every family at (q, n, r), so
 family_tally keeps it in the shared ContextBank of its field, keyed by
 (n, k), until ffield._SHARED_BANKS is cleared; the tables that
@@ -77,7 +79,7 @@ from collections import defaultdict
 from itertools import accumulate, compress, count
 from operator import mul, sub
 
-from .ffield import ContextBank, _scaled_codes, _to_vec
+from .ffield import ContextBank, _prime_factors, _scaled_codes, _to_vec
 from .patterns import enumerate_patterns
 
 
@@ -219,13 +221,11 @@ def _irreducible_hist(K, n, k):
     return hist
 
 
-# The search takes about SEARCH_NS per monic and the characters about
-# CHARACTER_NS per operation: over the 107 tables with q <= 13 prime,
-# 1 <= k < p and q^n <= 3 * 10^5 (nproc 2, Python 3.11), the 15 that take
-# over 5 ms cost 0.56-2.16 us per monic by the search and 22-37 ns per
-# operation by the characters.  With these the rule picks the slower
-# route of the 107 by 1.3 ms in all, each time on a table under 1 ms.
-SEARCH_NS, CHARACTER_NS = 1000, 30
+# The search's ns per monic and the characters' per operation.  On the 107
+# tables of tests/route_times.py (nproc 2, Python 3.11): 1.1-4.6 us and
+# 23-61 ns where both take over 5 ms and k >= 2; any CHARACTER_NS from 17
+# to 25 picks the slower route on 21, losing 99 ms, 94 at (11, 5, 4).
+SEARCH_NS, CHARACTER_NS = 1000, 20
 
 
 def table_cost(K, n, k, P):
@@ -296,16 +296,33 @@ def _modulus(p, bound):
     return l, pow(g, (l - 1) // p, l)
 
 
-def _log_indices(K, k):
-    """logs[w]: the truncated logarithm of window w as an element of
-    F_q^k, indexed like a window.  Its coefficients solve
-    t l_t = t g_t - sum_(j<t) j l_j g_(t-j), which needs 1/t for t <= k."""
+def _classes(K, k):
+    """(reps, cls): the least index of each class of F_q^k under
+    b_t -> u^t b_t, u in F_p^*, ascending, and the class of each index:
+    the cycles of that scaling at u = g, the least generator of F_p^*."""
+    p, size = K.p, K.q ** k
+    g = next(g for g in range(1, p) if all(
+        pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
+    graded = _scaled_codes(K, [K.of_int(g ** t) for t in range(k, 0, -1)])
+    reps, cls = [], [None] * size
+    for w in range(size):
+        if cls[w] is None:
+            reps.append(w)
+            while cls[w] is None:
+                cls[w], w = len(reps) - 1, graded[w]
+    return reps, cls
+
+
+def _log_indices(K, k, windows):
+    """The truncated logarithm of each of windows, one per class as
+    log(g(uX)) = (log g)(uX), in F_q^k indexed like a window: t l_t =
+    t g_t - sum_(j<t) j l_j g_(t-j), which needs 1/t for t <= k."""
     q, add, mul = K.q, K.add, K.mul
     qpow = [q ** t for t in range(k)]
     num = [K.of_int(t) for t in range(k + 1)]
     neg_inv = [0] + [K.neg(K.inv(num[t])) for t in range(1, k + 1)]
     out = []
-    for w in range(q ** k):
+    for w in windows:
         g = (1,) + _to_vec(w, q, k)
         jl = [0] * (k + 1)          # j * l_j
         v = 0
@@ -334,12 +351,13 @@ def _transform(f, rows, digits):
     return f
 
 
-def _batch(vectors, rows, digits, l, bound, at=None):
+def _batch(vectors, rows, digits, l, bound, at=None, spread=None):
     """The transforms mod l of vectors with entries below bound, read at
     the indices in at if given, by one _transform of packed ints: vector
     j has bits j width .. (j + 1) width - 1, width the bit length of
     bound (p l)^digits, which digits passes of sums of p products with
-    row entries below l stay below, so no field carries into the next."""
+    row entries below l stay below, so no field carries into the next.
+    With spread, vectors are per class, and index i takes spread[i]'s."""
     width = (bound * (len(rows) * l) ** digits).bit_length()
     vectors = iter(vectors)
     packed, end = list(next(vectors)), width
@@ -347,6 +365,7 @@ def _batch(vectors, rows, digits, l, bound, at=None):
         for i, x in enumerate(vec):
             packed[i] |= x << end
         end += width
+    packed = packed if spread is None else [packed[c] for c in spread]
     out = _transform(packed, rows, digits)
     out = out if at is None else [out[v] for v in at]
     mask = (1 << width) - 1
@@ -366,24 +385,27 @@ def _character_table(K, pats, k):
     chi_b^j = chi_(j b).  Per degree d, Newton's identities turn the
     power sums pi_d(chi^i) into h_m and e_m; per pattern the inverse
     transforms of prod_d h_(c_d) and prod_d e_(c_d) are the total and
-    the square-free counts at each log g.  All of it is mod l."""
+    the square-free counts at each log g.  All of it is mod l, and all
+    but the transforms runs per class (_classes), at its least index; the
+    inverse is read at the representatives' logs."""
     q, p, n = K.q, K.p, pats[0].n
-    size = q ** k
     digits = K.s * k
     l, zeta = _modulus(p, 2 * q ** n)
-    logs = _log_indices(K, k)
-    scale = {j % p: _scaled_codes(K, K.of_int(j), k) for j in range(n + 1)}
+    reps, cls = _classes(K, k) if k else ([0], [0])
+    logs = _log_indices(K, k, reps)
+    scale = {j % p: [cls[c] for c in map(_scaled_codes(
+        K, [K.of_int(j)] * k).__getitem__, reps)] for j in range(n + 1)}
     a = []
     if k:       # at k = 0 the transform is the identity
         fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
-        at_log = sorted(range(size), key=logs.__getitem__)
+        at_log = [w for _, w in sorted(zip(map(cls.__getitem__, logs), reps))]
         hits = ([int(w < top) for w in at_log]
                 for top in [q ** d for d in range(1, k + 1)])
-        a = list(_batch(hits, fwd, digits, l, 2))
+        a = list(_batch(hits, fwd, digits, l, 2, reps, cls))
     c = {}
     pi = [None]
     for N in range(1, n + 1):
-        acc = [N * x for x in a[N - 1]] if N <= k else [0] * size
+        acc = [N * x for x in a[N - 1]] if N <= k else [0] * len(reps)
         for j in range(1, min(N - 1, k) + 1):
             acc = [s - x * y for s, x, y in zip(acc, a[j - 1], c[N - j])]
         acc[0] = q ** N             # the trivial character
@@ -398,14 +420,14 @@ def _character_table(K, pats, k):
     del a, c, acc
     # h[d][m] and e[d][m]: the complete and the elementary symmetric
     # functions of degree m in chi(P), P irreducible of degree d
-    ones = [1] * size
+    ones = [1] * len(reps)
     h, e = {}, {}
     for d in range(1, n + 1):
         power = [None] + [[pi[d][i] for i in scale[j % p]]
                           for j in range(1, n // d + 1)]
         hd, ed = [ones], [ones]
         for m in range(1, n // d + 1):
-            hs, es = [0] * size, [0] * size
+            hs, es = [0] * len(reps), [0] * len(reps)
             for i in range(1, m + 1):
                 hs = [s + x * y for s, x, y in zip(hs, power[i], hd[m - i])]
                 sign = 1 if i % 2 else -1
@@ -421,7 +443,7 @@ def _character_table(K, pats, k):
         # each over q^k, the inverse transform's scale
         for pat in pats:
             for sym in (h,) if max(pat.counts) == 1 else (h, e):
-                prod = [pow(size, -1, l)] * size
+                prod = [pow(len(cls), -1, l)] * len(reps)
                 for d, cd in enumerate(pat.counts, 1):
                     if cd:
                         prod = [x * y % l for x, y in zip(prod, sym[d][cd])]
@@ -431,14 +453,15 @@ def _character_table(K, pats, k):
     del pi, power, h, e, hd, ed, hs, es     # products holds h and e
     if k:       # they are dropped once packed, before the transform
         back = [row[:1] + row[:0:-1] for row in fwd]    # zeta^(-u x)
-        counts = _batch(counts, back, digits, l, l, logs)
+        counts = _batch(counts, back, digits, l, l, logs, cls)
     width = 2 * len(pats)
-    table = array("q", bytes(8 * size * width))
+    table = array("q", bytes(8 * len(cls) * width))
     for i, pat in enumerate(pats):
         total = next(counts)
         sqf = total if max(pat.counts) == 1 else next(counts)
-        table[2 * i + 1::width] = array("q", sqf)
-        table[2 * i::width] = array("q", map(sub, total, sqf))
+        nsq = list(map(sub, total, sqf))
+        table[2 * i + 1::width] = array("q", map(sqf.__getitem__, cls))
+        table[2 * i::width] = array("q", map(nsq.__getitem__, cls))
     return table
 
 

@@ -18,8 +18,8 @@ import pytest
 
 from factpat._dense import pmod, pmul, trim
 from factpat.ffield import (ContextBank, Embedding, ExtCtx, FieldParams,
-                            _span, find_irreducible, make_field,
-                            mat_nullspace, mat_rank)
+                            _scaled_codes, _span, find_irreducible,
+                            make_field, mat_nullspace, mat_rank)
 
 # Frozen search results.  The library picks the lexicographically least
 # monic irreducible (highest-degree coefficient compared first), so these
@@ -458,6 +458,30 @@ def test_span_is_every_combination_of_its_columns(entries, count):
             acc = [K.add(a, K.mul(c, y)) for a, y in zip(acc, col)]
         want.append(tuple(acc))
     assert _span(cols, width, q, K.add, K.mul) == want
+
+
+@pytest.mark.parametrize("p, s", [(7, 1), (2, 3), (3, 2)])
+def test_scaled_codes_scale_each_coordinate(p, s):
+    # per vector of F_q^width in product order, the code of its digits
+    # each times its own scalar, one mul at a time: every uniform scalar
+    # (the window table's form), the graded u^width .. u^1 (the pattern
+    # table's classes) and random per-coordinate scalars
+    K = make_field(p, s)
+    q = K.q
+    rng = random.Random(f"{SAMPLE_SEED} scaled {q}")
+    for width in range(4):
+        forms = [[c] * width for c in range(q)]
+        forms += [[K.of_int(u ** t) for t in range(width, 0, -1)]
+                  for u in range(2, p)]
+        forms += [[rng.randrange(q) for _ in range(width)] for _ in range(3)]
+        for scalars in forms:
+            want = []
+            for vec in product(range(q), repeat=width):
+                code = 0
+                for c, v in zip(scalars, vec):
+                    code = code * q + K.mul(c, v)
+                want.append(code)
+            assert _scaled_codes(K, scalars) == want, (width, scalars)
 
 
 def test_extension_axioms_sampled_char2():

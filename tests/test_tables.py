@@ -14,11 +14,15 @@ for a rebuild once the banks are cleared, and for staying unwritten.
 from __future__ import annotations
 
 import random
+import runpy
+import subprocess
+import sys
 import time
 import warnings
 from itertools import combinations, product
 from math import comb, isqrt, prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -79,6 +83,38 @@ def test_routes_agree_on_every_small_table():
         pats = enumerate_patterns(n)
         assert _search_table(K, pats, k) == _character_table(K, pats, k), \
             (K.q, n, k)
+
+
+def _graded(K, k, u, w):
+    """The index of window w with digit t scaled by u^t, one mul each."""
+    digits = ffield._to_vec(w, K.q, k)      # digit t - 1 is c_(n-t)
+    return ffield._from_vec([K.mul(K.of_int(u ** t), c)
+                             for t, c in enumerate(digits, 1)], K.q)
+
+
+@pytest.mark.parametrize("p, s", [(5, 1), (7, 1), (3, 2), (5, 2)])
+def test_search_tables_are_constant_on_each_scaling_class(p, s):
+    # f(T) -> u^(-n) f(uT), u in F_p^*, keeps every pattern and scales
+    # window digit t by u^(-t); the characters work per class of that
+    # scaling (tables._classes), the search knows nothing of it.  Every
+    # k < p with q^n <= 2 * 10^4; the classes are the orbits, each
+    # numbered by its least index
+    K = make_field(p, s)
+    q = K.q
+    cases = [(n, k) for n in range(1, 15) if q ** n <= 2 * 10 ** 4
+             for k in range(1, min(n, p - 1) + 1)]
+    for n, k in cases:
+        pats = enumerate_patterns(n)
+        width = 2 * len(pats)
+        table = _search_table(K, pats, k)
+        reps, cls = tables._classes(K, k)
+        for w in range(q ** k):
+            row = table[w * width:(w + 1) * width]
+            orbit = {_graded(K, k, u, w) for u in range(1, p)}
+            assert all(table[v * width:(v + 1) * width] == row
+                       for v in orbit), (q, n, k, w)
+            assert {cls[v] for v in orbit} == {cls[w]}, (q, k, w)
+            assert reps[cls[w]] == min(orbit), (q, k, w)
 
 
 @pytest.mark.parametrize("q, n, k", [(13, 7, 3), (31, 5, 2)])
@@ -250,10 +286,11 @@ def test_workload_tables_take_the_named_route(monkeypatch):
 
 def test_pattern_table_routes_by_table_cost(monkeypatch):
     # the characters at (7, 6, 4) and (5, 6, 4), where they are faster but
-    # cost more than 8 q^n operations; the search at (13, 4, 3), where it
-    # is faster
-    for refused, cases in (("_search_table", [(7, 6, 4), (5, 6, 4)]),
-                           ("_character_table", [(13, 4, 3)])):
+    # cost more than 8 q^n operations, and at (13, 4, 3), where they are
+    # faster; the search at (11, 3, 3), where it is faster
+    for refused, cases in (("_search_table",
+                            [(7, 6, 4), (5, 6, 4), (13, 4, 3)]),
+                           ("_character_table", [(11, 3, 3)])):
         with monkeypatch.context() as patch:
             patch.setattr(tables, refused, _refuse)
             for q, n, k in cases:
@@ -263,6 +300,24 @@ def test_pattern_table_routes_by_table_cost(monkeypatch):
                     == (refused == "_search_table")
                 assert len(pattern_table(K, pats, k)) \
                     == q ** k * 2 * len(pats)
+
+
+def test_route_times_runs_on_two_tiny_tables():
+    # the tool behind SEARCH_NS and CHARACTER_NS, on two tables of its 107
+    tool = Path(__file__).with_name("route_times.py")
+    out = subprocess.run([sys.executable, str(tool), "--repeat", "1",
+                          "3,2,1", "5,3,2"], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert len(out) == 5
+    for line, (q, n, k) in zip(out, [(3, 2, 1), (5, 3, 2)]):
+        words = line.split()
+        assert words[:3] == [str(q), str(n), str(k)]
+        pick = tables.table_cost(make_field(q), n, k,
+                                 len(enumerate_patterns(n)))[1]
+        assert words[-3] == ("characters" if pick else "search")
+        assert words[-1] in ("characters", "search")
+    assert out[2].startswith("lost to the slower route: ")
+    assert len(runpy.run_path(str(tool))["TABLES"]) == 107
 
 
 def _draw_family(K, n, data):
