@@ -24,11 +24,10 @@ A run is described by an INI config:
     out = report.json      ; the CLI exits 2 if it cannot write it
 
 budget is one limit, MEMBER_BUDGET (10^8) by default, also for the scans
-called directly: no run tallies a family of more members, builds the
-q^n-monic table of run_global or run_verify past it, or scans more
-vectors of F_q^n in one walk; past it the run raises BudgetError.  A
-census reads its family's table only if the table's q^n monics are
-within it, and else takes the kernel path, which the member count bounds.
+called directly.  Each driver checks it once, before it builds any layer,
+table or member: run_census against the members, run_global against the
+q^n monics of degree n, run_verify against both; past it BudgetError is
+raised.  It chooses no route: see census_tally for the work bound.
 
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
@@ -42,15 +41,16 @@ them, by a search that multiplies irreducibles or, for p > k where it is
 cheaper, through the characters of the window group; run_global reads it
 at depth 0, run_verify at depth n for its per-polynomial lookups (depth
 0 when only the variety section runs), and census_tally at depth n - r
-where the table's estimated time (tables.table_cost) is at most the
-kernel's (see census_tally).  run_global's and run_verify's tables are
-built per call; the census table depends only on (q, n, r), so
-tables.family_tally keeps it in the field's shared ContextBank, and a
-process holds one table per (field, n, depth) it has tallied.  Other
-families run the census kernel (poly.pattern_of_coeffs) member by
-member.  workers applies only to that kernel path: it partitions the
-member stream by the leading free coefficient, and tallies merge by
-addition, so every path and worker count emits identical bytes.
+where the family has no more windows than members and the table is
+priced (tables.table_cost) within the kernel's time.  run_global's and
+run_verify's tables are built per call; the census table depends only on
+(q, n, r), so tables.family_tally keeps it in the field's shared
+ContextBank, and a process holds one table per (field, n, depth) it has
+tallied.  Other families run the census kernel (poly.pattern_of_coeffs)
+member by member.  workers applies only to that kernel path: it
+partitions the member stream by the leading free coefficient, and
+tallies merge by addition, so every path and worker count emits
+identical bytes.
 
 run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
 yields each x in itertools.product order with the window index of G(x):
@@ -58,17 +58,18 @@ at depth n the correspondence section reads each polynomial's pattern
 slot from the table by that index, and in the same walk the membership
 check compares the family's window flags at that index mod q^(n - r),
 the depth-(n - r) window, with the block oracle variety.zero_block's,
-one block per prefix of the outer windows.  For every section choice the variety section is
-variety.variety_pass, one walk per pattern at depth n - r that passes
-only the zeros of the reduced system and gives both the counting
-identity and the Jacobian probe.  Reports are those of a per-point
-scan.  The walk tables each window size's entries once per class
-under rotation and scaling by F_q^* and once per run
-(correspondence.Plan), in the layers F_(q^i) of the window sizes
-i <= n alone, with their Zech tables (ffield.ExtCtx.ensure_fast).  Those tables are what the order limit
-bounds, so run_verify builds the largest, F_(q^n), before anything is
-tallied or scanned.  run_census and run_bounds build the layers for the
-descriptor but no tables, so the order limit does not apply to them.
+one block per prefix of the outer windows.  For every section choice the
+variety section is variety.variety_pass, one walk per pattern at depth
+n - r that passes only the zeros of the reduced system and gives both
+the counting identity and the Jacobian probe.  Reports are those of a
+per-point scan.  The walk tables each window size's entries once per
+class under rotation and scaling by F_q^* and once per run
+(correspondence.Plan), in the layers F_(q^i) of the window sizes i <= n
+alone, with their Zech tables (ffield.ExtCtx.ensure_fast).  Those tables
+are what the order limit bounds, so run_verify builds the largest,
+F_(q^n), after the budget checks and before anything is tallied or
+scanned.  run_census and run_bounds build the layers for the descriptor
+but no tables, so the order limit does not apply to them.
 """
 
 from __future__ import annotations
@@ -289,20 +290,20 @@ def census_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET,
                  workers: int = 1, pats=None) -> dict:
     """Pattern tally over the members: counts tuple -> [total, squarefree].
 
-    A family is read off the pattern table if its q^n monics are within
-    the budget, it has no more windows than members (q^(n-r) <= |A|, so
-    the table's memory is within a constant per member), and the table's
-    estimated time (tables.table_cost) is at most the kernel's,
-    KERNEL_NS per member; the others run the kernel member by
-    member, chunked by the leading free coefficient when workers > 1, in
-    a pool of at most as many processes as chunks and as CPUs this
-    process may run on.  Merge order is fixed, so the result is
-    independent of the path and of the worker count.  pats, the patterns
-    of degree n, is formed here for the table if the caller has not."""
+    Past budget members it refuses before any work.  The pattern table
+    is read if m <= r (q^(n-r) <= |A| windows: its memory is within a
+    constant per member) and its time (tables.table_cost) is at most the
+    kernel's, KERNEL_NS per member, so the work of either route is at
+    most KERNEL_NS * |A|.  Else the kernel runs member by member, chunked
+    by the leading free coefficient when workers > 1, in a pool of at
+    most as many processes as chunks and as CPUs this process may run
+    on.  Merge order is fixed, so the result is independent of the path
+    and of the worker count.  pats, the patterns of degree n, is formed
+    here for the table if the caller has not."""
     if fam.size > budget:
         raise BudgetError(f"family size {fam.size} exceeds budget {budget}")
-    q, n, size = fam.q, fam.n, fam.size
-    if q ** n <= budget and q ** (n - fam.r) <= size:
+    n, size = fam.n, fam.size
+    if fam.m <= fam.r:
         pats = pats or enumerate_patterns(n)
         if table_cost(fam.ctx, n, n - fam.r, len(pats))[0] <= KERNEL_NS * size:
             return family_tally(fam, pats)
@@ -331,8 +332,8 @@ def run_census(cfg: RunConfig) -> dict:
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
     pats = enumerate_patterns(fam.n)
-    descriptor = family_descriptor(fam)
     tally = census_tally(fam, cfg.budget, cfg.workers, pats)
+    descriptor = family_descriptor(fam)
     terms = bound_terms(fam)
     rows = []
     for pat in pats:
@@ -366,15 +367,6 @@ def run_census(cfg: RunConfig) -> dict:
     }
 
 
-def _global_table(field: FieldParams, pats, k: int, budget: int):
-    """The pattern table of all q^n monics of degree n at depth k, pats
-    the patterns of degree n."""
-    size = field.q ** pats[0].n
-    if size > budget:
-        raise BudgetError(f"global census size {size} exceeds budget {budget}")
-    return pattern_table(field, pats, k)
-
-
 def run_global(cfg: RunConfig) -> dict:
     """Unconstrained census of all monic degree-n polynomials.
 
@@ -389,8 +381,10 @@ def run_global(cfg: RunConfig) -> dict:
         raise ValueError("global census needs n >= 1")
     q = field.q
     size = q ** n
+    if size > cfg.budget:
+        raise BudgetError(f"global census size {size} exceeds budget {cfg.budget}")
     pats = enumerate_patterns(n)
-    tally = tally_windows(pats, _global_table(field, pats, 0, cfg.budget))
+    tally = tally_windows(pats, pattern_table(field, pats, 0))
     rows = [_count_row(pat, pattern_stats(pat).weight, tally, size)[0]
             for pat in pats]
     total = sum(row["count"] for row in rows)
@@ -449,9 +443,12 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                          "from 'correspondence' and 'variety'")
     field = make_field(cfg.p, cfg.s)
     fam = build_family(cfg, field)
+    n, q = fam.n, field.q
+    for what, size in (("family size", fam.size),
+                       ("global census size", q ** n)):
+        if size > cfg.budget:
+            raise BudgetError(f"{what} {size} exceeds budget {cfg.budget}")
     plan = Plan(ContextBank.shared(field))      # dropped with the call
-    n = fam.n
-    q = field.q
     report: dict = {
         "mode": "verify",
         "engine": ENGINE_TAG,
@@ -466,7 +463,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     # one entry per polynomial where the correspondence looks them up,
     # else only the pattern totals
     depth = n if "correspondence" in sections else 0
-    table = _global_table(field, patterns, depth, cfg.budget)
+    table = pattern_table(field, patterns, depth)
     gtally = tally_windows(patterns, table)
     ok_flags = []
     sq_grouped = Fraction(0)
@@ -565,9 +562,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
 
 
 def _bool_str(v) -> str:
-    if v is None:
-        return ""
-    return "true" if v else "false"
+    return "" if v is None else "true" if v else "false"
 
 
 def render_json(report: dict) -> str:

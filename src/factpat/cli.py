@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import census
 from .errors import BudgetError
@@ -63,16 +64,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "census":
-            report = census.run_census(cfg)
-        elif args.command == "verify-correspondence":
-            report = census.run_verify(cfg, sections=("correspondence",))
-        elif args.command == "variety":
-            report = census.run_verify(cfg, sections=("variety",))
-        elif args.command == "global":
-            report = census.run_global(cfg)
-        else:
-            report = census.run_bounds(cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)    # q <= n warns
+            if args.command == "census":
+                report = census.run_census(cfg)
+            elif args.command == "verify-correspondence":
+                report = census.run_verify(cfg, sections=("correspondence",))
+            elif args.command == "variety":
+                report = census.run_verify(cfg, sections=("variety",))
+            elif args.command == "global":
+                report = census.run_global(cfg)
+            else:
+                report = census.run_bounds(cfg)
+        for caution in caught:      # one line each, without a source path
+            print(f"factpat: warning: {caution.message}", file=sys.stderr)
         text = census.emit_report(report, cfg.fmt, cfg.out)
     except (ValueError, OSError, BudgetError) as exc:
         print(f"factpat: {exc}", file=sys.stderr)

@@ -36,8 +36,8 @@ import itertools
 from ._dense import padd, peval, pgcd, pmod, pmul, ppowmod, pscale, psub
 
 ORDER_LIMIT = 1 << 20     # largest order of a field or of a tabled layer
-_TABLE_MAX_PRIME = 1024   # op-table cutoffs for base layers
-_TABLE_MAX_EXT = 128
+_TABLE_MAX_PRIME = 256    # op-table cutoffs for base layers; past CPython's
+_TABLE_MAX_EXT = 128      # small ints, prime tables are no faster than % p
 
 
 def _prime_factors(n: int) -> list[int]:

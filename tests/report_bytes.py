@@ -14,7 +14,10 @@ exit code 2) and the config.  Run from the repository root:
 With --against, the lines are compared with those of FILE; the first
 config that differs is named on stderr and the exit code is 1.  The
 engine is read from the src directory beside this file, so to compare
-two trees run each tree's copy.  Standard library only.
+two trees run each tree's copy.  tests/report_bytes_seed0.txt holds the
+seed-0 lines that CI compares every Python version with; a change that
+alters report bytes on purpose regenerates it and names each config
+whose digest changed.  Standard library only.
 """
 
 import argparse

@@ -751,6 +751,20 @@ def test_cli_refuses_an_unbuilt_family_without_warning(tmp_path, kind):
     assert proc.stderr == line
 
 
+@pytest.mark.parametrize("p, err", [
+    (3, "factpat: warning: q = 3 <= n = 4: the deviation bounds do not "
+        "apply\n"),
+    (5, "")], ids=["q<=n", "q>n"])
+def test_cli_warns_in_one_line(tmp_path, p, err):
+    # a q <= n family still exits 0, with the warning as one factpat:
+    # line that names no source file
+    ini = tmp_path / f"q{p}.ini"
+    ini.write_text(CONFIG_TEXT.replace("p = 5", f"p = {p}"))
+    proc = _run_cli(["bounds", "--config", str(ini)], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == err
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     cfgfile = tmp_path / "demo.ini"

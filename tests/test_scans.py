@@ -47,10 +47,10 @@ from hypothesis import strategies as st
 
 from factpat import census, cli, correspondence, ffield, variety
 from factpat.census import (RunConfig, build_family, render_json,
-                            run_verify)
+                            run_census, run_verify)
 from factpat.correspondence import (build_G, is_type_lambda,
                                     verify_membership_equivalence, walk_G)
-from factpat.errors import GaloisDescentError
+from factpat.errors import BudgetError, GaloisDescentError
 from factpat.family import (MEMBER_BUDGET, new_family, pattern_tally,
                             prescribed_family)
 from factpat._dense import pmul
@@ -935,6 +935,33 @@ def test_window_layer_limit_fails_before_any_scan(monkeypatch, tmp_path):
                                          r"exceeds the 1048576 limit"):
         run_verify(cfg, sections=("variety",))
     assert cli.main(["variety", "--config", str(ini)]) == 2
+
+
+def test_census_budget_fails_before_the_descriptor(monkeypatch):
+    # the descriptor builds the tower F_(q^i), i <= n; an over-budget
+    # family is refused before any layer
+    monkeypatch.setattr(census, "family_descriptor", _refuse)
+    cfg = RunConfig(p=65537, n=3, r=2, rows=((1,),), alpha=(0,))
+    with pytest.raises(BudgetError, match=r"^family size 4295098369 exceeds "
+                                          r"budget 100000000$"):
+        run_census(cfg)
+
+
+@pytest.mark.parametrize("sections", [("correspondence",), ("variety",),
+                                      ("correspondence", "variety")])
+def test_verify_budget_fails_before_any_table_or_scan(monkeypatch,
+                                                      sections):
+    # the family's 11^4 members are within the budget and the 11^5
+    # monics are not: refused before F_(11^5) is tabled or anything is
+    # tallied or scanned
+    monkeypatch.setattr(ffield.ExtCtx, "ensure_fast", _refuse)
+    for name in ("census_tally", "walk_G", "pattern_table"):
+        monkeypatch.setattr(census, name, _refuse)
+    cfg = RunConfig(p=11, n=5, r=3, rows=((1, 0),), alpha=(0,),
+                    budget=20000)
+    with pytest.raises(BudgetError, match=r"^global census size 161051 "
+                                          r"exceeds budget 20000$"):
+        run_verify(cfg, sections=sections)
 
 
 def test_verify_builds_no_embedding(monkeypatch):

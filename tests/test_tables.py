@@ -409,14 +409,15 @@ def test_census_tally_table_path_when_codimension_is_small(monkeypatch):
     assert census_tally(fam, workers=2) == want
 
 
-def test_census_table_counts_against_the_budget(monkeypatch):
-    # priced for the table but for its 13^4 monics, past a budget that
-    # the family's 13^3 members are within
+def test_census_reads_the_table_whatever_the_budget(monkeypatch):
+    # the budget bounds the members and picks no route: priced for the
+    # table, the family's 13^3 members read it under a budget below its
+    # 13^4 monics
     fam = _unit_row_families(13, 4, 1, 1, 1)[0]
     assert fam.size == 13 ** 3 and _table_by_cost(fam)
     assert fam.size <= 10 ** 4 < 13 ** 4
     want = pattern_tally(fam)
-    monkeypatch.setattr(census, "family_tally", _refuse)
+    monkeypatch.setattr(census, "pattern_tally", _refuse)
     assert census_tally(fam, budget=10 ** 4) == want
 
 
