@@ -33,23 +33,22 @@ Each monic's character value is the product of its factors', so the
 transform of a pattern's counts is a product over degrees of symmetric
 functions of the prime sums, which the L-functions of the characters
 give (see _character_table); the inverse transforms, per pattern and
-square-freeness, read the counts back through the logarithm.  The k
-forward and the up to 2P inverse transforms run as two batches (_batch),
-each vector in a bit field of one int per index, reduced once, when
-read.  It costs about (2P + k) k q^(k+1) operations, no factor of q^n.
-All but the transforms run once per class of indices (_classes) under
-f(T) -> u^(-n) f(uT), u in F_p^*, which keeps every pattern.
+square-freeness, read the counts back through the logarithm.  All of it
+runs per class of indices (_classes) under f(T) -> u^(-n) f(uT), u in
+F_p^*, which keeps every pattern; the k forward and up to 2P inverse
+transforms run as two batches of packed ints (_batch), on the indices
+with lowest digit 0 or 1 only: (2P + k) 2 s k q^k products, no q^n.
 
-table_cost prices each route by these counts, each times a measured
-constant; pattern_table takes the characters iff p > k and they cost
-less, so every depth-0 table takes them, and census_tally weighs the same
-estimate against the kernel.  Each route is the other's test oracle.  The
-characters are exact: all arithmetic is mod one prime l = 1 (mod p),
-l > 2 q^n, proven prime by Miller-Rabin to the bases 2..37, with zeta of
-order p in F_l.  Reduction mod l is a ring map from Z[zeta_p], where
-the true transforms lie; the divisions are by integers up to n and by
-q^k, all below l and so units mod l; and each count lies in 0..q^n,
-below l, so its residue is the count.
+table_cost prices each route by these counts times a measured constant,
+plus a fixed term; pattern_table takes the characters iff p > k and
+they cost less, as every depth-0 table past 177 monics does, and
+census_tally weighs the same estimate against the kernel.  Each route is
+the other's test oracle.  The characters are exact: all arithmetic is
+mod one prime l = 1 (mod p), l > 2 q^n, proven prime by Miller-Rabin to
+the bases 2..37, with zeta of order p in F_l.  Reduction mod l is a ring
+map from Z[zeta_p], where the true transforms lie; the divisions are by
+integers up to n and by q^k, all below l and so units mod l; and each
+count lies in 0..q^n, below l, so its residue is the count.
 
 k = 0 gives the unconstrained census, k = n - r the windows a linear
 family constrains, and k = n one entry per polynomial.  The table is one
@@ -57,8 +56,8 @@ flat array of q^k * P * 2 int64 counts, each at most q^(n-k), so
 pattern_table refuses q^(n-k) >= 2^63 with ValueError.  The search's
 live state besides it is the recursion (depth below n) and the windows
 of the irreducibles below degree n; the characters' is a few dozen
-lists of one residue per class, then the packed batch of q^k ints (a
-0.82 MB peak for the 0.23 MB table at (11, 6, 3)).
+lists of one residue per class, then the packed slices (a traced peak
+of 13.3 MB, 27 MiB RSS in all, for the 5.2 MB table at (31, 6, 3)).
 The table at depth n - r serves every family at (q, n, r), so
 family_tally keeps it in the shared ContextBank of its field, keyed by
 (n, k), until ffield._SHARED_BANKS is cleared; the tables that
@@ -221,19 +220,20 @@ def _irreducible_hist(K, n, k):
     return hist
 
 
-# The search's ns per monic and the characters' per operation.  On the 107
-# tables of tests/route_times.py (nproc 2, Python 3.11): 1.1-4.6 us and
-# 23-61 ns where both take over 5 ms and k >= 2; any CHARACTER_NS from 17
-# to 25 picks the slower route on 21, losing 99 ms, 94 at (11, 5, 4).
-SEARCH_NS, CHARACTER_NS = 1000, 20
+# Each route's fixed ns, the search's per monic and unit of 3 + 2 k^2, and
+# the characters' per transform product, with 3 k p^2 more for the p x p
+# rows: fitted on the tables of tests/route_times.py (nproc 2, Python 3.11).
+SEARCH_FIXED_NS, CHARACTER_FIXED_NS = 100_000, 140_000
+SEARCH_NS, CHARACTER_NS = 75, 60
 
 
 def table_cost(K, n, k, P):
     """(ns, characters): the estimated time in ns of pattern_table at
     depth k for the P patterns of degree n over K, and whether it takes
-    the characters, which need p > k; at k = 0 they cost nothing here."""
-    search = SEARCH_NS * K.q ** n
-    characters = CHARACTER_NS * (2 * P + k) * k * K.q ** (k + 1)
+    the characters, which need p > k; at k = 0 they transform nothing."""
+    search = SEARCH_FIXED_NS + SEARCH_NS * (3 + 2 * k * k) * K.q ** n
+    characters = CHARACTER_FIXED_NS + CHARACTER_NS * k * (
+        3 * K.p ** 2 + (2 * P + k) * 2 * K.s * K.q ** k)
     if K.p > k and characters < search:
         return characters, True
     return search, False
@@ -297,20 +297,36 @@ def _modulus(p, bound):
 
 
 def _classes(K, k):
-    """(reps, cls): the least index of each class of F_q^k under
-    b_t -> u^t b_t, u in F_p^*, ascending, and the class of each index:
-    the cycles of that scaling at u = g, the least generator of F_p^*."""
-    p, size = K.p, K.q ** k
+    """(reps, cls): a representative of each class of F_q^k under
+    b_t -> u^t b_t, u in F_p^*, and the class of each index: the cycles
+    of that scaling at u = g, the least generator of F_p^*, numbered by
+    least index.  A class is represented by its least index if b_1 = 0,
+    else by its one member whose b_1 has lowest nonzero digit 1."""
+    p, q, size = K.p, K.q, K.q ** k
     g = next(g for g in range(1, p) if all(
         pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
     graded = _scaled_codes(K, [K.of_int(g ** t) for t in range(k, 0, -1)])
+    lead = [[d for d in _to_vec(c, p, K.s) if d][:1] == [1] for c in range(q)]
     reps, cls = [], [None] * size
     for w in range(size):
         if cls[w] is None:
             reps.append(w)
             while cls[w] is None:
+                reps[-1] = w if lead[w % q] else reps[-1]
                 cls[w], w = len(reps) - 1, graded[w]
     return reps, cls
+
+
+def _slice_codes(K, k):
+    """codes[u - 2][j] = j', u = 2 .. p-1, where b_t -> u^t b_t takes index
+    j p + 1 to j' p + u: slice u of the transform of a vector constant on
+    the classes, over all but the lowest digit, is slice 1 read at codes."""
+    out, p = [], K.p
+    for u in range(2, p):
+        low = [K.mul(K.of_int(u), x * p) // p for x in range(K.q // p)]
+        high = _scaled_codes(K, [K.of_int(u ** t) for t in range(k, 1, -1)])
+        out.append([y * len(low) + z for y in high for z in low])
+    return out
 
 
 def _log_indices(K, k, windows):
@@ -353,11 +369,14 @@ def _transform(f, rows, digits):
 
 def _batch(vectors, rows, digits, l, bound, at=None, spread=None):
     """The transforms mod l of vectors with entries below bound, read at
-    the indices in at if given, by one _transform of packed ints: vector
-    j has bits j width .. (j + 1) width - 1, width the bit length of
-    bound (p l)^digits, which digits passes of sums of p products with
-    row entries below l stay below, so no field carries into the next.
-    With spread, vectors are per class, and index i takes spread[i]'s."""
+    the indices in at if given, as packed ints: vector j has bits j width
+    .. (j + 1) width - 1, width the bit length of bound (p l)^digits,
+    which digits passes of sums of p products with row entries below l
+    stay below, so no field carries into the next.  Each slice of the
+    lowest digit runs _transform over the others, and the lowest digit
+    runs only at the outputs read.  With spread = (cls, codes), vectors
+    are per class, index i takes cls[i]'s entry, and slice a >= 2 is
+    slice 1 read at codes[a - 2] (_slice_codes)."""
     width = (bound * (len(rows) * l) ** digits).bit_length()
     vectors = iter(vectors)
     packed, end = list(next(vectors)), width
@@ -365,9 +384,12 @@ def _batch(vectors, rows, digits, l, bound, at=None, spread=None):
         for i, x in enumerate(vec):
             packed[i] |= x << end
         end += width
-    packed = packed if spread is None else [packed[c] for c in spread]
-    out = _transform(packed, rows, digits)
-    out = out if at is None else [out[v] for v in at]
+    p, (cls, codes) = len(rows), spread or (range(len(packed)), [])
+    out = [_transform(list(map(packed.__getitem__, cls[a::p])), rows,
+                      digits - 1) for a in range(p - len(codes))]
+    cols = list(zip(*out, *[map(out[1].__getitem__, c) for c in codes]))
+    out = [sum(map(mul, rows[b % p], cols[b // p]))
+           for b in (range(p * len(cols)) if at is None else at)]
     mask = (1 << width) - 1
     return ([(y >> shift & mask) % l for y in out]
             for shift in range(0, end, width))
@@ -385,8 +407,8 @@ def _character_table(K, pats, k):
     chi_b^j = chi_(j b).  Per degree d, Newton's identities turn the
     power sums pi_d(chi^i) into h_m and e_m; per pattern the inverse
     transforms of prod_d h_(c_d) and prod_d e_(c_d) are the total and
-    the square-free counts at each log g.  All of it is mod l, and all
-    but the transforms runs per class (_classes), at its least index; the
+    the square-free counts at each log g.  All of it is mod l and runs
+    per class (_classes), the transforms on two slices (_batch); the
     inverse is read at the representatives' logs."""
     q, p, n = K.q, K.p, pats[0].n
     digits = K.s * k
@@ -397,11 +419,13 @@ def _character_table(K, pats, k):
         K, [K.of_int(j)] * k).__getitem__, reps)] for j in range(n + 1)}
     a = []
     if k:       # at k = 0 the transform is the identity
-        fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
+        z = [pow(zeta, x, l) for x in range(p)]
+        fwd = [[z[u * x % p] for x in range(p)] for u in range(p)]
+        spread = (cls, _slice_codes(K, k))
         at_log = [w for _, w in sorted(zip(map(cls.__getitem__, logs), reps))]
         hits = ([int(w < top) for w in at_log]
                 for top in [q ** d for d in range(1, k + 1)])
-        a = list(_batch(hits, fwd, digits, l, 2, reps, cls))
+        a = list(_batch(hits, fwd, digits, l, 2, reps, spread))
     c = {}
     pi = [None]
     for N in range(1, n + 1):
@@ -453,7 +477,7 @@ def _character_table(K, pats, k):
     del pi, power, h, e, hd, ed, hs, es     # products holds h and e
     if k:       # they are dropped once packed, before the transform
         back = [row[:1] + row[:0:-1] for row in fwd]    # zeta^(-u x)
-        counts = _batch(counts, back, digits, l, l, logs, cls)
+        counts = _batch(counts, back, digits, l, l, logs, spread)
     width = 2 * len(pats)
     table = array("q", bytes(8 * len(cls) * width))
     for i, pat in enumerate(pats):

@@ -114,7 +114,11 @@ def test_search_tables_are_constant_on_each_scaling_class(p, s):
             assert all(table[v * width:(v + 1) * width] == row
                        for v in orbit), (q, n, k, w)
             assert {cls[v] for v in orbit} == {cls[w]}, (q, k, w)
-            assert reps[cls[w]] == min(orbit), (q, k, w)
+            fit = [v for v in orbit if [d for d in ffield._to_vec(
+                v % q, p, s) if d][:1] in ([], [1])]    # c_(n-1) is 0 or
+            # its lowest nonzero digit is 1: one member if c_(n-1) != 0
+            assert reps[cls[w]] in fit and (w % q == 0 or len(fit) == 1), \
+                (q, k, w)
 
 
 @pytest.mark.parametrize("q, n, k", [(13, 7, 3), (31, 5, 2)])
@@ -220,6 +224,56 @@ def test_batch_matches_the_direct_transform(p, s, k):
         == [[out[v] for v in order] for out in want]
 
 
+@pytest.mark.parametrize("p, s, k", [(5, 1, 1), (5, 1, 2), (5, 1, 3),
+                                     (7, 1, 1), (7, 1, 2), (7, 1, 3),
+                                     (11, 1, 1), (11, 1, 2), (11, 1, 3),
+                                     (3, 2, 1), (3, 2, 2), (5, 2, 1),
+                                     (5, 2, 2), (3, 3, 1), (3, 3, 2),
+                                     (7, 2, 1), (2, 1, 1), (2, 1, 3),
+                                     (2, 2, 1), (2, 2, 3), (2, 3, 1),
+                                     (2, 3, 2)])
+def test_sliced_batch_matches_the_direct_transform(p, s, k):
+    # vectors constant on the classes of tables._classes, given per class:
+    # only the slices with lowest digit 0 and 1 are transformed, and the
+    # rest read off slice 1 (tables._slice_codes); at p = 2 there is no
+    # other slice.  Every index is read, in a random order
+    K = make_field(p, s)
+    digits = s * k
+    reps, cls = tables._classes(K, k)
+    spread = (cls, tables._slice_codes(K, k))
+    assert len(spread[1]) == p - 2
+    l, zeta = _modulus(p, 2 * K.q ** 7)
+    fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
+    back = [row[:1] + row[:0:-1] for row in fwd]
+    rng = random.Random(f"sliced {p},{s},{k}")
+    order = rng.sample(range(len(cls)), len(cls))
+    for rows, bound in ((fwd, 2), (back, l)):
+        batch = [[bound - 1] * len(reps)] + [
+            [rng.choice((0, bound - 1, rng.randrange(bound)))
+             for _ in reps] for _ in range(3)]
+        want = _direct_transforms([[vec[c] for c in cls] for vec in batch],
+                                  rows, digits, l)
+        assert list(_batch(batch, rows, digits, l, bound, order, spread)) \
+            == [[out[v] for v in order] for out in want]
+
+
+def test_character_tables_over_extension_fields_match_the_search():
+    # every k < p with q^n <= 2 * 10^4 over F_q, q = p^s <= 125, s > 1:
+    # the slices with lowest digit 0 and 1 give the p - 2 others at p > 2,
+    # and are the whole space at p = 2
+    fields = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+              (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]
+    cases = [(p, s, n, k) for p, s in fields
+             for n in range(1, 15) if p ** (s * n) <= 2 * 10 ** 4
+             for k in range(min(n, p - 1) + 1)]
+    assert len(cases) == 84
+    for p, s, n, k in cases:
+        K = make_field(p, s)
+        pats = enumerate_patterns(n)
+        assert _character_table(K, pats, k) == _search_table(K, pats, k), \
+            (K.q, n, k)
+
+
 def test_depth_zero_tables_pack_nothing(monkeypatch):
     monkeypatch.setattr(tables, "_batch", _refuse)
     for p, s, n in ((2, 1, 13), (3, 1, 9), (2, 3, 5), (1009, 1, 4)):
@@ -318,6 +372,22 @@ def test_route_times_runs_on_two_tiny_tables():
         assert words[-1] in ("characters", "search")
     assert out[2].startswith("lost to the slower route: ")
     assert len(runpy.run_path(str(tool))["TABLES"]) == 107
+
+
+def test_route_times_runs_the_characters_alone_past_the_search_bound():
+    # 13^5 > 3 * 10^5 monics: the search is not run, so nothing is lost
+    tool = Path(__file__).with_name("route_times.py")
+    out = subprocess.run([sys.executable, str(tool), "--repeat", "1",
+                          "13,5,2"], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert len(out) == 4
+    words = out[0].split()
+    assert words[:7] == ["13", "5", "2", "search", "not", "run",
+                         "characters"]
+    assert float(words[7]) > 0 and words[8:11] == ["ms", "-", "ns/monic"]
+    assert words[-4:] == ["rule", "characters", "faster", "-"]
+    assert tables.table_cost(make_field(13), 5, 2, 7)[1]
+    assert out[1] == "lost to the slower route: 0.000 ms"
 
 
 def _draw_family(K, n, data):
