@@ -31,9 +31,12 @@ raised.  It chooses no route: see census_tally for the work bound.
 
 Reports are byte-stable for a given config: rows follow the canonical
 pattern order, rationals render as "num/den", JSON keys are sorted, and
-no floats or timestamps appear.  A row's rationals are integers over its
-pattern's weight w, and discr's over 1, times q where m = n, from the
-family's bound_terms formed once per call; verdicts compare integers.
+no floats or timestamps appear: render_json, one walk of the report
+equal to json.dumps(sort_keys=True, indent=2), refuses a float, a
+Fraction or a non-str key with TypeError.  A row's rationals are
+integers over its pattern's weight w, and discr's over 1, times q where
+m = n, from the family's bound_terms formed once per call; verdicts
+compare integers.
 
 Counts come from one of two exact paths.  The pattern table (see
 tables.py) counts the monics by top window and pattern without factoring
@@ -75,11 +78,11 @@ but no tables, so the order limit does not apply to them.
 from __future__ import annotations
 
 import configparser
-import json
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from .correspondence import Plan, _Membership, walk_G
@@ -565,8 +568,44 @@ def _bool_str(v) -> str:
     return "" if v is None else "true" if v else "false"
 
 
+def _render(o, pad, put):
+    """Put o's pieces of render_json's text, by exact type; pad is the
+    newline and indent that close o's brackets."""
+    t = type(o)
+    if t is str:
+        put(_quote(o))
+    elif t is int:
+        put(int.__repr__(o))
+    elif t is dict:
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(o):   # _quote raises TypeError on a non-str
+            put(sep + _quote(key) + ": ")
+            _render(o[key], inner, put)
+            sep = "," + inner
+        put(pad + "}" if o else "{}")
+    elif t is list or t is tuple:
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in o:
+            put(sep)
+            _render(item, inner, put)
+            sep = "," + inner
+        put(pad + "]" if o else "[]")
+    elif o is True or o is False or o is None:
+        put("true" if o else "null" if o is None else "false")
+    else:
+        raise TypeError(f"a report holds no {t.__name__}: {o!r}")
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) + "\\n", its oracle,
+    byte for byte, by one walk joined once (json's indent runs its
+    pure-Python encoder).  Reports hold dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else raises TypeError."""
+    pieces = []
+    _render(report, "\n", pieces.append)
+    return "".join(pieces) + "\n"
 
 
 CENSUS_CSV_HEADER = ("lambda,count,sq,nsq,expected,deviation,"

@@ -24,9 +24,10 @@ reduction rows, square-and-multiply and the Fermat inverse.  What stays
 per layer is the fast path in front of it.  Prime fields and base layers
 of order up to _TABLE_MAX_PRIME and _TABLE_MAX_EXT carry flat add/mul
 tables; extension layers optionally carry discrete-log (Zech) tables,
-built lazily (ensure_fast), which turn their add and mul into table
-lookups for exhaustive scans.  A layer of any order can be built; only
-its tables are limited, to layers of order at most ORDER_LIMIT.
+built lazily (ensure_fast: (q^i - 1)/(q - 1) powers of a generator,
+the rest by scaling), which turn add and mul into table lookups for
+exhaustive scans.  A layer of any order can be built; only its tables
+are limited, to layers of order at most ORDER_LIMIT.
 """
 
 from __future__ import annotations
@@ -541,10 +542,12 @@ class ExtCtx(_Digits):
     def ensure_fast(self):
         """Build the exp/log/Zech tables, once: three lists of about
         q^i entries, so a layer over ORDER_LIMIT raises ValueError here.
-        exp steps by the F_q-linear x -> gen x: the images of a code's
-        low ceil(i/2) and high floor(i/2) digits come from two tables
-        (_span), and one digit-wise add in the base field (flat where it
-        is) sums them."""
+        exp's first N = (q^i - 1)/(q - 1) entries step by the F_q-linear
+        x -> gen x: the images of a code's low ceil(i/2) and high
+        floor(i/2) digits come from two tables (_span), summed by one
+        digit-wise add in the base field (flat where it is).  gen^N
+        generates F_q^* and scales each digit, so each later run of N is
+        the run before read through one _scaled_codes map per half."""
         if self._exp is not None:
             return
         if self.order > ORDER_LIMIT:
@@ -568,14 +571,22 @@ class ExtCtx(_Digits):
         m = i // 2
         high, low = (_span(cols[:m], i, q, badd, bmul),
                      _span(cols[m:], i, q, badd, bmul))
+        L, N = len(low), M // (q - 1)
         exp, log, code = [0] * M, [-1] * self.order, 1
-        for k in range(M):
+        for k in range(N):
             exp[k] = code
-            log[code] = k
-            a, b = divmod(code, len(low))
+            a, b = divmod(code, L)
             code = self.from_vec(list(map(badd, high[a], low[b])))
-        # log(s + 1), adding 1 to the constant digit; log[0] = -1 for s = -1
-        zech = [log[s - s % q + badd(s % q, 1)] for s in exp]
+        # code = gen^N lies in F_q^*, so it scales each digit
+        hs = [h * L for h in _scaled_codes(self.base, [code] * m)]
+        ls = _scaled_codes(self.base, [code] * (i - m))
+        for k in range(N, M, N):
+            exp[k:k + N] = [hs[x // L] + ls[x % L] for x in exp[k - N:k]]
+        for k, x in enumerate(exp):
+            log[x] = k
+        # log(s + 1) by the constant digit d -> d + 1; log[0] = -1 at s = -1
+        inc = [badd(d, 1) - d for d in range(q)]
+        zech = [log[s + inc[s % q]] for s in exp]
         self._exp, self._log, self._zech = exp, log, zech
 
     def __eq__(self, other):

@@ -12,7 +12,8 @@ exit code 2) and the config.  Run from the repository root:
     python3 tests/report_bytes.py --seed 0 --count 200 --against before.txt
 
 With --against, the lines are compared with those of FILE; the first
-config that differs is named on stderr and the exit code is 1.  The
+config that differs is named on stderr and the exit code is 1, and
+otherwise the last line on stderr gives the run's wall time.  The
 engine is read from the src directory beside this file, so to compare
 two trees run each tree's copy.  tests/report_bytes_seed0.txt holds the
 seed-0 lines that CI compares every Python version with; a change that
@@ -24,6 +25,7 @@ import argparse
 import hashlib
 import random
 import sys
+import time
 import warnings
 from functools import partial
 from pathlib import Path
@@ -93,6 +95,7 @@ def main(argv=None) -> int:
     parser.add_argument("--against", default=None,
                         help="a file of lines from an earlier run")
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     rng = random.Random(args.seed)
     lines = []
     for k in range(args.count):
@@ -111,7 +114,8 @@ def main(argv=None) -> int:
     if len(lines) != len(want):
         print(f"{len(lines)} lines against {len(want)}", file=sys.stderr)
         return 1
-    print(f"all {len(lines)} digests equal", file=sys.stderr)
+    print(f"all {len(lines)} digests equal in "
+          f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
 

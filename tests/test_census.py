@@ -8,6 +8,7 @@ runs must produce byte-identical output.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -261,6 +262,65 @@ def test_render_json_is_sorted_and_newline_terminated():
     assert parsed == rep
     assert "314" not in text.split("engine")[0]  # no float artifacts
     assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n"
+
+
+def _json_oracle(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_json_equals_json_dumps_on_every_value_kind():
+    # render_json walks the report itself; json.dumps is its oracle
+    report = {
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "nested": [[], {}, ((),), {"a": [{}, [[]]]}, [1, [2, (3,)]]],
+        "flags": [True, False, 1, 0, None, {"t": True, "f": False}],
+        "ints": [-1, -(2 ** 70), 2 ** 64, 2 ** 64 + 1, 10 ** 40, 0],
+        "strs": ['"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+                 "caf\u00e9 \u2014 \U0001f600", ""],
+        "\u00e9 key \"q\"\n": {"b": 2, "a": 1, "B": 3, "": 4, "\x01": 5},
+    }
+    assert render_json(report) == _json_oracle(report)
+    for top in ({}, [], "s", 7, True, None):
+        assert render_json(top) == _json_oracle(top)
+
+
+def test_render_json_equals_json_dumps_on_each_driver():
+    lin = dict(p=5, n=3, r=2, rows=((1,),), alpha=(0,))
+    reports = [
+        run_census(_demo_cfg()),
+        run_census(RunConfig(p=2, s=3, n=4, mode="prescribed",
+                             indices=(1, 3), alpha=(1, 0))),
+        run_global(RunConfig(p=3, n=4)),
+        run_bounds(RunConfig(p=5, n=3, mode="prescribed", indices=(1, 2, 3),
+                             alpha=(0, 0, 0))),
+        run_verify(RunConfig(**lin)),
+        run_verify(RunConfig(**lin), sections=("variety",)),
+        run_verify(RunConfig(**lin), sections=("correspondence",)),
+    ]
+    for rep in reports:
+        assert render_json(rep) == _json_oracle(rep)
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {3: "int key"},
+                                   {"row": [1, {"x": 1.0}]}])
+def test_render_json_refuses_what_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        render_json({"bad": value})
+
+
+def test_render_json_leaves_no_cyclic_garbage():
+    # a report's pieces are freed by reference counting alone, so a late
+    # collection never holds them (peak RSS would show it)
+    rep = run_census(_demo_cfg())
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        render_json(rep)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_render_csv_golden():

@@ -425,9 +425,12 @@ def _reference_zech(ctx):
 
 
 # F_(5^5), F_(8^4) and F_(4^3) over flat-tabled bases; F_509 and F_1031
-# have no flat tables, so their steps go through the base's arithmetic
+# have no flat tables, so their steps go through the base's arithmetic;
+# F_(2^6) steps all its units (F_2^* is {1}, so no run is scaled) and
+# F_(3^4) scales one run of 40 by gen^40 = -1
 @pytest.mark.parametrize("p, s, i", [(5, 1, 5), (2, 3, 4), (2, 2, 3),
-                                     (509, 1, 1), (1031, 1, 1)])
+                                     (509, 1, 1), (1031, 1, 1), (2, 1, 6),
+                                     (3, 1, 4)])
 def test_zech_tables_match_the_schoolbook_steps(p, s, i):
     base = make_field(p, s)
     assert (base._addt is None) == (p > 256)
