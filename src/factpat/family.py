@@ -18,6 +18,7 @@ same bounds from the integers of bound_terms.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,10 +56,7 @@ class LinearFamily:
 
     @property
     def pivot_product(self):
-        out = 1
-        for i in self.pivots:
-            out *= i
-        return out
+        return math.prod(self.pivots)
 
     @property
     def pivot_excess(self):
@@ -71,10 +69,8 @@ class LinearFamily:
 
     def pivot_product_ceiling(self):
         """Worst case of pivot_product over families with r >= 3."""
-        out = 1
-        for i in range(self.n - 3, self.n - 3 - self.m, -1):
-            out *= max(i, 1)
-        return out
+        return math.prod(max(i, 1) for i in
+                         range(self.n - 3, self.n - 3 - self.m, -1))
 
     def pivot_excess_ceiling(self):
         """Coarse worst case of pivot_excess, m(n-2)."""
@@ -191,44 +187,35 @@ def _member_coeffs(fam: LinearFamily, first=None):
 
     Free coefficient positions run highest degree first, each over field
     codes in ascending order; when first is given the highest free
-    position is pinned to that code (the chunking used for workers).
+    position is pinned to that code (the chunking used for workers), and
+    with no free position chunk 0 holds the one member.  Each pivot row
+    Z_i = -(alpha' + sum c'_k Z_k), Z_k = (-1)^k c_(n-k), is solved in
+    the coefficients themselves: c_(n-i) = (-1)^(i+1) (alpha' + sum c'_k
+    (-1)^k c_(n-k)), with the signs folded into the row once.
     """
-    K = fam.ctx
-    q = fam.q
-    n = fam.n
+    n, K = fam.n, fam.ctx
+    add, mul, neg = K.add, K.mul, K.neg
     constrained = {n - i for i in fam.pivots}
     free = [j for j in range(n - 1, -1, -1) if j not in constrained]
-    neg = K.neg
-    add = K.add
-    mul = K.mul
-    # Nonzero off-pivot entries of each reduced row, as (Z index, coeff).
-    terms = []
-    for srow, i in zip(fam.srows, fam.pivots):
-        terms.append([(k + 1, c) for k, c in enumerate(srow)
-                      if c and (k + 1) != i])
-    salpha = fam.salpha
-    pivots = fam.pivots
-    if first is None:
-        wheels = product(range(q), repeat=len(free))
-    elif free:
-        wheels = ((first,) + rest for rest in product(range(q), repeat=len(free) - 1))
-    else:
-        wheels = iter(()) if first else iter(((),))
-    full_template = [0] * n + [1]
-    for combo in wheels:
-        full = list(full_template)
+    # per pivot: (position n - i, signed constant, [(position n - k, signed
+    # coeff)] over the row's nonzero off-pivot entries)
+    solve = [(n - i, a if i % 2 else neg(a),
+              [(n - k, c if (i + k) % 2 else neg(c))
+               for k, c in enumerate(srow, start=1) if c and k != i])
+             for srow, a, i in zip(fam.srows, fam.salpha, fam.pivots)]
+    spans = [range(fam.q)] * len(free)
+    if first is not None:
+        spans[:1] = [range(first, first + 1 if free else 1)]
+    for combo in product(*spans):
+        full = [0] * n + [1]
         for pos, val in zip(free, combo):
             full[pos] = val
-        # Solve each pivot: Z_i = -(alpha' + sum c'_k Z_k), Z_k = (-1)^k c_(n-k).
-        for (i, a, tm) in zip(pivots, salpha, terms):
-            acc = a
-            for k, c in tm:
-                ck = full[n - k]
+        for pos, acc, terms in solve:
+            for at, c in terms:
+                ck = full[at]
                 if ck:
-                    zk = neg(ck) if k % 2 else ck
-                    acc = add(acc, mul(c, zk))
-            zi = neg(acc)
-            full[n - i] = neg(zi) if i % 2 else zi
+                    acc = add(acc, mul(c, ck))
+            full[pos] = acc
         yield full
 
 
@@ -252,13 +239,9 @@ def pattern_tally(fam: LinearFamily, budget: int = MEMBER_BUDGET, first=None) ->
     tally: dict[tuple, list] = {}
     for full in _member_coeffs(fam, first=first):
         key, sqf = pattern_of_coeffs(K, full)
-        slot = tally.get(key)
-        if slot is None:
-            tally[key] = [1, 1 if sqf else 0]
-        else:
-            slot[0] += 1
-            if sqf:
-                slot[1] += 1
+        slot = tally.setdefault(key, [0, 0])
+        slot[0] += 1
+        slot[1] += sqf
     return tally
 
 
@@ -372,9 +355,7 @@ def bound_reference_ci(n: int, l: int, multidegree) -> ReferenceBound:
         raise ValueError("one degree per defining equation required")
     if any(d < 1 for d in multidegree):
         raise ValueError("degrees must be >= 1")
-    delta = 1
-    for d in multidegree:
-        delta *= d
+    delta = math.prod(multidegree)
     big_d = sum(d - 1 for d in multidegree)
     return ReferenceBound(n, l, multidegree,
                           delta * (big_d - 2) + 2,

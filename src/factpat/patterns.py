@@ -61,45 +61,43 @@ class Pattern:
 class PatternStats:
     pattern: Pattern
     weight: int              # w = prod i^c_i * c_i!
-    proportion: Fraction     # 1/w
     perm_count: int          # n!/w
 
+    @property
+    def proportion(self) -> Fraction:
+        """1/w, formed where read: the census compares in integers."""
+        return Fraction(1, self.weight)
 
-def _partitions(n, maxpart):
-    if n == 0:
-        yield []
+
+def _counts(rest, size):
+    """Each (c_1, ..., c_size) with sum i c_i = rest, in ascending order
+    of (c_size, ..., c_1): c_size runs up, the sizes below fill the rest."""
+    if size == 1:
+        yield (rest,)
         return
-    for part in range(min(n, maxpart), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield [part] + rest
+    for c in range(rest // size + 1):
+        for low in _counts(rest - c * size, size - 1):
+            yield low + (c,)
 
 
 def enumerate_patterns(n: int) -> list:
     """All patterns of degree n, ordered by the reversed counts vector.
 
-    The order reads (counts[n-1], ..., counts[0]) as a tuple and sorts
-    ascending, so for n = 4: 1^4, 1^2 2, 2^2, 1 3, 4.
+    The order reads (counts[n-1], ..., counts[0]) as a tuple ascending,
+    so for n = 4: 1^4, 1^2 2, 2^2, 1 3, 4; _counts yields them in it.
     """
     if n < 1 or n > MAX_N:
         raise ValueError(f"degree must be in 1..{MAX_N}")
-    pats = []
-    for parts in _partitions(n, n):
-        counts = [0] * n
-        for part in parts:
-            counts[part - 1] += 1
-        pats.append(Pattern(n, tuple(counts)))
-    pats.sort(key=lambda p: p.counts[::-1])
-    return pats
+    return [Pattern(n, counts) for counts in _counts(n, n)]
 
 
 def pattern_stats(pattern: Pattern) -> PatternStats:
-    w = 1
-    for i, c in enumerate(pattern.counts, start=1):
-        w *= i ** c * math.factorial(c)
+    w = math.prod(i ** c * math.factorial(c)
+                  for i, c in enumerate(pattern.counts, start=1))
     nfact = math.factorial(pattern.n)
     if nfact % w:  # pragma: no cover - w divides n! by orbit-stabilizer
         raise ArithmeticError("weight does not divide n!")
-    return PatternStats(pattern, w, Fraction(1, w), nfact // w)
+    return PatternStats(pattern, w, nfact // w)
 
 
 def cycle_pattern(perm) -> Pattern:

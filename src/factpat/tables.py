@@ -297,7 +297,7 @@ def _modulus(p, bound):
 
 
 def _classes(K, k):
-    """(reps, cls): a representative of each class of F_q^k under
+    """(reps, cls, g): a representative of each class of F_q^k under
     b_t -> u^t b_t, u in F_p^*, and the class of each index: the cycles
     of that scaling at u = g, the least generator of F_p^*, numbered by
     least index.  A class is represented by its least index if b_1 = 0,
@@ -314,7 +314,7 @@ def _classes(K, k):
             while cls[w] is None:
                 reps[-1] = w if lead[w % q] else reps[-1]
                 cls[w], w = len(reps) - 1, graded[w]
-    return reps, cls
+    return reps, cls, g
 
 
 def _slice_codes(K, k):
@@ -413,10 +413,21 @@ def _character_table(K, pats, k):
     q, p, n = K.q, K.p, pats[0].n
     digits = K.s * k
     l, zeta = _modulus(p, 2 * q ** n)
-    reps, cls = _classes(K, k) if k else ([0], [0])
+    reps, cls, g = _classes(K, k) if k else ([0], [0], None)
     logs = _log_indices(K, k, reps)
-    scale = {j % p: [cls[c] for c in map(_scaled_codes(
-        K, [K.of_int(j)] * k).__getitem__, reps)] for j in range(n + 1)}
+    # scale[j % p] takes the class of b to that of j b: scaling by g
+    # commutes with the classes' scaling, so scale[g^a] is the a-th power
+    # of one class permutation; scale[0] sends all to class 0, alone at k = 0
+    need = {j % p for j in range(n + 1)}
+    if k:
+        step = [cls[c] for c in map(_scaled_codes(
+            K, [K.of_int(g)] * k).__getitem__, reps)]
+        scale, power, u = {0: [0] * len(reps)}, list(range(len(reps))), 1
+        while not need <= scale.keys():
+            scale[u] = power
+            power, u = [step[i] for i in power], u * g % p
+    else:
+        scale = dict.fromkeys(need, [0])
     a = []
     if k:       # at k = 0 the transform is the identity
         z = [pow(zeta, x, l) for x in range(p)]

@@ -13,12 +13,21 @@ exit code 2) and the config.  Run from the repository root:
 
 With --against, the lines are compared with those of FILE; the first
 config that differs is named on stderr and the exit code is 1, and
-otherwise the last line on stderr gives the run's wall time.  The
+otherwise the last line on stderr gives the run's wall time and process
+CPU time (the CPU time varies less where the host is shared).  The
 engine is read from the src directory beside this file, so to compare
 two trees run each tree's copy.  tests/report_bytes_seed0.txt holds the
 seed-0 lines that CI compares every Python version with; a change that
 alters report bytes on purpose regenerates it and names each config
-whose digest changed.  Standard library only.
+whose digest changed.
+
+    python3 tests/report_bytes.py --perfbench
+
+instead runs every seed-0 call of the benchmark's workloads
+(perfbench/workloads.py, read and never edited) and checks each report
+with the benchmark's own check against its digest pinned in
+perfbench/digests.json: one line per call, and exit code 1 if any
+fails.  Standard library only.
 """
 
 import argparse
@@ -30,7 +39,8 @@ import warnings
 from functools import partial
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from factpat import census  # noqa: E402
 from factpat.census import RunConfig  # noqa: E402
@@ -88,14 +98,44 @@ def report_bytes(driver, cfg) -> str:
     return census.render_json(report) + census.render_csv(report)
 
 
+def perfbench_digests() -> int:
+    """Check each seed-0 perfbench report against its pinned digest."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.dont_write_bytecode = True      # perfbench/ is read, not written
+    import workloads
+    pinned = workloads.load_digests()
+    failed, keys = 0, []
+    for w in workloads.WORKLOADS:
+        for call in workloads.calls_for(w, 0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # q <= n families warn
+                rep = call.run()
+            problem = workloads.check(call, rep, census.render_json(rep), 0,
+                                      pinned)
+            print(f"{call.key}: {problem or 'ok'}", flush=True)
+            failed += problem is not None
+            keys.append(call.key)
+    if sorted(keys) != sorted(pinned):
+        print(f"{len(keys)} calls against {len(pinned)} pinned digests",
+              file=sys.stderr)
+        return 1
+    print(f"{len(keys) - failed} of {len(keys)} pinned digests equal",
+          file=sys.stderr)
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--against", default=None,
                         help="a file of lines from an earlier run")
+    parser.add_argument("--perfbench", action="store_true",
+                        help="check the perfbench seed-0 digests instead")
     args = parser.parse_args(argv)
-    start = time.perf_counter()
+    if args.perfbench:
+        return perfbench_digests()
+    start, cpu = time.perf_counter(), time.process_time()
     rng = random.Random(args.seed)
     lines = []
     for k in range(args.count):
@@ -115,7 +155,8 @@ def main(argv=None) -> int:
         print(f"{len(lines)} lines against {len(want)}", file=sys.stderr)
         return 1
     print(f"all {len(lines)} digests equal in "
-          f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
+          f"{time.perf_counter() - start:.1f} s, "
+          f"{time.process_time() - cpu:.1f} s CPU", file=sys.stderr)
     return 0
 
 

@@ -16,10 +16,10 @@ from itertools import product
 import pytest
 
 from factpat.errors import BudgetError
-from factpat.family import (BoundReport, bound_fp1, bound_fp2,
-                            bound_nonsquarefree, bound_reference_ci,
-                            enumerate_members, new_family, pattern_tally,
-                            prescribed_family)
+from factpat.family import (BoundReport, _member_coeffs, bound_fp1,
+                            bound_fp2, bound_nonsquarefree,
+                            bound_reference_ci, enumerate_members,
+                            new_family, pattern_tally, prescribed_family)
 from factpat.ffield import make_field
 from factpat.patterns import Pattern, enumerate_patterns, pattern_stats
 from factpat.poly import pattern_of_coeffs
@@ -132,23 +132,33 @@ def test_small_field_warns():
 # member enumeration against brute filtering
 
 
-@pytest.mark.parametrize("p,n,r,rows,alpha", [
+@pytest.mark.parametrize("q,n,r,rows,alpha", [
     (5, 4, 3, [[2]], [3]),
     (5, 4, 2, [[1, 4]], [2]),
     (3, 5, 3, [[1, 2], [0, 1]], [1, 2]),
     (7, 3, 2, [[3]], [6]),
+    (4, 4, 2, [[1, 3]], [2]),
+    (8, 3, 1, [[5, 1]], [6]),
+    (9, 3, 1, [[1, 2], [4, 0]], [3, 7]),
+    (2, 6, 2, [[1, 0, 1, 1], [0, 1, 1, 0]], [1, 0]),
+    # r = 0 is a prescribed family's: m = n, and two pinned coefficients
+    (5, 3, 0, [[1, 2, 3], [0, 1, 4], [2, 0, 1]], [1, 2, 3]),
+    (7, 4, 0, [[0, 1, 0, 0], [0, 0, 0, 1]], [3, 5]),
 ])
-def test_members_match_brute_filter(p, n, r, rows, alpha):
+def test_members_match_brute_filter(q, n, r, rows, alpha):
     import warnings
-    ctx = make_field(p)
+    ctx = make_field(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fam = new_family(ctx, n, r, rows, alpha)
+        fam = new_family(ctx, n, r, rows, alpha, prescribed=r == 0)
     expected = set(_brute_members(ctx, n, r, rows, alpha))
     got = [tuple(f) for f in enumerate_members(fam)]
     assert len(got) == len(set(got)) == fam.size
     assert set(got) == expected
     assert all(fam.contains_coeffs(list(f)) for f in got)
+    # the chunks by leading free code, in order, are the stream
+    assert [tuple(f) for first in range(q)
+            for f in _member_coeffs(fam, first)] == got
 
 
 def test_contains_rejects_non_members():

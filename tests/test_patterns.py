@@ -89,6 +89,33 @@ def test_enumeration_count_matches_partition_recurrence():
         assert len(enumerate_patterns(n)) == _partition_count(n)
 
 
+def _sorted_partition_counts(n):
+    """Counts vectors of the partitions of n, listed by parts ascending
+    from a least part, then sorted by (counts[n-1], ..., counts[0])."""
+    out = []
+    for parts in _ascending_parts(n, 1):
+        counts = [0] * n
+        for part in parts:
+            counts[part - 1] += 1
+        out.append(tuple(counts))
+    return sorted(out, key=lambda counts: counts[::-1])
+
+
+def _ascending_parts(rest, least):
+    if rest == 0:
+        yield ()
+    for part in range(least, rest + 1):
+        for tail in _ascending_parts(rest - part, part):
+            yield (part,) + tail
+
+
+def test_enumeration_matches_a_sorted_partition_oracle():
+    for n in range(1, 21):
+        assert [p.counts for p in enumerate_patterns(n)] == \
+            _sorted_partition_counts(n)
+    assert len(enumerate_patterns(MAX_N)) == _partition_count(MAX_N) == 37338
+
+
 def test_enumeration_order_frozen_for_n4():
     labels = [pat.label() for pat in enumerate_patterns(4)]
     assert labels == ["1^4", "1^2 2", "2^2", "1 3", "4"]
