@@ -57,8 +57,8 @@ identical bytes.
 
 run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
 yields each x in itertools.product order with the window index of G(x):
-at depth n the correspondence section reads each polynomial's pattern
-slot from the table by that index, and in the same walk the membership
+at depth n the correspondence section reads the pattern's two columns
+of the table in place at that index, and in the same walk the membership
 check compares the family's window flags at that index mod q^(n - r),
 the depth-(n - r) window, with the block oracle variety.zero_block's,
 one block per prefix of the outer windows.  For every section choice the
@@ -81,9 +81,9 @@ import configparser
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass
-from fractions import Fraction
+from itertools import compress, count
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
+from math import factorial, gcd
 
 from .correspondence import Plan, _Membership, walk_G
 from .errors import BudgetError
@@ -469,21 +469,14 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     table = pattern_table(field, patterns, depth)
     gtally = tally_windows(patterns, table)
     ok_flags = []
-    sq_grouped = Fraction(0)
+    sq_grouped = 0      # sum of typed square-free G(x) times n!/w
     rows = {name: [] for name in sections}
-    if "correspondence" in sections:
-        # slot[w] = 2 * (pattern index) + (square-free) of the polynomial
-        # with index w: the one nonzero entry of its row; sq_polys[i] the
-        # square-free polynomials of pattern i, in one pass
-        width = 2 * len(patterns)
-        slot, sq_polys = [], [[] for _ in patterns]
-        for w in range(q ** n):
-            slot.append(table[w * width:(w + 1) * width].index(1))
-            if slot[-1] & 1:
-                sq_polys[slot[-1] >> 1].append(w)
+    width, cols = 2 * len(patterns), memoryview(table)
     for i, pat in enumerate(patterns):
         sys_ = sym_system(fam, pat, plan)      # one for both sections
         if "correspondence" in sections:
+            # in place; 1 iff polynomial g has pattern i: nsq[g] or sq[g]
+            nsq, sq = cols[2 * i::width], cols[2 * i + 1::width]
             type_bad = None
             fib: dict[int, int] = {}
             untyped = 0
@@ -491,7 +484,7 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
             # G(x), by its index in the table
             for x, t, g in walk_G(pat, plan, n, budget=cfg.budget):
                 member.add(x, t, g)
-                matches = slot[g] >> 1 == i
+                matches = nsq[g] + sq[g] == 1
                 if t != matches and type_bad is None:
                     type_bad = {"x": list(x), "typed": t,
                                 "pattern_matches": matches}
@@ -499,21 +492,22 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                     fib[g] = fib.get(g, 0) + 1
                 else:
                     untyped += 1
-            fiber_ok = all(fib.get(c, 0) == sys_.weight for c in sq_polys[i])
+            fiber_ok = all(fib.get(c, 0) == sys_.weight
+                           for c in compress(count(), sq))
             nsq_sizes: dict[int, int] = {}
             for c, cnt in fib.items():
-                if not slot[c] & 1:
+                if nsq[c]:
                     nsq_sizes[cnt] = nsq_sizes.get(cnt, 0) + 1
             mem_ok, mem_bad = member.result()
-            typed_sqfree = sum(fib.get(c, 0) for c in sq_polys[i])
-            sq_grouped += Fraction(typed_sqfree, sys_.weight)
+            typed_sqfree = sum(cnt for c, cnt in fib.items() if sq[c])
+            sq_grouped += typed_sqfree * pattern_stats(pat).perm_count
             rows["correspondence"].append({
                 "lambda": pat.label(),
                 "typed": sum(fib.values()),
                 "untyped": untyped,
                 "type_pattern_ok": type_bad is None,
                 "type_pattern_counterexample": type_bad,
-                "squarefree_polys": len(sq_polys[i]),
+                "squarefree_polys": sum(sq),
                 "squarefree_fiber_ok": fiber_ok,
                 "nonsquarefree_fiber_sizes":
                     [[k, v] for k, v in sorted(nsq_sizes.items())],
@@ -554,7 +548,8 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
         "family_partition_ok": member_total == fam.size,
     }
     if "correspondence" in sections:
-        cross["squarefree_grouped_ok"] = sq_grouped == q ** n - q ** (n - 1)
+        cross["squarefree_grouped_ok"] = \
+            sq_grouped == (q ** n - q ** (n - 1)) * factorial(n)
     ok_flags += list(cross.values())
     report["cross"] = cross
     report["overall_pass"] = all(ok_flags)

@@ -37,7 +37,8 @@ square-freeness, read the counts back through the logarithm.  All of it
 runs per class of indices (_classes) under f(T) -> u^(-n) f(uT), u in
 F_p^*, which keeps every pattern; the k forward and up to 2P inverse
 transforms run as two batches of packed ints (_batch), on the indices
-with lowest digit 0 or 1 only: (2P + k) 2 s k q^k products, no q^n.
+with lowest digit 0 or 1 only: (2P + k) 2 s k q^k products, no q^n;
+the p x p roots zeta^(u x) are built only where a pass runs, s k >= 2.
 
 table_cost prices each route by these counts times a measured constant,
 plus a fixed term; pattern_table takes the characters iff p > k and
@@ -221,8 +222,8 @@ def _irreducible_hist(K, n, k):
 
 
 # Each route's fixed ns, the search's per monic and unit of 3 + 2 k^2, and
-# the characters' per transform product, with 3 k p^2 more for the p x p
-# rows: fitted on the tables of tests/route_times.py (nproc 2, Python 3.11).
+# the characters' per transform product: fitted on the tables of
+# tests/route_times.py (nproc 2, Python 3.11).
 SEARCH_FIXED_NS, CHARACTER_FIXED_NS = 100_000, 140_000
 SEARCH_NS, CHARACTER_NS = 75, 60
 
@@ -230,10 +231,11 @@ SEARCH_NS, CHARACTER_NS = 75, 60
 def table_cost(K, n, k, P):
     """(ns, characters): the estimated time in ns of pattern_table at
     depth k for the P patterns of degree n over K, and whether it takes
-    the characters, which need p > k; at k = 0 they transform nothing."""
+    the characters (p > k), priced by their transform products alone:
+    none at k = 0, and more than their p x p roots where those are built."""
     search = SEARCH_FIXED_NS + SEARCH_NS * (3 + 2 * k * k) * K.q ** n
-    characters = CHARACTER_FIXED_NS + CHARACTER_NS * k * (
-        3 * K.p ** 2 + (2 * P + k) * 2 * K.s * K.q ** k)
+    characters = CHARACTER_FIXED_NS + CHARACTER_NS * (
+        (2 * P + k) * 2 * K.s * k * K.q ** k)
     if K.p > k and characters < search:
         return characters, True
     return search, False
@@ -358,7 +360,7 @@ def _transform(f, rows, digits):
     pairs the base-p digits of b and v and rows[u][x] = zeta^(u x) mod l.
     Each pass transforms the top digit and moves it to the bottom, so
     after a pass per digit each is transformed and back in its place."""
-    p = len(rows)
+    p = len(rows[0])
     m = len(f) // p
     for _ in range(digits):
         f = [sum(map(mul, row, col))
@@ -367,29 +369,29 @@ def _transform(f, rows, digits):
     return f
 
 
-def _batch(vectors, rows, digits, l, bound, at=None, spread=None):
+def _batch(vectors, rows, digits, l, bound, at, spread):
     """The transforms mod l of vectors with entries below bound, read at
-    the indices in at if given, as packed ints: vector j has bits j width
-    .. (j + 1) width - 1, width the bit length of bound (p l)^digits,
-    which digits passes of sums of p products with row entries below l
-    stay below, so no field carries into the next.  Each slice of the
-    lowest digit runs _transform over the others, and the lowest digit
-    runs only at the outputs read.  With spread = (cls, codes), vectors
-    are per class, index i takes cls[i]'s entry, and slice a >= 2 is
-    slice 1 read at codes[a - 2] (_slice_codes)."""
-    width = (bound * (len(rows) * l) ** digits).bit_length()
+    the indices in at, as packed ints: vector j has bits j width .. (j +
+    1) width - 1, width the bit length of bound (p l)^digits, which digits
+    passes of sums of p products with row entries below l stay below, so
+    no field carries into the next.  p is the length of a row: at
+    digits = 1 there are only rows 0 and 1, as every index in at has
+    lowest digit 0 or 1.  Vectors are per class, index i taking cls[i]'s
+    entry, spread = (cls, codes); _transform runs on slices 0 and 1 of
+    the lowest digit, slice a >= 2 is slice 1 read at codes[a - 2]
+    (_slice_codes), and the lowest digit runs only at the indices read."""
+    p, (cls, codes) = len(rows[0]), spread
+    width = (bound * (p * l) ** digits).bit_length()
     vectors = iter(vectors)
     packed, end = list(next(vectors)), width
     for vec in vectors:
         for i, x in enumerate(vec):
             packed[i] |= x << end
         end += width
-    p, (cls, codes) = len(rows), spread or (range(len(packed)), [])
     out = [_transform(list(map(packed.__getitem__, cls[a::p])), rows,
                       digits - 1) for a in range(p - len(codes))]
     cols = list(zip(*out, *[map(out[1].__getitem__, c) for c in codes]))
-    out = [sum(map(mul, rows[b % p], cols[b // p]))
-           for b in (range(p * len(cols)) if at is None else at)]
+    out = [sum(map(mul, rows[b % p], cols[b // p])) for b in at]
     mask = (1 << width) - 1
     return ([(y >> shift & mask) % l for y in out]
             for shift in range(0, end, width))
@@ -430,8 +432,10 @@ def _character_table(K, pats, k):
         scale = dict.fromkeys(need, [0])
     a = []
     if k:       # at k = 0 the transform is the identity
+        # zeta^(u x); the reads need rows 0 and 1 alone (_batch)
         z = [pow(zeta, x, l) for x in range(p)]
-        fwd = [[z[u * x % p] for x in range(p)] for u in range(p)]
+        fwd = [[z[u * x % p] for x in range(p)]
+               for u in range(p if digits > 1 else 2)]
         spread = (cls, _slice_codes(K, k))
         at_log = [w for _, w in sorted(zip(map(cls.__getitem__, logs), reps))]
         hits = ([int(w < top) for w in at_log]

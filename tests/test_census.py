@@ -214,8 +214,9 @@ class _RecordingPool:
 
 
 @pytest.mark.parametrize("p,n,r,rows,cpus,want", [
-    # one chunk per field element: 1021 chunks, 4 CPUs
-    (1021, 2, 1, ((1,),), 4, 4),
+    # one chunk per field element: 1021 chunks, 4 CPUs; m > r, so the
+    # kernel runs whatever the table's price
+    (1021, 3, 1, ((1, 0), (0, 1)), 4, 4),
     # 3 chunks, 64 CPUs
     (3, 8, 4, _KERNEL_ROWS, 64, 3),
 ])

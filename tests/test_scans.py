@@ -549,6 +549,8 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
     assert row["type_pattern_ok"] is False
     assert row["type_pattern_counterexample"] == {
         "x": [0, 1, 2], "typed": False, "pattern_matches": True}
+    # a dict holding 1 compares equal; the report must render true
+    assert '"pattern_matches": true' in render_json(rep)
     assert all(r["type_pattern_ok"] for r in rep["correspondence"][1:])
     assert rep["overall_pass"] is False
 

@@ -78,7 +78,9 @@ def test_routes_agree_on_every_small_table():
              for n in range(1, 15) if p ** (s * n) <= 2 * 10 ** 4
              for k in range(min(n, p - 1) + 1)]
     assert len(cases) == 154
-    for p, s, n, k in cases:
+    # at s k = 1 no pass runs, and the root rows are cut to 0 and 1: p and
+    # the packed field width come from the length of a row
+    for p, s, n, k in cases + [(127, 1, 2, 1), (257, 1, 2, 1)]:
         K = make_field(p, s)
         pats = enumerate_patterns(n)
         assert _search_table(K, pats, k) == _character_table(K, pats, k), \
@@ -182,15 +184,52 @@ def test_modulus_stops_at_the_proven_limit():
         _modulus(5, _MR_LIMIT - 7)
 
 
-def _direct_transforms(batch, rows, digits, l):
-    """sum_v zeta^<b, v> f[v] mod l at every index b for each f in batch,
-    pairing the base-p digits of b and v one pair at a time, with
-    zeta^e = rows[1][e]."""
-    p = len(rows)
+def _direct_transforms(batch, rows, digits, l, cls, at):
+    """sum_v zeta^<b, v> f[cls[v]] mod l at each index b in at, for each f
+    in batch given per class, pairing the base-p digits of b and v one
+    pair at a time, with zeta^e = rows[1][e]."""
+    p = len(rows[0])
     vecs = [ffield._to_vec(v, p, digits) for v in range(p ** digits)]
-    powers = [[rows[1][sum(map(mul, b, v)) % p] for v in vecs]
-              for b in vecs]
-    return [[sum(map(mul, at, f)) % l for at in powers] for f in batch]
+    out = [[] for _ in batch]
+    for b in at:
+        by_class = [0] * len(batch[0])
+        for v, c in zip(vecs, cls):
+            by_class[c] += rows[1][sum(map(mul, vecs[b], v)) % p]
+        for o, f in zip(out, batch):
+            o.append(sum(map(mul, by_class, f)) % l)
+    return out
+
+
+def _check_batch(p, s, k, sizes):
+    """_batch against _direct_transforms on batches of each size in sizes,
+    each led by a vector of the largest entries (bound - 1), which the
+    field width is sized for, with the modulus of the n = 7 tables and the
+    rows that _character_table builds: two of them where s k = 1.  The
+    vectors are constant on the classes of tables._classes, given per
+    class: only the slices with lowest digit 0 and 1 are transformed, and
+    the rest read off slice 1 (tables._slice_codes); at p = 2 there is no
+    other slice.  Every index with lowest digit 0 or 1 is read, in a
+    random order."""
+    K = make_field(p, s)
+    digits = s * k
+    reps, cls, _ = tables._classes(K, k)
+    spread = (cls, tables._slice_codes(K, k))
+    assert len(spread[1]) == p - 2
+    l, zeta = _modulus(p, 2 * K.q ** 7)
+    fwd = [[pow(zeta, u * x % p, l) for x in range(p)]
+           for u in range(p if digits > 1 else 2)]
+    back = [row[:1] + row[:0:-1] for row in fwd]
+    rng = random.Random(f"sliced {p},{s},{k}")
+    low = [v for v in range(len(cls)) if v % p < 2]
+    order = rng.sample(low, len(low))
+    for rows, bound in ((fwd, 2), (back, l)):
+        batch = [[bound - 1] * len(reps)] + [
+            [rng.choice((0, bound - 1, rng.randrange(bound)))
+             for _ in reps] for _ in range(max(sizes) - 1)]
+        want = _direct_transforms(batch, rows, digits, l, cls, order)
+        for size in sizes:
+            assert list(_batch(batch[:size], rows, digits, l, bound, order,
+                               spread)) == want[:size], size
 
 
 @pytest.mark.parametrize("p, s, k", [(3, 1, 1), (3, 1, 2), (3, 1, 3),
@@ -201,27 +240,8 @@ def _direct_transforms(batch, rows, digits, l):
                                      (3, 2, 1), (3, 2, 2), (5, 2, 1),
                                      (5, 2, 2)])
 def test_batch_matches_the_direct_transform(p, s, k):
-    # the modulus of the n = 7 tables over F_(p^s), whose digits = s k;
-    # a batch of one and of 2P = 30, each led by a vector of the largest
-    # entries (bound - 1), which the field width is sized for
-    digits = s * k
-    size = p ** digits
-    l, zeta = _modulus(p, 2 * p ** (s * 7))
-    fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
-    back = [row[:1] + row[:0:-1] for row in fwd]
-    rng = random.Random(f"{p},{s},{k}")
-    twice_p = 2 * len(enumerate_patterns(7))
-    for rows, bound in ((fwd, 2), (back, l)):
-        batch = [[bound - 1] * size] + [
-            [rng.choice((0, bound - 1, rng.randrange(bound)))
-             for _ in range(size)] for _ in range(twice_p - 1)]
-        want = _direct_transforms(batch, rows, digits, l)
-        assert list(_batch(batch[:1], rows, digits, l, bound)) == want[:1]
-        assert list(_batch(batch, rows, digits, l, bound)) == want
-    # read at given indices, as the inverse batch reads at the logarithms
-    order = rng.sample(range(size), size)
-    assert list(_batch(batch, back, digits, l, l, order)) \
-        == [[out[v] for v in order] for out in want]
+    # a batch of one and of 2P = 30, the most the n = 7 tables pack
+    _check_batch(p, s, k, (1, 2 * len(enumerate_patterns(7))))
 
 
 @pytest.mark.parametrize("p, s, k", [(5, 1, 1), (5, 1, 2), (5, 1, 3),
@@ -233,28 +253,7 @@ def test_batch_matches_the_direct_transform(p, s, k):
                                      (2, 2, 1), (2, 2, 3), (2, 3, 1),
                                      (2, 3, 2)])
 def test_sliced_batch_matches_the_direct_transform(p, s, k):
-    # vectors constant on the classes of tables._classes, given per class:
-    # only the slices with lowest digit 0 and 1 are transformed, and the
-    # rest read off slice 1 (tables._slice_codes); at p = 2 there is no
-    # other slice.  Every index is read, in a random order
-    K = make_field(p, s)
-    digits = s * k
-    reps, cls, _ = tables._classes(K, k)
-    spread = (cls, tables._slice_codes(K, k))
-    assert len(spread[1]) == p - 2
-    l, zeta = _modulus(p, 2 * K.q ** 7)
-    fwd = [[pow(zeta, u * x % p, l) for x in range(p)] for u in range(p)]
-    back = [row[:1] + row[:0:-1] for row in fwd]
-    rng = random.Random(f"sliced {p},{s},{k}")
-    order = rng.sample(range(len(cls)), len(cls))
-    for rows, bound in ((fwd, 2), (back, l)):
-        batch = [[bound - 1] * len(reps)] + [
-            [rng.choice((0, bound - 1, rng.randrange(bound)))
-             for _ in reps] for _ in range(3)]
-        want = _direct_transforms([[vec[c] for c in cls] for vec in batch],
-                                  rows, digits, l)
-        assert list(_batch(batch, rows, digits, l, bound, order, spread)) \
-            == [[out[v] for v in order] for out in want]
+    _check_batch(p, s, k, (4,))
 
 
 def test_character_tables_over_extension_fields_match_the_search():
@@ -375,19 +374,23 @@ def test_route_times_runs_on_two_tiny_tables():
 
 
 def test_route_times_runs_the_characters_alone_past_the_search_bound():
-    # 13^5 > 3 * 10^5 monics: the search is not run, so nothing is lost
+    # 13^5 and 1021^2 > 3 * 10^5 monics: the search is not run, so
+    # nothing is lost
     tool = Path(__file__).with_name("route_times.py")
     out = subprocess.run([sys.executable, str(tool), "--repeat", "1",
-                          "13,5,2"], capture_output=True, text=True,
-                         check=True).stdout.splitlines()
-    assert len(out) == 4
-    words = out[0].split()
-    assert words[:7] == ["13", "5", "2", "search", "not", "run",
-                         "characters"]
-    assert float(words[7]) > 0 and words[8:11] == ["ms", "-", "ns/monic"]
-    assert words[-4:] == ["rule", "characters", "faster", "-"]
-    assert tables.table_cost(make_field(13), 5, 2, 7)[1]
-    assert out[1] == "lost to the slower route: 0.000 ms"
+                          "13,5,2", "1021,2,1"], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert len(out) == 5
+    for line, (q, n, k) in zip(out, [(13, 5, 2), (1021, 2, 1)]):
+        words = line.split()
+        assert words[:7] == [str(q), str(n), str(k), "search", "not",
+                             "run", "characters"]
+        assert float(words[7]) > 0 \
+            and words[8:11] == ["ms", "-", "ns/monic"]
+        assert words[-4:] == ["rule", "characters", "faster", "-"]
+        assert tables.table_cost(make_field(q), n, k,
+                                 len(enumerate_patterns(n)))[1]
+    assert out[2] == "lost to the slower route: 0.000 ms"
 
 
 def _draw_family(K, n, data):
@@ -472,11 +475,14 @@ def test_census_tally_kernel_path_for_large_codimension_or_table(monkeypatch):
 
 
 def test_census_tally_table_path_when_codimension_is_small(monkeypatch):
-    fam = _family(7, 5, 3, 1)
-    assert _table_by_cost(fam)
-    want = pattern_tally(fam)
+    # also at (1021, 2, r = 1): the price counts no p x p root rows, which
+    # the characters do not build at s k = 1
+    fams = [_family(7, 5, 3, 1), _family(1021, 2, 1, 1)]
+    assert all(map(_table_by_cost, fams))
+    wants = [pattern_tally(fam) for fam in fams]
     monkeypatch.setattr(census, "pattern_tally", _refuse)
-    assert census_tally(fam, workers=2) == want
+    for fam, want in zip(fams, wants):
+        assert census_tally(fam, workers=2) == want
 
 
 def test_census_reads_the_table_whatever_the_budget(monkeypatch):
