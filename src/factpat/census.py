@@ -55,24 +55,27 @@ partitions the member stream by the leading free coefficient, and
 tallies merge by addition, so every path and worker count emits
 identical bytes.
 
-run_verify's scans over F_q^n are one walk, correspondence.walk_G, which
-yields each x in itertools.product order with the window index of G(x):
-at depth n the correspondence section reads the pattern's two columns
-of the table in place at that index, and in the same walk the membership
-check compares the family's window flags at that index mod q^(n - r),
-the depth-(n - r) window, with the block oracle variety.zero_block's,
-one block per prefix of the outer windows.  For every section choice the
-variety section is variety.variety_pass, one walk per pattern at depth
-n - r that passes only the zeros of the reduced system and gives both
-the counting identity and the Jacobian probe.  Reports are those of a
-per-point scan.  The walk tables each window size's entries once per
-class under rotation and scaling by F_q^* and once per run
-(correspondence.Plan), in the layers F_(q^i) of the window sizes i <= n
-alone, with their Zech tables (ffield.ExtCtx.ensure_fast).  Those tables
-are what the order limit bounds, so run_verify builds the largest,
-F_(q^n), after the budget checks and before anything is tallied or
-scanned.  run_census and run_bounds build the layers for the descriptor
-but no tables, so the order limit does not apply to them.
+run_verify's scans over F_q^n are one walk, correspondence.walk_blocks,
+which yields one block per prefix of the outer windows: the typed flags
+of its x as bytes and the window indices of their G(x).  At depth n the
+correspondence section checks a block whole: the pattern's two table
+columns, read in place as one byte per polynomial, against the typed
+flags in one bytes comparison, the fibers in one Counter update, and the
+membership check (correspondence.membership_block), the family's flags
+at each index mod q^(n - r) against variety.zero_block's.  An x is
+formed only for a first counterexample, from its place in its block.
+For every section choice the variety section is variety.variety_pass,
+one walk per pattern at depth n - r that passes only the zeros of the
+reduced system and gives both the counting identity and the Jacobian
+probe.  Reports are those of a per-point scan.  The walk tables each
+window size's entries once per class under rotation and scaling by F_q^*
+and once per run (correspondence.Plan), in the layers F_(q^i) of the
+window sizes i <= n alone, with their Zech tables
+(ffield.ExtCtx.ensure_fast).  Those tables are what the order limit
+bounds, so run_verify builds the largest, F_(q^n), after the budget
+checks and before anything is tallied or scanned.  run_census and
+run_bounds build the layers for the descriptor but no tables, so the
+order limit does not apply to them.
 """
 
 from __future__ import annotations
@@ -80,19 +83,22 @@ from __future__ import annotations
 import configparser
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import compress, count
 from json.encoder import encode_basestring_ascii as _quote
 from math import factorial, gcd
+from operator import ne, or_
 
-from .correspondence import Plan, _Membership, walk_G
+from .correspondence import Plan, block_point, membership_block, walk_blocks
 from .errors import BudgetError
 from .family import (LinearFamily, MEMBER_BUDGET, bound_reference_ci,
                      bound_terms, new_family, pattern_tally,
                      prescribed_family)
 from .ffield import ContextBank, FieldParams, make_field
 from .patterns import enumerate_patterns, irreducible_count, pattern_stats
-from .tables import family_tally, pattern_table, table_cost, tally_windows
+from .tables import (family_tally, family_windows, pattern_table,
+                     table_cost, tally_windows)
 from .variety import identity_failure, sym_system, variety_pass
 
 ENGINE_TAG = "factpat 0.1.0"
@@ -472,33 +478,29 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
     sq_grouped = 0      # sum of typed square-free G(x) times n!/w
     rows = {name: [] for name in sections}
     width, cols = 2 * len(patterns), memoryview(table)
+    inside = family_windows(fam) * q ** fam.r   # at w mod q^(n - r)
     for i, pat in enumerate(patterns):
         sys_ = sym_system(fam, pat, plan)      # one for both sections
         if "correspondence" in sections:
             # in place; 1 iff polynomial g has pattern i: nsq[g] or sq[g]
             nsq, sq = cols[2 * i::width], cols[2 * i + 1::width]
-            type_bad = None
-            fib: dict[int, int] = {}
-            untyped = 0
-            member = _Membership(sys_)
-            # G(x), by its index in the table
-            for x, t, g in walk_G(pat, plan, n, budget=cfg.budget):
-                member.add(x, t, g)
-                matches = nsq[g] + sq[g] == 1
-                if t != matches and type_bad is None:
-                    type_bad = {"x": list(x), "typed": t,
-                                "pattern_matches": matches}
-                if t:
-                    fib[g] = fib.get(g, 0) + 1
-                else:
-                    untyped += 1
-            fiber_ok = all(fib.get(c, 0) == sys_.weight
+            match, size = bytes(map(or_, nsq, sq)), pat.sizes()[-1]
+            type_bad = mem_bad = None
+            fib, untyped = Counter(), 0     # typed x per index of G(x)
+            for xs, _, ts, ws in walk_blocks(pat, plan, n, budget=cfg.budget):
+                matched = bytes(map(match.__getitem__, ws))
+                if matched != ts and type_bad is None:
+                    at = next(compress(count(), map(ne, matched, ts)))
+                    type_bad = {"x": list(block_point(q, size, xs, at)),
+                                "typed": bool(ts[at]),
+                                "pattern_matches": bool(matched[at])}
+                if mem_bad is None:
+                    mem_bad = membership_block(sys_, inside, xs, ts, ws)
+                fib.update(compress(ws, ts))
+                untyped += ts.count(0)
+            fiber_ok = all(fib[c] == sys_.weight
                            for c in compress(count(), sq))
-            nsq_sizes: dict[int, int] = {}
-            for c, cnt in fib.items():
-                if nsq[c]:
-                    nsq_sizes[cnt] = nsq_sizes.get(cnt, 0) + 1
-            mem_ok, mem_bad = member.result()
+            nsq_sizes = Counter(cnt for c, cnt in fib.items() if nsq[c])
             typed_sqfree = sum(cnt for c, cnt in fib.items() if sq[c])
             sq_grouped += typed_sqfree * pattern_stats(pat).perm_count
             rows["correspondence"].append({
@@ -511,12 +513,11 @@ def run_verify(cfg: RunConfig, sections=("correspondence", "variety")) -> dict:
                 "squarefree_fiber_ok": fiber_ok,
                 "nonsquarefree_fiber_sizes":
                     [[k, v] for k, v in sorted(nsq_sizes.items())],
-                "membership_equiv_ok": mem_ok,
+                "membership_equiv_ok": mem_bad is None,
                 "membership_equiv_counterexample":
-                    None if mem_bad is None else
-                    {**mem_bad, "x": list(mem_bad["x"])},
+                    mem_bad and {**mem_bad, "x": list(mem_bad["x"])},
             })
-            ok_flags += [type_bad is None, fiber_ok, mem_ok]
+            ok_flags += [type_bad is None, fiber_ok, mem_bad is None]
         if "variety" in sections:
             # counts and probe from one scan of the rational zeros
             pc, probe = variety_pass(sys_, cfg.budget, member_tally)

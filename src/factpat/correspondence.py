@@ -15,25 +15,27 @@ has a full Galois orbit; typed vectors are exactly those whose G realizes
 the pattern, and each square-free polynomial with the pattern is hit by
 exactly w (the pattern weight) typed vectors.
 
-All scans over F_q^n go through one walk, walk_G, which yields each x
-in itertools.product order with its typed flag and the depth-k window
-index of G(x) (tables.window_index): k = n for the correspondence section
-of run_verify, whose membership check (_Membership) reads the
-depth-(n - r) window off that index, and k = n - r for the variety
-(variety.variety_pass), whose constraints are linear conditions on that
-window.  A walk over more than its budget of vectors, by default the
-run's one limit family.MEMBER_BUDGET, raises BudgetError before any is
-formed.
+All scans over F_q^n go through one walk, walk_blocks.  It yields one
+block per prefix of the outer windows, in itertools.product order: the
+prefix's coordinates, and for the last window's vectors their typed
+flags as bytes and the depth-k window indices of their G(x)
+(tables.window_index).  k = n for the correspondence section of
+run_verify, and k = n - r for the variety (variety.variety_pass), whose
+constraints are linear conditions on that window.  Callers check a block
+whole, in C-level passes over its bytes and indices, and form an x only
+where a check fails, from its position in the block (block_point);
+walk_G expands the blocks point by point for the oracles and tests.  A
+walk over more than its budget of vectors, by default the run's one
+limit family.MEMBER_BUDGET, raises BudgetError before any is formed.
 A window's polynomial depends only on its own q^i coordinates, so for
 each window size i the walk tables the top digits of the q^i window
 polynomials once per run (see Plan), and multiplies windows through the
 start, extend and place of tables._multiplier.  The last window's
-entries are placed once per distinct entry and prefix.  With flags, the
-walk keeps only the last-window vectors whose window is flagged and
-yields only those x, so the variety's walk does no work per vector that
-is not a zero; below depth n it keeps them by the depth-k window of the
-prefix's product, of which there are at most q^k, and places once per
-distinct entry and window.  Rotating a window's coordinates maps its element
+entries are placed once per distinct entry and distinct depth-k window
+of the prefix's product, of which there are at most q^k, and kept by
+that window.  With flags, a block keeps only the last-window vectors
+whose window is flagged, so the variety's walk does no work per vector
+that is not a zero.  Rotating a window's coordinates maps its element
 to a conjugate, with the same polynomial, and scaling them by s in
 F_q^* scales each E_t by s^t, so the table forms one entry per class
 under rotation and scaling, about q^i / (i (q - 1)) of them; the orbit
@@ -41,22 +43,24 @@ of a window vector is F_q-linear in its coordinates, so it is the sum
 of two orbits from the spans (ffield._span) of the columns of A over
 the first ceil(i/2) and the last floor(i/2) coordinates.
 Every first counterexample is the same x as in a per-point scan.
-build_G, is_type_lambda, variety.eval_R and the membership check's
-block oracle variety.zero_block read nothing of the walk; they form each
-orbit as the product _orbit with the conjugate matrix, or the block's
-orbits as one span of all its columns.
+The membership check (membership_block) compares, at a block's typed
+positions, the family's flag of each window with the block oracle
+variety.zero_block's.  build_G, is_type_lambda, variety.eval_R and
+zero_block read nothing of the walk; they form each orbit as the product
+_orbit with the conjugate matrix, or the block's orbits as one span of
+all its columns.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, compress, count, product, repeat
 from operator import itemgetter
 
 from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
 from .family import MEMBER_BUDGET
-from .ffield import _scaled_codes, _span
+from .ffield import _scaled_codes, _span, _to_vec
 from .patterns import Pattern
 from .tables import _multiplier, family_windows
 
@@ -266,28 +270,20 @@ class Plan:
         self.tables, self.values = {}, {}
 
 
-def walk_G(pattern: Pattern, bank, k: int, flags=None,
-           budget: int = MEMBER_BUDGET):
-    """Every x in F_q^n in product order, as (x, typed, w) with w the
-    depth-k window index of G(x) (see tables.window_index); with flags,
-    only the x with flags[w] set.
+def walk_blocks(pattern: Pattern, bank, k: int, flags=None,
+                budget: int = MEMBER_BUDGET):
+    """One block (xs, keep, ts, ws) per prefix xs of the outer windows, in
+    product order: over the last window's vectors v in product order where
+    the selector keep is set (all of them where keep is None, as without
+    flags), ts holds the typed flags of x = xs + v as bytes and ws the
+    depth-k window indices of G(x) (see tables.window_index); with flags,
+    keep selects the v with flags[w] set.
 
-    G(x) is the product of its windows' polynomials, and the depth-k
-    window of a product is the product of its factors' windows.  So for
-    each window size the windows of all q^i window vectors are tabled
-    once per plan (_window_table), formed in the window's layer and
-    checked to descend to F_q (GaloisDescentError otherwise).  A size-n
-    table, q^n references like one of that layer's Zech lists, is not
-    kept past the walk.
-    The walk extends the product of each prefix of the outer windows once
-    (_prefixes), in product order, and chains one iterator per prefix
-    over the last window (_walk), so no x passes through a Python frame.
-    Each distinct last-window entry is placed (tables._multiplier) once
-    per prefix; a flagged walk keeps only the last-window vectors whose
-    window is flagged, and does no Python work for any other x.  Below
-    depth n it keeps them by the depth-k window of the prefix's product,
-    at most q^k of them, and places once per distinct window.  Flags are
-    read only when the walk is iterated.
+    Each window size's windows of all q^i vectors are tabled once per plan
+    (_window_table), descent-checked (GaloisDescentError); a size-n table,
+    q^n references like a Zech list, is not kept past the walk.  Each
+    prefix's product is extended once (_prefixes), and _block places the
+    last window.  Flags are read only when the walk is iterated.
     """
     n = pattern.n
     total = bank.base.q ** n
@@ -307,13 +303,27 @@ def walk_G(pattern: Pattern, bank, k: int, flags=None,
     for size, table in levels[:-1]:
         prefixes = _prefixes(prefixes, extend,
                              partial(_stored, q, size, table))
-    # below depth n a flagged walk keeps its placements by prefix window;
-    # an unflagged one, which yields every x, places per prefix, as one
-    # dict of placements per window raised the peak RSS of a (13, 5) walk
-    # at depth 3 by up to 6.9 MiB (pattern 1 2^2)
-    memo = {} if k < n and flags is not None else None
-    return chain.from_iterable(map(
-        partial(_walk, q, *levels[-1], place, flags, memo), prefixes))
+    entries = list(map(itemgetter(1), levels[-1][1]))
+    typed = bytes(map(itemgetter(0), levels[-1][1]))
+    return map(partial(_block, typed, entries, tuple(dict.fromkeys(entries)),
+                       place, flags, {}), prefixes)
+
+
+def walk_G(pattern: Pattern, bank, k: int, flags=None,
+           budget: int = MEMBER_BUDGET):
+    """Every x in F_q^n in product order, as (x, typed, w): walk_blocks'
+    blocks point by point, for the oracles and tests."""
+    blocks = walk_blocks(pattern, bank, k, flags, budget)
+    vs = list(product(range(bank.base.q), repeat=pattern.sizes()[-1]))
+    return chain.from_iterable(
+        zip(map(xs.__add__, vs if keep is None else compress(vs, keep)),
+            map(bool, ts), ws) for xs, keep, ts, ws in blocks)
+
+
+def block_point(q, size, xs, at):
+    """The x at position at of a block with no selector under the prefix
+    xs: the last window's coordinates are at's base-q digits, in order."""
+    return xs + tuple(reversed(_to_vec(at, q, size)))
 
 
 def _prefixes(prefixes, extend, level):
@@ -325,80 +335,55 @@ def _prefixes(prefixes, extend, level):
             yield xs + coords, typed and t, extend(rows, b)
 
 
-def _walk(q, size, table, place, flags, memo, prefix):
-    """The x under one prefix (xs, typed, rows) of the outer windows, as
-    an iterator of (x, typed, w) over the last window (size, table) in
-    product order.
-
-    Each distinct last-window entry is placed once (placed).  With flags,
-    only the last-window vectors whose window is flagged are kept: their
-    selector over the q^size codes (keep), typed flags and windows.  What
-    is formed is kept in memo by the prefix's product window, its k
-    digits, where a memo is given (a flagged walk below depth n), and is
-    formed for each prefix otherwise."""
-    xs, typed, rows = prefix
+def _block(typed, entries, distinct, place, flags, memo, prefix):
+    """The block of one prefix (xs, t, rows) over the last window, whose
+    entries and typed flags by code are entries and typed: the distinct
+    entries are placed (tables._multiplier) once per product window of
+    the prefix, its k digits, by which memo keeps the windows and typed
+    flags (with flags, of the flagged vectors, and their selector keep)."""
+    xs, t, rows = prefix
     key = tuple([at for at, _, _ in rows])
-    held = None if memo is None else memo.get(key)
+    held = memo.get(key)
     if held is None:
-        placed = dict.fromkeys(map(itemgetter(1), table))
-        for b in placed:
-            placed[b] = place(rows, b)
+        placed = {b: place(rows, b) for b in distinct}
         if flags is None:
-            return zip(map(xs.__add__, product(range(q), repeat=size)),
-                       map(itemgetter(0), table) if typed else repeat(False),
-                       map(placed.__getitem__, map(itemgetter(1), table)))
-        hit = {b: w for b, w in placed.items() if flags[w]}
-        keep = bytes(map(hit.__contains__, map(itemgetter(1), table)))
-        held = (keep, list(compress(map(itemgetter(0), table), keep)),
-                list(map(hit.__getitem__,
-                         compress(map(itemgetter(1), table), keep))))
-        if memo is not None:
-            memo[key] = held
+            held = None, typed, list(map(placed.__getitem__, entries))
+        else:
+            hit = {b: w for b, w in placed.items() if flags[w]}
+            keep = bytes(map(hit.__contains__, entries))
+            held = (keep, bytes(compress(typed, keep)),
+                    list(map(hit.__getitem__, compress(entries, keep))))
+        memo[key] = held
     keep, ts, ws = held
-    return zip(map(xs.__add__, compress(product(range(q), repeat=size), keep)),
-               ts if typed else repeat(False), ws)
+    return xs, keep, ts if t else bytes(len(ts)), ws
 
 
-class _Membership:
-    """The membership check, fed every x of the walk in product order: at
-    every typed x, the family's window flag against the block oracle
-    variety.zero_block at the same position of its prefix's block, up to
-    the first x where they disagree."""
-
-    def __init__(self, sys_):
-        from .variety import zero_block
-        self.zero_block, self.sys_ = zero_block, sys_
-        self.inside, self.bad = family_windows(sys_.fam), None
-        start, size, _ = sys_.windows[-1]
-        self.start, self.span, self.at = start, sys_.fam.q ** size, 0
-
-    def add(self, x, typed, w):
-        """w is the window index of G(x) at depth n - r or deeper: the
-        depth-(n - r) window is its index mod q^(n - r) (see tables)."""
-        if self.bad is None:
-            at, self.at = self.at, (self.at + 1) % self.span
-            if not at:
-                self.block = self.zero_block(self.sys_, x[:self.start])
-            in_family = self.inside[w % len(self.inside)]
-            if typed and in_family != self.block[at]:
-                self.bad = {"x": x, "in_family": bool(in_family),
-                            "on_variety": bool(self.block[at])}
-
-    def result(self):
-        return self.bad is None, self.bad
+def membership_block(sys_, inside, xs, ts, ws):
+    """The membership check on one block with no selector under the prefix
+    xs: None if at every typed position the family's flag inside[w], by
+    the block's window w (inside spans the walk's depth, n - r or more),
+    agrees with variety.zero_block's, else the first x where they
+    disagree, with both verdicts."""
+    from .variety import zero_block     # read at each call
+    flags, zeros = bytes(map(inside.__getitem__, ws)), zero_block(sys_, xs)
+    if flags != zeros:
+        for at in compress(count(), ts):
+            if flags[at] != zeros[at]:
+                x = block_point(sys_.fam.q, sys_.windows[-1][1], xs, at)
+                return {"x": x, "in_family": bool(flags[at]),
+                        "on_variety": bool(zeros[at])}
+    return None
 
 
 def verify_membership_equivalence(fam, pattern: Pattern, bank,
                                   budget: int = MEMBER_BUDGET):
     """Check, over every typed vector, that G(x) lies in the family iff
-    the reduced symmetric system vanishes at x, walking at depth n - r
-    (see _Membership).  Returns (ok, counterexample): None or a dict with
-    the offending vector and both verdicts."""
+    the reduced symmetric system vanishes at x, a block of the walk at
+    depth n - r at a time (membership_block).  Returns (ok, None) or
+    (ok, the counterexample dict with the vector and both verdicts)."""
     from .variety import sym_system
-    scan = walk_G(pattern, bank, fam.n - fam.r, budget=budget)
-    check = _Membership(sym_system(fam, pattern, bank))
-    for x, typed, w in scan:
-        check.add(x, typed, w)
-        if check.bad is not None:
-            break
-    return check.result()
+    blocks = walk_blocks(pattern, bank, fam.n - fam.r, budget=budget)
+    sys_, inside = sym_system(fam, pattern, bank), family_windows(fam)
+    bad = next(filter(None, (membership_block(sys_, inside, xs, ts, ws)
+                             for xs, _, ts, ws in blocks)), None)
+    return bad is None, bad

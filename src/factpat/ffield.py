@@ -556,8 +556,8 @@ class ExtCtx(_Digits):
         M = self.order - 1
         fac = _prime_factors(M)
         gen = None
-        # from 1, so that F_2, whose unit group is {1}, gets its tables
-        for cand in range(1, self.order):
+        # past i = 1 from q, as 1 .. q - 1 lie in F_q^*; from 1 for F_2's {1}
+        for cand in range(self.q if self.i > 1 else 1, self.order):
             if all(self.pow_(cand, M // f) != 1 for f in fac):
                 gen = cand
                 break

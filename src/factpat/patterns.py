@@ -69,26 +69,30 @@ class PatternStats:
         return Fraction(1, self.weight)
 
 
-def _counts(rest, size):
-    """Each (c_1, ..., c_size) with sum i c_i = rest, in ascending order
-    of (c_size, ..., c_1): c_size runs up, the sizes below fill the rest."""
+def _counts(rest, size, counts, out):
+    """out, with each (c_1, ..., c_n) appended whose sum of i c_i over
+    i <= size is rest, counts[size:] held, in ascending order of (c_n, ...,
+    c_1): c_size runs up and the sizes below fill the rest, in place in the
+    one list counts, which is copied at each leaf."""
     if size == 1:
-        yield (rest,)
-        return
+        counts[0] = rest
+        out.append(tuple(counts))
+        return out
     for c in range(rest // size + 1):
-        for low in _counts(rest - c * size, size - 1):
-            yield low + (c,)
+        counts[size - 1] = c
+        _counts(rest - c * size, size - 1, counts, out)
+    return out
 
 
 def enumerate_patterns(n: int) -> list:
     """All patterns of degree n, ordered by the reversed counts vector.
 
     The order reads (counts[n-1], ..., counts[0]) as a tuple ascending,
-    so for n = 4: 1^4, 1^2 2, 2^2, 1 3, 4; _counts yields them in it.
+    so for n = 4: 1^4, 1^2 2, 2^2, 1 3, 4; _counts lists them in it.
     """
     if n < 1 or n > MAX_N:
         raise ValueError(f"degree must be in 1..{MAX_N}")
-    return [Pattern(n, counts) for counts in _counts(n, n)]
+    return [Pattern(n, counts) for counts in _counts(n, n, [0] * n, [])]
 
 
 def pattern_stats(pattern: Pattern) -> PatternStats:

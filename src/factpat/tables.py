@@ -64,7 +64,7 @@ family_tally keeps it in the shared ContextBank of its field, keyed by
 (n, k), until ffield._SHARED_BANKS is cleared; the tables that
 run_global and run_verify read are built per call and dropped.
 
-The search and correspondence.walk_G multiply windows through one
+The search and correspondence.walk_blocks multiply windows through one
 interface, _multiplier's (start, extend, place).  G(x) is the product
 of its windows' conjugate products, so the walk places each x at its
 depth-k window index with the same truncated product, and
@@ -130,12 +130,13 @@ def _multiplier(K, k):
                 w += (at + sum(map(mul, row, b))) % p * qp
             return w
     else:
-        add, kmul = K.add, K.mul
+        addt, mult, add, kmul = K._addt, K._mult, K.add, K.mul
 
-        def digit(at, row, b):
+        def digit(at, row, b):      # through the flat tables where K has them
             for x, y in zip(row, b):
                 if x and y:
-                    at = add(at, kmul(x, y))
+                    at = (addt[at * q + mult[x * q + y]] if addt
+                          else add(at, kmul(x, y)))
             return at
 
         def extend(rows, b):

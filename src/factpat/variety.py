@@ -23,29 +23,32 @@ Both are read from one walk, variety_pass, whatever the verify sections
 (count_points and jacobian_probe are its two halves).  R depends on x
 only through the depth-(n - r) window of G(x), whose digits are the
 signed E_1..E_(n-r), so R is evaluated once per window index, and the
-walk at that depth yields only the x whose window is a zero, the
-rational zeros, and does no work per vector for the others.  Each
-scan's budget defaults to the run's, family.MEMBER_BUDGET.  The walk's
-typed flag already says whether some window's orbit is short, so the
-coincidence check compares only windows of one size, if any, keeping
-the shifts of the windows before the last while they repeat.  The probe
-reduces the Jacobian's columns, kept while a window's coordinates
-repeat, one at a time against the pivots found so far and stops at full
-rank.
+walk at that depth (correspondence.walk_blocks) keeps in each block only
+the x whose window is a zero, and does no work per vector for the
+others.  Each scan's budget defaults to the run's, family.MEMBER_BUDGET.
+The untyped zeros are counted off a block's typed flags; where two
+windows have one size, the typed zeros' windows of that size are
+compared too, the shifts of the windows before the last kept while they
+repeat.  The probe (_deficient) reduces the Jacobian's columns one at a
+time against the pivots found so far, those of the windows before the
+last once per block and zero window, and the last window's (forming x)
+only where they leave the rank below m.
 eval_R stays as the per-point oracle and keeps nothing but R per
 E_0..E_(n-r); zero_block, the membership check's oracle, gives R's zero
 flags of every last-window vector under one prefix of the outer windows,
 read off one listing per window size in the plan (correspondence.Plan),
-one span of the columns of its layer's conjugate matrix (ffield._span).
-Neither reads the walk.
+one span of the columns of its layer's conjugate matrix (ffield._span),
+and kept by the prefix's E_0..E_(n-r), formed from that listing: at most
+q^(n-r) blocks per system, as R is kept.  Neither reads the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, product
 
 from .correspondence import (Plan, _orbit, _window_esym, build_G, layout,
-                             walk_G)
+                             walk_blocks, walk_G)
 from .errors import CountingIdentityError
 from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
 from .ffield import _from_vec, _span, _to_vec
@@ -67,6 +70,7 @@ class SymSystem:
     weight: int               # pattern weight w
     distinct: bool            # no two windows of one size
     residues: dict = field(default_factory=dict)  # E_0..E_(n-r) -> R
+    blocks: dict = field(default_factory=dict)    # prefix's E -> zero flags
     columns: dict = field(default_factory=dict)   # w -> (coords, {e: cols})
     shifts: list = field(default_factory=list)    # _coincident's, per window
 
@@ -150,16 +154,18 @@ def zero_block(sys_: SymSystem, prefix) -> bytes:
     coordinates of the windows before it.  Every window's E values are
     read from its size's listing in the plan (_window_values), an outer
     window's at its index in product order (first coordinate most
-    significant), the prefix's product formed once and its product with
-    each distinct last-window value once."""
+    significant); the block is formed once per product e of the prefix's
+    (SymSystem.blocks), from e times each distinct last-window value."""
     K, e = sys_.fam.ctx, (1,) + (0,) * sys_.nr
     for s, i, ctx in sys_.windows[:-1]:
         at = _from_vec(prefix[s:s + i][::-1], ctx.q)
         e = _times(K, e, _window_values(sys_, ctx)[0][at])
-    values, distinct = _window_values(sys_, sys_.windows[-1][2])
-    flags = {ew: not any(_residues(sys_, _times(K, e, ew)))
-             for ew in distinct}
-    return bytes(map(flags.__getitem__, values))
+    if e not in sys_.blocks:
+        values, distinct = _window_values(sys_, sys_.windows[-1][2])
+        flags = {ew: not any(_residues(sys_, _times(K, e, ew)))
+                 for ew in distinct}
+        sys_.blocks[e] = bytes(map(flags.__getitem__, values))
+    return sys_.blocks[e]
 
 
 def _zero_windows(sys_: SymSystem):
@@ -175,12 +181,12 @@ def _zero_windows(sys_: SymSystem):
     return zeros
 
 
-def _zero_walk(sys_: SymSystem, budget: int):
-    """(walk, zeros): the walk at depth n - r that passes only the x whose
-    window is a zero of R, and those zeros (see _zero_windows)."""
+def _zero_walk(sys_: SymSystem, budget: int, walk):
+    """(scan, zeros): walk (walk_blocks or walk_G) at depth n - r passing
+    only the x whose window is a zero of R, and those zeros (_zero_windows)."""
     flags = bytearray(sys_.fam.q ** sys_.nr)
     # the walk checks its budget now and reads the flags only when iterated
-    scan = walk_G(sys_.pattern, sys_.bank, sys_.nr, flags, budget)
+    scan = walk(sys_.pattern, sys_.bank, sys_.nr, flags, budget)
     zeros = _zero_windows(sys_)
     for w in zeros:
         flags[w] = 1
@@ -191,7 +197,7 @@ def rational_zeros(sys_: SymSystem, budget: int = MEMBER_BUDGET):
     """Every rational zero x of R, in product order, as (x, e) with
     e = E_0..E_(n-r) of the root values of x (as eval_R forms them),
     read off the depth-(n - r) walk that passes only the zeros."""
-    scan, zeros = _zero_walk(sys_, budget)
+    scan, zeros = _zero_walk(sys_, budget, walk_G)
     return ((x, zeros[w]) for x, _, w in scan)
 
 
@@ -287,9 +293,11 @@ def _double_collision(sys_: SymSystem, x) -> bool:
             or sum(len(g) - 1 for g, k in parts if k >= 2) >= 2)
 
 
-def _full_rank(sys_: SymSystem, x, e) -> bool:
+def _full_rank(sys_: SymSystem, x, e, basis=None, windows=None) -> bool:
     """True iff the Jacobian of R in x has rank m at the zero x with
-    symmetric values e, read one column at a time.
+    symmetric values e, read one column at a time; given basis, which
+    they extend, and the windows' indices, iff those windows' columns
+    bring the pivots in basis to m.
 
     dR_j/dx_h for coordinate h of window w is Tr(theta^(q^h) v_j), where
     v_j = sum_k c'_(j,k) E_(k-1)(y - alpha) in the window's layer, with
@@ -302,8 +310,9 @@ def _full_rank(sys_: SymSystem, x, e) -> bool:
     """
     K, m = sys_.fam.ctx, sys_.fam.m
     bsub, bmul = K.sub, K.mul
-    basis = []                          # (pivot, column with a 1 there)
-    for w, (start, size, ctx) in enumerate(sys_.windows):
+    basis = [] if basis is None else basis  # (pivot, column with a 1 there)
+    for w in range(len(sys_.windows)) if windows is None else windows:
+        start, size, ctx = sys_.windows[w]
         coords = tuple(x[start:start + size])
         held = sys_.columns.get(w)
         if held is None or held[0] != coords:
@@ -322,6 +331,21 @@ def _full_rank(sys_: SymSystem, x, e) -> bool:
                     basis.append((p, [bmul(inv, b) for b in col]))
                     break
     return False
+
+
+def _deficient(sys_: SymSystem, xs, vs, ws, zeros):
+    """The zeros x = xs + v of one block (v in vs, windows ws) where the
+    Jacobian of R has rank below m, in order: the windows before the last
+    reduced once per zero window w, the last only where they fall short."""
+    last, bases = len(sys_.windows) - 1, {}
+    for v, w in zip(vs, ws):
+        if w not in bases:
+            basis = bases[w] = []
+            if _full_rank(sys_, xs, zeros[w], basis, range(last)):
+                bases[w] = None
+        if bases[w] is not None and not _full_rank(
+                sys_, xs + v, zeros[w], list(bases[w]), [last]):
+            yield xs + v
 
 
 def _digit_columns(sys_: SymSystem, ctx, coords, e):
@@ -350,19 +374,26 @@ def variety_pass(sys_: SymSystem, budget: int = MEMBER_BUDGET,
     passes only the rational zeros: (PointCounts, ProbeReport).  Every
     verify section choice reads its variety rows from here.  The counting
     identity is not enforced here; see identity_failure."""
-    scan, zeros = _zero_walk(sys_, budget)
+    scan, zeros = _zero_walk(sys_, budget, walk_blocks)
+    size = sys_.windows[-1][1]
     points = v_eq = deficient = confirmed = 0
     bad = []
-    for x, typed, w in scan:
-        points += 1
-        v_eq += _coincident(sys_, x, typed)
-        if _full_rank(sys_, x, zeros[w]):
+    for xs, keep, ts, ws in scan:
+        if not ws:
             continue
-        deficient += 1
-        if _double_collision(sys_, x):
-            confirmed += 1
-        elif len(bad) < MAX_RECORDED:
-            bad.append(x)
+        points += len(ws)
+        v_eq += ts.count(0)
+        vs = compress(product(range(sys_.fam.q), repeat=size), keep)
+        if not sys_.distinct:
+            vs = list(vs)
+            v_eq += sum(_coincident(sys_, xs + v, True)
+                        for v in compress(vs, ts))
+        for x in _deficient(sys_, xs, vs, ws, zeros):
+            deficient += 1
+            if _double_collision(sys_, x):
+                confirmed += 1
+            elif len(bad) < MAX_RECORDED:
+                bad.append(x)
     if member_tally is None:
         member_tally = pattern_tally(sys_.fam)
     cnt, sq = member_tally.get(sys_.pattern.counts, (0, 0))

@@ -440,6 +440,34 @@ def test_zech_tables_match_the_schoolbook_steps(p, s, i):
     assert (fast._exp, fast._log, fast._zech) == want
 
 
+# every layer F_(q^i) of order at most 10^4 over q in {2, 3, 4, 5, 7, 8, 9}
+GENERATOR_LAYERS = [(p, s, i) for p, s in ((2, 1), (3, 1), (2, 2), (5, 1),
+                                           (7, 1), (2, 3), (3, 2))
+                    for i in range(1, 14) if p ** (s * i) <= 10 ** 4]
+
+
+def _order(ctx, code):
+    """The multiplicative order of a nonzero code, by stepping its powers
+    with schoolbook digit products."""
+    step = ctx.to_vec(code)
+    cur, k = step, 1
+    while ctx.from_vec(cur) != 1:
+        cur, k = ctx._mul_digits(cur, step), k + 1
+    return k
+
+
+@pytest.mark.parametrize("p, s, i", GENERATOR_LAYERS,
+                         ids=[f"{p ** s}-{i}" for p, s, i in GENERATOR_LAYERS])
+def test_zech_generator_is_the_least_code_of_full_order(p, s, i):
+    # the search skips the codes below q past i = 1; the generator it
+    # finds must still be the least code of order q^i - 1
+    ctx = ContextBank.shared(make_field(p, s)).get(i)
+    ctx.ensure_fast()
+    M = ctx.order - 1
+    assert ctx._exp[1 % M] == next(c for c in range(1, ctx.order)
+                                   if _order(ctx, c) == M)
+
+
 @pytest.mark.parametrize("count", [0, 1, 3])
 @pytest.mark.parametrize("entries", ["F7", "F8", "layer"])
 def test_span_is_every_combination_of_its_columns(entries, count):

@@ -257,7 +257,8 @@ def test_the_check_sees_a_module_cache():
                              (8, "squares"), (10, "f"), (15, "g")]
 
 
-_WALK = {"walk_G", "_walk", "_prefixes", "_window_table", "_stored"}
+_WALK = {"walk_G", "walk_blocks", "_block", "_prefixes", "_window_table",
+         "_stored"}
 _ORACLES = {"_orbit", "build_G", "_window_poly", "is_type_lambda",
             "_full_shifts", "eval_R", "zero_block"}
 
@@ -279,17 +280,18 @@ def test_the_walk_reads_no_oracle():
 def test_the_check_sees_a_walk_reading_an_oracle():
     tree = ast.parse("def _orbit(c):\n    return c\n"
                      "def walk_G(x):\n    return _orbit(x)\n"
-                     "def _walk(m):\n    return m._full_shifts\n"
+                     "def _block(m):\n    return m._full_shifts\n"
                      "def _stored():\n    from .variety import eval_R\n"
                      "def build_G(x):\n    return _orbit(x)\n")
-    assert _oracle_reads(tree) == [("_stored", "eval_R"),
-                                   ("_walk", "_full_shifts"),
+    assert _oracle_reads(tree) == [("_block", "_full_shifts"),
+                                   ("_stored", "eval_R"),
                                    ("walk_G", "_orbit")]
 
 
 _ORACLE_FUNCTIONS = {"build_G", "_window_poly", "eval_R", "zero_block",
                      "_window_values", "_times", "_residues", "_full_rank",
-                     "_digit_columns", "_coincident", "_double_collision"}
+                     "_deficient", "_digit_columns",
+                     "_coincident", "_double_collision"}
 
 
 def _walk_reads(trees):

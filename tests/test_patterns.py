@@ -116,6 +116,13 @@ def test_enumeration_matches_a_sorted_partition_oracle():
     assert len(enumerate_patterns(MAX_N)) == _partition_count(MAX_N) == 37338
 
 
+def test_enumeration_at_n40_is_every_partition_in_report_order():
+    # p(40) = 37,338 patterns, in the order reports list them
+    want = _sorted_partition_counts(MAX_N)
+    assert len(want) == 37338
+    assert [p.counts for p in enumerate_patterns(MAX_N)] == want
+
+
 def test_enumeration_order_frozen_for_n4():
     labels = [pat.label() for pat in enumerate_patterns(4)]
     assert labels == ["1^4", "1^2 2", "2^2", "1 3", "4"]

@@ -1,8 +1,9 @@
 """Window-wise scans checked against the per-point oracles.
 
-walk_G (correspondence) computes each window's top digits once per call
-and walks F_q^n window by window; rational_zeros (variety) is that walk
-at depth n - r, filtered by the windows where the system vanishes.
+walk_blocks (correspondence) computes each window's top digits once per
+call and walks F_q^n a block per prefix of the outer windows, which
+walk_G expands point by point; rational_zeros (variety) is that walk at
+depth n - r, filtered by the windows where the system vanishes.
 Oracles: build_G with window_index on a fresh bank with no Zech tables,
 a brute-force filter of eval_R over every x with the E values of
 build_G, and, for the walk's window tables (one entry per class under
@@ -22,14 +23,15 @@ reports, the walks run_verify makes (per pattern, one at depth n when
 the correspondence runs and one at depth n - r when the variety does),
 the window tables they read (one per size and depth in a run, built
 again by the next run) and their placements (one per distinct
-last-window entry and prefix at depth n, and per distinct entry and
-product window of the prefix below it, kept for at most q^(n - r)
-windows), the oracles' memos within their bounds all through a full
-verify, the variety rows of a full verify against those of the variety
-alone, of variety_pass and of a brute-force count over every x, its
-membership cells against verify_membership_equivalence
-(also where the block oracle zero_block is made to lie), the variety at n = 7 that once
-needed F_(5^12), and the fail-fast on a window layer over the order
+last-window entry and product window of the prefix at every depth, kept
+for at most q^(n - r) windows below depth n), every block expanded
+against the point oracles, a planted fault in the depth-n table found
+at its first vector, the oracles' memos within their bounds all through
+a full verify, the variety rows of a full verify against those of the
+variety alone, of variety_pass and of a brute-force count over every x,
+its membership cells against verify_membership_equivalence (also where
+the block oracle zero_block is made to lie), the variety at n = 7 that
+once needed F_(5^12), and the fail-fast on a window layer over the order
 limit.
 """
 
@@ -39,7 +41,7 @@ import hashlib
 import inspect
 import random
 import warnings
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -532,16 +534,20 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
     # flip the typed flag of one vector under pattern 1^3: run_verify must
     # report exactly that vector
     flip = 7                                   # x = (0, 1, 2)
-    real = correspondence.walk_G
+    real = correspondence.walk_blocks
 
     def lying_walk(pattern, bank, k, flags=None,
                    budget=MEMBER_BUDGET):
-        for step, (x, t, w) in enumerate(real(pattern, bank, k, flags, budget)):
-            lie = step == flip and pattern.counts == (3, 0, 0)
-            yield x, (not t if lie else t), w
+        step = 0
+        for xs, keep, ts, ws in real(pattern, bank, k, flags, budget):
+            at = flip - step
+            step += len(ts)
+            if 0 <= at < len(ts) and pattern.counts == (3, 0, 0):
+                ts = ts[:at] + bytes([not ts[at]]) + ts[at + 1:]
+            yield xs, keep, ts, ws
 
-    monkeypatch.setattr(correspondence, "walk_G", lying_walk)
-    monkeypatch.setattr(census, "walk_G", lying_walk)
+    monkeypatch.setattr(correspondence, "walk_blocks", lying_walk)
+    monkeypatch.setattr(census, "walk_blocks", lying_walk)
     cfg = RunConfig(p=5, n=3, r=2, rows=((1,),), alpha=(0,))
     rep = run_verify(cfg, sections=("correspondence",))
     row = rep["correspondence"][0]             # 1^3: every vector is typed
@@ -555,6 +561,37 @@ def test_type_counterexample_is_the_first_disagreeing_vector(monkeypatch):
     assert rep["overall_pass"] is False
 
 
+def test_planted_table_fault_is_found_at_its_first_vector(monkeypatch):
+    # clear the one bit of the depth-n table that gives G(3, 4, 2, 1) its
+    # pattern 1 3 at (5, 4): run_verify must report the first x in product
+    # order whose G(x) is that polynomial, found here through build_G
+    p, n = 5, 4
+    pats = enumerate_patterns(n)
+    i = [pat.label() for pat in pats].index("1 3")
+    oracle = ContextBank(make_field(p))
+    g = window_index(p, build_G(pats[i], (3, 4, 2, 1), oracle), n)
+    real = census.pattern_table
+
+    def planted_table(K, patterns, k):
+        table = real(K, patterns, k)
+        if k == n:
+            cells = table[g * 2 * len(pats) + 2 * i:][:2]
+            assert sorted(cells) == [0, 1]
+            table[g * 2 * len(pats) + 2 * i + cells.index(1)] = 0
+        return table
+
+    monkeypatch.setattr(census, "pattern_table", planted_table)
+    cfg = RunConfig(p=p, n=n, r=2, rows=((1, 0),), alpha=(0,))
+    rows = run_verify(cfg, sections=("correspondence",))["correspondence"]
+    first = next(x for x in product(range(p), repeat=n)
+                 if window_index(p, build_G(pats[i], x, oracle), n) == g)
+    assert first < (3, 4, 2, 1) and first[:1] != (0,)
+    assert rows[i]["type_pattern_counterexample"] == {
+        "x": list(first), "typed": True, "pattern_matches": False}
+    assert [row["type_pattern_ok"] for row in rows] == [
+        k != i for k in range(len(pats))]
+
+
 @pytest.mark.parametrize("sections", [BOTH, ("correspondence",),
                                       ("variety",)])
 def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
@@ -563,7 +600,7 @@ def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
     # with both sections, where each pattern's two walks come in turn.
     # Either way each pattern's symmetric system is built once, and both
     # checks share it
-    real_walk, real_system = correspondence.walk_G, variety.sym_system
+    real_walk, real_system = correspondence.walk_blocks, variety.sym_system
     depths, systems = [], []
 
     def counting_walk(pattern, bank, k, flags=None,
@@ -576,7 +613,7 @@ def test_verify_walks_each_pattern_once_per_section(monkeypatch, sections):
         return real_system(fam, pattern, bank)
 
     for module in (census, correspondence, variety):
-        monkeypatch.setattr(module, "walk_G", counting_walk)
+        monkeypatch.setattr(module, "walk_blocks", counting_walk)
     for module in (census, variety):
         monkeypatch.setattr(module, "sym_system", counting_system)
     cfg = RunConfig(p=5, n=4, r=2, rows=((1, 0),), alpha=(0,))
@@ -622,8 +659,8 @@ def _windows_of(K, polys, k):
 def test_walk_places_each_distinct_last_window_entry_once_per_prefix(
         monkeypatch, sections):
     # the last window of a walk places each distinct entry (its top k
-    # digits) once per prefix of the outer windows at depth n, and once
-    # per distinct depth-k window of the prefix products below it: the
+    # digits) once per distinct depth-k window of the prefix products, at
+    # depth n (where that window is the product itself) and below it: the
     # product windows and the last-window entries are read from
     # _window_poly products by window_index.  Per pattern, the
     # correspondence walks at depth n and then the variety at depth n - r
@@ -662,12 +699,61 @@ def test_walk_places_each_distinct_last_window_entry_once_per_prefix(
             prefixes = [pmul(K, f, g) for f in prefixes for g in polys(size)]
         for depth in depths:
             entries = len(_windows_of(K, polys(i), depth))
-            if depth == n:
-                want.append(p ** (n - i) * entries)
-            else:
-                want.append(len(_windows_of(K, prefixes, depth)) * entries)
+            want.append(len(_windows_of(K, prefixes, depth)) * entries)
     assert placed == want
     assert sum(want) < len(want) * p ** n
+
+
+# ((p, s), n, r): F_5 with n = 4, F_4 with n = 4 and F_9 with n = 3
+BLOCK_WALKS = [((5, 1), 4, 2), ((2, 2), 4, 2), ((3, 2), 3, 2)]
+
+
+@pytest.mark.parametrize("ps, n, r", BLOCK_WALKS, ids=["5-4", "4-4", "9-3"])
+def test_blocks_expand_to_the_point_oracles(monkeypatch, ps, n, r):
+    # every block of a walk at depth n and n - r, flagged and unflagged,
+    # expanded in product order over its last window's kept vectors, is
+    # held to is_type_lambda and window_index of build_G on a bank with
+    # no Zech tables; its placement memo holds one key per distinct
+    # depth-k window of the prefix products, and never more
+    K = make_field(*ps)
+    q, bank, oracle = K.q, ContextBank.shared(K), ContextBank(K)
+    real = correspondence._block
+    memos = []
+
+    def recording_block(typed, entries, distinct, place, flags, memo,
+                        prefix):
+        out = real(typed, entries, distinct, place, flags, memo, prefix)
+        memos.append((memo, len(memo)))
+        return out
+
+    monkeypatch.setattr(correspondence, "_block", recording_block)
+    rng = random.Random(n * q)
+    vectors = list(product(range(q), repeat=n))
+    for pat in enumerate_patterns(n):
+        *outer, size = pat.sizes()
+        images = {x: build_G(pat, x, oracle) for x in vectors}
+        prefixes = [[1]]
+        for i in outer:
+            polys = [correspondence._window_poly(oracle.get(i), c)
+                     for c in product(range(q), repeat=i)]
+            prefixes = [pmul(K, f, g) for f in prefixes for g in polys]
+        for k, flags in product((n, n - r), (False, True)):
+            flags = flags and bytearray(rng.randrange(2) for _ in range(q ** k))
+            memos.clear()
+            got = []
+            for xs, keep, ts, ws in correspondence.walk_blocks(
+                    pat, bank, k, flags or None):
+                vs = list(product(range(q), repeat=size))
+                vs = vs if keep is None else list(compress(vs, keep))
+                assert len(vs) == len(ts) == len(ws), pat.label()
+                got += [(xs + v, t, w) for v, t, w in zip(vs, ts, ws)]
+            want = [(x, is_type_lambda(x, pat), window_index(q, images[x], k))
+                    for x in vectors]
+            assert got == [e for e in want if not flags or flags[e[2]]], (
+                pat.label(), k, bool(flags))
+            windows = len(_windows_of(K, prefixes, k))
+            assert len({id(memo) for memo, _ in memos}) == 1
+            assert max(keys for _, keys in memos) == windows, pat.label()
 
 
 def test_flagged_walk_memo_holds_at_most_one_entry_per_window(monkeypatch):
@@ -675,16 +761,16 @@ def test_flagged_walk_memo_holds_at_most_one_entry_per_window(monkeypatch):
     # the product window of the prefix: never more than q^(n - r) keys,
     # checked at every prefix of each pattern's variety walk at (5, 5)
     p, n, r = 5, 5, 3
-    real = correspondence._walk
+    real = correspondence._block
     sizes = []
 
-    def checked_walk(q, size, table, place, flags, memo, prefix):
-        out = real(q, size, table, place, flags, memo, prefix)
+    def checked_walk(typed, entries, distinct, place, flags, memo, prefix):
+        out = real(typed, entries, distinct, place, flags, memo, prefix)
         assert flags is not None and len(memo) <= p ** (n - r)
         sizes.append(len(memo))
         return out
 
-    monkeypatch.setattr(correspondence, "_walk", checked_walk)
+    monkeypatch.setattr(correspondence, "_block", checked_walk)
     cfg = RunConfig(p=p, n=n, r=r, rows=((1, 0),), alpha=(0,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # q <= n families warn by design
@@ -704,7 +790,7 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     p, n, r = 5, 5, 3
     real_system = variety.sym_system
     real_block = variety.zero_block
-    real_rank, real_coincident = variety._full_rank, variety._coincident
+    real_rank, real_coincident = variety._deficient, variety._coincident
     systems, zero_windows, blocks = [], {}, []
 
     def recording_system(fam, pattern, bank):
@@ -720,11 +806,12 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
         for (i, _), (values, distinct) in listings.items():
             assert len(values) == p ** i
             assert len(distinct) <= min(p ** i, p ** (n - r))
+        assert 0 < len(sys_.blocks) <= p ** (n - r)
         blocks.append(id(sys_))
         return out
 
-    def checked_rank(sys_, x, e):
-        out = real_rank(sys_, x, e)
+    def checked_rank(sys_, xs, vs, ws, zeros):
+        out = list(real_rank(sys_, xs, vs, ws, zeros))
         if id(sys_) not in zero_windows:
             zero_windows[id(sys_)] = len(variety._zero_windows(sys_))
         assert all(len(kept) <= zero_windows[id(sys_)]
@@ -742,7 +829,7 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
 
     monkeypatch.setattr(census, "sym_system", recording_system)
     monkeypatch.setattr(variety, "zero_block", checked_block)
-    monkeypatch.setattr(variety, "_full_rank", checked_rank)
+    monkeypatch.setattr(variety, "_deficient", checked_rank)
     monkeypatch.setattr(variety, "_coincident", checked_coincident)
     cfg = RunConfig(p=p, n=n, r=r, rows=((1, 0),), alpha=(0,))
     with warnings.catch_warnings():
@@ -800,11 +887,16 @@ def _verify_rows_against_variety_pass(cfg):
     of build_G); return variety_pass's rows.  The probe is made to count
     about a third of the zeros as deficient violations, so that its
     counterexamples fill up, in walk order."""
-    real = variety._full_rank
+    real = variety._deficient
+
+    def lying_deficient(sys_, xs, vs, ws, zeros):
+        vs = list(vs)
+        found = set(real(sys_, xs, vs, ws, zeros))
+        return [xs + v for v in vs if xs + v in found
+                or sum((h + 1) * c for h, c in enumerate(xs + v)) % 3 == 0]
+
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        mp.setattr(variety, "_full_rank", lambda sys_, x, e: (
-            sum((h + 1) * c for h, c in enumerate(x)) % 3 != 0
-            and real(sys_, x, e)))
+        mp.setattr(variety, "_deficient", lying_deficient)
         mp.setattr(variety, "_double_collision", lambda sys_, x: False)
         warnings.simplefilter("ignore")     # q <= n families warn by design
         (full, alone_run), (full_rows, alone_rows), alone = _variety_routes(cfg)
@@ -927,7 +1019,7 @@ def test_window_layer_limit_fails_before_any_scan(monkeypatch, tmp_path):
     # at (11, 6) the window layer F_(11^6) of pattern 6 is itself over the
     # order limit: run_verify tables it, and fails, before anything is
     # tallied or scanned
-    for name in ("census_tally", "walk_G", "sym_system", "variety_pass"):
+    for name in ("census_tally", "walk_blocks", "sym_system", "variety_pass"):
         monkeypatch.setattr(census, name, _refuse)
     cfg = RunConfig(p=11, n=6, r=3, rows=((1, 0, 0),), alpha=(0,))
     ini = tmp_path / "q11n6.ini"
@@ -957,7 +1049,7 @@ def test_verify_budget_fails_before_any_table_or_scan(monkeypatch,
     # monics are not: refused before F_(11^5) is tabled or anything is
     # tallied or scanned
     monkeypatch.setattr(ffield.ExtCtx, "ensure_fast", _refuse)
-    for name in ("census_tally", "walk_G", "pattern_table"):
+    for name in ("census_tally", "walk_blocks", "pattern_table"):
         monkeypatch.setattr(census, name, _refuse)
     cfg = RunConfig(p=11, n=5, r=3, rows=((1, 0),), alpha=(0,),
                     budget=20000)
