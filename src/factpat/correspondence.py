@@ -47,8 +47,8 @@ The membership check (membership_block) compares, at a block's typed
 positions, the family's flag of each window with the block oracle
 variety.zero_block's.  build_G, is_type_lambda, variety.eval_R and
 zero_block read nothing of the walk; they form each orbit as the product
-_orbit with the conjugate matrix, or the block's orbits as one span of
-all its columns.
+_orbit with the conjugate matrix, or the block's orbits, one per class,
+from two half spans of its columns.
 """
 
 from __future__ import annotations

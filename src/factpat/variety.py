@@ -27,17 +27,19 @@ walk at that depth (correspondence.walk_blocks) keeps in each block only
 the x whose window is a zero, and does no work per vector for the
 others.  Each scan's budget defaults to the run's, family.MEMBER_BUDGET.
 The untyped zeros are counted off a block's typed flags; where two
-windows have one size, the typed zeros' windows of that size are
-compared too, the shifts of the windows before the last kept while they
-repeat.  The probe (_deficient) reduces the Jacobian's columns one at a
-time against the pivots found so far, those of the windows before the
-last once per block and zero window, and the last window's (forming x)
-only where they leave the rank below m.
+windows have one size, _coincident gives per block the cyclic shifts of
+the windows before the last, or None where two are conjugate, and a
+typed zero coincides iff its last window is among them.  The probe
+(_deficient) reduces the Jacobian's columns one at a time against the
+pivots found so far, those of the windows before the last once per block
+and zero window, and the last window's (forming x) once per zero window
+and rotation class of its coordinates, where the others fall short of m.
 eval_R stays as the per-point oracle and keeps nothing but R per
 E_0..E_(n-r); zero_block, the membership check's oracle, gives R's zero
 flags of every last-window vector under one prefix of the outer windows,
 read off one listing per window size in the plan (correspondence.Plan),
-one span of the columns of its layer's conjugate matrix (ffield._span),
+formed once per class under rotation and F_q^* scaling from two half
+spans of the columns of its layer's conjugate matrix (ffield._span),
 and kept by the prefix's E_0..E_(n-r), formed from that listing: at most
 q^(n-r) blocks per system, as R is kept.  Neither reads the walk.
 """
@@ -45,13 +47,13 @@ q^(n-r) blocks per system, as R is kept.  Neither reads the walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import accumulate, compress, product, repeat
 
 from .correspondence import (Plan, _orbit, _window_esym, build_G, layout,
                              walk_blocks, walk_G)
-from .errors import CountingIdentityError
+from .errors import CountingIdentityError, GaloisDescentError
 from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
-from .ffield import _from_vec, _span, _to_vec
+from .ffield import _from_vec, _scaled_codes, _span, _to_vec
 from .patterns import Pattern, pattern_stats
 from .poly import squarefree_decompose
 
@@ -72,7 +74,6 @@ class SymSystem:
     residues: dict = field(default_factory=dict)  # E_0..E_(n-r) -> R
     blocks: dict = field(default_factory=dict)    # prefix's E -> zero flags
     columns: dict = field(default_factory=dict)   # w -> (coords, {e: cols})
-    shifts: list = field(default_factory=list)    # _coincident's, per window
 
 
 def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
@@ -94,14 +95,39 @@ def sym_system(fam: LinearFamily, pattern: Pattern, bank) -> SymSystem:
 
 def _window_values(sys_: SymSystem, ctx):
     """(values, distinct): E_0..E_(n-r) of every vector of one window
-    size's coordinates, in product order, from one span of the columns of
-    its layer's conjugate matrix (ffield._span), each descent-checked, and
-    the distinct ones; listed once per plan, window size and n - r."""
+    size's coordinates, in product order, and the distinct ones; listed
+    once per plan, window size and n - r.  A rotation of the coordinates
+    (c -> c q mod (q^i - 1) on codes) maps the element to a conjugate,
+    with the same tuple, and scaling them by s in F_q^* scales E_t by
+    s^t: one tuple is formed per class, its orbit summed from the spans
+    (ffield._span) of the first ceil(i/2) and the last floor(i/2)
+    columns of A, descent-checked, and stored, scaled, at every code of
+    the class.  An A not circulant raises GaloisDescentError."""
     key = ctx.i, sys_.nr
     held = sys_.bank.values.get(key)
     if held is None:
-        values = [_window_esym(ctx, orbit, sys_.nr) for orbit in _span(
-            list(zip(*ctx.A)), ctx.i, ctx.q, ctx.add, ctx.mul)]
+        A, i, q, K = ctx.A, ctx.i, ctx.q, ctx.base
+        if any(row != A[0][t:] + A[0][:t] for t, row in enumerate(A)):
+            raise GaloisDescentError("the conjugate matrix is not circulant")
+        cols, h, top = list(zip(*A)), (i + 1) // 2, q ** i - 1
+        high, low = (_span(half, i, q, ctx.add, ctx.mul)
+                     for half in (cols[:h], cols[h:]))
+        scalings = [(_scaled_codes(K, [s] * h),
+                     _scaled_codes(K, [s] * (i - h)),
+                     list(accumulate(repeat(s, sys_.nr), K.mul, initial=1)))
+                    for s in range(1, q)]
+        values = [None] * (top + 1)
+        for c in range(top + 1):
+            if values[c] is None:
+                a, b = divmod(c, len(low))
+                e = _window_esym(ctx, list(map(ctx.add, high[a], low[b])),
+                                 sys_.nr)
+                for hs, ls, powers in scalings:
+                    r = hs[a] * len(low) + ls[b]
+                    entry = tuple(map(K.mul, powers, e))
+                    while values[r] is None:
+                        values[r] = entry
+                        r = r * q % top if r < top else r
         held = sys_.bank.values[key] = values, tuple(dict.fromkeys(values))
     return held
 
@@ -201,34 +227,20 @@ def rational_zeros(sys_: SymSystem, budget: int = MEMBER_BUDGET):
     return ((x, zeros[w]) for x, _, w in scan)
 
 
-def _coincident(sys_: SymSystem, x, typed) -> bool:
-    """True iff two root values of x coincide (G(x) is not square-free):
-    x is untyped (a window's element has a short Galois orbit), or two
-    windows of one size hold conjugate elements (their coordinates are
-    cyclic shifts of each other; never where the sizes are distinct).
-    The shifts of the windows before the last are kept (SymSystem.shifts)
-    per window with its coordinates, each with those of the windows
-    before it, or None once two of them are conjugate, and dropped from
-    the first window whose coordinates change."""
-    if sys_.distinct or not typed:
-        return not typed
-    held = sys_.shifts
-    seen = frozenset()
-    *lead, (start, size, _) = sys_.windows
-    for j, (s, i, _) in enumerate(lead):
-        win = x[s:s + i]
-        if j < len(held) and held[j][0] == win:
-            seen = held[j][1]
-        else:
-            del held[j:]
-            if win in seen:
-                seen = None
-            else:
-                seen = seen.union(win[k:] + win[:k] for k in range(i))
-            held.append((win, seen))
-        if seen is None:
-            return True
-    return x[start:start + size] in seen
+def _coincident(sys_: SymSystem, xs):
+    """The cyclic shifts of the coordinates of the windows before the last
+    in a block's prefix xs, or None if two of them hold conjugate elements
+    (their coordinates are cyclic shifts of each other).  A typed x =
+    xs + v has two coinciding root values (G(x) is not square-free) iff
+    this is None or holds v: the root values of typed windows of distinct
+    sizes never coincide."""
+    seen = set()
+    for s, i, _ in sys_.windows[:-1]:
+        win = xs[s:s + i]
+        if win in seen:
+            return None
+        seen.update(win[k:] + win[:k] for k in range(i))
+    return seen
 
 
 @dataclass(frozen=True)
@@ -336,16 +348,24 @@ def _full_rank(sys_: SymSystem, x, e, basis=None, windows=None) -> bool:
 def _deficient(sys_: SymSystem, xs, vs, ws, zeros):
     """The zeros x = xs + v of one block (v in vs, windows ws) where the
     Jacobian of R has rank below m, in order: the windows before the last
-    reduced once per zero window w, the last only where they fall short."""
-    last, bases = len(sys_.windows) - 1, {}
+    reduced once per zero window w, the last only where they fall short,
+    once per w and rotation class of v.  A rotation of v maps the last
+    window's element to a conjugate, which maps its digit columns by an
+    invertible F_q-linear map (see _full_rank), so their span, and the
+    rank, are the same."""
+    last, bases, ranks = len(sys_.windows) - 1, {}, {}
     for v, w in zip(vs, ws):
         if w not in bases:
             basis = bases[w] = []
             if _full_rank(sys_, xs, zeros[w], basis, range(last)):
                 bases[w] = None
-        if bases[w] is not None and not _full_rank(
-                sys_, xs + v, zeros[w], list(bases[w]), [last]):
-            yield xs + v
+        if bases[w] is not None:
+            key = w, min(v[k:] + v[:k] for k in range(len(v)))
+            if key not in ranks:
+                ranks[key] = _full_rank(sys_, xs + v, zeros[w],
+                                        list(bases[w]), [last])
+            if not ranks[key]:
+                yield xs + v
 
 
 def _digit_columns(sys_: SymSystem, ctx, coords, e):
@@ -385,9 +405,9 @@ def variety_pass(sys_: SymSystem, budget: int = MEMBER_BUDGET,
         v_eq += ts.count(0)
         vs = compress(product(range(sys_.fam.q), repeat=size), keep)
         if not sys_.distinct:
-            vs = list(vs)
-            v_eq += sum(_coincident(sys_, xs + v, True)
-                        for v in compress(vs, ts))
+            vs, seen = list(vs), _coincident(sys_, xs)
+            v_eq += sum(ts) if seen is None else sum(
+                map(seen.__contains__, compress(vs, ts)))
         for x in _deficient(sys_, xs, vs, ws, zeros):
             deficient += 1
             if _double_collision(sys_, x):

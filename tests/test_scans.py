@@ -15,7 +15,9 @@ The probe's per-zero verdicts are held to a Jacobian interpolated from
 eval_R along coordinate lines, to the rank of its digit rows formed
 whole, to the square-freeness of build_G (with the typed flag from
 is_type_lambda, and a pinned untyped vector with no conjugate windows),
-and to root multiplicities read from each window's minimal polynomial.
+and to root multiplicities read from each window's minimal polynomial;
+its counts and counterexamples, on families with rank-deficient zeros,
+to a per-point route over every zero of eval_R.
 Also here: the descent traps reached through the scans (a corrupted
 entry of A in either half of the split, an A that is not circulant, a
 circulant A of wrong conjugates), the pinned bytes of five verify
@@ -277,6 +279,55 @@ def test_probe_jacobian_matches_interpolation_at_deficient_zeros():
     assert _probe_against_interpolation(fam) == 5 * len(enumerate_patterns(5))
 
 
+def _per_point_probe(fam, pat, bank):
+    """(rank_deficient, confirmed, violations, counterexamples) from every
+    zero of eval_R in product order, each with its E values read off
+    build_G and its rank taken by _full_rank on a fresh system."""
+    K, nr = fam.ctx, fam.n - fam.r
+    deficient = confirmed = 0
+    bad = []
+    for x in product(range(fam.q), repeat=fam.n):
+        if any(eval_R(sym_system(fam, pat, bank), x)):
+            continue
+        g = build_G(pat, x, bank)
+        e = (1, *[K.neg(g[fam.n - t]) if t % 2 else g[fam.n - t]
+                  for t in range(1, nr + 1)])
+        sys_ = sym_system(fam, pat, bank)
+        if not _full_rank(sys_, x, e):
+            deficient += 1
+            if _double_collision(sys_, x):
+                confirmed += 1
+            else:
+                bad.append(x)
+    return deficient, confirmed, len(bad), tuple(bad[:variety.MAX_RECORDED])
+
+
+def _deficient_families():
+    """Families with rank-deficient zeros: two where a single root value
+    repeats at some, one m = 2 family over F_9, and one m = 2 family
+    whose single-window pattern has zeros of one window with either rank
+    (which a rank kept by the zero window alone would miss)."""
+    F5 = make_field(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # q <= n families warn by design
+        return [new_family(F5, 3, 1, [[3, 3], [2, 0]], [0, 1]),
+                prescribed_family(make_field(3), 2, (2,), (0,)),
+                new_family(make_field(3, 2), 3, 1, [[1, 3], [5, 0]], [0, 0]),
+                new_family(F5, 4, 2, [[2, 1], [3, 3]], [1, 0])]
+
+
+@pytest.mark.parametrize("fam", _deficient_families(),
+                         ids=["q5n3-m2", "q3n2-c0", "q9n3-m2", "q5n4-m2"])
+def test_probe_matches_a_per_point_route_at_deficient_zeros(fam):
+    bank = ContextBank.shared(fam.ctx)
+    for pat in enumerate_patterns(fam.n):
+        probe = variety_pass(sym_system(fam, pat, bank), member_tally={})[1]
+        got = (probe.rank_deficient, probe.confirmed, probe.violations,
+               probe.counterexamples)
+        assert got == _per_point_probe(fam, pat, bank), pat.label()
+        assert probe.rank_deficient > 0, pat.label()
+
+
 def _digit_rows(sys_, x, e):
     """The Jacobian's digit rows at a zero, every window's columns
     concatenated: row j holds the digits of v_j of each window (see
@@ -360,6 +411,14 @@ def _root_multiplicities(sys_, x):
     return [(len(key) - 1, e) for key, e in mult.items()]
 
 
+def _coincides(sys_, x, typed):
+    """The block form of the coincidence check at one x: x is untyped,
+    or the shifts of its prefix's windows are None or hold its last."""
+    start = sys_.windows[-1][0]
+    seen = _coincident(sys_, x[:start])
+    return not typed or seen is None or x[start:] in seen
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(2, 4), st.data())
 def test_coincidence_and_double_collision_match_oracles(ps, n, data):
@@ -372,7 +431,7 @@ def test_coincidence_and_double_collision_match_oracles(ps, n, data):
         for x, _ in rational_zeros(sys_):
             g = build_G(pat, x, bank)
             typed = is_type_lambda(x, pat)
-            assert _coincident(sys_, x, typed) == (not is_squarefree(K, g)), x
+            assert _coincides(sys_, x, typed) == (not is_squarefree(K, g)), x
             v_eq += not is_squarefree(K, g)
             roots = _root_multiplicities(sys_, x)
             double = (any(e >= 4 for _, e in roots)
@@ -392,9 +451,9 @@ def test_untyped_vector_coincides_without_conjugate_windows():
     sys_ = sym_system(fam, pat, ContextBank.shared(K))
     assert not is_type_lambda(x, pat)
     assert not is_squarefree(K, build_G(pat, x, ContextBank(K)))
-    assert _coincident(sys_, x, False)
-    assert not _coincident(sys_, (0, 1, 2), True)
-    assert _coincident(sys_, (0, 1, 2), False)
+    assert _coincides(sys_, x, False)
+    assert not _coincides(sys_, (0, 1, 2), True)
+    assert _coincides(sys_, (0, 1, 2), False)
 
 
 # ---------------------------------------------------------------------------
@@ -784,14 +843,17 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     # flags every last-window vector, the plan holds one listing of the
     # q^i windows of each size i, the residue memo holds at most
     # q^(n - r) values of R, the probe's store at most one entry per zero
-    # window for each window, and the coincidence check's one entry per
-    # window before the last, holding the shifts of that window and those
-    # before it (or None)
+    # window for each window, its rank of the last window is taken at
+    # most once per zero window and rotation class of that window per
+    # block, and the coincidence check gives per block the shifts of the
+    # windows before the last (or None)
     p, n, r = 5, 5, 3
     real_system = variety.sym_system
     real_block = variety.zero_block
     real_rank, real_coincident = variety._deficient, variety._coincident
-    systems, zero_windows, blocks = [], {}, []
+    real_full_rank = variety._full_rank
+    systems, zero_windows, blocks, last_ranks = [], {}, [], []
+    coincident = set()
 
     def recording_system(fam, pattern, bank):
         systems.append(real_system(fam, pattern, bank))
@@ -810,26 +872,40 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
         blocks.append(id(sys_))
         return out
 
+    def counted_full_rank(sys_, x, e, basis=None, windows=None):
+        if windows == [len(sys_.windows) - 1]:
+            last_ranks.append(x)
+        return real_full_rank(sys_, x, e, basis, windows)
+
+    def rotation_class(v):
+        return min(v[k:] + v[:k] for k in range(len(v)))
+
     def checked_rank(sys_, xs, vs, ws, zeros):
+        vs, before = list(vs), len(last_ranks)
         out = list(real_rank(sys_, xs, vs, ws, zeros))
         if id(sys_) not in zero_windows:
             zero_windows[id(sys_)] = len(variety._zero_windows(sys_))
         assert all(len(kept) <= zero_windows[id(sys_)]
                    for _, kept in sys_.columns.values())
+        size = sys_.windows[-1][1]
+        classes = {rotation_class(v) for v in product(range(p), repeat=size)}
+        keys = {(w, rotation_class(v)) for v, w in zip(vs, ws)}
+        assert len(last_ranks) - before <= len(keys) <= (
+            len(zeros) * len(classes))
         return out
 
-    def checked_coincident(sys_, x, typed):
-        out = real_coincident(sys_, x, typed)
+    def checked_coincident(sys_, xs):
+        out = real_coincident(sys_, xs)
         sizes = [size for _, size, _ in sys_.windows]
-        assert len(sys_.shifts) < len(sizes)
-        for j, (win, seen) in enumerate(sys_.shifts):
-            assert len(win) == sizes[j]
-            assert seen is None or len(seen) <= sum(sizes[:j + 1])
+        assert len(xs) == sum(sizes[:-1])
+        assert out is None or len(out) <= sum(sizes[:-1])
+        coincident.add(id(sys_))
         return out
 
     monkeypatch.setattr(census, "sym_system", recording_system)
     monkeypatch.setattr(variety, "zero_block", checked_block)
     monkeypatch.setattr(variety, "_deficient", checked_rank)
+    monkeypatch.setattr(variety, "_full_rank", counted_full_rank)
     monkeypatch.setattr(variety, "_coincident", checked_coincident)
     cfg = RunConfig(p=p, n=n, r=r, rows=((1, 0),), alpha=(0,))
     with warnings.catch_warnings():
@@ -839,8 +915,8 @@ def test_oracle_memos_stay_within_their_bounds(monkeypatch):
     for sys_ in systems:
         assert 0 < len(sys_.residues) <= p ** (n - r)
         assert sys_.columns
-        assert bool(sys_.shifts) != sys_.distinct
-    assert len(zero_windows) == len(systems)
+        assert (id(sys_) in coincident) != sys_.distinct
+    assert len(zero_windows) == len(systems) and last_ranks
     assert set(blocks) == {id(s) for s in systems}
 
 

@@ -14,7 +14,9 @@ give on a fresh system (their memos and kept columns in play), and the
 membership check's block oracle zero_block, its prefixes in any order,
 flags exactly where eval_R on a fresh system vanishes; the span its
 listings come from, of the conjugate matrix's columns, is held to _orbit
-for a clean and a corrupted conjugate matrix, which eval_R must refuse.
+for a clean and a corrupted conjugate matrix, which eval_R must refuse,
+and every entry of a listing, formed once per class under rotation and
+scaling, to E_0..E_(n-r) of the vector's own orbit.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from __future__ import annotations
 import random
 import warnings
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
 from factpat import variety
-from factpat.correspondence import Plan, _absorb, _orbit, build_G
+from factpat.correspondence import (Plan, _absorb, _orbit, _window_esym,
+                                    build_G)
 from factpat.errors import (BudgetError, CountingIdentityError,
                             GaloisDescentError)
 from factpat.family import new_family, pattern_tally, prescribed_family
@@ -301,6 +305,39 @@ def test_kept_window_values_are_bounded():
             assert len(values) == p ** i
             assert {len(e) for e in values} == {sys_.nr + 1}
             assert distinct == tuple(dict.fromkeys(values))
+
+
+# (p, s, largest window size) of the layers the listing is held to
+LISTING_LAYERS = [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 5), (2, 3, 4),
+                  (3, 2, 4)]
+
+
+@pytest.mark.parametrize("p, s, top", LISTING_LAYERS,
+                         ids=["F2", "F3", "F4", "F5", "F8", "F9"])
+def test_window_values_match_the_per_vector_orbit(p, s, top):
+    # the listing forms one tuple per class under rotation and scaling:
+    # every entry, the zero and the all-(q - 1) codes and i = 1 among
+    # them, is E_0..E_(n-r) of the vector's own orbit, for n - r up to
+    # one past the window size
+    bank = ContextBank.shared(make_field(p, s))
+    for i in range(1, top + 1):
+        ctx = bank.get(i)
+        ctx.ensure_fast()
+        orbits = [_orbit(ctx, ctx.A, v)
+                  for v in product(range(ctx.q), repeat=i)]
+        for nr in range(1, i + 2):
+            sys_ = SimpleNamespace(bank=Plan(bank), nr=nr)
+            values, distinct = variety._window_values(sys_, ctx)
+            assert values == [_window_esym(ctx, orbit, nr)
+                              for orbit in orbits], (i, nr)
+            assert distinct == tuple(dict.fromkeys(values))
+
+
+def test_window_values_refuse_a_conjugate_matrix_not_circulant():
+    bank = _layer_with_bad_entry(make_field(5), 3, 1, 2)
+    with pytest.raises(GaloisDescentError, match="not circulant"):
+        variety._window_values(SimpleNamespace(bank=Plan(bank), nr=2),
+                               bank.get(3))
 
 
 # (p, n, r, rows, alpha): small families, the last with m = 2
