@@ -47,8 +47,8 @@ The membership check (membership_block) compares, at a block's typed
 positions, the family's flag of each window with the block oracle
 variety.zero_block's.  build_G, is_type_lambda, variety.eval_R and
 zero_block read nothing of the walk; they form each orbit as the product
-_orbit with the conjugate matrix, or the block's orbits, one per class,
-from two half spans of its columns.
+ffield._orbit with the conjugate matrix, or the block's orbits, one per
+class, from two half spans of its columns.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from operator import itemgetter
 from ._dense import pmul
 from .errors import BudgetError, GaloisDescentError
 from .family import MEMBER_BUDGET
-from .ffield import _scaled_codes, _span, _to_vec
+from .ffield import _orbit, _scaled_codes, _span, _to_vec
 from .patterns import Pattern
 from .tables import _multiplier, family_windows
 
@@ -106,21 +106,6 @@ class RootVector:
 
     def typed(self) -> bool:
         return all(len(set(win)) == len(win) for win in self.y)
-
-
-def _orbit(K, rows, coords):
-    """The values sum_h coords[h] * row[h] in K, one per row.  With rows
-    the circulant conjugate matrix A of a layer this is the Galois orbit
-    of alpha = sum coords[h] theta^(q^h): row k gives sigma^k(alpha)."""
-    add, mul = K.add, K.mul
-    orbit = []
-    for row in rows:
-        acc = 0
-        for c, a in zip(coords, row):
-            if c:
-                acc = add(acc, mul(c, a))
-        orbit.append(acc)
-    return orbit
 
 
 def _absorb(K, e, ys):

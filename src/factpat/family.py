@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetError
-from .ffield import FieldParams, rref
+from .ffield import FieldParams, _orbit, rref
 from .patterns import MAX_N, Pattern, pattern_stats
 from .poly import pattern_of_coeffs
 
@@ -78,17 +78,9 @@ class LinearFamily:
 
     def contains_coeffs(self, full) -> bool:
         """Membership check straight from the original rows (no reduction)."""
-        K = self.ctx
-        ncols = self.n - self.r
-        window = [full[self.n - 1 - t] for t in range(ncols)]
-        for row, a in zip(self.rows, self.alpha):
-            acc = a
-            for c, w in zip(row, window):
-                if c and w:
-                    acc = K.add(acc, K.mul(c, w))
-            if acc != 0:
-                return False
-        return True
+        window = [full[self.n - 1 - t] for t in range(self.n - self.r)]
+        return all(self.ctx.add(a, v) == 0 for a, v in
+                   zip(self.alpha, _orbit(self.ctx, self.rows, window)))
 
 
 def _reduce_rows(K, crows, calpha, ncols, m):

@@ -13,11 +13,13 @@ behind every deterministic choice in the package:
   block of codes when the smallest Frobenius-invariant subspace that
   contains the block is proper: the block's codes and their conjugates
   all lie in it, so none is normal, and the first normal code is never
-  skipped (ExtCtx._init_normal_basis).
+  skipped; no node rebuilds its subspace (ExtCtx._init_normal_basis).
 
 FieldParams and ExtCtx share one scalar protocol (add/sub/mul/neg/inv/
 pow_/of_int on codes) so the dense polynomial kernels and the matrix
-helpers below work over either layer.  Both layers are a base field
+helpers below work over either layer: one Frobenius matrix (_frobenius),
+one matrix-vector product (_orbit) and one echelon step (_extend), with
+rref as the independent reference.  Both layers are a base field
 extended by a monic modulus, so they share one digit arithmetic
 (_Digits): the codec, digit-by-digit add and neg, the multiply by
 reduction rows, square-and-multiply and the Fermat inverse.  What stays
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._dense import padd, peval, pgcd, pmod, pmul, ppowmod, pscale, psub
+from ._dense import peval, pgcd, pmod, pmul, ppowmod, psub
 
 ORDER_LIMIT = 1 << 20     # largest order of a field or of a tabled layer
 _TABLE_MAX_PRIME = 256    # op-table cutoffs for base layers; past CPython's
@@ -318,33 +320,71 @@ def make_field(p, s=1) -> FieldParams:
     return FieldParams(p, s, g[:-1], prime_ctx=prime)
 
 
+def _frobenius(K, full, q):
+    """The rows of the matrix of w -> w^q on F_q[T]/(f), f monic of degree
+    d with full coefficient list full: column j holds the d digits of
+    T^(jq) mod f, so _orbit(K, rows, w) is w^q for a digit vector w."""
+    d = len(full) - 1
+    xq = ppowmod(K, [0, 1], q, full)
+    cols = [[1] + [0] * (d - 1)]
+    for _ in range(d - 1):
+        cols.append(pmod(K, pmul(K, cols[-1], xq), full))
+    return list(itertools.zip_longest(*cols, fillvalue=0))
+
+
+def _orbit(K, rows, coords):
+    """The values sum_h coords[h] * row[h] in K, one per row: the one
+    matrix-vector product of the package.  With rows the circulant
+    conjugate matrix A of a layer this is the Galois orbit of
+    alpha = sum coords[h] theta^(q^h): row k gives sigma^k(alpha)."""
+    add, mul = K.add, K.mul
+    orbit = []
+    for row in rows:
+        acc = 0
+        for c, a in zip(coords, row):
+            if c:
+                acc = add(acc, mul(c, a))
+        orbit.append(acc)
+    return orbit
+
+
+def _extend(K, basis, v, full):
+    """Reduce v by basis, a list of (pivot, row), each row 1 at its pivot
+    and 0 at the pivots before it, and append the rest, scaled to 1 at
+    its first nonzero entry, its pivot; False iff v lies in the rows'
+    span.  The full-th row is not scaled: the caller stops at it."""
+    sub, mul = K.sub, K.mul
+    for p, row in basis:
+        c = v[p]
+        if c:
+            v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
+    for p, c in enumerate(v):
+        if c:
+            if len(basis) + 1 != full:
+                inv = K.inv(c)
+                v = [mul(inv, b) for b in v]
+            basis.append((p, v))
+            return True
+    return False
+
+
 def _is_irreducible(K, full, q):
-    """Rabin's test for a monic polynomial (full coefficient list) over F_q."""
+    """Rabin's test for a monic polynomial (full coefficient list) over
+    F_q: T^(q^e) mod f, e = 1 .. d, stepped by the Frobenius matrix."""
     d = len(full) - 1
     if d == 1:
         return True
-    xq = ppowmod(K, [0, 1], q, full)
-    # Powers of T^q mod f turn w -> w^q mod f into an F_q-linear combination.
-    pows = [[1]]
-    for _ in range(d - 1):
-        pows.append(pmod(K, pmul(K, pows[-1], xq), full))
-
-    def frob_app(w):
-        out = []
-        for j, c in enumerate(w):
-            if c:
-                out = padd(K, out, pscale(K, pows[j], c))
-        return out
-
-    checkpoints = {d // l for l in _prime_factors(d)}
-    t = xq
+    x = [0, 1] + [0] * (d - 2)
+    # Rabin's checkpoints d/l, l prime, and e = 1: a root, which most
+    # reducible candidates have, is found before the matrix is built
+    checkpoints = {1, *(d // l for l in _prime_factors(d))}
+    t, frob = ppowmod(K, [0, 1], q, full), None     # T^q mod f
     for e in range(1, d):
-        if e in checkpoints:
-            g = pgcd(K, psub(K, t, [0, 1]), full)
-            if len(g) > 1:
-                return False
-        t = frob_app(t)
-    return t == [0, 1]
+        if e in checkpoints and len(pgcd(K, psub(K, t, x), full)) > 1:
+            return False
+        frob = frob or _frobenius(K, full, q)
+        t = _orbit(K, frob, t)
+    return t == x
 
 
 def find_irreducible(field: FieldParams, d: int) -> tuple:
@@ -479,58 +519,42 @@ class ExtCtx(_Digits):
         digits, highest first, each from 0 to q-1: that is code order.
 
         A node fixes the digits at positions pos..i-1 to those of h; its
-        codes are the block h + span(v^0, ..., v^(pos-1)).  Let W be the
-        smallest Frobenius-invariant subspace that contains h and
-        v^0, ..., v^(pos-1).  W contains every code x of the block and so
-        every conjugate of x; if dim W < i, no code of the block is
-        normal, and the search skips all q^pos of them.  Only blocks
-        without a normal code are skipped, so the first leaf accepted is
-        the first normal code.  At a leaf (pos = 0) the seed is x alone,
-        W is spanned by the conjugates x, x^q, ..., and the test is that
-        the first i of them are independent; they are conj.
+        codes are the block h + span(v^0, ..., v^(pos-1)).  under[pos] is
+        the echelon basis of the smallest Frobenius-invariant subspace
+        holding v^0, ..., v^(pos-1), each entry the one before extended.
+        A node extends a copy by the orbit h, h^q, ... to its first
+        dependent vector: W, the smallest invariant subspace holding the
+        block.  W holds every conjugate of the block's codes; if
+        dim W < i, none is normal, and the search skips all q^pos.  At a
+        leaf under[0] is empty, so the vectors kept are the conjugates
+        h, h^q, ..., h^(q^(i-1)) of the first normal code: conj.
         """
-        i, q = self.i, self.q
-        base = self.base
-        add, sub, mul = base.add, base.sub, base.mul
-        # x -> x^q is F_q-linear; frob[r] is row r of its matrix, whose
-        # column j holds the digits of (v^j)^q
-        cols = [self.to_vec(self.frobenius(q ** j, 1)) for j in range(i)]
-        frob = [[col[r] for col in cols] for r in range(i)]
+        i, q, base = self.i, self.q, self.base
+        frob = _frobenius(base, [*self.modulus, 1], q)
+
+        def grow(W, x):
+            # extend W by x, x^q, ... up to one in its span or to i rows;
+            # the vectors it took
+            kept = []
+            while len(W) < i and _extend(base, W, x, i):
+                kept.append(x)
+                x = _orbit(base, frob, x)
+            return kept
+
+        under = [[]]
+        for j in range(i):
+            under.append(list(under[-1]))
+            grow(under[-1], self.to_vec(q ** j))
         nodes = [(i, 0)]                # (pos, code of the fixed digits)
         while nodes:
             pos, code = nodes.pop()
-            # W from its seeds: each vector is reduced against the echelon
-            # rows of those kept; a kept one queues its image under x -> x^q
-            todo = [self.to_vec(code)] + [self.to_vec(q ** j) for j in range(pos)]
-            kept = []
-            echelon = []
-            for x in todo:
-                v = list(x)
-                for col, row in echelon:
-                    c = v[col]
-                    if c:
-                        v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
-                piv = next((j for j, c in enumerate(v) if c), None)
-                if piv is None:
-                    continue
-                kept.append(x)
-                if len(kept) == i:
-                    break
-                inv = base.inv(v[piv])
-                echelon.append((piv, [mul(inv, c) for c in v]))
-                nxt = []
-                for row in frob:
-                    acc = 0
-                    for f, c in zip(row, x):
-                        if f and c:
-                            acc = add(acc, mul(f, c))
-                    nxt.append(acc)
-                todo.append(tuple(nxt))
-            if len(kept) < i:           # dim W < i: no normal code here
+            W = list(under[pos])
+            kept = grow(W, self.to_vec(code))
+            if len(W) < i:              # dim W < i: no normal code here
                 continue
             if pos == 0:
                 self.theta = code
-                self.conj = tuple(self.from_vec(r) for r in kept)
+                self.conj = tuple(map(self.from_vec, kept))
                 break
             step = q ** (pos - 1)       # pushed from q-1 down: 0 pops first
             nodes.extend((pos - 1, code + d * step) for d in range(q - 1, -1, -1))
@@ -638,10 +662,7 @@ class Embedding:
         h_full = list(src.modulus) + [1]
         roots = []
         for combo in itertools.product(range(src.q), repeat=len(span)):
-            x = 0
-            for c, b in zip(combo, span):
-                if c:
-                    x = dst.add(x, dst.mul(c, b))
+            x = _orbit(dst, [span], combo)[0]
             if peval(dst, h_full, x) == 0:
                 roots.append(x)
         if len(roots) != src.i:  # pragma: no cover - h splits in its subfield
@@ -655,12 +676,7 @@ class Embedding:
     def map(self, x):
         if self._rho_pows is None:
             return x
-        dst = self.dst
-        out = 0
-        for digit, rp in zip(self.src.to_vec(x), self._rho_pows):
-            if digit:
-                out = dst.add(out, dst.mul(digit, rp))
-        return out
+        return _orbit(self.dst, [self._rho_pows], self.src.to_vec(x))[0]
 
 
 _SHARED_BANKS: dict = {}

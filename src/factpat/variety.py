@@ -49,11 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, product, repeat
 
-from .correspondence import (Plan, _orbit, _window_esym, build_G, layout,
+from .correspondence import (Plan, _window_esym, build_G, layout,
                              walk_blocks, walk_G)
 from .errors import CountingIdentityError, GaloisDescentError
 from .family import LinearFamily, MEMBER_BUDGET, pattern_tally
-from .ffield import _from_vec, _scaled_codes, _span, _to_vec
+from .ffield import _extend, _from_vec, _orbit, _scaled_codes, _span, _to_vec
 from .patterns import Pattern, pattern_stats
 from .poly import squarefree_decompose
 
@@ -162,7 +162,7 @@ def eval_R(sys_: SymSystem, x):
     Zero everywhere iff the polynomial built from x lies in the family.
     R is read off E_0..E_(n-r) of all root values of x, the product of
     the windows' ones mod X^(n-r+1), each window's formed from its orbit
-    (_orbit) at every call; nothing is kept but R per E value.
+    (ffield._orbit) at every call; nothing is kept but R per E value.
     Raises GaloisDescentError if a window's symmetric value fails to be
     Frobenius-fixed (corrupted normal-basis data).  The per-point oracle
     that tests hold zero_block and the variety's zeros to.
@@ -316,12 +316,11 @@ def _full_rank(sys_: SymSystem, x, e, basis=None, windows=None) -> bool:
     alpha the window's element (E~_t = E_t - alpha E~_(t-1) drops it).
     The trace pairing is non-degenerate, so the digits of v_j, which
     differ from those entries by an invertible map per window, give the
-    same rank, column rank being row rank.  Each digit column is reduced
-    by the pivots in the order found; a nonzero rest, scaled to 1 at its
-    first nonzero entry, is a new pivot.
+    same rank, column rank being row rank.  Each digit column extends
+    the pivots in the order found (ffield._extend); the m-th is not
+    scaled, as the rank is then m.
     """
     K, m = sys_.fam.ctx, sys_.fam.m
-    bsub, bmul = K.sub, K.mul
     basis = [] if basis is None else basis  # (pivot, column with a 1 there)
     for w in range(len(sys_.windows)) if windows is None else windows:
         start, size, ctx = sys_.windows[w]
@@ -332,16 +331,8 @@ def _full_rank(sys_: SymSystem, x, e, basis=None, windows=None) -> bool:
         if e not in held[1]:
             held[1][e] = _digit_columns(sys_, ctx, coords, e)
         for col in held[1][e]:
-            for p, piv in basis:
-                if col[p]:
-                    col = [bsub(a, bmul(col[p], b)) for a, b in zip(col, piv)]
-            for p, a in enumerate(col):
-                if a:
-                    if len(basis) == m - 1:     # the m-th pivot
-                        return True
-                    inv = K.inv(a)
-                    basis.append((p, [bmul(inv, b) for b in col]))
-                    break
+            if _extend(K, basis, col, m) and len(basis) == m:
+                return True
     return False
 
 

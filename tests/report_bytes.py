@@ -27,7 +27,15 @@ instead runs every seed-0 call of the benchmark's workloads
 (perfbench/workloads.py, read and never edited) and checks each report
 with the benchmark's own check against its digest pinned in
 perfbench/digests.json: one line per call, and exit code 1 if any
-fails.  Standard library only.
+fails.
+
+    python3 tests/report_bytes.py --tower
+
+instead builds the extension layers of a fixed sweep (TOWER: every base
+field of order at most 9, up to degree 30 over F_2) and prints one sha256
+over each layer's (p, s, i, modulus, theta, conj); the exit code is 1 if
+it differs from the digest in tests/report_bytes_tower.txt.  Standard
+library only.
 """
 
 import argparse
@@ -45,6 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from factpat import census  # noqa: E402
 from factpat.census import RunConfig  # noqa: E402
 from factpat.errors import BudgetError  # noqa: E402
+from factpat.ffield import ExtCtx, make_field  # noqa: E402
 
 DRIVERS = {
     "census": census.run_census,
@@ -58,6 +67,10 @@ DRIVERS = {
 VERIFY = ("verify", "verify-correspondence", "variety")
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
           (13, 1))
+# (p, s, top): the layers F_(q^i), i = 1 .. top, that --tower pins
+TOWER = ((2, 1, 30), (3, 1, 20), (2, 2, 16), (5, 1, 20), (7, 1, 12),
+         (2, 3, 12), (3, 2, 12))
+TOWER_FILE = ROOT / "tests" / "report_bytes_tower.txt"
 # the largest q^n drawn; each verify walks q^n vectors per pattern
 MAX_POINTS, MAX_VERIFY_POINTS = 200_000, 40_000
 
@@ -124,6 +137,27 @@ def perfbench_digests() -> int:
     return 1 if failed else 0
 
 
+def tower_digest() -> int:
+    """Check the sha256 of the TOWER layers' moduli and normal bases."""
+    start, cpu = time.perf_counter(), time.process_time()
+    sha = hashlib.sha256()
+    for p, s, top in TOWER:
+        base = make_field(p, s)
+        for i in range(1, top + 1):
+            ctx = ExtCtx(base, i)
+            sha.update(f"{(p, s, i, ctx.modulus, ctx.theta, ctx.conj)!r}\n"
+                       .encode())
+    got = sha.hexdigest()
+    print(got)
+    want = TOWER_FILE.read_text().strip()
+    if got != want:
+        print(f"tower digest differs from {want}", file=sys.stderr)
+        return 1
+    print(f"tower digest equal in {time.perf_counter() - start:.1f} s, "
+          f"{time.process_time() - cpu:.1f} s CPU", file=sys.stderr)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -132,9 +166,13 @@ def main(argv=None) -> int:
                         help="a file of lines from an earlier run")
     parser.add_argument("--perfbench", action="store_true",
                         help="check the perfbench seed-0 digests instead")
+    parser.add_argument("--tower", action="store_true",
+                        help="check the digest of the tower sweep instead")
     args = parser.parse_args(argv)
     if args.perfbench:
         return perfbench_digests()
+    if args.tower:
+        return tower_digest()
     start, cpu = time.perf_counter(), time.process_time()
     rng = random.Random(args.seed)
     lines = []

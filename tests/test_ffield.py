@@ -15,11 +15,14 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factpat._dense import pmod, pmul, trim
 from factpat.ffield import (ContextBank, Embedding, ExtCtx, FieldParams,
-                            _scaled_codes, _span, find_irreducible,
-                            make_field, mat_nullspace, mat_rank)
+                            _extend, _frobenius, _orbit, _scaled_codes,
+                            _span, find_irreducible, make_field,
+                            mat_nullspace, mat_rank)
 
 # Frozen search results.  The library picks the lexicographically least
 # monic irreducible (highest-degree coefficient compared first), so these
@@ -587,6 +590,59 @@ def test_mat_rank_and_nullspace_over_f5():
         for c, v in zip((1, 2, 3), vec):
             acc = K.add(acc, K.mul(c, v))
         assert acc == 0
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                  (3, 2)])
+def test_frobenius_matrix_is_the_qth_power(p, s):
+    # the rows applied by _orbit send every code x of every layer of
+    # order at most 10^4 (and of the base layer F_q over F_p) to x^q
+    base = make_field(p, s)
+    layers = [(ExtCtx(base, i), base) for i in range(1, 14)
+              if base.q ** i <= 10 ** 4]
+    for ctx, _ in layers:
+        ctx.ensure_fast()
+    if s > 1:
+        layers.append((base, base._coef))
+    for ctx, K in layers:
+        rows = _frobenius(K, [*ctx.modulus, 1], K.q)
+        for x in range(K.q ** len(ctx.modulus)):
+            got = ctx.from_vec(_orbit(K, rows, ctx.to_vec(x)))
+            assert got == ctx.pow_(x, K.q), (ctx, x)
+
+
+@given(st.sampled_from([(5, 1), (2, 2), (3, 2)]), st.integers(1, 6),
+       st.integers(1, 6), st.data())
+def test_extend_reaches_the_rank_in_echelon_rows(field, count, width, data):
+    # fed the rows one at a time, the basis ends with rank-many rows, each
+    # 1 at its pivot and 0 at the pivots before it; each row is appended
+    # iff it raised the rank
+    K = make_field(*field)
+    entry = st.integers(0, K.q - 1)
+    # zero entries drawn more often make dependent rows likely
+    rows = data.draw(st.lists(st.lists(entry | st.just(0), min_size=width,
+                                       max_size=width),
+                              min_size=count, max_size=count))
+    basis = []
+    for k, row in enumerate(rows):
+        before = len(basis)
+        grew = _extend(K, basis, row, width + 1)     # never full
+        assert grew == (len(basis) == before + 1)
+        assert len(basis) == mat_rank(K, rows[:k + 1])
+    for k, (p, row) in enumerate(basis):
+        assert row[p] == 1
+        assert all(later[p] == 0 for _, later in basis[k + 1:])
+    # with full = rank, the same rows come out, the full-th one unscaled
+    rank = len(basis)
+    if rank:
+        capped = []
+        for row in rows:
+            if _extend(K, capped, row, rank) and len(capped) == rank:
+                break
+        assert capped[:-1] == basis[:-1]
+        p, last = capped[-1]
+        assert p == basis[-1][0]
+        assert [K.mul(last[p], b) for b in basis[-1][1]] == list(last)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 HERE = Path(__file__).parent
@@ -31,3 +33,11 @@ def test_baseline_lines_are_the_seed_zero_draws():
         want_driver, cfg = draw(rng)
         assert (number, driver, config) == (str(k), want_driver, repr(cfg))
         assert len(sha) == 64 and int(sha, 16) >= 0
+
+
+def test_tower_digest_is_the_committed_one():
+    run = subprocess.run([sys.executable, str(HERE / "report_bytes.py"),
+                          "--tower"], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    want = (HERE / "report_bytes_tower.txt").read_text().strip()
+    assert run.stdout.strip() == want
