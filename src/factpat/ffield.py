@@ -14,6 +14,8 @@ behind every deterministic choice in the package:
   contains the block is proper: the block's codes and their conjugates
   all lie in it, so none is normal, and the first normal code is never
   skipped; no node rebuilds its subspace (ExtCtx._init_normal_basis).
+  Frobenius shifts normal coordinates cyclically, so the sums of every
+  i-th conjugate span the degree-i subfield (Embedding).
 
 FieldParams and ExtCtx share one scalar protocol (add/sub/mul/neg/inv/
 pow_/of_int on codes) so the dense polynomial kernels and the matrix
@@ -34,6 +36,7 @@ are limited, to layers of order at most ORDER_LIMIT.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from ._dense import peval, pgcd, pmod, pmul, ppowmod, psub
@@ -295,11 +298,6 @@ class FieldParams(_Digits):
     def __hash__(self):
         return hash((self.p, self.s, self.modulus))
 
-    def __repr__(self):
-        if self.s == 1:
-            return f"FieldParams(p={self.p})"
-        return f"FieldParams(p={self.p}, s={self.s}, g={self.modulus})"
-
 
 def make_field(p, s=1) -> FieldParams:
     """Construct F_(p^s) with the lexicographically smallest modulus."""
@@ -342,7 +340,7 @@ def _orbit(K, rows, coords):
     for row in rows:
         acc = 0
         for c, a in zip(coords, row):
-            if c:
+            if c and a:
                 acc = add(acc, mul(c, a))
         orbit.append(acc)
     return orbit
@@ -433,22 +431,6 @@ def rref(K, rows, cols):
 
 def mat_rank(K, rows) -> int:
     return len(rref(K, rows, range(len(rows[0]) if rows else 0))[1])
-
-
-def mat_nullspace(K, rows):
-    """Basis of the right kernel, deterministic (RREF with leftmost pivots)."""
-    ncols = len(rows[0]) if rows else 0
-    rows, pivots = rref(K, rows, range(ncols))
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = K.neg(rows[r][fc])
-        basis.append(tuple(vec))
-    return basis
 
 
 class ExtCtx(_Digits):
@@ -613,24 +595,16 @@ class ExtCtx(_Digits):
         zech = [log[s + inc[s % q]] for s in exp]
         self._exp, self._log, self._zech = exp, log, zech
 
-    def __eq__(self, other):
-        return (isinstance(other, ExtCtx)
-                and self.base == other.base
-                and (self.i, self.modulus) == (other.i, other.modulus))
-
-    def __hash__(self):
-        return hash((self.base, self.i, self.modulus))
-
-    def __repr__(self):
-        return f"ExtCtx(q={self.q}, i={self.i}, h={self.modulus}, theta={self.theta})"
-
 
 class Embedding:
     """The F_q-algebra embedding F_(q^i) -> F_(q^N) for i dividing N.
 
     The image of the source generator v_i is the smallest-code root of the
     source modulus inside the degree-i subfield of the target, which makes
-    the embedding deterministic.  No scan uses it (each works in the layers
+    the embedding deterministic.  That subfield is read off the target's
+    normal basis: x -> x^(q^i) sends conj[t] to conj[t + i mod N], so the
+    sums of every i-th conjugate are fixed by it and are an F_q-basis of
+    the subfield.  No scan uses the embedding (each works in the layers
     of its window sizes); perfbench/layers.py still wraps its constructor.
     """
 
@@ -644,21 +618,8 @@ class Embedding:
         if src.i == dst.i:
             self._rho_pows = None  # identity
             return
-        base = src.base
-        # The degree-i subfield is the fixed space of x -> x^(q^i),
-        # an F_q-linear map; take its kernel basis and enumerate.
-        d = dst.i
-        cols = []
-        for j in range(d):
-            img = dst.frobenius(dst.from_vec([0] * j + [1] + [0] * (d - j - 1)),
-                                src.i)
-            cols.append(dst.to_vec(img))
-        rows = [[base.sub(cols[j][r], 1 if j == r else 0) for j in range(d)]
-                for r in range(d)]
-        kernel = mat_nullspace(base, rows)
-        if len(kernel) != src.i:  # pragma: no cover - subfield dimension is i
-            raise RuntimeError("unexpected subfield dimension")
-        span = [dst.from_vec(vec) for vec in kernel]
+        span = [functools.reduce(dst.add, dst.conj[j::src.i])
+                for j in range(src.i)]
         h_full = list(src.modulus) + [1]
         roots = []
         for combo in itertools.product(range(src.q), repeat=len(span)):

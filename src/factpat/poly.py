@@ -10,7 +10,7 @@ many irreducible factors of each degree occur.
 
 from __future__ import annotations
 
-from ._dense import pderiv, pgcd, pmod, ppowmod, pquo, trim
+from ._dense import pderiv, pgcd, pmod, ppowmod, pquo, psub
 
 
 def _pth_root_poly(K, full):
@@ -85,7 +85,7 @@ def _ddf_degree_counts(K, q, g):
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
         w = ppowmod(K, w, q, v)
-        u = pgcd(K, _sub_x(K, w), v)
+        u = pgcd(K, psub(K, w, [0, 1]), v)
         if len(u) > 1:
             deg_u = len(u) - 1
             counts[d] = counts.get(d, 0) + deg_u // d
@@ -95,12 +95,6 @@ def _ddf_degree_counts(K, q, g):
         deg_v = len(v) - 1
         counts[deg_v] = counts.get(deg_v, 0) + 1
     return counts
-
-
-def _sub_x(K, w):
-    out = list(w) + [0] * (2 - len(w))
-    out[1] = K.sub(out[1], 1)
-    return trim(out)
 
 
 def pattern_of_coeffs(K, full):

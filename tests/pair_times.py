@@ -5,8 +5,10 @@ Each pair runs TREE_A's and TREE_B's own perfbench/run.py, with
 from that tree's root, and reads the metrics from the JSON line the run
 prints last; A runs first in odd pairs and B in even ones.  Each
 pair's line gives every metric of both runs, B over A; the last lines
-give, per metric, the median of the pairs' ratios B/A and the number of
-pairs where B is lower.  A run that exits nonzero or
+give, per metric, the median of the pairs' ratios B/A, the number of
+pairs where B is lower, and the interquartile range of A's own runs,
+also as a share of their median: the spread a change is compared
+against.  A run that exits nonzero or
 reports a failed call stops the script with exit code 1.  Run from
 anywhere, on two git clones (perfbench's peak_rss_mb depends on the
 directory a run starts from, so compare trees checked out alike):
@@ -46,7 +48,7 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=8)
     args = ap.parse_args(argv)
-    ratios = {}
+    ratios, runs_a = {}, {}
     for k in range(args.pairs):
         trees = (args.tree_a, args.tree_b)
         got = {t: run(t.resolve(), args.workload, args.seconds)
@@ -55,12 +57,24 @@ def main(argv=None):
         cells = []
         for name in a:
             ratios.setdefault(name, []).append(b[name] / a[name])
+            runs_a.setdefault(name, []).append(a[name])
             cells.append(f"{name} {a[name]:.6g} -> {b[name]:.6g} "
                          f"({ratios[name][-1]:.3f}x)")
         print(f"pair {k + 1}: " + "; ".join(cells), flush=True)
     for name, rs in ratios.items():
         print(f"median {name} B/A = {statistics.median(rs):.3f}x "
-              f"(B lower in {sum(r < 1 for r in rs)} of {len(rs)})")
+              f"(B lower in {sum(r < 1 for r in rs)} of {len(rs)}; "
+              f"{_spread(runs_a[name])})")
+
+
+def _spread(values):
+    """The interquartile range of one tree's runs, absolute and as a
+    share of their median; quartiles need at least two runs."""
+    if len(values) < 2:
+        return "A IQR n/a"
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (f"A IQR {q3 - q1:.6g}, "
+            f"{(q3 - q1) / statistics.median(values):.3f} of A's median")
 
 
 if __name__ == "__main__":

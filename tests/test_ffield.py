@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from factpat._dense import pmod, pmul, trim
 from factpat.ffield import (ContextBank, Embedding, ExtCtx, FieldParams,
                             _extend, _frobenius, _orbit, _scaled_codes,
-                            _span, find_irreducible, make_field,
-                            mat_nullspace, mat_rank)
+                            _span, find_irreducible, make_field, mat_rank)
 
 # Frozen search results.  The library picks the lexicographically least
 # monic irreducible (highest-degree coefficient compared first), so these
@@ -573,23 +572,38 @@ def test_embedding_requires_divisible_degree():
         _embedding(2, 3)
 
 
+# The powers 1, rho, ..., rho^(i-1) of the image rho of the source
+# generator, frozen: rho is the smallest-code root of the source modulus
+# in the degree-i subfield, the choice that makes the embedding unique.
+FROZEN_RHO_POWS = {
+    (5, 1, 1, 4): (1,),
+    (5, 1, 2, 4): (1, 25),
+    (5, 1, 2, 6): (1, 8840),
+    (5, 1, 3, 6): (1, 11365, 13051),
+    (2, 1, 2, 4): (1, 6),
+    (2, 1, 3, 6): (1, 14, 23),
+    (2, 2, 2, 4): (1, 38),
+    (2, 2, 3, 6): (1, 460, 363),
+}
+
+
+@pytest.mark.parametrize("p, s, i, n", sorted(FROZEN_RHO_POWS))
+def test_embedding_takes_the_smallest_root(p, s, i, n):
+    bank = ContextBank.shared(make_field(p, s))
+    emb = Embedding(bank.get(i), bank.get(n))
+    assert emb._rho_pows == FROZEN_RHO_POWS[p, s, i, n]
+
+
 # ---------------------------------------------------------------------------
 # linear algebra helpers
 
 
-def test_mat_rank_and_nullspace_over_f5():
+def test_mat_rank_over_f5():
     K = make_field(5)
     # (2, 4, 1) == 2*(1, 2, 3) mod 5, so the first pair has rank 1
     assert mat_rank(K, ((1, 2, 3), (2, 4, 1))) == 1
     rows = ((1, 2, 3), (0, 1, 4), (0, 0, 0))
     assert mat_rank(K, rows) == 2
-    null = mat_nullspace(K, ((1, 2, 3), (0, 0, 0), (0, 0, 0)))
-    assert len(null) == 2
-    for vec in null:
-        acc = 0
-        for c, v in zip((1, 2, 3), vec):
-            acc = K.add(acc, K.mul(c, v))
-        assert acc == 0
 
 
 @pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),

@@ -273,6 +273,16 @@ def test_character_tables_over_extension_fields_match_the_search():
             (K.q, n, k)
 
 
+@pytest.mark.parametrize("p, s", [(3, 5), (2, 8)])
+def test_search_over_untabled_fields_matches_the_characters(p, s):
+    # F_243 and F_256 are past _TABLE_MAX_EXT: the search's multiplier
+    # adds and multiplies digits through K's methods, not its flat tables
+    K = make_field(p, s)
+    assert K._addt is None
+    pats = enumerate_patterns(2)
+    assert _search_table(K, pats, 1) == _character_table(K, pats, 1)
+
+
 def test_depth_zero_tables_pack_nothing(monkeypatch):
     monkeypatch.setattr(tables, "_batch", _refuse)
     for p, s, n in ((2, 1, 13), (3, 1, 9), (2, 3, 5), (1009, 1, 4)):
