@@ -2,10 +2,10 @@
 
 A polynomial is a list [c_0, c_1, ..., c_d] of coefficient codes with
 c_d != 0; the empty list is the zero polynomial.  The coefficient field K
-is any scalar context exposing add/sub/mul/neg/inv/of_int on integer
-codes, with codes 0 and 1 the additive and multiplicative identities.
-Everything here is plain quadratic-time arithmetic; callers work at
-degree at most a few dozen, so simplicity wins over asymptotics.
+is any scalar context exposing add/mul/neg/inv on integer codes (pderiv
+also reads of_int), with codes 0 and 1 the additive and multiplicative
+identities.  Everything here is plain quadratic-time arithmetic; callers
+work at degree at most a few dozen, so simplicity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -27,20 +27,9 @@ def padd(K, a, b):
     return trim(out)
 
 
-def pneg(K, a):
-    neg = K.neg
-    return [neg(c) for c in a]
-
-
 def psub(K, a, b):
-    return padd(K, a, pneg(K, b))
-
-
-def pscale(K, a, s):
-    if s == 0:
-        return []
-    mul = K.mul
-    return [mul(c, s) for c in a]
+    neg = K.neg
+    return padd(K, a, [neg(c) for c in b])
 
 
 def pmul(K, a, b):
@@ -65,7 +54,7 @@ def pdivmod(K, a, b):
     da = len(a) - 1
     if da < db:
         return [], r
-    sub, mul = K.sub, K.mul
+    add, neg, mul = K.add, K.neg, K.mul
     lead_inv = 1 if b[-1] == 1 else K.inv(b[-1])
     quo = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
@@ -74,9 +63,10 @@ def pdivmod(K, a, b):
             continue
         f = mul(c, lead_inv)
         quo[k] = f
+        f = neg(f)
         for j in range(db + 1):
             if b[j]:
-                r[j + k] = sub(r[j + k], mul(f, b[j]))
+                r[j + k] = add(r[j + k], mul(f, b[j]))
     return trim(quo), trim(r)
 
 
@@ -93,7 +83,8 @@ def pmonic(K, a):
         return []
     if a[-1] == 1:
         return list(a)
-    return pscale(K, a, K.inv(a[-1]))
+    mul, inv = K.mul, K.inv(a[-1])
+    return [mul(c, inv) for c in a]
 
 
 def pgcd(K, a, b):

@@ -164,7 +164,7 @@ def _window_poly(ctx, coords):
     for root in _orbit(ctx, ctx.A, coords):
         win_poly = pmul(ctx, win_poly, [ctx.neg(root), 1])
     for c in win_poly:
-        if not ctx.in_base(c):
+        if c >= ctx.q:
             raise GaloisDescentError(
                 f"window product coefficient {c} is not in F_q")
     return win_poly

@@ -17,11 +17,12 @@ behind every deterministic choice in the package:
   Frobenius shifts normal coordinates cyclically, so the sums of every
   i-th conjugate span the degree-i subfield (Embedding).
 
-FieldParams and ExtCtx share one scalar protocol (add/sub/mul/neg/inv/
-pow_/of_int on codes) so the dense polynomial kernels and the matrix
-helpers below work over either layer: one Frobenius matrix (_frobenius),
-one matrix-vector product (_orbit) and one echelon step (_extend), with
-rref as the independent reference.  Both layers are a base field
+FieldParams and ExtCtx share one scalar protocol (add/mul/neg/inv/pow_
+on codes; FieldParams adds of_int) so the dense polynomial kernels and
+the matrix helpers below work over either layer: one Frobenius matrix
+(_frobenius), one matrix-vector product (_orbit) and one echelon step
+(_extend), with rref as the independent reference.  Each elimination
+step negates its multiplier once and adds.  Both layers are a base field
 extended by a monic modulus, so they share one digit arithmetic
 (_Digits): the codec, digit-by-digit add and neg, the multiply by
 reduction rows, square-and-multiply and the Fermat inverse.  What stays
@@ -142,9 +143,6 @@ class _Digits:
             a //= r
             mult *= r
         return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -351,11 +349,12 @@ def _extend(K, basis, v, full):
     and 0 at the pivots before it, and append the rest, scaled to 1 at
     its first nonzero entry, its pivot; False iff v lies in the rows'
     span.  The full-th row is not scaled: the caller stops at it."""
-    sub, mul = K.sub, K.mul
+    add, neg, mul = K.add, K.neg, K.mul
     for p, row in basis:
         c = v[p]
         if c:
-            v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
+            c = neg(c)
+            v = [add(a, mul(c, b)) for a, b in zip(v, row)]
     for p, c in enumerate(v):
         if c:
             if len(basis) + 1 != full:
@@ -423,8 +422,8 @@ def rref(K, rows, cols):
         rows[rank] = [K.mul(inv, x) for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+                f = K.neg(rows[r][col])
+                rows[r] = [K.add(x, K.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
     return rows, pivots
 
@@ -456,13 +455,6 @@ class ExtCtx(_Digits):
         self._exp = self._log = self._zech = None
         self._init_normal_basis()
 
-    def in_base(self, x):
-        """True iff x lies in F_q (codes below q, the constant digits)."""
-        return x < self.q
-
-    def of_int(self, k):
-        return k % self.base.p
-
     # -- scalar protocol -----------------------------------------------
 
     def add(self, x, y):
@@ -486,13 +478,6 @@ class ExtCtx(_Digits):
             log = self._log
             return exp[(log[x] + log[y]) % (self.order - 1)]
         return super().mul(x, y)
-
-    def frobenius(self, x, k=1):
-        """The k-th power of the relative Frobenius x -> x^q."""
-        k %= self.i
-        if k == 0 or x == 0 or x == 1:
-            return x
-        return self.pow_(x, self.q ** k)
 
     # -- internals -----------------------------------------------------
 

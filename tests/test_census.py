@@ -29,10 +29,12 @@ from factpat.census import (CENSUS_CSV_HEADER, RunConfig, build_family,
                             census_tally, emit_report, family_descriptor,
                             parse_config, render_csv, render_json, run_bounds,
                             run_census, run_global, run_verify)
+from factpat._dense import pdivmod, ppowmod
 from factpat.family import (_frac_str, bound_fp1, bound_fp2,
-                            bound_nonsquarefree, bound_terms, pattern_tally,
+                            bound_nonsquarefree, bound_reference_ci,
+                            bound_terms, new_family, pattern_tally,
                             prescribed_family)
-from factpat.ffield import make_field
+from factpat.ffield import Embedding, ExtCtx, FieldParams, make_field
 from factpat.patterns import enumerate_patterns, pattern_stats
 
 CONFIG_TEXT = """\
@@ -782,6 +784,51 @@ def test_cli_malformed_config_prints_no_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("factpat: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+# (call, exception type, its message) of each refusal that no config
+# reaches, as the CLI's own checks come first or it never makes the call
+REFUSALS = {
+    "field-float": (lambda: make_field(5.0), ValueError,
+                    "p and s must be integers"),
+    "field-no-modulus": (lambda: FieldParams(2, 3), ValueError,
+                         "degree-s modulus required when s > 1"),
+    "layer-i0": (lambda: ExtCtx(make_field(5), 0), ValueError,
+                 "extension degree must be >= 1"),
+    "embedding-bases": (lambda: Embedding(ExtCtx(make_field(3), 1),
+                                          ExtCtx(make_field(5), 2)),
+                        ValueError, "embeddings need a common base field"),
+    "pdivmod-zero": (lambda: pdivmod(make_field(5), [1, 2], []),
+                     ZeroDivisionError, "polynomial division by zero"),
+    "ppowmod-negative": (lambda: ppowmod(make_field(5), [0, 1], -1, [1, 0, 1]),
+                         ValueError, "negative exponent"),
+    "family-n1": (lambda: new_family(make_field(5), 1, 0, [(1,)], [0]),
+                  ValueError, "degree must be >= 2"),
+    "prescribed-r-n": (lambda: new_family(make_field(5), 3, 3, [()], [0],
+                                          prescribed=True),
+                       ValueError, "need 0 <= r <= n-1"),
+    "prescribed-r-negative": (lambda: new_family(make_field(5), 3, -1,
+                                                 [(1, 0, 0, 0)], [0],
+                                                 prescribed=True),
+                              ValueError, "need 0 <= r <= n-1"),
+    "family-no-rows": (lambda: new_family(make_field(5), 3, 1, [], []),
+                       ValueError, "need at least one constraint row"),
+    "prescribed-no-indices": (
+        lambda: prescribed_family(make_field(5), 3, [], []), ValueError,
+        "need at least one prescribed index"),
+    "ci-degree-count": (lambda: bound_reference_ci(4, 2, (2,)), ValueError,
+                        "one degree per defining equation required"),
+    "ci-degree-0": (lambda: bound_reference_ci(4, 2, (2, 0)), ValueError,
+                    "degrees must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSALS))
+def test_engine_refuses_invalid_arguments(kind):
+    call, exc, message = REFUSALS[kind]
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and str(info.value) == message
 
 
 # (command, config text, its one error line) of a q <= n family that

@@ -120,7 +120,6 @@ def test_field_axioms_sampled(p, s):
         assert field.mul(a, field.add(b, c)) == field.add(
             field.mul(a, b), field.mul(a, c))
         assert field.add(a, field.neg(a)) == 0
-        assert field.sub(a, b) == field.add(a, field.neg(b))
         if a:
             assert field.mul(a, field.inv(a)) == 1
 
@@ -231,7 +230,8 @@ def test_find_irreducible_has_no_small_divisor():
             shift = len(rem) - len(div)
             lead = rem[-1]
             for k, c in enumerate(div):
-                rem[shift + k] = field.sub(rem[shift + k], field.mul(lead, c))
+                rem[shift + k] = field.add(rem[shift + k],
+                                           field.neg(field.mul(lead, c)))
             rem.pop()
         return not any(rem)
 
@@ -303,7 +303,7 @@ def test_theta_is_first_normal_element_in_code_order():
     ctx = ContextBank.shared(base).get(2)
     q = base.q
     for cand in range(ctx.theta):
-        conj = [cand, ctx.frobenius(cand, 1)]
+        conj = [cand, ctx.pow_(cand, q)]
         dependent = False
         for code in range(1, q ** 2):
             c0, c1 = code % q, code // q
@@ -346,7 +346,7 @@ def test_theta_on_kummer_layers_is_the_all_ones_code():
         ctx = ExtCtx(base, i)
         built = time.perf_counter() - t0
         assert ctx.modulus[1:] == (0,) * (i - 1) and ctx.modulus[0], (q, i)
-        zeta, rest = divmod(ctx.frobenius(q), q)    # v -> zeta v
+        zeta, rest = divmod(ctx.pow_(q, q), q)      # v -> zeta v
         assert rest == 0 and zeta < q, (q, i)
         assert [base.pow_(zeta, k) == 1 for k in range(1, i + 1)] == \
             [False] * (i - 1) + [True], (q, i)
@@ -362,23 +362,15 @@ def test_frobenius_properties_in_extension():
     rng = random.Random(SAMPLE_SEED + 3)
     for _ in range(100):
         a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
-        assert ctx.frobenius(a, 1) == ctx.pow_(a, q)
-        assert ctx.frobenius(ctx.add(a, b), 1) == ctx.add(
-            ctx.frobenius(a, 1), ctx.frobenius(b, 1))
-        assert ctx.frobenius(ctx.mul(a, b), 1) == ctx.mul(
-            ctx.frobenius(a, 1), ctx.frobenius(b, 1))
-        assert ctx.frobenius(a, 3) == a
-        assert ctx.frobenius(ctx.frobenius(a, 1), 2) == a
+        assert ctx.pow_(ctx.add(a, b), q) == ctx.add(
+            ctx.pow_(a, q), ctx.pow_(b, q))
+        assert ctx.pow_(ctx.mul(a, b), q) == ctx.mul(
+            ctx.pow_(a, q), ctx.pow_(b, q))
+        assert ctx.pow_(a, q ** 3) == a
+        assert ctx.pow_(ctx.pow_(a, q), q ** 2) == a
     # base-field elements are exactly the Frobenius fixed points
-    fixed = [a for a in range(ctx.order) if ctx.frobenius(a, 1) == a]
+    fixed = [a for a in range(ctx.order) if ctx.pow_(a, q) == a]
     assert fixed == list(range(q))
-    assert all(ctx.in_base(a) for a in fixed)
-
-
-def test_in_base_rejects_proper_extension_elements():
-    ctx = ContextBank.shared(make_field(5)).get(2)
-    assert not ctx.in_base(5)
-    assert not any(ctx.in_base(a) for a in range(5, ctx.order))
 
 
 def test_fast_tables_agree_with_vector_arithmetic():
@@ -393,7 +385,7 @@ def test_fast_tables_agree_with_vector_arithmetic():
         assert slow.mul(a, b) == fast.mul(a, b)
         if a:
             assert slow.inv(a) == fast.inv(a)
-        assert slow.frobenius(a, 1) == fast.frobenius(a, 1)
+        assert slow.pow_(a, slow.q) == fast.pow_(a, fast.q)
 
 
 def test_fast_tables_on_the_two_element_layer():
@@ -406,7 +398,7 @@ def test_fast_tables_on_the_two_element_layer():
         for b in range(2):
             assert slow.add(a, b) == fast.add(a, b)
             assert slow.mul(a, b) == fast.mul(a, b)
-    assert fast.inv(1) == 1 and fast.frobenius(1) == 1
+    assert fast.inv(1) == 1 and fast.pow_(1, fast.q) == 1
 
 
 def _reference_zech(ctx):
@@ -527,7 +519,7 @@ def test_extension_axioms_sampled_char2():
                                                     ctx.mul(a, c))
         if a:
             assert ctx.mul(a, ctx.inv(a)) == 1
-        assert ctx.frobenius(a, 2) == a
+        assert ctx.pow_(a, ctx.q ** 2) == a
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +550,7 @@ def test_embedding_intertwines_frobenius():
     emb = _embedding(2, 4)
     src, dst = emb.src, emb.dst
     for x in range(src.order):
-        assert emb.map(src.frobenius(x, 1)) == dst.frobenius(emb.map(x), 1)
+        assert emb.map(src.pow_(x, src.q)) == dst.pow_(emb.map(x), dst.q)
 
 
 def test_embedding_identity_when_degrees_match():

@@ -37,7 +37,7 @@ def _poly_divmod(K, num, den):
         f = K.mul(rem[-1], inv_lead)
         quo[shift] = f
         for k, c in enumerate(den):
-            rem[shift + k] = K.sub(rem[shift + k], K.mul(f, c))
+            rem[shift + k] = K.add(rem[shift + k], K.neg(K.mul(f, c)))
     return quo, rem
 
 

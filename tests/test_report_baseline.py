@@ -10,6 +10,9 @@ change that alters report bytes on purpose regenerates the file and names
 each config whose digest changed.  This test runs no engine: it checks
 only that each line's number, driver and config are those that draw
 makes, so that the digests are compared config by config.
+
+tests/reach.py traces the same draws; a short run of it must list
+correspondence.walk_G, the oracle that no driver calls.
 """
 
 from __future__ import annotations
@@ -41,3 +44,12 @@ def test_tower_digest_is_the_committed_one():
     assert run.returncode == 0, run.stderr
     want = (HERE / "report_bytes_tower.txt").read_text().strip()
     assert run.stdout.strip() == want
+
+
+def test_reach_lists_the_oracle_no_driver_calls():
+    run = subprocess.run([sys.executable, str(HERE / "reach.py"),
+                          "--count", "3"], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    listed = dict(line.split(" ", 1) for line in run.stdout.splitlines())
+    assert listed["correspondence.walk_G"].endswith("(never called)")
+    assert "census.run_census" not in listed

@@ -222,7 +222,7 @@ def _line_derivative(K, values):
         basis = [1]
         for b in range(K.q):
             if b != a:
-                c = K.inv(K.sub(a, b))
+                c = K.inv(K.add(a, K.neg(b)))
                 basis = pmul(K, basis, [K.mul(K.neg(b), c), c])
         if len(basis) > 1:
             out = K.add(out, K.mul(fa, basis[1]))
@@ -338,7 +338,7 @@ def _digit_rows(sys_, x, e):
         alpha = correspondence._orbit(ctx, ctx.A[:1], x[start:start + size])[0]
         omit = [1]
         for t in range(1, sys_.nr):
-            omit.append(ctx.sub(e[t], ctx.mul(alpha, omit[-1])))
+            omit.append(ctx.add(e[t], ctx.neg(ctx.mul(alpha, omit[-1]))))
         for row, tm in zip(rows, sys_.terms):
             v = 0
             for k, c in tm:
@@ -405,7 +405,8 @@ def _root_multiplicities(sys_, x):
             alpha = ctx.add(alpha, ctx.mul(c, conj))
         minpoly = [1]
         for k in range(d):
-            minpoly = pmul(ctx, minpoly, [ctx.neg(ctx.frobenius(alpha, k)), 1])
+            minpoly = pmul(ctx, minpoly,
+                           [ctx.neg(ctx.pow_(alpha, ctx.q ** k)), 1])
         key = tuple(minpoly)
         mult[key] = mult.get(key, 0) + size // d
     return [(len(key) - 1, e) for key, e in mult.items()]
